@@ -4,7 +4,8 @@ Exit codes: 0 on success, 1 on usage or configuration problems, 2 on
 scientific failure (conservation out of band, identity residual over
 tolerance, hypothesis or contraction failure, resonant rotation number).
 A JSON config file supplies defaults; explicit flags override it; unknown
-keys are rejected. Identical config and seed give byte-identical outputs.
+keys and non-finite numbers (NaN, infinities) are rejected. Identical
+config and seed give byte-identical outputs.
 The LIE_KAM_THREADS environment variable caps ensemble fan-out.
 """
 
@@ -82,6 +83,7 @@ def _load_config(args):
         raise UsageError(f"config file is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise UsageError("config file must hold a JSON object")
+    _reject_non_finite(doc)
     allowed = _ALLOWED_KEYS[args.command]
     unknown = sorted(set(doc) - allowed)
     if unknown:
@@ -97,6 +99,28 @@ def _load_config(args):
                 raise UsageError(
                     f"unknown {sub} config keys: {', '.join(bad)}")
     return doc
+
+
+def _reject_non_finite(doc, prefix=""):
+    # json accepts NaN and Infinity; they must not reach the engine
+    for key, val in doc.items():
+        if isinstance(val, dict):
+            _reject_non_finite(val, f"{prefix}{key}.")
+        elif isinstance(val, float) and not math.isfinite(val):
+            raise UsageError(
+                f"config key {prefix}{key} must be a finite number, got {val}")
+
+
+def _finite_float(text):
+    """argparse type for float flags: NaN and infinities are usage errors."""
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {text!r}")
+    return val
 
 
 def _get(args, config, key, default):
@@ -668,14 +692,14 @@ def _add_common(sp):
     sp.add_argument("--config", help="JSON config file; flags override it")
     sp.add_argument("--seed", type=int, help="random seed (default 0)")
     sp.add_argument("--out", help="output directory (default .)")
-    sp.add_argument("--tol", type=float, help="numerical tolerance")
+    sp.add_argument("--tol", type=_finite_float, help="numerical tolerance")
 
 
 def _add_diophantine_flags(sp):
-    sp.add_argument("--tau", type=float, help="Diophantine exponent "
+    sp.add_argument("--tau", type=_finite_float, help="Diophantine exponent "
                     "(default 1)")
-    sp.add_argument("--q", type=float, help="curvature floor parameter in "
-                    "(0, 1) (default 0.5)")
+    sp.add_argument("--q", type=_finite_float, help="curvature floor "
+                    "parameter in (0, 1) (default 0.5)")
     sp.add_argument("--gamma-scan", dest="gamma_scan", type=int,
                     help="mode count for the gamma scan (default 50)")
 
@@ -690,9 +714,9 @@ def _build_parser():
     sp = sub.add_parser("simulate", help="integrate preset trajectories")
     sp.add_argument("--preset", choices=sorted(pr.PRESETS))
     sp.add_argument("--n", type=int, help="ensemble size (default 1)")
-    sp.add_argument("--h", type=float, help="step size")
-    sp.add_argument("--T", type=float, help="integration span")
-    sp.add_argument("--eps", type=float, help="drive amplitude")
+    sp.add_argument("--h", type=_finite_float, help="step size")
+    sp.add_argument("--T", type=_finite_float, help="integration span")
+    sp.add_argument("--eps", type=_finite_float, help="drive amplitude")
     sp.add_argument("--stride", type=int, help="sampling stride (default 1)")
     sp.add_argument("--section", action="store_true", default=None,
                     help="also emit stroboscopic sections")
@@ -702,9 +726,9 @@ def _build_parser():
     sp = sub.add_parser("section", help="emit stroboscopic sections only")
     sp.add_argument("--preset", choices=sorted(pr.PRESETS))
     sp.add_argument("--n", type=int)
-    sp.add_argument("--h", type=float)
-    sp.add_argument("--T", type=float)
-    sp.add_argument("--eps", type=float)
+    sp.add_argument("--h", type=_finite_float)
+    sp.add_argument("--T", type=_finite_float)
+    sp.add_argument("--eps", type=_finite_float)
     sp.add_argument("--stride", type=int)
     _add_common(sp)
     sp.set_defaults(func=cmd_simulate)
@@ -712,17 +736,19 @@ def _build_parser():
     sp = sub.add_parser("normalize",
                         help="one conjugation step: remainder and probes")
     sp.add_argument("--preset", help="reduced preset (default pert1)")
-    sp.add_argument("--eps", type=float, help="drive amplitude (required)")
+    sp.add_argument("--eps", type=_finite_float,
+                    help="drive amplitude (required)")
     _add_diophantine_flags(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_normalize)
 
     sp = sub.add_parser("iterate", help="iterated conjugation ledger")
     sp.add_argument("--preset", help="reduced preset (default pert1)")
-    sp.add_argument("--eps", type=float, help="drive amplitude "
+    sp.add_argument("--eps", type=_finite_float, help="drive amplitude "
                     "(default 1e-3)")
     sp.add_argument("--steps", type=int, help="iteration count (default 3)")
-    sp.add_argument("--r", type=float, help="working radius (default 0.5)")
+    sp.add_argument("--r", type=_finite_float,
+                    help="working radius (default 0.5)")
     _add_diophantine_flags(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_iterate)

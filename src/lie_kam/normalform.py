@@ -266,12 +266,11 @@ def certify_bounds(w: FourierTaylorSeries, z: FourierTaylorSeries,
 
     nw = fts.majorant_norm(w, r, domain)
     nz = fts.majorant_norm(z, r - delta, domain)
-    gz = ops.homological_derivation(w, z, q, params, dio, domain=domain)
+    gz = ops.Derivation(w, q, params, dio, domain=domain)(z)
     measured_g = fts.majorant_norm(gz, r - d - delta, domain)
     bound_g = bc.lam() * nw * nz
 
-    solv = ops.solvable_projection(w, q, params, dio, domain=domain)
-    res = ops.resonant_projection(w, q, params, dio, domain=domain)
+    res, solv = ops.split_projections(w, q, params, dio, domain=domain)
     measured_n = fts.majorant_norm(solv, r - delta, domain)
     measured_r = fts.majorant_norm(res, r - delta, domain)
     bound_p = bc.xi() * nw
@@ -300,6 +299,44 @@ def certify_bounds(w: FourierTaylorSeries, z: FourierTaylorSeries,
 # -- exponential of the derivation -------------------------------------------
 
 
+def _lie_series(gamma: ops.Derivation, g: FourierTaylorSeries,
+                h: FourierTaylorSeries, out: FourierTaylorSeries, tol: float,
+                max_terms: int, domain: DomainConfig):
+    """Add ``sum_{k>=1} Gamma^k g / k! - Gamma^k h / (k+1)!`` to out.
+
+    h may be None (no second series). Terms are added until the majorant
+    weight of the k-th term falls below ``tol`` times the weight of g
+    (absolute when g has weight 0). Five consecutive non-decreasing term
+    weights raise :class:`DivergenceError`; hitting ``max_terms`` warns
+    and returns the partial sum. Returns ``(sum, terms_used)``.
+    """
+    scale_ = max(fts.majorant_norm(g, 0.0, domain), 1.0)
+    prev = math.inf
+    rises = 0
+    for k in range(1, max_terms + 1):
+        g = fts.scale(gamma(g), 1.0 / k)  # Gamma^k g / k!
+        term = g
+        if h is not None:
+            h = fts.scale(gamma(h), 1.0 / k)  # Gamma^k h / k!
+            term = g - fts.scale(h, 1.0 / (k + 1))
+        out = out + term
+        tn = fts.majorant_norm(term, 0.0, domain)
+        if tn <= tol * scale_:
+            return out, k
+        if tn >= prev:
+            rises += 1
+            if rises >= 5:
+                raise DivergenceError(
+                    f"Lie series failed to contract: term {k} has weight "
+                    f"{tn:.3g} after {rises} non-decreasing steps")
+        else:
+            rises = 0
+        prev = tn
+    warnings.warn(f"Lie series truncated at {max_terms} terms with last "
+                  f"term weight {prev:.3g}", RuntimeWarning)
+    return out, max_terms
+
+
 def lie_exp_apply(f: FourierTaylorSeries, g: FourierTaylorSeries,
                   q: FourierTaylorSeries, params: AlgebraParams,
                   dio: DiophantineParams = None, tol: float = 1e-12,
@@ -313,30 +350,8 @@ def lie_exp_apply(f: FourierTaylorSeries, g: FourierTaylorSeries,
     :class:`DivergenceError`; hitting ``max_terms`` warns and returns the
     partial sum.
     """
-    out = g
-    term = g
-    scale_ = max(fts.majorant_norm(g, 0.0, domain), 1.0)
-    prev = math.inf
-    rises = 0
-    for k in range(1, max_terms + 1):
-        term = fts.scale(
-            ops.homological_derivation(f, term, q, params, dio, domain=domain),
-            1.0 / k)
-        tn = fts.majorant_norm(term, 0.0, domain)
-        out = out + term
-        if tn <= tol * scale_:
-            return out
-        if tn >= prev:
-            rises += 1
-            if rises >= 5:
-                raise DivergenceError(
-                    f"Lie series failed to contract: term {k} has weight "
-                    f"{tn:.3g} after {rises} non-decreasing steps")
-        else:
-            rises = 0
-        prev = tn
-    warnings.warn(f"Lie series truncated at {max_terms} terms with last "
-                  f"term weight {prev:.3g}", RuntimeWarning)
+    gamma = ops.Derivation(f, q, params, dio, domain=domain)
+    out, _ = _lie_series(gamma, g, None, g, tol, max_terms, domain)
     return out
 
 
@@ -448,39 +463,10 @@ def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
                 f"input norm {nv:.3g} exceeds the smallness budget "
                 f"{budget:.3g}; the quantitative contraction is not certified",
                 RuntimeWarning)
-    rv = ops.resonant_projection(v, q, params, dio, domain=domain)
-    nv0 = ops.solvable_projection(v, q, params, dio, domain=domain)
-    scale_ = max(fts.majorant_norm(v, 0.0, domain), 1.0)
-
-    out = fts.zeros(v.trunc, v.rho)
-    gv = v
-    gn = nv0
-    terms = 0
-    prev = math.inf
-    rises = 0
-    fact = 1.0
-    for k in range(1, max_terms + 1):
-        gv = ops.homological_derivation(v, gv, q, params, dio, domain=domain)
-        gn = ops.homological_derivation(v, gn, q, params, dio, domain=domain)
-        fact *= k
-        step = fts.scale(gv, 1.0 / fact) - fts.scale(gn, 1.0 / (fact * (k + 1)))
-        out = out + step
-        terms = k
-        tn = fts.majorant_norm(step, 0.0, domain)
-        if tn <= tol * scale_:
-            break
-        if tn >= prev:
-            rises += 1
-            if rises >= 5:
-                raise DivergenceError(
-                    f"normal-form series failed to contract at term {k} "
-                    f"(weight {tn:.3g})")
-        else:
-            rises = 0
-        prev = tn
-    else:
-        warnings.warn(f"normal-form series truncated at {max_terms} terms",
-                      RuntimeWarning)
+    rv, nv0 = ops.split_projections(v, q, params, dio, domain=domain)
+    gamma = ops.Derivation(v, q, params, dio, domain=domain)
+    out, terms = _lie_series(gamma, v, nv0, fts.zeros(v.trunc, v.rho), tol,
+                             max_terms, domain)
     q_star = _curvature_update(q, rv)
     return LieTransformResult(v_star=out, rv=rv, q_star=q_star,
                               series_terms_used=terms,

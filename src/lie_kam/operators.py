@@ -12,10 +12,12 @@ that splitting and the derivation that realizes the removal:
   fluctuating modes of degree <= 1, the only place small divisors appear.
 - ``translation_coefficient`` / ``projection_correction``: the curvature-aware
   corrections. The full projections ``resonant_projection`` and
-  ``solvable_projection`` differ from the basic ones exactly by the latter.
-- ``homological_derivation``: the derivation Gamma_f with
+  ``solvable_projection`` differ from the basic ones exactly by the latter;
+  ``split_projections`` returns both from one correction.
+- ``Derivation``: the derivation Gamma_f with
   H(Gamma_f g) - Gamma_f(H g) = {solvable_projection(f), g} for the
-  generator ``H = omega d_theta + d_t + {Q x^2 / 2, .}``.
+  generator ``H = omega d_theta + d_t + {Q x^2 / 2, .}``, built once per f
+  and applied as one bracket; ``homological_derivation`` applies it once.
 
 ``run_identity_suite`` verifies all of the exact operator identities on
 randomized inputs whose support is kept far enough inside the truncation
@@ -49,8 +51,10 @@ __all__ = [
     "projection_correction",
     "resonant_projection",
     "solvable_projection",
+    "split_projections",
     "half_curvature_x2",
     "hamiltonian_apply",
+    "Derivation",
     "homological_derivation",
     "estimate_diophantine",
     "probe_basket",
@@ -364,6 +368,16 @@ def solvable_projection(f: FourierTaylorSeries, q: FourierTaylorSeries,
     return basic_solvable(f) + projection_correction(f, q, params, dio, min_divisor, domain)
 
 
+def split_projections(f: FourierTaylorSeries, q: FourierTaylorSeries,
+                      params: AlgebraParams,
+                      dio: DiophantineParams = None,
+                      min_divisor: float = 1e-13,
+                      domain: DomainConfig = DEFAULT_DOMAIN):
+    """(resonant_projection(f), solvable_projection(f)) from one correction K."""
+    k = projection_correction(f, q, params, dio, min_divisor, domain)
+    return basic_resonant(f) - k, basic_solvable(f) + k
+
+
 def hamiltonian_apply(g: FourierTaylorSeries, q: FourierTaylorSeries,
                       params: AlgebraParams,
                       domain: DomainConfig = DEFAULT_DOMAIN) -> FourierTaylorSeries:
@@ -372,26 +386,56 @@ def hamiltonian_apply(g: FourierTaylorSeries, q: FourierTaylorSeries,
     return lin + fts.poisson_bracket(half_curvature_x2(q), g, domain)
 
 
+class Derivation:
+    """The derivation Gamma_f for one generator f, built once.
+
+    Gamma_f = {G_s f, .} - (a_f / rho) d_x - {x W_f, .} with W_f built from
+    the curvature drive; it satisfies the operator identity
+    H(Gamma_f g) - Gamma_f(H g) = {solvable_projection(f), g}.
+
+    Construction forms every small divisor: G_s f, a_f, the inner drive and
+    x W_f. By bilinearity of the bracket, ``gamma(g)`` is then one bracket
+    with the stored generator ``G = G_s f - x W_f`` plus an x-derivative.
+
+    Attributes
+    ----------
+    generator : FourierTaylorSeries
+        G_s f - x W_f.
+    shift : float or complex
+        a_f / rho, the coefficient of the translation d_x.
+    """
+
+    __slots__ = ("generator", "shift", "domain")
+
+    def __init__(self, f: FourierTaylorSeries, q: FourierTaylorSeries,
+                 params: AlgebraParams, dio: DiophantineParams = None,
+                 min_divisor: float = 1e-13,
+                 domain: DomainConfig = DEFAULT_DOMAIN):
+        af = translation_coefficient(f, q, params, dio, min_divisor)
+        inner = _inner_drive(f, q, params, af, dio, min_divisor, domain)
+        xw = _lift_degree(small_divisor_solve(
+            fts.scale(inner, 1.0 / params.rho), params, dio, min_divisor))
+        self.generator = small_divisor_solve(f, params, dio, min_divisor) - xw
+        self.shift = af / params.rho
+        self.domain = domain
+
+    def __call__(self, g: FourierTaylorSeries) -> FourierTaylorSeries:
+        """Gamma_f g = {G, g} - (a_f / rho) d_x g."""
+        return (fts.poisson_bracket(self.generator, g, self.domain)
+                + fts.scale(fts.partial_x(g), -self.shift))
+
+
 def homological_derivation(f: FourierTaylorSeries, g: FourierTaylorSeries,
                            q: FourierTaylorSeries, params: AlgebraParams,
                            dio: DiophantineParams = None,
                            min_divisor: float = 1e-13,
                            domain: DomainConfig = DEFAULT_DOMAIN) -> FourierTaylorSeries:
-    """Apply the derivation Gamma_f to g.
+    """Apply the derivation Gamma_f to g once.
 
-    Gamma_f = {G_s f, .} - (a_f / rho) d_x - {x W_f, .} with W_f built from
-    the curvature drive; it satisfies the operator identity
-    H(Gamma_f g) - Gamma_f(H g) = {solvable_projection(f), g}.
+    Builds a :class:`Derivation`; callers applying Gamma_f to several
+    series build it themselves and reuse it.
     """
-    gsf = small_divisor_solve(f, params, dio, min_divisor)
-    af = translation_coefficient(f, q, params, dio, min_divisor)
-    t1 = fts.poisson_bracket(gsf, g, domain)
-    t2 = fts.scale(fts.partial_x(g), -af / params.rho)
-    inner = _inner_drive(f, q, params, af, dio, min_divisor, domain)
-    xw = _lift_degree(small_divisor_solve(
-        fts.scale(inner, 1.0 / params.rho), params, dio, min_divisor))
-    t3 = fts.scale(fts.poisson_bracket(xw, g, domain), -1.0)
-    return t1 + t2 + t3
+    return Derivation(f, q, params, dio, min_divisor, domain)(g)
 
 
 # -- verification -------------------------------------------------------------
@@ -476,16 +520,13 @@ def run_identity_suite(params: AlgebraParams, q: FourierTaylorSeries = None,
                                    l_t_max=win["l_t"], l_theta_max=win["l_theta"],
                                    n_x_max=win["n_x"])
         nf = max(_l1(f), 1e-300)
-        rf = resonant_projection(f, q, params, dio, domain=domain)
-        kf = projection_correction(f, q, params, dio, domain=domain)
-        solv = basic_solvable(f) + kf
+        rf, solv = split_projections(f, q, params, dio, domain=domain)
+        rrf, nrf = split_projections(rf, q, params, dio, domain=domain)
 
         worst["resonant_idempotent"] = max(
-            worst["resonant_idempotent"],
-            _l1(resonant_projection(rf, q, params, dio, domain=domain) - rf) / max(_l1(rf), 1e-300))
+            worst["resonant_idempotent"], _l1(rrf - rf) / max(_l1(rf), 1e-300))
         worst["solvable_after_resonant"] = max(
-            worst["solvable_after_resonant"],
-            _l1(solvable_projection(rf, q, params, dio, domain=domain)) / nf)
+            worst["solvable_after_resonant"], _l1(nrf) / nf)
         worst["partition_of_identity"] = max(
             worst["partition_of_identity"], _l1(rf + solv - f) / nf)
 
@@ -503,15 +544,14 @@ def run_identity_suite(params: AlgebraParams, q: FourierTaylorSeries = None,
             worst["translation_kills_basic_resonant"],
             abs(translation_coefficient(rsf, q, params, dio)) / nf)
 
+        gamma_f = Derivation(f, q, params, dio, domain=domain)
+        gamma_rf = Derivation(rf, q, params, dio, domain=domain)
         for g in probes:
             ng = max(_l1(g), 1e-300)
             worst["derivation_after_resonant"] = max(
-                worst["derivation_after_resonant"],
-                _l1(homological_derivation(rf, g, q, params, dio, domain=domain)) / (nf * ng))
-            lhs = hamiltonian_apply(
-                homological_derivation(f, g, q, params, dio, domain=domain), q, params, domain)
-            rhs = homological_derivation(
-                f, hamiltonian_apply(g, q, params, domain), q, params, dio, domain=domain)
+                worst["derivation_after_resonant"], _l1(gamma_rf(g)) / (nf * ng))
+            lhs = hamiltonian_apply(gamma_f(g), q, params, domain)
+            rhs = gamma_f(hamiltonian_apply(g, q, params, domain))
             commutator = lhs - rhs
             want = fts.poisson_bracket(solv, g, domain)
             worst["homological"] = max(
@@ -539,13 +579,12 @@ def verify_homological(f: FourierTaylorSeries, q: FourierTaylorSeries,
         probes = probe_basket(f.trunc, params.rho)
     nf = max(fts.majorant_norm(f, working_r, domain), 1e-300)
     solv = solvable_projection(f, q, params, dio, domain=domain)
+    gamma = Derivation(f, q, params, dio, domain=domain)
     worst = 0.0
     for g in probes:
         ng = max(fts.majorant_norm(g, working_r, domain), 1e-300)
-        lhs = hamiltonian_apply(
-            homological_derivation(f, g, q, params, dio, domain=domain), q, params, domain)
-        rhs = homological_derivation(
-            f, hamiltonian_apply(g, q, params, domain), q, params, dio, domain=domain)
+        lhs = hamiltonian_apply(gamma(g), q, params, domain)
+        rhs = gamma(hamiltonian_apply(g, q, params, domain))
         want = fts.poisson_bracket(solv, g, domain)
         resid = (lhs - rhs) - want
         worst = max(worst, fts.majorant_norm(resid, working_r, domain) / (nf * ng))
@@ -565,9 +604,10 @@ def verify_gr_zero(f: FourierTaylorSeries, q: FourierTaylorSeries,
         probes = probe_basket(f.trunc, params.rho)
     nf = max(fts.majorant_norm(f, working_r, domain), 1e-300)
     rf = resonant_projection(f, q, params, dio, domain=domain)
+    gamma = Derivation(rf, q, params, dio, domain=domain)
     worst = 0.0
     for g in probes:
         ng = max(fts.majorant_norm(g, working_r, domain), 1e-300)
-        resid = homological_derivation(rf, g, q, params, dio, domain=domain)
+        resid = gamma(g)
         worst = max(worst, fts.majorant_norm(resid, working_r, domain) / (nf * ng))
     return worst

@@ -156,8 +156,10 @@ class FourierTaylorSeries:
     rho : float
         Casimir radius of the momentum sphere the reduced coordinates live on.
     tail_norm : float
-        Majorant weight (at r = 0) of whatever the operation that produced
-        this series dropped outside the index box. Zero for exact operations.
+        Majorant weight (at r = 0) that the products building this series
+        dropped outside the index box. Sums add their inputs' tails and
+        scalar multiples scale them by |c|; other exact operations
+        (derivatives, projections) start from zero.
     """
 
     __slots__ = ("coeffs", "trunc", "rho", "tail_norm", "_herm_defect")
@@ -175,6 +177,9 @@ class FourierTaylorSeries:
         self.tail_norm = float(tail_norm)
         mirror = np.conj(coeffs[::-1, ::-1, :])
         self._herm_defect = float(np.max(np.abs(coeffs - mirror))) if coeffs.size else 0.0
+        # the defect is NaN or inf exactly when some coefficient is
+        if not math.isfinite(self._herm_defect):
+            raise ValueError("series coefficients must be finite")
 
     # -- basic queries ---------------------------------------------------
 
@@ -344,15 +349,18 @@ def _guard_reality(out: FourierTaylorSeries, *inputs) -> FourierTaylorSeries:
 
 
 def add(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTaylorSeries:
-    """Sum on the merged truncation box. Exact, no tail."""
+    """Sum on the merged truncation box; the inputs' tails add up."""
     _check_rho(a, b)
     trunc = a.trunc.merge(b.trunc)
-    out = FourierTaylorSeries(_embed(a, trunc) + _embed(b, trunc), trunc, a.rho)
+    out = FourierTaylorSeries(_embed(a, trunc) + _embed(b, trunc), trunc, a.rho,
+                              tail_norm=a.tail_norm + b.tail_norm)
     return _guard_reality(out, a, b)
 
 
 def scale(a: FourierTaylorSeries, c) -> FourierTaylorSeries:
-    out = FourierTaylorSeries(a.coeffs * c, a.trunc, a.rho)
+    """Multiply by a scalar c; the tail scales by |c|."""
+    out = FourierTaylorSeries(a.coeffs * c, a.trunc, a.rho,
+                              tail_norm=a.tail_norm * abs(c))
     if isinstance(c, (int, float)) or (isinstance(c, complex) and c.imag == 0.0):
         return _guard_reality(out, a)
     return out
@@ -411,9 +419,7 @@ def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries,
     _check_rho(a, b)
     p = multiply(partial_x(a), partial_theta(b), domain)
     q = multiply(partial_theta(a), partial_x(b), domain)
-    out = scale(add(p, scale(q, -1.0)), 1.0 / a.rho)
-    return FourierTaylorSeries(out.coeffs, out.trunc, out.rho,
-                               tail_norm=(p.tail_norm + q.tail_norm) / a.rho)
+    return scale(p - q, 1.0 / a.rho)
 
 
 # -- evaluation and norms ---------------------------------------------------

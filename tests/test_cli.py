@@ -134,6 +134,26 @@ def test_config_file_merging(tmp_path):
     assert run(["simulate", "--config", str(bad), "--preset", "fig1"]) == 1
 
 
+def test_non_finite_config_value_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"eps": NaN}')
+    assert run(["normalize", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "eps" in capsys.readouterr().err
+    cfg.write_text('{"algebra": {"rho": Infinity}}')
+    assert run(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "algebra.rho" in capsys.readouterr().err
+
+
+def test_non_finite_flags_rejected(tmp_path, capsys):
+    for value in ("nan", "inf", "-inf"):
+        assert run(["normalize", f"--eps={value}", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "--eps" in err and "finite" in err
+    assert run(["simulate", "--preset", "fig1", "--T", "nan",
+                "--out", str(tmp_path)]) == 1
+    assert "--T" in capsys.readouterr().err
+
+
 # -- normalize / iterate ------------------------------------------------------
 
 

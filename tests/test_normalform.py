@@ -230,6 +230,35 @@ def test_v_star_quadratic_slope_pert1():
     assert abs(slope - 2.0) <= 0.1
 
 
+def test_v_star_reports_clipped_tail():
+    # at box (2, 2, 2) the brackets of the drive leave the box
+    box = TruncationSpec(n_x=2, l_theta=2, l_t=2)
+    v = pr.reduced_drive_series(1e-3, trunc=box)
+    res = nf.compute_v_star(v, ops.generic_curvature(PARAMS, box), PARAMS)
+    assert res.tail_norm > 0.0
+
+
+def test_v_star_solves_do_not_grow_with_lie_terms(monkeypatch):
+    # Gamma_V is built once per step, so the number of small-divisor
+    # solves is fixed by the step, not by the Lie terms it sums
+    calls = []
+    solve = ops.small_divisor_solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "small_divisor_solve", counting_solve)
+    solves = {}
+    for eps in (1e-5, 1e-2):
+        calls.clear()
+        res = nf.compute_v_star(pr.reduced_drive_series(eps), Q_SERIES,
+                                PARAMS, dio=DIO)
+        solves[res.series_terms_used] = len(calls)
+    assert len(solves) == 2, solves
+    assert len(set(solves.values())) == 1, solves
+
+
 def test_v_star_budget_warning():
     bc = nf.compute_bound_constants(PARAMS, DIO, r=0.5, d=0.1, delta=0.1)
     v = pr.reduced_drive_series(1e-3)  # far above eps_mu at desk scale

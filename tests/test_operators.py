@@ -169,6 +169,20 @@ def test_homological_derivation_matches_oracle():
             assert oracle.diff_norm(ref, got) < 1e-13
 
 
+def test_derivation_built_once_matches_oracle():
+    rng = random.Random(29)
+    probes = ops.probe_basket(TR, PARAMS.rho)
+    for _ in range(8):
+        d = rand_f(rng)
+        gamma = ops.Derivation(as_series(d), Q_SERIES, PARAMS)
+        for g in probes:
+            ref = oracle.restrict(
+                oracle.gamma_apply(d, oracle.dict_from_series(g), Q_DICT,
+                                   PARAMS.rho, PARAMS.omega),
+                TR.l_t, TR.l_theta, TR.n_x)
+            assert oracle.diff_norm(ref, gamma(g)) < 1e-13
+
+
 def test_curvature_lift_requires_degree0():
     bad = fts.from_real_terms([(0, 0, 1, 1.0)], TruncationSpec(1, 1, 1), PARAMS.rho)
     with pytest.raises(ValueError):

@@ -123,6 +123,37 @@ def test_multiply_tail_accounts_for_dropped_weight():
     assert got.tail_norm == pytest.approx(expect_tail, rel=1e-12)
 
 
+def test_sums_and_scalar_multiples_carry_the_tail():
+    t = TruncationSpec(n_x=2, l_theta=2, l_t=1)
+    a = fts.from_real_terms([(1, 2, 2, 0.5)], t, RHO)
+    clipped = fts.multiply(a, a)
+    tail = clipped.tail_norm
+    assert tail > 0.0
+    assert (clipped + a).tail_norm == tail
+    assert (clipped + clipped).tail_norm == pytest.approx(2.0 * tail, rel=1e-15)
+    assert (clipped - clipped).tail_norm == pytest.approx(2.0 * tail, rel=1e-15)
+    assert fts.scale(clipped, -3.0).tail_norm == pytest.approx(3.0 * tail, rel=1e-15)
+    assert fts.scale(clipped, 2j).tail_norm == pytest.approx(2.0 * tail, rel=1e-15)
+    # the bracket reports what its two products dropped, over rho
+    b = fts.from_real_terms([(1, 2, 1, 0.5)], t, RHO)
+    p = fts.multiply(fts.partial_x(a), fts.partial_theta(b))
+    q = fts.multiply(fts.partial_theta(a), fts.partial_x(b))
+    assert p.tail_norm + q.tail_norm > 0.0
+    assert fts.poisson_bracket(a, b).tail_norm == pytest.approx(
+        (p.tail_norm + q.tail_norm) / RHO, rel=1e-15)
+
+
+def test_non_finite_coefficients_rejected():
+    with np.errstate(invalid="ignore"):
+        for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
+            c = np.zeros(TR.shape, dtype=np.complex128)
+            c[1, 2, 3] = bad
+            with pytest.raises(ValueError, match="finite"):
+                FourierTaylorSeries(c, TR, RHO)
+        with pytest.raises(ValueError, match="finite"):
+            fts.scale(fts.constant(1.0, TR, RHO), math.inf)
+
+
 def test_partials_match_oracle():
     pyrng = __import__("random").Random(31)
     for _ in range(20):
