@@ -1,12 +1,12 @@
 """Subcommand CLI wiring presets, runs, and report emission.
 
 Exit codes: 0 on success, 1 on usage or configuration problems, 2 on
-scientific failure (conservation out of band, identity residual over
-tolerance, hypothesis or contraction failure, resonant rotation number).
-A JSON config file supplies defaults; explicit flags override it; unknown
-keys and non-finite numbers (NaN, infinities) are rejected. Identical
-config and seed give byte-identical outputs.
-The LIE_KAM_THREADS environment variable caps ensemble fan-out.
+scientific failure (conservation out of band, aborted trajectory,
+identity residual over tolerance, hypothesis or contraction failure,
+resonant rotation number). A JSON config file supplies defaults; explicit
+flags override it; unknown keys and non-finite numbers (NaN, infinities,
+also as strings) are rejected. Identical config and seed give
+byte-identical outputs. Ensembles are integrated as one batch.
 """
 
 import argparse
@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent import futures
 
 import numpy as np
 
@@ -111,16 +110,35 @@ def _reject_non_finite(doc, prefix=""):
                 f"config key {prefix}{key} must be a finite number, got {val}")
 
 
+def _finite(val):
+    """float(val); ValueError unless it is a finite number."""
+    try:
+        num = float(val)
+    except (TypeError, ValueError):
+        raise ValueError(f"invalid float value: {val!r}")
+    if not math.isfinite(num):
+        raise ValueError(f"must be a finite number, got {val!r}")
+    return num
+
+
 def _finite_float(text):
     """argparse type for float flags: NaN and infinities are usage errors."""
     try:
-        val = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not math.isfinite(val):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number, got {text!r}")
-    return val
+        return _finite(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _number(val, key, kind=float):
+    """A config value as a finite float (or an int); errors name the key.
+
+    JSON strings such as "nan" get past the load-time check, so numbers
+    are converted here, where they are read.
+    """
+    try:
+        return _finite(val) if kind is float else int(val)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"config key {key}: {exc}")
 
 
 def _get(args, config, key, default):
@@ -130,22 +148,25 @@ def _get(args, config, key, default):
     return val
 
 
+def _get_number(args, config, key, default, kind=float):
+    return _number(_get(args, config, key, default), key, kind)
+
+
 def _algebra(config) -> AlgebraParams:
     base = AlgebraParams()
     alg = config.get("algebra", {})
-    return AlgebraParams(rho=float(alg.get("rho", base.rho)),
-                         i_perp=float(alg.get("i_perp", base.i_perp)),
-                         i_3=float(alg.get("i_3", base.i_3)),
-                         x0=float(alg.get("x0", base.x0)))
+    return AlgebraParams(
+        **{key: _number(alg.get(key, getattr(base, key)), f"algebra.{key}")
+           for key in ("rho", "i_perp", "i_3", "x0")})
 
 
 def _truncation(config) -> TruncationSpec:
     base = pr.DEFAULT_TRUNC
     tr = config.get("truncation", {})
-    return TruncationSpec(n_x=int(tr.get("n_x", base.n_x)),
-                          l_theta=int(tr.get("l_theta", base.l_theta)),
-                          l_t=int(tr.get("l_t", base.l_t)),
-                          pad=int(tr.get("pad", base.pad)))
+    return TruncationSpec(
+        **{key: _number(tr.get(key, getattr(base, key)), f"truncation.{key}",
+                        int)
+           for key in ("n_x", "l_theta", "l_t", "pad")})
 
 
 def _diophantine(params, tau, q, k_scan):
@@ -160,17 +181,6 @@ def _diophantine(params, tau, q, k_scan):
     except ValueError as exc:
         # resonant rotation number: a scientific failure, not a usage one
         raise ScienceError(str(exc))
-
-
-def _threads():
-    raw = os.environ.get("LIE_KAM_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError:
-        raise UsageError(f"LIE_KAM_THREADS must be an integer, got {raw!r}")
-    if val < 1:
-        raise UsageError("LIE_KAM_THREADS must be at least 1")
-    return val
 
 
 def _plain(obj):
@@ -212,11 +222,11 @@ def _resolve_simulation(args, config):
         raise UsageError(f"preset {preset!r} requires --eps")
     if not cfg["requires_eps"] and eps is not None:
         raise UsageError(f"preset {preset!r} takes no --eps")
-    n = int(_get(args, config, "n", 1))
-    seed = int(_get(args, config, "seed", 0))
-    h = float(_get(args, config, "h", cfg["h"]))
-    t_final = float(_get(args, config, "T", cfg["T"]))
-    stride = int(_get(args, config, "stride", 1))
+    n = _get_number(args, config, "n", 1, int)
+    seed = _get_number(args, config, "seed", 0, int)
+    h = _get_number(args, config, "h", cfg["h"])
+    t_final = _get_number(args, config, "T", cfg["T"])
+    stride = _get_number(args, config, "stride", 1, int)
     section = (args.command == "section"
                or bool(_get(args, config, "section", False)))
     if n < 1:
@@ -237,7 +247,7 @@ def _resolve_simulation(args, config):
         "kind": cfg["kind"],
         "inertia": list(cfg["inertia"]),
         "rho": cfg["rho"],
-        "eps": eps if eps is None else float(eps),
+        "eps": eps if eps is None else _number(eps, "eps"),
         "n": n,
         "seed": seed,
         "h": h,
@@ -249,9 +259,19 @@ def _resolve_simulation(args, config):
     return preset, cfg, resolved
 
 
-def _simulate_cartesian(cfg, resolved, params_unused):
-    preset_eps = resolved["eps"]
-    inertia = pr.preset_inertia(resolved["preset"], eps=preset_eps)
+def _integrate(inits, fieldfn, resolved):
+    """One batched RK4 run over the ensemble, split into member trajectories."""
+    if resolved["T"] == 0.0:
+        empty = np.empty((0, inits.shape[-1]))
+        return [rb.Trajectory(t=np.empty(0), y=empty) for _ in inits]
+    # a lone member runs unbatched: same bits, less per-call overhead
+    y0 = inits[0] if len(inits) == 1 else inits
+    return rb.rk4_integrate(y0, fieldfn, resolved["h"], resolved["T"],
+                            stride=resolved["stride"]).members()
+
+
+def _simulate_cartesian(resolved):
+    inertia = pr.preset_inertia(resolved["preset"], eps=resolved["eps"])
     rho = resolved["rho"]
     inits = rb.sample_sphere(resolved["n"], rho, resolved["seed"])
     if inertia.modulation is None:
@@ -260,12 +280,7 @@ def _simulate_cartesian(cfg, resolved, params_unused):
     else:
         def fieldfn(t, y):
             return rb.throbbing_field(y, t, inertia)
-
-    def run(i):
-        if resolved["T"] == 0.0:
-            return rb.Trajectory(t=np.empty(0), y=np.empty((0, 3)))
-        return rb.rk4_integrate(inits[i], fieldfn, resolved["h"],
-                                resolved["T"], stride=resolved["stride"])
+    trajs = _integrate(inits, fieldfn, resolved)
 
     def report(traj):
         if len(traj) == 0:
@@ -275,7 +290,7 @@ def _simulate_cartesian(cfg, resolved, params_unused):
         rep["aborted"] = traj.aborted
         return rep
 
-    return run, report, "cartesian", rho
+    return trajs, report, "cartesian", rho
 
 
 def _simulate_reduced(cfg, resolved, config):
@@ -297,16 +312,12 @@ def _simulate_reduced(cfg, resolved, config):
                            "i_3": params.i_3, "x0": params.x0}
     resolved["truncation"] = {"n_x": trunc.n_x, "l_theta": trunc.l_theta,
                               "l_t": trunc.l_t, "pad": trunc.pad}
-
-    def run(i):
-        if resolved["T"] == 0.0:
-            return rb.Trajectory(t=np.empty(0), y=np.empty((0, 2)))
-        traj = rb.rk4_integrate(inits[i], fieldfn, resolved["h"],
-                                resolved["T"], stride=resolved["stride"])
+    trajs = []
+    for traj in _integrate(inits, fieldfn, resolved):
         # store the global chart coordinate X = x0 + x
         y = traj.y.copy()
         y[:, 0] += params.x0
-        return rb.Trajectory(t=traj.t, y=y, aborted=traj.aborted)
+        trajs.append(rb.Trajectory(t=traj.t, y=y, aborted=traj.aborted))
 
     def report(traj):
         if len(traj) == 0:
@@ -320,28 +331,29 @@ def _simulate_reduced(cfg, resolved, config):
         rep["x_max"] = float(np.max(traj.y[:, 0]))
         return rep
 
-    return run, report, "reduced", params.rho
+    return trajs, report, "reduced", params.rho
+
+
+def _section(traj, period, rho):
+    """Section rows and their times; empty for a member that aborted
+    before spanning one period."""
+    if traj.aborted and (len(traj) < 2 or traj.t[-1] - traj.t[0] < period):
+        return np.empty(0), np.empty((0, 2))
+    sec = rb.poincare_section(traj, period, rho=rho)
+    k0 = int(math.ceil((traj.t[0] - 1e-12) / period))
+    return (k0 + np.arange(len(sec))) * period, sec
 
 
 def cmd_simulate(args, config):
     preset, cfg, resolved = _resolve_simulation(args, config)
     out = _out_dir(args, config)
-    threads = _threads()
     if cfg["kind"] == "cartesian":
-        run, report, kind, rho = _simulate_cartesian(cfg, resolved, config)
+        trajs, report, kind, rho = _simulate_cartesian(resolved)
     else:
-        run, report, kind, rho = _simulate_reduced(cfg, resolved, config)
-
-    n = resolved["n"]
-    if threads > 1 and n > 1:
-        with futures.ThreadPoolExecutor(max_workers=min(threads, n)) as ex:
-            trajs = list(ex.map(run, range(n)))
-    else:
-        trajs = [run(i) for i in range(n)]
+        trajs, report, kind, rho = _simulate_reduced(cfg, resolved, config)
 
     write_traj = args.command == "simulate"
     rows = []
-    ok = True
     for i, traj in enumerate(trajs):
         rep = report(traj)
         if write_traj:
@@ -350,19 +362,19 @@ def cmd_simulate(args, config):
                                     config=_plain(resolved))
             rep["file"] = name
         if resolved["section"]:
-            sec = rb.poincare_section(traj, resolved["period"],
-                                      rho=rho if kind == "cartesian" else None)
-            k0 = int(math.ceil((traj.t[0] - 1e-12) / resolved["period"]))
-            times = (k0 + np.arange(len(sec))) * resolved["period"]
+            times, sec = _section(traj, resolved["period"],
+                                  rho if kind == "cartesian" else None)
             sec_name = f"{preset}_section{i:03d}.csv"
             rb.write_trajectory_csv(os.path.join(out, sec_name),
                                     rb.Trajectory(t=times, y=sec), "reduced",
                                     config=_plain(resolved))
             rep["section_file"] = sec_name
             rep["section_rows"] = len(sec)
-        ok = ok and rep["in_band"] and not rep["aborted"]
         rows.append(rep)
 
+    aborted = [i for i, rep in enumerate(rows) if rep["aborted"]]
+    out_of_band = [i for i, rep in enumerate(rows) if not rep["in_band"]]
+    ok = not aborted and not out_of_band
     doc = {"config": resolved, "trajectories": rows, "pass": ok}
     _write_json(os.path.join(out, f"{preset}_report.json"), doc)
     for i, rep in enumerate(rows):
@@ -371,12 +383,16 @@ def cmd_simulate(args, config):
         else:
             print(f"traj {i}: rows {rep['rows']}, "
                   f"rho drift {rep.get('rho_drift_max', 0.0):.3e}, "
-                  f"in band {rep['in_band']}")
+                  f"in band {rep['in_band']}"
+                  + (", aborted" if rep["aborted"] else ""))
     print(f"report: {os.path.join(out, preset + '_report.json')}")
-    if not ok:
-        print("conservation failure", file=sys.stderr)
-        return 2
-    return 0
+    if aborted:
+        print("trajectory aborted (non-finite state or chart domain exit): "
+              f"traj {', '.join(map(str, aborted))}", file=sys.stderr)
+    if out_of_band:
+        print("conservation failure: "
+              f"traj {', '.join(map(str, out_of_band))}", file=sys.stderr)
+    return 0 if ok else 2
 
 
 # -- normalize ----------------------------------------------------------------
@@ -390,9 +406,9 @@ def _reduced_setup(args, config):
         raise UsageError(f"preset {preset!r} is not a reduced-chart preset")
     params = _algebra(config)
     trunc = _truncation(config)
-    tau = float(_get(args, config, "tau", 1.0))
-    q = float(_get(args, config, "q", 0.5))
-    k_scan = int(_get(args, config, "gamma_scan", 50))
+    tau = _get_number(args, config, "tau", 1.0)
+    q = _get_number(args, config, "q", 0.5)
+    k_scan = _get_number(args, config, "gamma_scan", 50, int)
     dio = _diophantine(params, tau, q, k_scan)
     return preset, params, trunc, dio
 
@@ -402,10 +418,10 @@ def cmd_normalize(args, config):
     eps = _get(args, config, "eps", None)
     if eps is None:
         raise UsageError("--eps is required")
-    eps = float(eps)
+    eps = _number(eps, "eps")
     if eps <= 0:
         raise UsageError("--eps must be positive")
-    tol = float(_get(args, config, "tol", 1e-12))
+    tol = _get_number(args, config, "tol", 1e-12)
     out = _out_dir(args, config)
     resolved = {
         "command": "normalize", "preset": preset, "eps": eps, "tol": tol,
@@ -462,10 +478,10 @@ def cmd_normalize(args, config):
 
 def cmd_iterate(args, config):
     preset, params, trunc, dio = _reduced_setup(args, config)
-    eps = float(_get(args, config, "eps", 1e-3))
-    steps = int(_get(args, config, "steps", 3))
-    radius = float(_get(args, config, "r", 0.5))
-    tol = float(_get(args, config, "tol", 1e-12))
+    eps = _get_number(args, config, "eps", 1e-3)
+    steps = _get_number(args, config, "steps", 3, int)
+    radius = _get_number(args, config, "r", 0.5)
+    tol = _get_number(args, config, "tol", 1e-12)
     if eps <= 0:
         raise UsageError("--eps must be positive")
     if steps < 1:
@@ -542,11 +558,11 @@ def _margin_sweep(params, trunc, dio, trials, seed):
 def cmd_bounds(args, config):
     params = _algebra(config)
     trunc = _truncation(config)
-    tau = float(_get(args, config, "tau", 1.0))
-    q = float(_get(args, config, "q", 0.5))
-    k_scan = int(_get(args, config, "gamma_scan", 50))
-    trials = int(_get(args, config, "trials", 20))
-    seed = int(_get(args, config, "seed", 0))
+    tau = _get_number(args, config, "tau", 1.0)
+    q = _get_number(args, config, "q", 0.5)
+    k_scan = _get_number(args, config, "gamma_scan", 50, int)
+    trials = _get_number(args, config, "trials", 20, int)
+    seed = _get_number(args, config, "seed", 0, int)
     if trials < 1:
         raise UsageError("--trials must be at least 1")
     dio = _diophantine(params, tau, q, k_scan)
@@ -615,12 +631,12 @@ def cmd_bounds(args, config):
 def cmd_verify(args, config):
     params = _algebra(config)
     trunc = _truncation(config)
-    tau = float(_get(args, config, "tau", 1.0))
-    q = float(_get(args, config, "q", 0.5))
-    k_scan = int(_get(args, config, "gamma_scan", 50))
-    trials = int(_get(args, config, "trials", 100))
-    seed = int(_get(args, config, "seed", 0))
-    tol = float(_get(args, config, "tol", 1e-9))
+    tau = _get_number(args, config, "tau", 1.0)
+    q = _get_number(args, config, "q", 0.5)
+    k_scan = _get_number(args, config, "gamma_scan", 50, int)
+    trials = _get_number(args, config, "trials", 100, int)
+    seed = _get_number(args, config, "seed", 0, int)
+    tol = _get_number(args, config, "tol", 1e-9)
     if trials < 1:
         raise UsageError("--trials must be at least 1")
     out = _out_dir(args, config)

@@ -158,29 +158,56 @@ def throbbing_field(m, t, inertia: InertiaSpec):
 
 @dataclass
 class Trajectory:
-    """Sampled solution: times t (k,), states y (k, ...), abort flag."""
+    """Sampled solution: times t (k,), states y (k, ...), abort flag.
+
+    A batched run of rk4_integrate stores y as (k, ..., d) with one state
+    per member, ``aborted`` as a bool array over the member axes and
+    ``rows`` as the number of leading samples that belong to each member
+    (an aborted member's later samples repeat its frozen last good state).
+    ``members()`` splits it into one Trajectory per member.
+    """
 
     t: np.ndarray
     y: np.ndarray
     aborted: bool = False
     meta: dict = field(default_factory=dict)
+    rows: np.ndarray = None
 
     def __len__(self):
         return len(self.t)
+
+    def members(self):
+        """Per-member trajectories in C order over the member axes.
+
+        Each holds exactly the samples and the abort flag of the member's
+        solo run; a single-state trajectory is its own only member.
+        """
+        if self.rows is None:
+            return [self]
+        ys = self.y.reshape(len(self.t), -1, self.y.shape[-1])
+        return [Trajectory(t=self.t[:r], y=ys[:r, k], aborted=bool(a))
+                for k, (r, a) in enumerate(zip(self.rows.ravel(),
+                                               self.aborted.ravel()))]
 
 
 def rk4_integrate(y0, fieldfn, h, t_final, t0=0.0, stride=1) -> Trajectory:
     """Classical fixed-step RK4 for dy/dt = fieldfn(t, y).
 
     Integrates ``round(t_final / h)`` whole steps of size h and samples
-    every ``stride`` steps (the final state is always included). A
-    non-finite state aborts the run and returns the samples collected up
-    to the last good state with ``aborted=True``.
+    every ``stride`` steps (the final state is always included).
+
+    A y0 of shape (d,) is one state. A y0 of shape (..., d) is a batch of
+    members integrated together through one field call per stage; the
+    arithmetic is elementwise, so every member is bit-identical to its
+    solo run. A member whose state stops being finite is frozen at its
+    last good state and marked aborted while the others go on; the run
+    stops once every member has aborted. An aborted member keeps the
+    samples up to its last good state, exactly as its solo run would.
 
     Parameters
     ----------
-    y0 : array_like
-        Initial state (any shape; fields act on the last axis).
+    y0 : array_like, shape (d,) or (..., d)
+        Initial state or states; fields act on the last axis.
     fieldfn : callable
         ``fieldfn(t, y) -> dy/dt`` with the shape of y.
     h : float
@@ -195,6 +222,9 @@ def rk4_integrate(y0, fieldfn, h, t_final, t0=0.0, stride=1) -> Trajectory:
     Returns
     -------
     Trajectory
+        For one state: y of shape (k, d) and a bool ``aborted``. For a
+        batch: y of shape (k, ..., d), ``aborted`` and ``rows`` per member
+        (see Trajectory.members).
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -203,10 +233,14 @@ def rk4_integrate(y0, fieldfn, h, t_final, t0=0.0, stride=1) -> Trajectory:
     if stride < 1:
         raise ValueError("stride must be at least 1")
     y = np.array(y0, dtype=np.float64)
+    if y.ndim == 0:
+        raise ValueError("y0 needs a state axis")
     n = int(round(t_final / h))
     ts = [t0]
-    ys = [y.copy()]
-    aborted = False
+    ys = [y]
+    live = np.ones(y.shape[:-1], dtype=bool)
+    all_live = True
+    rows = np.zeros(y.shape[:-1], dtype=np.int64)
     half = 0.5 * h
     sixth = h / 6.0
     for i in range(n):
@@ -215,14 +249,27 @@ def rk4_integrate(y0, fieldfn, h, t_final, t0=0.0, stride=1) -> Trajectory:
         k2 = fieldfn(t + half, y + half * k1)
         k3 = fieldfn(t + half, y + half * k2)
         k4 = fieldfn(t + h, y + h * k3)
-        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.all(np.isfinite(y)):
-            aborted = True
-            break
+        step = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        # one check per step while all members are finite; a failed member
+        # keeps its last good state and its sample count
+        if not (all_live and np.isfinite(step).all()):
+            all_live = False
+            good = live & np.isfinite(step).all(axis=-1)
+            rows[live & ~good] = len(ts)
+            live = good
+            if not live.any():
+                break
+            step = np.where(live[..., None], step, y)
+        y = step
         if (i + 1) % stride == 0 or i + 1 == n:
             ts.append(t0 + (i + 1) * h)
-            ys.append(y.copy())
-    return Trajectory(t=np.asarray(ts), y=np.stack(ys), aborted=aborted)
+            ys.append(y)
+    rows[live] = len(ts)
+    if y.ndim == 1:
+        return Trajectory(t=np.asarray(ts), y=np.stack(ys),
+                          aborted=not live)
+    return Trajectory(t=np.asarray(ts), y=np.stack(ys), aborted=~live,
+                      rows=rows)
 
 
 # -- chart transforms ---------------------------------------------------------
@@ -272,7 +319,7 @@ def reduced_field(x, theta, t, params: AlgebraParams,
 
     Unperturbed: dx/dt = 0 and dtheta/dt = rho Delta X (uniform rotation).
     A perturbation series adds the bracket terms -(1/rho) dV/dtheta and
-    +(1/rho) dV/dx.
+    +(1/rho) dV/dx, and then |x| must stay within the domain radius.
 
     Examples
     --------
@@ -281,40 +328,60 @@ def reduced_field(x, theta, t, params: AlgebraParams,
     >>> (xd, abs(td - p.omega) < 1e-15)
     (0.0, True)
     """
+    x = np.asarray(x, dtype=np.float64)
+    if v_series is not None and np.any(np.abs(x) > _x_cap(domain)):
+        raise ValueError(
+            f"evaluation outside domain radius |x| <= {domain.x_half}")
     f = make_reduced_field(params, v_series, domain)
-    out = f(t, np.stack([np.asarray(x, dtype=np.float64),
-                         np.asarray(theta, dtype=np.float64)], axis=-1))
+    out = f(t, np.stack([x, np.asarray(theta, dtype=np.float64)], axis=-1))
     return out[..., 0], out[..., 1]
 
 
-def _compile_terms(series: FourierTaylorSeries, domain: DomainConfig):
-    """Nonzero-term evaluator; orders faster than the dense path for the
-    few-term drive series the integrator sees."""
-    if not series.is_real:
-        raise ValueError("reduced fields need real perturbation series")
-    terms = [(l, m, n, v) for l, m, n, v in series.nonzero_terms()]
-    x_cap = domain.x_half * (1 + 1e-12) + 1e-15
+def _x_cap(domain: DomainConfig):
+    return domain.x_half * (1 + 1e-12) + 1e-15
 
-    if not terms:
-        return lambda x, th, t: np.zeros(np.broadcast_shapes(
-            np.shape(x), np.shape(th), np.shape(t)))
+
+def _compile_terms(series_list, domain: DomainConfig):
+    """Joint nonzero-term evaluator for a few real series.
+
+    The terms of all series are broadcast together over the arrays
+    (l, m, n, c), one row per series padded at its end with zero terms;
+    ``ev(x, th, t)`` returns the series values on a new last axis. Orders
+    faster than the dense path for the few-term drive series the
+    integrator sees. Points with |x| beyond the domain radius evaluate to
+    NaN, so an integrated member that leaves the chart domain aborts.
+    """
+    if not all(series.is_real for series in series_list):
+        raise ValueError("reduced fields need real perturbation series")
+    rows = [list(series.nonzero_terms()) for series in series_list]
+    width = max(1, *map(len, rows))
+    padded = [term for row in rows
+              for term in row + [(0, 0, 0, 0j)] * (width - len(row))]
+    l, m, n, c = (np.array(col).reshape(len(rows), width)
+                  for col in zip(*padded))
+    degrees = range(int(n.max()) + 1)
+    x_cap = _x_cap(domain)
 
     def ev(x, th, t):
-        if np.any(np.abs(x) > x_cap):
-            raise ValueError(
-                f"evaluation outside domain radius |x| <= {domain.x_half}")
-        acc = 0.0
-        for l, m, n, c in terms:
-            # per-term real parts sum to the real value on a hermitian box
-            acc = acc + (c * np.exp(1j * (l * t + m * th))).real * x ** n
-        return acc
+        # per-term real parts sum to the real value on a hermitian box;
+        # x ** k per degree, a sequential sum from +0.0 and trailing zero
+        # terms keep the bits of a loop over the terms
+        phase = l * np.asarray(t)[..., None, None] + m * th[..., None, None]
+        wave = (c * np.exp(1j * phase)).real
+        powers = np.stack([x ** k for k in degrees], axis=-1)
+        sums = 0.0 + np.add.accumulate(wave * powers[..., n], axis=-1)[..., -1]
+        return np.where(np.abs(x)[..., None] > x_cap, np.nan, sums)
     return ev
 
 
 def make_reduced_field(params: AlgebraParams,
                        v_series: FourierTaylorSeries = None,
                        domain: DomainConfig = DEFAULT_DOMAIN):
-    """Compile the reduced velocity field into an RK4-ready closure."""
+    """Compile the reduced velocity field into an RK4-ready closure.
+
+    States y have shape (..., 2) with columns (x, theta); with a
+    perturbation series, |x| beyond the domain radius gives NaN velocities.
+    """
     rho, delta, x0 = params.rho, params.delta, params.x0
     if v_series is None:
         def fieldfn(t, y):
@@ -322,15 +389,15 @@ def make_reduced_field(params: AlgebraParams,
             out[..., 1] = rho * delta * (x0 + y[..., 0])
             return out
         return fieldfn
-    ev_x = _compile_terms(fts.partial_x(v_series), domain)
-    ev_th = _compile_terms(fts.partial_theta(v_series), domain)
+    ev = _compile_terms((fts.partial_theta(v_series), fts.partial_x(v_series)),
+                        domain)
 
     def fieldfn(t, y):
         x = y[..., 0]
-        th = y[..., 1]
+        dv = ev(x, y[..., 1], t)
         out = np.empty_like(y)
-        out[..., 0] = -ev_th(x, th, t) / rho
-        out[..., 1] = rho * delta * (x0 + x) + ev_x(x, th, t) / rho
+        out[..., 0] = -dv[..., 0] / rho
+        out[..., 1] = rho * delta * (x0 + x) + dv[..., 1] / rho
         return out
     return fieldfn
 

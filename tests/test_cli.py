@@ -1,11 +1,16 @@
+import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 
 from lie_kam import cli
+from lie_kam import presets as pr
+from lie_kam import rigidbody as rb
 from lie_kam import series as fts
+from lie_kam.operators import AlgebraParams
 
 FAST_SIM = ["--T", "2.0", "--h", "0.01"]
 
@@ -101,19 +106,72 @@ def test_simulate_deterministic_bytes(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_simulate_thread_fanout_matches_serial(tmp_path, monkeypatch):
-    args = ["simulate", "--preset", "fig1", "--n", "4", "--seed", "5",
-            "--T", "1.0", "--h", "0.01"]
-    a, b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("LIE_KAM_THREADS", "4")
-    assert run(args + ["--out", str(a)]) == 0
-    monkeypatch.setenv("LIE_KAM_THREADS", "1")
-    assert run(args + ["--out", str(b)]) == 0
-    for i in range(4):
-        name = f"fig1_traj{i:03d}.csv"
-        assert (a / name).read_bytes() == (b / name).read_bytes()
-    monkeypatch.setenv("LIE_KAM_THREADS", "zero")
-    assert run(args + ["--out", str(a)]) == 1
+def _solo_csv(traj, kind, config):
+    buf = io.StringIO()
+    rb.write_trajectory_csv(buf, traj, kind, config=config)
+    return buf.getvalue().encode()
+
+
+def test_simulate_batch_members_match_solo_runs(tmp_path):
+    # the CLI integrates the ensemble as one batch; every member's CSV must
+    # carry the bytes of a solo rk4_integrate run from its initial state
+    n, seed, h, t_final = 4, 5, 0.01, 1.0
+    fig2 = pr.preset_inertia("fig2", eps=1.0)
+    cartesian = {
+        "fig1": lambda t, y: rb.euler_field(y, pr.preset_inertia("fig1")),
+        "fig2": lambda t, y: rb.throbbing_field(y, t, fig2),
+    }
+    for preset, fieldfn in cartesian.items():
+        out = tmp_path / preset
+        eps = ["--eps", "1.0"] if preset == "fig2" else []
+        assert run(["simulate", "--preset", preset, "--n", str(n),
+                    "--seed", str(seed), "--T", str(t_final), "--h", str(h),
+                    *eps, "--out", str(out)]) == 0
+        inits = rb.sample_sphere(n, 2.0, seed)
+        for i in range(n):
+            path = out / f"{preset}_traj{i:03d}.csv"
+            config = rb.read_trajectory_csv(str(path))[1]
+            solo = rb.rk4_integrate(inits[i], fieldfn, h, t_final)
+            assert path.read_bytes() == _solo_csv(solo, "cartesian", config)
+
+    out = tmp_path / "pert1"
+    assert run(["simulate", "--preset", "pert1", "--eps", "1e-2", "--n",
+                str(n), "--seed", str(seed), "--T", str(t_final), "--h",
+                str(h), "--out", str(out)]) == 0
+    p = AlgebraParams()
+    fieldfn = rb.make_reduced_field(p, pr.reduced_drive_series(1e-2))
+    rng = np.random.default_rng(seed)
+    inits = np.stack([rng.uniform(-0.1, 0.1, size=n),
+                      rng.uniform(0.0, 2.0 * math.pi, size=n)], axis=-1)
+    for i in range(n):
+        path = out / f"pert1_traj{i:03d}.csv"
+        config = rb.read_trajectory_csv(str(path))[1]
+        solo = rb.rk4_integrate(inits[i], fieldfn, h, t_final)
+        solo.y[:, 0] += p.x0
+        assert path.read_bytes() == _solo_csv(solo, "reduced", config)
+
+
+def test_simulate_domain_exit_aborts_members(tmp_path, capsys):
+    # at eps = 1 every pert1 member leaves |x| <= x_half before T = 20
+    args = ["--preset", "pert1", "--eps", "1.0", "--T", "20", "--n", "3"]
+    assert run(["simulate", *args, "--out", str(tmp_path / "sim")]) == 2
+    err = capsys.readouterr().err
+    assert "trajectory aborted" in err
+    assert "conservation failure" not in err
+    rep = read_json(tmp_path / "sim" / "pert1_report.json")
+    assert rep["pass"] is False
+    assert len(rep["trajectories"]) == 3
+    for i, row in enumerate(rep["trajectories"]):
+        assert row["aborted"] is True
+        lines = (tmp_path / "sim" / row["file"]).read_text().splitlines()
+        assert len(lines) == 2 + row["rows"]
+        assert 1 < row["rows"] < 20001
+
+    assert run(["section", *args, "--out", str(tmp_path / "sec")]) == 2
+    rep = read_json(tmp_path / "sec" / "pert1_report.json")
+    for row in rep["trajectories"]:
+        assert row["aborted"] is True
+        assert (tmp_path / "sec" / row["section_file"]).exists()
 
 
 def test_config_file_merging(tmp_path):
@@ -142,6 +200,22 @@ def test_non_finite_config_value_rejected(tmp_path, capsys):
     cfg.write_text('{"algebra": {"rho": Infinity}}')
     assert run(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert "algebra.rho" in capsys.readouterr().err
+    # strings pass the JSON load; the value is checked where it is read
+    for text in ("nan", "inf", "-inf"):
+        cfg.write_text(json.dumps({"eps": text}))
+        assert run(["normalize", "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "eps" in err and "finite" in err
+    cfg.write_text(json.dumps({"preset": "fig1", "h": "nan"}))
+    assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "config key h" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"algebra": {"x0": "inf"}}))
+    assert run(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "algebra.x0" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"preset": "fig1", "n": "nan"}))
+    assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "config key n" in capsys.readouterr().err
 
 
 def test_non_finite_flags_rejected(tmp_path, capsys):

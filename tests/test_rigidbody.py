@@ -132,6 +132,29 @@ def test_rk4_aborts_on_nonfinite_state():
     assert np.all(np.isfinite(traj.y))
 
 
+def test_rk4_batch_aborts_only_the_failing_member():
+    # dy/dt = y^2 blows up at t = 1 / y0: only the middle member does
+    # so within T = 1
+    def blowup(t, y):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return y * y
+    y0 = np.array([[0.1], [5.0], [-0.2]])
+    for stride in (1, 3):
+        batch = rb.rk4_integrate(y0, blowup, 0.01, 1.0, stride=stride)
+        assert list(batch.aborted) == [False, True, False]
+        for k, member in enumerate(batch.members()):
+            solo = rb.rk4_integrate(y0[k], blowup, 0.01, 1.0, stride=stride)
+            assert member.aborted is solo.aborted
+            assert np.array_equal(member.t, solo.t)
+            assert np.array_equal(member.y, solo.y)
+        assert len(batch.members()[1]) < len(batch)
+        assert np.all(np.isfinite(batch.y))
+        if stride == 1:
+            # the aborted member stays frozen at its last good state
+            rows = batch.rows[1]
+            assert np.all(batch.y[rows:, 1] == batch.y[rows - 1, 1])
+
+
 def test_rk4_validation():
     f = static_field(ASYM)
     with pytest.raises(ValueError):
@@ -209,10 +232,21 @@ def test_reduced_field_matches_dense_evaluation():
 
 
 def test_reduced_field_rejects_domain_exit():
+    # the one-shot helper raises; the compiled field gives NaN velocities
+    # there, so only the member that left the domain aborts
     p = AlgebraParams()
-    fieldfn = rb.make_reduced_field(p, pr.reduced_drive_series(1e-3))
-    with pytest.raises(ValueError):
-        fieldfn(0.0, np.array([0.9, 0.3]))
+    v = pr.reduced_drive_series(1e-3)
+    with pytest.raises(ValueError, match="outside domain radius"):
+        rb.reduced_field(0.9, 0.3, 0.0, p, v)
+    fieldfn = rb.make_reduced_field(p, v)
+    assert np.all(np.isnan(fieldfn(0.0, np.array([0.9, 0.3]))))
+    out = fieldfn(0.0, np.array([[0.9, 0.3], [0.1, 0.3]]))
+    assert np.all(np.isnan(out[0]))
+    assert np.array_equal(out[1], fieldfn(0.0, np.array([0.1, 0.3])))
+    traj = rb.rk4_integrate(np.array([[0.9, 0.3], [0.0, 0.3]]), fieldfn,
+                            0.1, 1.0)
+    assert list(traj.aborted) == [True, False]
+    assert len(traj.members()[0]) == 1
 
 
 def test_cross_integrator_agreement():
