@@ -9,7 +9,6 @@ Subpackage map:
 - :mod:`lie_kam.presets`    ready-made physical configurations
 - :mod:`lie_kam.cli`        command-line entry point (``lie-kam``)
 """
-from .backend import BACKEND_NAME
 from .series import (
     DomainConfig,
     FourierTaylorSeries,
@@ -18,6 +17,9 @@ from .series import (
 )
 
 __version__ = "0.1.0"
+
+# the product kernel in use, recorded in benchmark provenance
+BACKEND_NAME = "python"
 
 __all__ = [
     "BACKEND_NAME",

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import convolve_nonzeros
-
 __all__ = [
     "TruncationSpec",
     "DomainConfig",
@@ -364,6 +362,59 @@ def scale(a: FourierTaylorSeries, c) -> FourierTaylorSeries:
     if isinstance(c, (int, float)) or (isinstance(c, complex) and c.imag == 0.0):
         return _guard_reality(out, a)
     return out
+
+
+# pair products are formed in blocks of at most this many entries
+_BLOCK = 1 << 20
+
+
+def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow):
+    """Truncated product of two coefficient lists.
+
+    Parameters
+    ----------
+    la, ma, na : int64 arrays
+        Wave numbers (l, m) and polynomial degree n of the nonzero
+        coefficients of the first factor.
+    va : complex128 array
+        The matching coefficient values.
+    lb, mb, nb, vb : arrays
+        Same for the second factor.
+    l_t, l_theta, n_x : int
+        Half-widths of the output box; degrees run 0..n_x.
+    xpow : float64 array
+        xpow[n] weights a dropped coefficient of degree n in the reported
+        tail. Must cover degrees up to max(na) + max(nb).
+
+    Returns
+    -------
+    out : complex128 array, shape (2*l_t+1, 2*l_theta+1, n_x+1)
+    tail : float
+        Sum of abs(value) * xpow[n] over dropped products.
+    """
+    n_l, n_m, n_n = 2 * l_t + 1, 2 * l_theta + 1, n_x + 1
+    size = n_l * n_m * n_n
+    out_re = np.zeros(size)
+    out_im = np.zeros(size)
+    tail = 0.0
+    if la.size and lb.size:
+        block = max(1, _BLOCK // lb.size)
+        for s in range(0, la.size, block):
+            e = min(la.size, s + block)
+            l = (la[s:e, None] + lb[None, :]).ravel()
+            m = (ma[s:e, None] + mb[None, :]).ravel()
+            n = (na[s:e, None] + nb[None, :]).ravel()
+            v = (va[s:e, None] * vb[None, :]).ravel()
+            inside = (np.abs(l) <= l_t) & (np.abs(m) <= l_theta) & (n <= n_x)
+            if not inside.all():
+                drop = ~inside
+                tail += float(np.sum(np.abs(v[drop]) * xpow[n[drop]]))
+                l, m, n, v = l[inside], m[inside], n[inside], v[inside]
+            idx = ((l + l_t) * n_m + (m + l_theta)) * n_n + n
+            out_re += np.bincount(idx, weights=v.real, minlength=size)
+            out_im += np.bincount(idx, weights=v.imag, minlength=size)
+    out = (out_re + 1j * out_im).reshape(n_l, n_m, n_n)
+    return out, tail
 
 
 def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries,

@@ -355,28 +355,31 @@ def test_json_symmetrizes_tiny_defect():
     assert fts.to_json(fts.from_json(text)) == text
 
 
-# -- backend parity ------------------------------------------------------------
+# -- product kernel ----------------------------------------------------------
 
 
-def test_backend_parity():
-    try:
-        from lie_kam import _convkernel
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    from lie_kam import _convpy
-
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        na = rng.integers(1, 60)
-        nb = rng.integers(1, 60)
-        mk = lambda k: (rng.integers(-4, 5, k).astype(np.int64),
-                        rng.integers(-4, 5, k).astype(np.int64),
-                        rng.integers(0, 5, k).astype(np.int64),
-                        rng.standard_normal(k) + 1j * rng.standard_normal(k))
-        la, ma, nna, va = mk(na)
-        lb, mb, nnb, vb = mk(nb)
-        xpow = 0.25 ** np.arange(10)
-        o1, t1 = _convkernel.convolve_nonzeros(la, ma, nna, va, lb, mb, nnb, vb, 3, 3, 4, xpow)
-        o2, t2 = _convpy.convolve_nonzeros(la, ma, nna, va, lb, mb, nnb, vb, 3, 3, 4, xpow)
-        assert np.max(np.abs(np.asarray(o1) - o2)) < 1e-13
-        assert abs(t1 - t2) < 1e-12
+def test_product_kernel_matches_oracle_across_blocks(monkeypatch):
+    # a tiny block makes one product span many blocks, some of which clip
+    monkeypatch.setattr(fts, "_BLOCK", 50)
+    t = TruncationSpec(n_x=3, l_theta=3, l_t=2)
+    pyrng = __import__("random").Random(31)
+    for _ in range(5):
+        da = oracle.rand_real_series(pyrng, lmax=2, mmax=3, nmax=3)
+        db = oracle.rand_real_series(pyrng, lmax=2, mmax=3, nmax=3)
+        assert len(da) * len(db) > 4 * fts._BLOCK
+        dropped = [(l1 + l2, m1 + m2, n1 + n2, v1 * v2)
+                   for (l1, m1, n1), v1 in da.items()
+                   for (l2, m2, n2), v2 in db.items()
+                   if abs(l1 + l2) > t.l_t or abs(m1 + m2) > t.l_theta
+                   or n1 + n2 > t.n_x]
+        # the product is clipped in each of l, m and n
+        assert any(abs(l) > t.l_t for l, _, _, _ in dropped)
+        assert any(abs(m) > t.l_theta for _, m, _, _ in dropped)
+        assert any(n > t.n_x for _, _, n, _ in dropped)
+        got = fts.multiply(oracle.series_from_dict(da, t, RHO),
+                           oracle.series_from_dict(db, t, RHO))
+        kept = oracle.restrict(oracle.smul(da, db), t.l_t, t.l_theta, t.n_x)
+        assert oracle.diff_norm(kept, got) < 1e-13
+        expect_tail = sum(abs(v) * DEFAULT_DOMAIN.x_half ** n
+                          for _, _, n, v in dropped)
+        assert got.tail_norm == pytest.approx(expect_tail, rel=1e-12)
