@@ -220,7 +220,8 @@ def small_divisor_solve(f: FourierTaylorSeries, params: AlgebraParams,
 
     Modes of degree >= 2 and the time-angle average are dropped; the result u
     satisfies (omega*d_theta + d_t) u = fluctuating part of degree <= 1 of f.
-    Divisors are only formed at modes f actually populates.
+    Divisors are only formed at modes f actually populates. The result keeps
+    f's tail_norm.
     """
     t = f.trunc
     top = min(1, t.n_x)
@@ -233,7 +234,7 @@ def small_divisor_solve(f: FourierTaylorSeries, params: AlgebraParams,
     d = np.where(np.abs(d) < min_divisor, 1.0, d)  # masked entries have src == 0
     c = np.zeros(t.shape, dtype=np.complex128)
     c[:, :, : top + 1] = -1j * src / d[:, :, None]
-    return _rebox(c, f)
+    return FourierTaylorSeries(c, t, f.rho, tail_norm=f.tail_norm)
 
 
 def estimate_diophantine(omega: float, tau: float, k_scan: int = 50):
@@ -277,16 +278,16 @@ def half_curvature_x2(q: FourierTaylorSeries) -> FourierTaylorSeries:
 
 
 def _lift_degree(f: FourierTaylorSeries) -> FourierTaylorSeries:
-    """Multiply by x, growing the box when the top slice is occupied."""
+    """Multiply by x, growing the box when the top slice is occupied; keeps the tail."""
     t = f.trunc
     if np.any(f.coeffs[:, :, t.n_x] != 0):
         nt = TruncationSpec(n_x=t.n_x + 1, l_theta=t.l_theta, l_t=t.l_t, pad=t.pad)
         c = np.zeros(nt.shape, dtype=np.complex128)
         c[:, :, 1:] = f.coeffs
-        return FourierTaylorSeries(c, nt, f.rho)
+        return FourierTaylorSeries(c, nt, f.rho, tail_norm=f.tail_norm)
     c = np.zeros(t.shape, dtype=np.complex128)
     c[:, :, 1:] = f.coeffs[:, :, :-1]
-    return _rebox(c, f)
+    return FourierTaylorSeries(c, t, f.rho, tail_norm=f.tail_norm)
 
 
 def _strip_imag(z: complex, what: str) -> float:

@@ -155,9 +155,11 @@ class FourierTaylorSeries:
         Casimir radius of the momentum sphere the reduced coordinates live on.
     tail_norm : float
         Majorant weight (at r = 0) that the products building this series
-        dropped outside the index box. Sums add their inputs' tails and
-        scalar multiples scale them by |c|; other exact operations
-        (derivatives, projections) start from zero.
+        dropped outside the index box, carried through the operations that
+        followed: sums add their inputs' tails, scalar multiples scale them
+        by |c|, and small-divisor solves and lifts by x keep them. A product
+        reports only what it dropped itself; derivatives and projections
+        start from zero. It records truncation and is not an error bound.
     """
 
     __slots__ = ("coeffs", "trunc", "rho", "tail_norm", "_herm_defect")
@@ -371,6 +373,20 @@ _BLOCK = 1 << 20
 def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow):
     """Truncated product of two coefficient lists.
 
+    Every pair product is binned in an extended box that holds all of them:
+    l runs over [min(la) + min(lb), max(la) + max(lb)] widened to cover
+    [-l_t, l_t], m likewise, and n over 0..max(max(na) + max(nb), n_x).
+    Each factor's nonzeros get a flat index in that box, the second
+    factor's without the box offsets, so a pair's index is the sum
+    ``ia[:, None] + ib[None, :]``. The output box is then a slice.
+
+    Pairs are formed in blocks of rows of the first factor and binned in
+    pair order, and the blocks are added in order, so each kept
+    coefficient is the same sum, in the same order, whatever the extended
+    box is. The tail pass runs only when the extended box is larger than
+    the output box, that is when some product can leave it; otherwise the
+    tail is exactly 0.0.
+
     Parameters
     ----------
     la, ma, na : int64 arrays
@@ -383,37 +399,54 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow):
     l_t, l_theta, n_x : int
         Half-widths of the output box; degrees run 0..n_x.
     xpow : float64 array
-        xpow[n] weights a dropped coefficient of degree n in the reported
-        tail. Must cover degrees up to max(na) + max(nb).
+        xpow[n] weights a coefficient of degree n in the reported tail;
+        only xpow[na] and xpow[nb] are read.
 
     Returns
     -------
     out : complex128 array, shape (2*l_t+1, 2*l_theta+1, n_x+1)
     tail : float
-        Sum of abs(value) * xpow[n] over dropped products.
+        Sum of (abs(va) * xpow[na]) * (abs(vb) * xpow[nb]) over the pairs
+        whose product falls outside the output box.
     """
     n_l, n_m, n_n = 2 * l_t + 1, 2 * l_theta + 1, n_x + 1
-    size = n_l * n_m * n_n
+    if not (la.size and lb.size):
+        return np.zeros((n_l, n_m, n_n), dtype=np.complex128), 0.0
+    lo_l = min(int(la.min()) + int(lb.min()), -l_t)
+    hi_l = max(int(la.max()) + int(lb.max()), l_t)
+    lo_m = min(int(ma.min()) + int(mb.min()), -l_theta)
+    hi_m = max(int(ma.max()) + int(mb.max()), l_theta)
+    top_n = max(int(na.max()) + int(nb.max()), n_x)
+    ext = (hi_l - lo_l + 1, hi_m - lo_m + 1, top_n + 1)
+    size = ext[0] * ext[1] * ext[2]
+    ia = ((la - lo_l) * ext[1] + (ma - lo_m)) * ext[2] + na
+    ib = (lb * ext[1] + mb) * ext[2] + nb
+    box = (slice(-l_t - lo_l, l_t - lo_l + 1),
+           slice(-l_theta - lo_m, l_theta - lo_m + 1),
+           slice(0, n_n))
+    clips = ext != (n_l, n_m, n_n)
+    if clips:
+        wa = np.abs(va) * xpow[na]
+        wb = np.abs(vb) * xpow[nb]
+        w_ext = np.zeros(size)
     out_re = np.zeros(size)
     out_im = np.zeros(size)
+    block = max(1, _BLOCK // lb.size)
+    for s in range(0, la.size, block):
+        e = min(la.size, s + block)
+        idx = (ia[s:e, None] + ib[None, :]).ravel()
+        v = (va[s:e, None] * vb[None, :]).ravel()
+        out_re += np.bincount(idx, weights=v.real, minlength=size)
+        out_im += np.bincount(idx, weights=v.imag, minlength=size)
+        if clips:
+            w_ext += np.bincount(idx, weights=(wa[s:e, None] * wb[None, :]).ravel(),
+                                 minlength=size)
+    out = out_re.reshape(ext)[box] + 1j * out_im.reshape(ext)[box]
     tail = 0.0
-    if la.size and lb.size:
-        block = max(1, _BLOCK // lb.size)
-        for s in range(0, la.size, block):
-            e = min(la.size, s + block)
-            l = (la[s:e, None] + lb[None, :]).ravel()
-            m = (ma[s:e, None] + mb[None, :]).ravel()
-            n = (na[s:e, None] + nb[None, :]).ravel()
-            v = (va[s:e, None] * vb[None, :]).ravel()
-            inside = (np.abs(l) <= l_t) & (np.abs(m) <= l_theta) & (n <= n_x)
-            if not inside.all():
-                drop = ~inside
-                tail += float(np.sum(np.abs(v[drop]) * xpow[n[drop]]))
-                l, m, n, v = l[inside], m[inside], n[inside], v[inside]
-            idx = ((l + l_t) * n_m + (m + l_theta)) * n_n + n
-            out_re += np.bincount(idx, weights=v.real, minlength=size)
-            out_im += np.bincount(idx, weights=v.imag, minlength=size)
-    out = (out_re + 1j * out_im).reshape(n_l, n_m, n_n)
+    if clips:
+        w_ext = w_ext.reshape(ext)
+        w_ext[box] = 0.0
+        tail = float(w_ext.sum())
     return out, tail
 
 
@@ -436,7 +469,7 @@ def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries,
     lb = ib[0].astype(np.int64) - tb.l_t
     mb = ib[1].astype(np.int64) - tb.l_theta
     nb = ib[2].astype(np.int64)
-    xpow = domain.x_half ** np.arange(ta.n_x + tb.n_x + 1, dtype=np.float64)
+    xpow = domain.x_half ** np.arange(trunc.n_x + 1, dtype=np.float64)
     out, tail = convolve_nonzeros(
         la, ma, na, np.ascontiguousarray(a.coeffs[ia]),
         lb, mb, nb, np.ascontiguousarray(b.coeffs[ib]),

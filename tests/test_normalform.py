@@ -238,6 +238,19 @@ def test_v_star_reports_clipped_tail():
     assert res.tail_norm > 0.0
 
 
+def test_derivation_generator_keeps_inner_drive_tail():
+    # the inner drive Q * (a_V + d_theta G_s P0 V) clips at box (2, 2, 2);
+    # the solve and the lift by x that turn it into x W_V keep its tail
+    box = TruncationSpec(n_x=2, l_theta=2, l_t=2)
+    v = pr.reduced_drive_series(1e-3, trunc=box)
+    q = ops.generic_curvature(PARAMS, box)
+    af = ops.translation_coefficient(v, q, PARAMS)
+    inner = ops._inner_drive(v, q, PARAMS, af, None, 1e-13)
+    assert v.tail_norm == 0.0 and inner.tail_norm > 0.0
+    gen = ops.Derivation(v, q, PARAMS).generator
+    assert gen.tail_norm == pytest.approx(inner.tail_norm / PARAMS.rho, rel=1e-15)
+
+
 def test_v_star_solves_do_not_grow_with_lie_terms(monkeypatch):
     # Gamma_V is built once per step, so the number of small-divisor
     # solves is fixed by the step, not by the Lie terms it sums

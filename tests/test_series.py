@@ -358,28 +358,66 @@ def test_json_symmetrizes_tiny_defect():
 # -- product kernel ----------------------------------------------------------
 
 
+def _one_sided(rng, ls, mmax, nmax):
+    """Complex coefficients on wave numbers l in ls only (not a real series)."""
+    return {(l, m, n): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            for l in ls for m in range(-mmax, mmax + 1) for n in range(nmax + 1)}
+
+
+def _kernel_cases(rng):
+    """(da, box a, db, box b, axes the product clips) for the kernel test."""
+    real = oracle.rand_real_series
+    t3 = TruncationSpec(n_x=3, l_theta=3, l_t=2)
+    t2 = TruncationSpec(n_x=2, l_theta=2, l_t=2)
+    cases = [(real(rng, lmax=2, mmax=3, nmax=3), t3,
+              real(rng, lmax=2, mmax=3, nmax=3), t3, {"l", "m", "n"})
+             for _ in range(5)]
+    # operands on different boxes: the product lives on the merged one
+    cases.append((real(rng, lmax=1, mmax=4, nmax=2, density=0.8),
+                  TruncationSpec(n_x=2, l_theta=4, l_t=1),
+                  real(rng, lmax=3, mmax=1, nmax=4, density=0.8),
+                  TruncationSpec(n_x=4, l_theta=1, l_t=3), {"l", "m", "n"}))
+    # one-sided supports: every l < 0, so only the low end of l clips
+    cases.append((_one_sided(rng, (-2, -1), 1, 1), t2,
+                  _one_sided(rng, (-2, -1), 1, 1), t2, {"l"}))
+    # clipping in exactly one axis at a time
+    cases.append((real(rng, lmax=2, mmax=1, nmax=1, density=0.8), t2,
+                  real(rng, lmax=2, mmax=1, nmax=1, density=0.8), t2, {"l"}))
+    cases.append((real(rng, lmax=1, mmax=2, nmax=1, density=0.8), t2,
+                  real(rng, lmax=1, mmax=2, nmax=1, density=0.8), t2, {"m"}))
+    cases.append((real(rng, lmax=1, mmax=1, nmax=2, density=0.8), t2,
+                  real(rng, lmax=1, mmax=1, nmax=2, density=0.8), t2, {"n"}))
+    # supports that cannot leave the box, also when |l| sums would
+    cases.append((real(rng, lmax=1, mmax=1, nmax=1, density=0.8), t2,
+                  real(rng, lmax=1, mmax=1, nmax=1, density=0.8), t2, set()))
+    cases.append((_one_sided(rng, (-2, -1), 1, 1), t2,
+                  _one_sided(rng, (1, 2), 1, 1), t2, set()))
+    return cases
+
+
 def test_product_kernel_matches_oracle_across_blocks(monkeypatch):
     # a tiny block makes one product span many blocks, some of which clip
     monkeypatch.setattr(fts, "_BLOCK", 50)
-    t = TruncationSpec(n_x=3, l_theta=3, l_t=2)
     pyrng = __import__("random").Random(31)
-    for _ in range(5):
-        da = oracle.rand_real_series(pyrng, lmax=2, mmax=3, nmax=3)
-        db = oracle.rand_real_series(pyrng, lmax=2, mmax=3, nmax=3)
-        assert len(da) * len(db) > 4 * fts._BLOCK
-        dropped = [(l1 + l2, m1 + m2, n1 + n2, v1 * v2)
-                   for (l1, m1, n1), v1 in da.items()
-                   for (l2, m2, n2), v2 in db.items()
-                   if abs(l1 + l2) > t.l_t or abs(m1 + m2) > t.l_theta
-                   or n1 + n2 > t.n_x]
-        # the product is clipped in each of l, m and n
-        assert any(abs(l) > t.l_t for l, _, _, _ in dropped)
-        assert any(abs(m) > t.l_theta for _, m, _, _ in dropped)
-        assert any(n > t.n_x for _, _, n, _ in dropped)
-        got = fts.multiply(oracle.series_from_dict(da, t, RHO),
-                           oracle.series_from_dict(db, t, RHO))
+    for da, ta, db, tb, axes in _kernel_cases(pyrng):
+        assert len(da) > max(1, fts._BLOCK // len(db))  # several blocks
+        t = ta.merge(tb)
+        products = [(l1 + l2, m1 + m2, n1 + n2, v1 * v2)
+                    for (l1, m1, n1), v1 in da.items()
+                    for (l2, m2, n2), v2 in db.items()]
+        clipped = {"l": {abs(l) > t.l_t for l, _, _, _ in products},
+                   "m": {abs(m) > t.l_theta for _, m, _, _ in products},
+                   "n": {n > t.n_x for _, _, n, _ in products}}
+        assert {ax for ax, hit in clipped.items() if True in hit} == axes
+        got = fts.multiply(oracle.series_from_dict(da, ta, RHO),
+                           oracle.series_from_dict(db, tb, RHO))
+        assert got.trunc == t
         kept = oracle.restrict(oracle.smul(da, db), t.l_t, t.l_theta, t.n_x)
         assert oracle.diff_norm(kept, got) < 1e-13
+        if not axes:
+            assert got.tail_norm == 0.0
+            continue
         expect_tail = sum(abs(v) * DEFAULT_DOMAIN.x_half ** n
-                          for _, _, n, v in dropped)
+                          for l, m, n, v in products
+                          if abs(l) > t.l_t or abs(m) > t.l_theta or n > t.n_x)
         assert got.tail_norm == pytest.approx(expect_tail, rel=1e-12)
