@@ -401,7 +401,8 @@ def _curvature_update(q: FourierTaylorSeries,
         c[lt:lt + 2 * rv.trunc.l_t + 1, lth:lth + 2 * rv.trunc.l_theta + 1, 0] += \
             2.0 * rv.coeffs[:, :, 2]
     return FourierTaylorSeries(c, trm, q.rho,
-                               tail_norm=q.tail_norm + rv.tail_norm)
+                               tail_norm=q.tail_norm + rv.tail_norm,
+                               real=fts._real_from(q, rv))
 
 
 def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,

@@ -139,7 +139,8 @@ class DiophantineParams:
 
 
 def _rebox(coeffs, like: FourierTaylorSeries) -> FourierTaylorSeries:
-    return FourierTaylorSeries(coeffs, like.trunc, like.rho)
+    # the projections keep or drop whole mirror pairs, so reality is kept
+    return FourierTaylorSeries(coeffs, like.trunc, like.rho, real=fts._real_from(like))
 
 
 def average_op(f: FourierTaylorSeries) -> FourierTaylorSeries:
@@ -221,7 +222,8 @@ def small_divisor_solve(f: FourierTaylorSeries, params: AlgebraParams,
     Modes of degree >= 2 and the time-angle average are dropped; the result u
     satisfies (omega*d_theta + d_t) u = fluctuating part of degree <= 1 of f.
     Divisors are only formed at modes f actually populates. The result keeps
-    f's tail_norm.
+    f's tail_norm, and it is real when f is: the divisor is odd,
+    d(-l, -m) = -d(l, m).
     """
     t = f.trunc
     top = min(1, t.n_x)
@@ -234,7 +236,8 @@ def small_divisor_solve(f: FourierTaylorSeries, params: AlgebraParams,
     d = np.where(np.abs(d) < min_divisor, 1.0, d)  # masked entries have src == 0
     c = np.zeros(t.shape, dtype=np.complex128)
     c[:, :, : top + 1] = -1j * src / d[:, :, None]
-    return FourierTaylorSeries(c, t, f.rho, tail_norm=f.tail_norm)
+    return FourierTaylorSeries(c, t, f.rho, tail_norm=f.tail_norm,
+                               real=fts._real_from(f))
 
 
 def estimate_diophantine(omega: float, tau: float, k_scan: int = 50):
@@ -274,7 +277,7 @@ def half_curvature_x2(q: FourierTaylorSeries) -> FourierTaylorSeries:
                         pad=min(t.pad, 2, t.l_theta, t.l_t))
     c = np.zeros(nt.shape, dtype=np.complex128)
     c[:, :, 2] = 0.5 * q.coeffs[:, :, 0]
-    return FourierTaylorSeries(c, nt, q.rho)
+    return FourierTaylorSeries(c, nt, q.rho, real=fts._real_from(q))
 
 
 def _lift_degree(f: FourierTaylorSeries) -> FourierTaylorSeries:
@@ -284,10 +287,12 @@ def _lift_degree(f: FourierTaylorSeries) -> FourierTaylorSeries:
         nt = TruncationSpec(n_x=t.n_x + 1, l_theta=t.l_theta, l_t=t.l_t, pad=t.pad)
         c = np.zeros(nt.shape, dtype=np.complex128)
         c[:, :, 1:] = f.coeffs
-        return FourierTaylorSeries(c, nt, f.rho, tail_norm=f.tail_norm)
+        return FourierTaylorSeries(c, nt, f.rho, tail_norm=f.tail_norm,
+                                   real=fts._real_from(f))
     c = np.zeros(t.shape, dtype=np.complex128)
     c[:, :, 1:] = f.coeffs[:, :, :-1]
-    return FourierTaylorSeries(c, t, f.rho, tail_norm=f.tail_norm)
+    return FourierTaylorSeries(c, t, f.rho, tail_norm=f.tail_norm,
+                               real=fts._real_from(f))
 
 
 def _strip_imag(z: complex, what: str) -> float:

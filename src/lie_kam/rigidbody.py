@@ -352,7 +352,7 @@ def _compile_terms(series_list, domain: DomainConfig):
     NaN, so an integrated member that leaves the chart domain aborts.
     """
     if not all(series.is_real for series in series_list):
-        raise ValueError("reduced fields need real perturbation series")
+        raise fts.RealityError("reduced fields need real perturbation series")
     rows = [list(series.nonzero_terms()) for series in series_list]
     width = max(1, *map(len, rows))
     padded = [term for row in rows

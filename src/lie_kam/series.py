@@ -7,8 +7,11 @@ A series is a finite sum
 with wave numbers l in [-L_t, L_t], m in [-L_theta, L_theta] and polynomial
 degree n in [0, N_x]. Coefficients are stored densely over that index box.
 A series representing a real-valued function satisfies the reality condition
-c_{-l,-m,n} = conj(c_{l,m,n}); reality is re-checked after every arithmetic
-operation to catch index-mapping bugs early.
+c_{-l,-m,n} = conj(c_{l,m,n}). Reality is measured once, where raw
+coefficients enter (the constructor, ``from_terms``, JSON), and a series
+found real is stored exactly hermitian. Operations on real series then
+pass the flag on: sums, real scalings, derivatives and products keep the
+exact symmetry by construction, so nothing is re-measured or repaired.
 
 Norms are measured by the one-sided coefficient majorant
 
@@ -62,7 +65,7 @@ _REALITY_TOL = 1e-12
 
 
 class RealityError(ValueError):
-    """An operation on real series produced a non-real result."""
+    """Non-real data where a real series or value is required."""
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,8 @@ class TruncationSpec:
 
     def merge(self, other: "TruncationSpec") -> "TruncationSpec":
         """Elementwise max of two boxes (pad included)."""
+        if other == self:
+            return self
         return TruncationSpec(
             n_x=max(self.n_x, other.n_x),
             l_theta=max(self.l_theta, other.l_theta),
@@ -160,38 +165,57 @@ class FourierTaylorSeries:
         by |c|, and small-divisor solves and lifts by x keep them. A product
         reports only what it dropped itself; derivatives and projections
         start from zero. It records truncation and is not an error bound.
+    real : bool
+        Whether the series is real. A real series is exactly hermitian.
+
+    Parameters
+    ----------
+    coeffs, trunc, rho, tail_norm
+        As the attributes; coeffs is copied and must be finite.
+    real : bool or None
+        None measures the hermitian defect: within ``_REALITY_TOL`` (scaled
+        by max(1, max |c|)) the series is real and stored as its hermitian
+        part. True or False is taken as given, for operations that know
+        their output's reality from their inputs; True promises exactly
+        hermitian coefficients.
     """
 
-    __slots__ = ("coeffs", "trunc", "rho", "tail_norm", "_herm_defect")
+    __slots__ = ("coeffs", "trunc", "rho", "tail_norm", "real")
 
-    def __init__(self, coeffs, trunc: TruncationSpec, rho: float, tail_norm: float = 0.0):
+    def __init__(self, coeffs, trunc: TruncationSpec, rho: float,
+                 tail_norm: float = 0.0, real: bool = None):
         coeffs = np.array(coeffs, dtype=np.complex128, order="C", copy=True)
         if coeffs.shape != trunc.shape:
             raise ValueError(f"coefficient shape {coeffs.shape} != box {trunc.shape}")
         if not rho > 0:
             raise ValueError("rho must be positive")
+        if real is None:
+            defect = _hermitian_defect(coeffs)
+            # the defect is NaN or inf exactly when some coefficient is
+            if not math.isfinite(defect):
+                raise ValueError("series coefficients must be finite")
+            real = defect <= _REALITY_TOL * max(1.0, float(np.max(np.abs(coeffs))))
+            if real and defect > 0.0:
+                coeffs = _hermitian_part(coeffs)
+        elif not np.isfinite(coeffs).all():
+            raise ValueError("series coefficients must be finite")
         coeffs.flags.writeable = False
         self.coeffs = coeffs
         self.trunc = trunc
         self.rho = float(rho)
         self.tail_norm = float(tail_norm)
-        mirror = np.conj(coeffs[::-1, ::-1, :])
-        self._herm_defect = float(np.max(np.abs(coeffs - mirror))) if coeffs.size else 0.0
-        # the defect is NaN or inf exactly when some coefficient is
-        if not math.isfinite(self._herm_defect):
-            raise ValueError("series coefficients must be finite")
+        self.real = bool(real)
 
     # -- basic queries ---------------------------------------------------
 
     @property
     def hermitian_defect(self) -> float:
-        """Max |c_{l,m,n} - conj(c_{-l,-m,n})| over the box."""
-        return self._herm_defect
+        """Max |c_{l,m,n} - conj(c_{-l,-m,n})| over the box, measured on demand."""
+        return _hermitian_defect(self.coeffs)
 
     @property
     def is_real(self) -> bool:
-        scale_ = max(1.0, float(np.max(np.abs(self.coeffs)))) if self.coeffs.size else 1.0
-        return self._herm_defect <= _REALITY_TOL * scale_
+        return self.real
 
     def coeff(self, l: int, m: int, n: int) -> complex:
         """Coefficient c_{l,m,n}; indices outside the box are zero."""
@@ -232,11 +256,26 @@ class FourierTaylorSeries:
     __rmul__ = __mul__
 
 
+def _hermitian_defect(coeffs) -> float:
+    return float(np.max(np.abs(coeffs - np.conj(coeffs[::-1, ::-1, :]))))
+
+
+def _hermitian_part(coeffs):
+    """(c + conj(mirror c)) / 2: exactly hermitian, as addition commutes."""
+    return 0.5 * (coeffs + np.conj(coeffs[::-1, ::-1, :]))
+
+
+def _real_from(a, b=None):
+    """real= for an operation that keeps reality: True on real inputs, else measure."""
+    return True if a.real and (b is None or b.real) else None
+
+
 # -- construction ----------------------------------------------------------
 
 
 def zeros(trunc: TruncationSpec, rho: float) -> FourierTaylorSeries:
-    return FourierTaylorSeries(np.zeros(trunc.shape, dtype=np.complex128), trunc, rho)
+    return FourierTaylorSeries(np.zeros(trunc.shape, dtype=np.complex128), trunc, rho,
+                               real=True)
 
 
 def from_terms(terms, trunc: TruncationSpec, rho: float) -> FourierTaylorSeries:
@@ -328,42 +367,24 @@ def _embed(a: FourierTaylorSeries, trunc: TruncationSpec):
     return out
 
 
-def _guard_reality(out: FourierTaylorSeries, *inputs) -> FourierTaylorSeries:
-    """Raise if real inputs produced a non-real output.
-
-    Rounding-level defects (the convolution kernel sums mirror cells in
-    different orders) are measured against the input magnitude, since
-    cancellation can leave an output far smaller than the inputs; surviving
-    outputs are re-symmetrized so defects never accumulate along a chain.
-    """
-    if not all(s.is_real for s in inputs):
-        return out
-    if out.hermitian_defect == 0.0:
-        return out
-    scale_ = max([1.0] + [float(np.max(np.abs(s.coeffs))) for s in inputs])
-    if out.hermitian_defect > _REALITY_TOL * scale_:
-        raise RealityError(
-            f"operation broke the reality condition (defect {out.hermitian_defect:.3e})")
-    sym = 0.5 * (out.coeffs + np.conj(out.coeffs[::-1, ::-1, :]))
-    return FourierTaylorSeries(sym, out.trunc, out.rho, tail_norm=out.tail_norm)
-
-
 def add(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTaylorSeries:
     """Sum on the merged truncation box; the inputs' tails add up."""
     _check_rho(a, b)
     trunc = a.trunc.merge(b.trunc)
-    out = FourierTaylorSeries(_embed(a, trunc) + _embed(b, trunc), trunc, a.rho,
-                              tail_norm=a.tail_norm + b.tail_norm)
-    return _guard_reality(out, a, b)
+    return FourierTaylorSeries(_embed(a, trunc) + _embed(b, trunc), trunc, a.rho,
+                               tail_norm=a.tail_norm + b.tail_norm,
+                               real=_real_from(a, b))
 
 
 def scale(a: FourierTaylorSeries, c) -> FourierTaylorSeries:
-    """Multiply by a scalar c; the tail scales by |c|."""
-    out = FourierTaylorSeries(a.coeffs * c, a.trunc, a.rho,
-                              tail_norm=a.tail_norm * abs(c))
-    if isinstance(c, (int, float)) or (isinstance(c, complex) and c.imag == 0.0):
-        return _guard_reality(out, a)
-    return out
+    """Multiply by a scalar c; the tail scales by |c|.
+
+    A real c (any real Python or numpy number, or a complex one with zero
+    imaginary part) keeps a real series real.
+    """
+    real = _real_from(a) if np.imag(c) == 0 else None
+    return FourierTaylorSeries(a.coeffs * c, a.trunc, a.rho,
+                               tail_norm=a.tail_norm * abs(c), real=real)
 
 
 # pair products are formed in blocks of at most this many entries
@@ -457,13 +478,28 @@ def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries,
     Products falling outside the box are dropped; their majorant weight at
     r = 0 (so abs(value) * x_half^degree) is reported on the result's
     tail_norm attribute.
+
+    For two real factors only half the pairs are formed. The upper half
+    A+ of a (l > 0, or l = 0 and m > 0, plus half of each l = m = 0 cell)
+    gives P = A+ * b; since a = A+ + conj(mirror A+) and b is hermitian,
+    a * b = P + conj(mirror P), which is exactly hermitian, and the
+    dropped weight is twice P's. A non-real factor takes the whole of a
+    and no mirror step.
     """
     _check_rho(a, b)
     trunc = a.trunc.merge(b.trunc)
-    ia = np.nonzero(a.coeffs)
-    ib = np.nonzero(b.coeffs)
     ta, tb = a.trunc, b.trunc
-    la = ia[0].astype(np.int64) - ta.l_t
+    real = a.real and b.real
+    if real:
+        src = np.array(a.coeffs[ta.l_t:])  # l >= 0
+        src[0, :ta.l_theta] = 0.0  # l = 0, m < 0: the mirror half
+        src[0, ta.l_theta] *= 0.5  # l = m = 0: split between the halves
+        l_off = 0
+    else:
+        src, l_off = a.coeffs, ta.l_t
+    ia = np.nonzero(src)
+    ib = np.nonzero(b.coeffs)
+    la = ia[0].astype(np.int64) - l_off
     ma = ia[1].astype(np.int64) - ta.l_theta
     na = ia[2].astype(np.int64)
     lb = ib[0].astype(np.int64) - tb.l_t
@@ -471,30 +507,33 @@ def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries,
     nb = ib[2].astype(np.int64)
     xpow = domain.x_half ** np.arange(trunc.n_x + 1, dtype=np.float64)
     out, tail = convolve_nonzeros(
-        la, ma, na, np.ascontiguousarray(a.coeffs[ia]),
+        la, ma, na, np.ascontiguousarray(src[ia]),
         lb, mb, nb, np.ascontiguousarray(b.coeffs[ib]),
         trunc.l_t, trunc.l_theta, trunc.n_x, xpow)
-    res = FourierTaylorSeries(out, trunc, a.rho, tail_norm=tail)
-    return _guard_reality(res, a, b)
+    if real:
+        out = out + np.conj(out[::-1, ::-1, :])
+        tail = 2.0 * tail
+    return FourierTaylorSeries(out, trunc, a.rho, tail_norm=tail,
+                               real=True if real else None)
 
 
 def partial_x(a: FourierTaylorSeries) -> FourierTaylorSeries:
     c = np.zeros_like(a.coeffs)
     n = np.arange(1, a.trunc.n_x + 1)
     c[:, :, :-1] = a.coeffs[:, :, 1:] * n
-    return _guard_reality(FourierTaylorSeries(c, a.trunc, a.rho), a)
+    return FourierTaylorSeries(c, a.trunc, a.rho, real=_real_from(a))
 
 
 def partial_theta(a: FourierTaylorSeries) -> FourierTaylorSeries:
     m = np.arange(-a.trunc.l_theta, a.trunc.l_theta + 1)
     c = a.coeffs * (1j * m)[None, :, None]
-    return _guard_reality(FourierTaylorSeries(c, a.trunc, a.rho), a)
+    return FourierTaylorSeries(c, a.trunc, a.rho, real=_real_from(a))
 
 
 def partial_t(a: FourierTaylorSeries) -> FourierTaylorSeries:
     l = np.arange(-a.trunc.l_t, a.trunc.l_t + 1)
     c = a.coeffs * (1j * l)[:, None, None]
-    return _guard_reality(FourierTaylorSeries(c, a.trunc, a.rho), a)
+    return FourierTaylorSeries(c, a.trunc, a.rho, real=_real_from(a))
 
 
 def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries,
@@ -643,21 +682,20 @@ def to_json_dict(a: FourierTaylorSeries) -> dict:
     """Half-lattice JSON form of a real series.
 
     Stores nonzero coefficients with l > 0 or (l = 0, m >= 0); the reality
-    condition supplies the rest on load. Raises for non-real series. The
-    stored coefficients are the hermitian-symmetrized ones, so a load
-    followed by a dump reproduces the document byte for byte.
+    condition supplies the rest on load. Raises for non-real series. A real
+    series is exactly hermitian, so a load followed by a dump reproduces
+    the document byte for byte.
     """
     if not a.is_real:
         raise RealityError("only real series serialize to the half-lattice form")
     t = a.trunc
-    sym = 0.5 * (a.coeffs + np.conj(a.coeffs[::-1, ::-1, :]))
     coeffs = []
-    li, mi, ni = np.nonzero(sym)
+    li, mi, ni = np.nonzero(a.coeffs)
     for ia, ib, ic in zip(li, mi, ni):
         l, m, n = int(ia - t.l_t), int(ib - t.l_theta), int(ic)
         if l < 0 or (l == 0 and m < 0):
             continue
-        v = sym[ia, ib, ic]
+        v = a.coeffs[ia, ib, ic]
         re = float(v.real)
         im = 0.0 if (l == 0 and m == 0) else float(v.imag)
         coeffs.append({"l": l, "m": m, "n": n, "re": re, "im": im})

@@ -258,6 +258,22 @@ def test_iterate_ledger(tmp_path):
     assert doc["config"]["steps"] == 3
 
 
+def test_normal_form_commands_deterministic_bytes(tmp_path):
+    # identical argv twice in one process: every report byte-identical
+    runs = [
+        (["normalize", "--eps", "1e-3"], ("v_star.json", "normalize_report.json")),
+        (["iterate", "--steps", "2"], ("iterate_ledger.json",)),
+        (["verify", "--trials", "1"], ("verify_report.json",)),
+    ]
+    for argv, names in runs:
+        out = tmp_path / argv[0]
+        blobs = []
+        for _ in range(2):
+            assert run(argv + ["--out", str(out)]) == 0
+            blobs.append([(out / name).read_bytes() for name in names])
+        assert blobs[0] == blobs[1], argv[0]
+
+
 # -- bounds / verify ----------------------------------------------------------
 
 

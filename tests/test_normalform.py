@@ -238,6 +238,16 @@ def test_v_star_reports_clipped_tail():
     assert res.tail_norm > 0.0
 
 
+def test_v_star_step_outputs_are_exactly_real():
+    box = TruncationSpec(n_x=2, l_theta=2, l_t=2)  # clipped products too
+    for trunc in (None, box):
+        v = pr.reduced_drive_series(1e-2, trunc=trunc)
+        q = ops.generic_curvature(PARAMS, trunc)
+        res = nf.compute_v_star(v, q, PARAMS)
+        for s in (res.v_star, res.rv, res.q_star):
+            assert s.is_real and s.hermitian_defect == 0.0
+
+
 def test_derivation_generator_keeps_inner_drive_tail():
     # the inner drive Q * (a_V + d_theta G_s P0 V) clips at box (2, 2, 2);
     # the solve and the lift by x that turn it into x W_V keep its tail

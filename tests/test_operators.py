@@ -183,6 +183,39 @@ def test_derivation_built_once_matches_oracle():
             assert oracle.diff_norm(ref, gamma(g)) < 1e-13
 
 
+def _exactly_real(s):
+    return s.is_real and s.hermitian_defect == 0.0
+
+
+def test_operators_keep_reality_exactly():
+    rng = random.Random(37)
+    full = TruncationSpec(n_x=3, l_theta=3, l_t=2)  # top degree occupied
+    probes = ops.probe_basket(TR, PARAMS.rho)
+    inputs = [as_series(rand_f(rng)) for _ in range(4)]
+    inputs.append(oracle.series_from_dict(
+        oracle.rand_real_series(rng, lmax=2, mmax=3, nmax=3, density=1.0), full, PARAMS.rho))
+    # one-sided: every populated mode has l != 0
+    inputs.append(as_series({k: v for k, v in rand_f(rng).items() if k[0] != 0}))
+    q = ops.generic_curvature(PARAMS, TruncationSpec(n_x=0, l_theta=2, l_t=2))
+    for f in inputs:
+        assert _exactly_real(f)
+        res, solv = ops.split_projections(f, Q_SERIES, PARAMS)
+        outs = [ops.average_op(f), ops.fluctuation_op(f), ops.project_degree(f, 1),
+                ops.project_degree_le(f, 1), ops.project_degree_ge(f, 2),
+                ops.basic_resonant(f), ops.basic_solvable(f), res, solv,
+                ops.projection_correction(f, Q_SERIES, PARAMS),
+                ops.small_divisor_solve(f, PARAMS), ops._lift_degree(f),
+                ops.half_curvature_x2(q),
+                ops.hamiltonian_apply(f, Q_SERIES, PARAMS)]
+        gamma = ops.Derivation(f, q, PARAMS)
+        outs.append(gamma.generator)
+        outs += [gamma(g) for g in probes]
+        for out in outs:
+            assert _exactly_real(out)
+        assert isinstance(ops.translation_coefficient(f, Q_SERIES, PARAMS), float)
+    assert ops._lift_degree(inputs[4]).trunc.n_x == full.n_x + 1
+
+
 def test_curvature_lift_requires_degree0():
     bad = fts.from_real_terms([(0, 0, 1, 1.0)], TruncationSpec(1, 1, 1), PARAMS.rho)
     with pytest.raises(ValueError):

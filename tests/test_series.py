@@ -71,6 +71,28 @@ def test_reality_flag_detects_defect():
     assert f.hermitian_defect > 0.1
 
 
+def test_raw_entry_stores_real_series_exactly_hermitian():
+    c = np.zeros(TR.shape, dtype=np.complex128)
+    c[TR.l_t + 1, TR.l_theta + 1, 0] = 0.5 + 1e-15j
+    c[TR.l_t - 1, TR.l_theta - 1, 0] = 0.5
+    c[TR.l_t, TR.l_theta, 1] = 2.0 + 1e-15j
+    f = FourierTaylorSeries(c, TR, RHO)
+    assert f.is_real
+    assert f.hermitian_defect == 0.0
+    assert f.coeff(0, 0, 1) == 2.0
+    assert f.coeff(1, 1, 0) == np.conj(f.coeff(-1, -1, 0))
+
+
+def test_given_reality_still_rejects_non_finite():
+    with np.errstate(invalid="ignore"):
+        for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
+            c = np.zeros(TR.shape, dtype=np.complex128)
+            c[TR.l_t, TR.l_theta, 0] = bad
+            for real in (True, False):
+                with pytest.raises(ValueError, match="finite"):
+                    FourierTaylorSeries(c, TR, RHO, real=real)
+
+
 def test_coeffs_are_frozen():
     f = fts.constant(2.0, TR, RHO)
     with pytest.raises(ValueError):
@@ -143,6 +165,35 @@ def test_sums_and_scalar_multiples_carry_the_tail():
         (p.tail_norm + q.tail_norm) / RHO, rel=1e-15)
 
 
+def test_scale_keeps_reality_for_numpy_real_scalars():
+    a = fts.from_real_terms([(1, 2, 1, 0.5 - 0.25j), (0, 0, 2, 3.0)], TR, RHO)
+    for c in (np.int64(2), np.float32(0.5), np.array(-1.5), 2.0 + 0.0j, 3):
+        out = fts.scale(a, c)
+        assert out.is_real, c
+        assert out.hermitian_defect == 0.0
+        assert fts.from_json(fts.to_json(out)).coeff(1, 2, 1) == out.coeff(1, 2, 1)
+    assert fts.scale(a, np.int64(2)).coeff(0, 0, 2) == 6.0
+    assert fts.scale(a, np.float32(0.5)).coeff(1, 2, 1) == 0.25 - 0.125j
+    assert not fts.scale(a, 1j).is_real
+    assert not fts.scale(a, np.complex64(1j)).is_real
+
+
+def _real_one_sided(rng, ls, mmax, nmax):
+    """Real series whose half-lattice support has l in ls only (all l > 0)."""
+    out = {}
+    for l in ls:
+        for m in range(-mmax, mmax + 1):
+            for n in range(nmax + 1):
+                v = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                out[(l, m, n)] = v
+                out[(-l, -m, n)] = v.conjugate()
+    return out
+
+
+def _exactly_real(s):
+    return s.is_real and s.hermitian_defect == 0.0
+
+
 def test_non_finite_coefficients_rejected():
     with np.errstate(invalid="ignore"):
         for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
@@ -204,7 +255,28 @@ def test_reality_preserved_through_op_chain():
         a = oracle.series_from_dict(da, TR, RHO)
         b = oracle.series_from_dict(db, TR, RHO)
         out = fts.poisson_bracket(fts.multiply(a, b), a + 0.5 * b)
-        assert out.is_real
+        assert _exactly_real(out)
+    # each operation on real series is exactly hermitian by construction,
+    # also for operands on different boxes, one-sided supports and clipping
+    rng = np.random.default_rng(7)
+    small = TruncationSpec(n_x=2, l_theta=4, l_t=1)
+    wide = TruncationSpec(n_x=4, l_theta=1, l_t=3)
+    real = oracle.rand_real_series
+    pairs = [(oracle.series_from_dict(real(pyrng, lmax=1, mmax=4, nmax=2, density=0.8), small, RHO),
+              oracle.series_from_dict(real(pyrng, lmax=3, mmax=1, nmax=4, density=0.8), wide, RHO)),
+             (oracle.series_from_dict(_real_one_sided(pyrng, (1, 2), 2, 2), TR, RHO),
+              oracle.series_from_dict(_real_one_sided(pyrng, (2, 3), 1, 3), TR, RHO)),
+             (fts.random_real_series(TR, RHO, rng, n_terms=40),
+              fts.random_real_series(TR, RHO, rng, n_terms=40))]
+    for a, b in pairs:
+        assert _exactly_real(a) and _exactly_real(b)
+        outs = [a + b, a - b, -a, fts.scale(a, float(rng.uniform(-2, 2))),
+                fts.multiply(a, b), fts.multiply(b, a), fts.multiply(a, a),
+                fts.partial_x(a), fts.partial_theta(a), fts.partial_t(a),
+                fts.poisson_bracket(a, b), fts.poisson_bracket(b, a)]
+        for out in outs:
+            assert _exactly_real(out)
+    assert any(fts.multiply(a, b).tail_norm > 0.0 for a, b in pairs)
 
 
 # -- evaluation --------------------------------------------------------------
@@ -392,15 +464,31 @@ def _kernel_cases(rng):
                   real(rng, lmax=1, mmax=1, nmax=1, density=0.8), t2, set()))
     cases.append((_one_sided(rng, (-2, -1), 1, 1), t2,
                   _one_sided(rng, (1, 2), 1, 1), t2, set()))
+    # the half-lattice split halves every l = m = 0 cell: populate them all
+    cases.append((_with_centres(rng, real(rng, lmax=2, mmax=1, nmax=2, density=1.0), 2), t2,
+                  _with_centres(rng, real(rng, lmax=2, mmax=1, nmax=2, density=1.0), 2), t2,
+                  {"l", "n"}))
+    cases.append((_with_centres(rng, real(rng, lmax=1, mmax=1, nmax=1, density=1.0), 1), t2,
+                  _with_centres(rng, real(rng, lmax=1, mmax=1, nmax=1, density=1.0), 1), t2,
+                  set()))
+    # a non-real factor (a real series times 1j) takes the whole first factor
+    cases.append(({k: 1j * v for k, v in real(rng, lmax=2, mmax=3, nmax=3).items()}, t3,
+                  real(rng, lmax=2, mmax=3, nmax=3), t3, {"l", "m", "n"}))
     return cases
+
+
+def _with_centres(rng, d, nmax):
+    """d with every (0, 0, n) cell, n <= nmax, set to a random real value."""
+    return {**d, **{(0, 0, n): complex(rng.uniform(-1, 1), 0.0) for n in range(nmax + 1)}}
 
 
 def test_product_kernel_matches_oracle_across_blocks(monkeypatch):
     # a tiny block makes one product span many blocks, some of which clip
     monkeypatch.setattr(fts, "_BLOCK", 50)
     pyrng = __import__("random").Random(31)
-    for da, ta, db, tb, axes in _kernel_cases(pyrng):
-        assert len(da) > max(1, fts._BLOCK // len(db))  # several blocks
+    cases = _kernel_cases(pyrng)
+    real_cases = centred = 0
+    for da, ta, db, tb, axes in cases:
         t = ta.merge(tb)
         products = [(l1 + l2, m1 + m2, n1 + n2, v1 * v2)
                     for (l1, m1, n1), v1 in da.items()
@@ -409,11 +497,22 @@ def test_product_kernel_matches_oracle_across_blocks(monkeypatch):
                    "m": {abs(m) > t.l_theta for _, m, _, _ in products},
                    "n": {n > t.n_x for _, _, n, _ in products}}
         assert {ax for ax, hit in clipped.items() if True in hit} == axes
-        got = fts.multiply(oracle.series_from_dict(da, ta, RHO),
-                           oracle.series_from_dict(db, tb, RHO))
+        a = oracle.series_from_dict(da, ta, RHO)
+        b = oracle.series_from_dict(db, tb, RHO)
+        # the kernel's rows: the upper half of a when both factors are real
+        rows = [(l, m) for l, m, _ in da
+                if not (a.is_real and b.is_real) or l > 0 or (l == 0 and m >= 0)]
+        assert len(rows) > max(1, fts._BLOCK // len(db))  # several blocks
+        got = fts.multiply(a, b)
         assert got.trunc == t
         kept = oracle.restrict(oracle.smul(da, db), t.l_t, t.l_theta, t.n_x)
         assert oracle.diff_norm(kept, got) < 1e-13
+        # real factors give an exactly hermitian product; others stay non-real
+        assert got.is_real == (a.is_real and b.is_real)
+        if got.is_real:
+            assert got.hermitian_defect == 0.0
+        real_cases += got.is_real
+        centred += a.is_real and any(da.get((0, 0, n), 0) != 0 for n in range(ta.n_x + 1))
         if not axes:
             assert got.tail_norm == 0.0
             continue
@@ -421,3 +520,6 @@ def test_product_kernel_matches_oracle_across_blocks(monkeypatch):
                           for l, m, n, v in products
                           if abs(l) > t.l_t or abs(m) > t.l_theta or n > t.n_x)
         assert got.tail_norm == pytest.approx(expect_tail, rel=1e-12)
+    # both kernel paths ran, and the split met populated centre cells
+    assert 0 < real_cases < len(cases)
+    assert centred >= 2
