@@ -32,10 +32,6 @@ class UsageError(ValueError):
     """Bad flag/config combination; maps to exit code 1."""
 
 
-class ScienceError(RuntimeError):
-    """Computed result violates a stated property; maps to exit code 2."""
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; the contract reserves 2 for
     # scientific failures, so remap
@@ -43,17 +39,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_COMMON_KEYS = {"seed", "out", "tol", "algebra", "truncation"}
-_ALLOWED_KEYS = {
-    "simulate": _COMMON_KEYS | {"preset", "n", "h", "T", "eps", "stride",
-                                "section"},
-    "section": _COMMON_KEYS | {"preset", "n", "h", "T", "eps", "stride"},
-    "normalize": _COMMON_KEYS | {"preset", "eps", "tau", "q", "gamma_scan"},
-    "iterate": _COMMON_KEYS | {"preset", "eps", "steps", "r", "tau", "q",
-                               "gamma_scan"},
-    "bounds": _COMMON_KEYS | {"tau", "q", "gamma_scan", "trials"},
-    "verify": _COMMON_KEYS | {"tau", "q", "gamma_scan", "trials"},
-}
 _ALGEBRA_KEYS = {"rho", "i_perp", "i_3", "x0"}
 _TRUNCATION_KEYS = {"n_x", "l_theta", "l_t", "pad"}
 
@@ -83,8 +68,7 @@ def _load_config(args):
     if not isinstance(doc, dict):
         raise UsageError("config file must hold a JSON object")
     _reject_non_finite(doc)
-    allowed = _ALLOWED_KEYS[args.command]
-    unknown = sorted(set(doc) - allowed)
+    unknown = sorted(set(doc) - args.config_keys)
     if unknown:
         raise UsageError(
             f"unknown config keys for {args.command}: {', '.join(unknown)}")
@@ -169,18 +153,50 @@ def _truncation(config) -> TruncationSpec:
            for key in ("n_x", "l_theta", "l_t", "pad")})
 
 
-def _diophantine(params, tau, q, k_scan):
+def _chart_config(params, trunc):
+    """The algebra and truncation blocks of a resolved configuration."""
+    return {
+        "algebra": {"rho": params.rho, "i_perp": params.i_perp,
+                    "i_3": params.i_3, "x0": params.x0},
+        "truncation": {"n_x": trunc.n_x, "l_theta": trunc.l_theta,
+                       "l_t": trunc.l_t, "pad": trunc.pad},
+    }
+
+
+def _diophantine_flags(args, config):
+    """tau, q and gamma_scan as a resolved-config block; usage-checked."""
+    tau = _get_number(args, config, "tau", 1.0)
+    q = _get_number(args, config, "q", 0.5)
+    k_scan = _get_number(args, config, "gamma_scan", 50, int)
     if tau <= 0:
         raise UsageError("--tau must be positive")
     if not 0 < q < 1:
         raise UsageError("q must lie in (0, 1)")
     if k_scan < 1:
         raise UsageError("--gamma-scan must be a positive mode count")
+    return {"tau": tau, "q": q, "gamma_scan": k_scan}
+
+
+def _diophantine(params, resolved, report_path):
+    """Diophantine constants from the scan, recording gamma in ``resolved``.
+
+    A resonant rotation number is a scientific failure: the command's
+    report is written at ``report_path`` with ``first_failure``
+    "diophantine", and None is returned so the command exits 2.
+    """
     try:
-        return pr.default_diophantine(params, tau=tau, q=q, k_scan=k_scan)
+        dio = pr.default_diophantine(params, tau=resolved["tau"],
+                                     q=resolved["q"],
+                                     k_scan=resolved["gamma_scan"])
     except ValueError as exc:
-        # resonant rotation number: a scientific failure, not a usage one
-        raise ScienceError(str(exc))
+        _write_json(report_path, {"config": resolved, "pass": False,
+                                  "first_failure": "diophantine",
+                                  "error": str(exc)})
+        print(f"FAIL diophantine: {exc}", file=sys.stderr)
+        print(f"report: {report_path}")
+        return None
+    resolved["gamma"] = dio.gamma
+    return dio
 
 
 def _plain(obj):
@@ -293,25 +309,20 @@ def _simulate_cartesian(resolved):
     return trajs, report, "cartesian", rho
 
 
-def _simulate_reduced(cfg, resolved, config):
+def _simulate_reduced(resolved, config):
     params = _algebra(config)
     trunc = _truncation(config)
     if abs(params.rho - resolved["rho"]) > 1e-12:
         resolved["rho"] = params.rho
-    nu = int(round(cfg["drive_frequency"]))
-    eps_inv = cfg["inverse_amplitude_per_eps"] * resolved["eps"]
-    v = pr.reduced_drive_series(eps_inv, nu=nu, x0=params.x0, trunc=trunc,
-                                rho=params.rho)
+    v = pr.preset_drive_series(resolved["preset"], resolved["eps"], params,
+                               trunc)
     fieldfn = rb.make_reduced_field(params, v)
     inertia = rb.InertiaSpec(params.i_perp, params.i_perp, params.i_3)
     rng = np.random.default_rng(resolved["seed"])
     inits = np.stack([rng.uniform(-0.1, 0.1, size=resolved["n"]),
                       rng.uniform(0.0, 2.0 * math.pi, size=resolved["n"])],
                      axis=-1)
-    resolved["algebra"] = {"rho": params.rho, "i_perp": params.i_perp,
-                           "i_3": params.i_3, "x0": params.x0}
-    resolved["truncation"] = {"n_x": trunc.n_x, "l_theta": trunc.l_theta,
-                              "l_t": trunc.l_t, "pad": trunc.pad}
+    resolved.update(_chart_config(params, trunc))
     trajs = []
     for traj in _integrate(inits, fieldfn, resolved):
         # store the global chart coordinate X = x0 + x
@@ -350,7 +361,7 @@ def cmd_simulate(args, config):
     if cfg["kind"] == "cartesian":
         trajs, report, kind, rho = _simulate_cartesian(resolved)
     else:
-        trajs, report, kind, rho = _simulate_reduced(cfg, resolved, config)
+        trajs, report, kind, rho = _simulate_reduced(resolved, config)
 
     write_traj = args.command == "simulate"
     rows = []
@@ -404,17 +415,12 @@ def _reduced_setup(args, config):
         raise UsageError(f"unknown preset {preset!r}")
     if pr.PRESETS[preset]["kind"] != "reduced":
         raise UsageError(f"preset {preset!r} is not a reduced-chart preset")
-    params = _algebra(config)
-    trunc = _truncation(config)
-    tau = _get_number(args, config, "tau", 1.0)
-    q = _get_number(args, config, "q", 0.5)
-    k_scan = _get_number(args, config, "gamma_scan", 50, int)
-    dio = _diophantine(params, tau, q, k_scan)
-    return preset, params, trunc, dio
+    return preset, _algebra(config), _truncation(config)
 
 
 def cmd_normalize(args, config):
-    preset, params, trunc, dio = _reduced_setup(args, config)
+    preset, params, trunc = _reduced_setup(args, config)
+    dio_flags = _diophantine_flags(args, config)
     eps = _get(args, config, "eps", None)
     if eps is None:
         raise UsageError("--eps is required")
@@ -423,22 +429,16 @@ def cmd_normalize(args, config):
         raise UsageError("--eps must be positive")
     tol = _get_number(args, config, "tol", 1e-12)
     out = _out_dir(args, config)
-    resolved = {
-        "command": "normalize", "preset": preset, "eps": eps, "tol": tol,
-        "tau": dio.tau, "q": dio.q, "gamma_scan": dio.k_scan,
-        "gamma": dio.gamma,
-        "algebra": {"rho": params.rho, "i_perp": params.i_perp,
-                    "i_3": params.i_3, "x0": params.x0},
-        "truncation": {"n_x": trunc.n_x, "l_theta": trunc.l_theta,
-                       "l_t": trunc.l_t, "pad": trunc.pad},
-    }
-    scale = pr.PRESETS[preset]["inverse_amplitude_per_eps"]
-    nu = int(round(pr.PRESETS[preset]["drive_frequency"]))
+    resolved = {"command": "normalize", "preset": preset, "eps": eps,
+                "tol": tol, **dio_flags, **_chart_config(params, trunc)}
+    report_path = os.path.join(out, "normalize_report.json")
+    dio = _diophantine(params, resolved, report_path)
+    if dio is None:
+        return 2
     q_series = ops.generic_curvature(params, trunc)
 
     def v_star_norm(e):
-        v = pr.reduced_drive_series(scale * e, nu=nu, x0=params.x0,
-                                    trunc=trunc, rho=params.rho)
+        v = pr.preset_drive_series(preset, e, params, trunc)
         res = nf.compute_v_star(v, q_series, params, tol=tol, dio=dio)
         # measured on the shrunk strip r - 3 mu of the desk scales
         return res, fts.majorant_norm(res.v_star, 0.2), fts.majorant_norm(v, 0.2)
@@ -463,10 +463,10 @@ def cmd_normalize(args, config):
             "ratio": ratio, "slope": slope, "pass": quadratic_ok,
         },
     }
-    _write_json(os.path.join(out, "normalize_report.json"), doc)
+    _write_json(report_path, doc)
     print(f"|V| = {n_v:.6e}, |V_star| = {n_full:.6e}")
     print(f"quadratic probe: ratio {ratio:.4f}, slope {slope:.4f}")
-    print(f"report: {os.path.join(out, 'normalize_report.json')}")
+    print(f"report: {report_path}")
     if not quadratic_ok:
         print("quadratic smallness failure", file=sys.stderr)
         return 2
@@ -477,7 +477,8 @@ def cmd_normalize(args, config):
 
 
 def cmd_iterate(args, config):
-    preset, params, trunc, dio = _reduced_setup(args, config)
+    preset, params, trunc = _reduced_setup(args, config)
+    dio_flags = _diophantine_flags(args, config)
     eps = _get_number(args, config, "eps", 1e-3)
     steps = _get_number(args, config, "steps", 3, int)
     radius = _get_number(args, config, "r", 0.5)
@@ -489,21 +490,15 @@ def cmd_iterate(args, config):
     if radius <= 0:
         raise UsageError("--r must be positive")
     out = _out_dir(args, config)
-    resolved = {
-        "command": "iterate", "preset": preset, "eps": eps, "steps": steps,
-        "r": radius, "tol": tol, "tau": dio.tau, "q": dio.q,
-        "gamma_scan": dio.k_scan, "gamma": dio.gamma,
-        "algebra": {"rho": params.rho, "i_perp": params.i_perp,
-                    "i_3": params.i_3, "x0": params.x0},
-        "truncation": {"n_x": trunc.n_x, "l_theta": trunc.l_theta,
-                       "l_t": trunc.l_t, "pad": trunc.pad},
-    }
-    scale = pr.PRESETS[preset]["inverse_amplitude_per_eps"]
-    nu = int(round(pr.PRESETS[preset]["drive_frequency"]))
-    v0 = pr.reduced_drive_series(scale * eps, nu=nu, x0=params.x0,
-                                 trunc=trunc, rho=params.rho)
-    q0 = ops.generic_curvature(params, trunc)
+    resolved = {"command": "iterate", "preset": preset, "eps": eps,
+                "steps": steps, "r": radius, "tol": tol, **dio_flags,
+                **_chart_config(params, trunc)}
     path = os.path.join(out, "iterate_ledger.json")
+    dio = _diophantine(params, resolved, path)
+    if dio is None:
+        return 2
+    v0 = pr.preset_drive_series(preset, eps, params, trunc)
+    q0 = ops.generic_curvature(params, trunc)
     try:
         states = nf.kam_iterate(v0, q0, params, dio, radius, steps=steps,
                                 tol=tol)
@@ -558,23 +553,18 @@ def _margin_sweep(params, trunc, dio, trials, seed):
 def cmd_bounds(args, config):
     params = _algebra(config)
     trunc = _truncation(config)
-    tau = _get_number(args, config, "tau", 1.0)
-    q = _get_number(args, config, "q", 0.5)
-    k_scan = _get_number(args, config, "gamma_scan", 50, int)
+    dio_flags = _diophantine_flags(args, config)
     trials = _get_number(args, config, "trials", 20, int)
     seed = _get_number(args, config, "seed", 0, int)
     if trials < 1:
         raise UsageError("--trials must be at least 1")
-    dio = _diophantine(params, tau, q, k_scan)
     out = _out_dir(args, config)
-    resolved = {
-        "command": "bounds", "tau": tau, "q": q, "gamma_scan": k_scan,
-        "trials": trials, "seed": seed, "gamma": dio.gamma,
-        "algebra": {"rho": params.rho, "i_perp": params.i_perp,
-                    "i_3": params.i_3, "x0": params.x0},
-        "truncation": {"n_x": trunc.n_x, "l_theta": trunc.l_theta,
-                       "l_t": trunc.l_t, "pad": trunc.pad},
-    }
+    resolved = {"command": "bounds", **dio_flags, "trials": trials,
+                "seed": seed, **_chart_config(params, trunc)}
+    report_path = os.path.join(out, "bounds_report.json")
+    dio = _diophantine(params, resolved, report_path)
+    if dio is None:
+        return 2
 
     desk = nf.compute_bound_constants(params, dio, 0.5, 0.1, 0.1)
     worst, count = _margin_sweep(params, trunc, dio, trials, seed)
@@ -612,13 +602,13 @@ def cmd_bounds(args, config):
             "valid": sched["valid"],
         },
     }
-    _write_json(os.path.join(out, "bounds_report.json"), doc)
+    _write_json(report_path, doc)
     print(f"gamma_hat = {dio.gamma:.12g}")
     print(f"margins: min {worst:.6e} over {count} checks "
           f"({trials} triples)")
     print(f"schedule at r = {r_wide:g}: valid = {sched['valid']}, "
           f"eps0_max = {thr:.6e}")
-    print(f"report: {os.path.join(out, 'bounds_report.json')}")
+    print(f"report: {report_path}")
     if worst < 0.0 or not sched["valid"]:
         print("bound certification failure", file=sys.stderr)
         return 2
@@ -631,33 +621,19 @@ def cmd_bounds(args, config):
 def cmd_verify(args, config):
     params = _algebra(config)
     trunc = _truncation(config)
-    tau = _get_number(args, config, "tau", 1.0)
-    q = _get_number(args, config, "q", 0.5)
-    k_scan = _get_number(args, config, "gamma_scan", 50, int)
+    dio_flags = _diophantine_flags(args, config)
     trials = _get_number(args, config, "trials", 100, int)
     seed = _get_number(args, config, "seed", 0, int)
     tol = _get_number(args, config, "tol", 1e-9)
     if trials < 1:
         raise UsageError("--trials must be at least 1")
     out = _out_dir(args, config)
-    resolved = {
-        "command": "verify", "tau": tau, "q": q, "gamma_scan": k_scan,
-        "trials": trials, "seed": seed, "tol": tol,
-        "algebra": {"rho": params.rho, "i_perp": params.i_perp,
-                    "i_3": params.i_3, "x0": params.x0},
-        "truncation": {"n_x": trunc.n_x, "l_theta": trunc.l_theta,
-                       "l_t": trunc.l_t, "pad": trunc.pad},
-    }
+    resolved = {"command": "verify", **dio_flags, "trials": trials,
+                "seed": seed, "tol": tol, **_chart_config(params, trunc)}
     report_path = os.path.join(out, "verify_report.json")
-    try:
-        dio = _diophantine(params, tau, q, k_scan)
-    except ScienceError as exc:
-        doc = {"config": resolved, "pass": False,
-               "first_failure": "diophantine", "error": str(exc)}
-        _write_json(report_path, doc)
-        print(f"FAIL diophantine: {exc}", file=sys.stderr)
+    dio = _diophantine(params, resolved, report_path)
+    if dio is None:
         return 2
-    resolved["gamma"] = dio.gamma
 
     suite = ops.run_identity_suite(params, trunc=trunc, n_trials=trials,
                                    seed=seed, dio=dio)
@@ -720,6 +696,21 @@ def _add_diophantine_flags(sp):
                     help="mode count for the gamma scan (default 50)")
 
 
+def _add_simulation_flags(sp):
+    sp.add_argument("--preset", choices=sorted(pr.PRESETS))
+    sp.add_argument("--n", type=int, help="ensemble size (default 1)")
+    sp.add_argument("--h", type=_finite_float, help="step size")
+    sp.add_argument("--T", type=_finite_float, help="integration span")
+    sp.add_argument("--eps", type=_finite_float, help="drive amplitude")
+    sp.add_argument("--stride", type=int, help="sampling stride (default 1)")
+
+
+def _config_keys(sp):
+    """Config keys a subcommand accepts: its flags' dests and the blocks."""
+    dests = {action.dest for action in sp._actions if action.option_strings}
+    return (dests - {"help", "config"}) | {"algebra", "truncation"}
+
+
 def _build_parser():
     parser = _Parser(prog="lie-kam",
                      description="Normal-form engine and rigid-body "
@@ -728,24 +719,14 @@ def _build_parser():
                                 metavar="command")
 
     sp = sub.add_parser("simulate", help="integrate preset trajectories")
-    sp.add_argument("--preset", choices=sorted(pr.PRESETS))
-    sp.add_argument("--n", type=int, help="ensemble size (default 1)")
-    sp.add_argument("--h", type=_finite_float, help="step size")
-    sp.add_argument("--T", type=_finite_float, help="integration span")
-    sp.add_argument("--eps", type=_finite_float, help="drive amplitude")
-    sp.add_argument("--stride", type=int, help="sampling stride (default 1)")
+    _add_simulation_flags(sp)
     sp.add_argument("--section", action="store_true", default=None,
                     help="also emit stroboscopic sections")
     _add_common(sp)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("section", help="emit stroboscopic sections only")
-    sp.add_argument("--preset", choices=sorted(pr.PRESETS))
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--h", type=_finite_float)
-    sp.add_argument("--T", type=_finite_float)
-    sp.add_argument("--eps", type=_finite_float)
-    sp.add_argument("--stride", type=int)
+    _add_simulation_flags(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_simulate)
 
@@ -781,6 +762,9 @@ def _build_parser():
     _add_diophantine_flags(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_verify)
+
+    for sp in sub.choices.values():
+        sp.set_defaults(config_keys=_config_keys(sp))
     return parser
 
 
@@ -796,17 +780,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ScienceError as exc:
-        print(f"scientific failure: {exc}", file=sys.stderr)
-        return 2
-    except (nf.HypothesisError, nf.DivergenceError) as exc:
+    except (nf.HypothesisError, nf.DivergenceError, ops.ResonanceError) as exc:
         print(f"scientific failure: {exc}", file=sys.stderr)
         return 2
     except nf.IterationError as exc:
         print(f"contraction failure: {exc}", file=sys.stderr)
-        return 2
-    except ops.ResonanceError as exc:
-        print(f"scientific failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

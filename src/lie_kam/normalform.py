@@ -239,7 +239,8 @@ def certify_bounds(w: FourierTaylorSeries, z: FourierTaylorSeries,
     dict
         ``constants`` (the BoundConstants), ``hypotheses`` (measured
         gamma_hat, worst mode, |Q_00|, ||Q||_r), and ``bounds`` mapping
-        each estimate to ``{"measured", "bound", "margin"}`` with
+        each estimate (``derivation`` for Gamma_w z, ``solvable`` for N w,
+        ``resonant`` for R w) to ``{"measured", "bound", "margin"}`` with
         ``margin = bound - measured``.
 
     Raises
@@ -266,13 +267,12 @@ def certify_bounds(w: FourierTaylorSeries, z: FourierTaylorSeries,
 
     nw = fts.majorant_norm(w, r, domain)
     nz = fts.majorant_norm(z, r - delta, domain)
-    gz = ops.Derivation(w, q, params, dio, domain=domain)(z)
-    measured_g = fts.majorant_norm(gz, r - d - delta, domain)
+    gamma = ops.Derivation(w, q, params, dio, domain=domain)
+    measured_g = fts.majorant_norm(gamma(z), r - d - delta, domain)
     bound_g = bc.lam() * nw * nz
 
-    res, solv = ops.split_projections(w, q, params, dio, domain=domain)
-    measured_n = fts.majorant_norm(solv, r - delta, domain)
-    measured_r = fts.majorant_norm(res, r - delta, domain)
+    measured_n = fts.majorant_norm(gamma.solvable, r - delta, domain)
+    measured_r = fts.majorant_norm(gamma.resonant, r - delta, domain)
     bound_p = bc.xi() * nw
 
     def row(measured, bound):
@@ -290,8 +290,8 @@ def certify_bounds(w: FourierTaylorSeries, z: FourierTaylorSeries,
         },
         "bounds": {
             "derivation": row(measured_g, bound_g),
-            "solvable_projection": row(measured_n, bound_p),
-            "resonant_projection": row(measured_r, bound_p),
+            "solvable": row(measured_n, bound_p),
+            "resonant": row(measured_r, bound_p),
         },
     }
 
@@ -464,10 +464,10 @@ def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
                 f"input norm {nv:.3g} exceeds the smallness budget "
                 f"{budget:.3g}; the quantitative contraction is not certified",
                 RuntimeWarning)
-    rv, nv0 = ops.split_projections(v, q, params, dio, domain=domain)
     gamma = ops.Derivation(v, q, params, dio, domain=domain)
-    out, terms = _lie_series(gamma, v, nv0, fts.zeros(v.trunc, v.rho), tol,
-                             max_terms, domain)
+    rv = gamma.resonant
+    out, terms = _lie_series(gamma, v, gamma.solvable, fts.zeros(v.trunc, v.rho),
+                             tol, max_terms, domain)
     q_star = _curvature_update(q, rv)
     return LieTransformResult(v_star=out, rv=rv, q_star=q_star,
                               series_terms_used=terms,

@@ -10,14 +10,15 @@ that splitting and the derivation that realizes the removal:
   degree >= 2, against the fluctuating degree-0 and all degree-1 terms).
 - ``small_divisor_solve``: inverts the drift ``omega d_theta + d_t`` on
   fluctuating modes of degree <= 1, the only place small divisors appear.
-- ``translation_coefficient`` / ``projection_correction``: the curvature-aware
-  corrections. The full projections ``resonant_projection`` and
-  ``solvable_projection`` differ from the basic ones exactly by the latter;
-  ``split_projections`` returns both from one correction.
-- ``Derivation``: the derivation Gamma_f with
-  H(Gamma_f g) - Gamma_f(H g) = {solvable_projection(f), g} for the
-  generator ``H = omega d_theta + d_t + {Q x^2 / 2, .}``, built once per f
-  and applied as one bracket; ``homological_derivation`` applies it once.
+- ``translation_coefficient``: the coefficient a_f of the x-translation,
+  the one divisor sum outside ``small_divisor_solve``.
+- ``Derivation``: everything one generator f needs, from one homological
+  solve. It holds the curvature correction K, the full projections
+  R f = basic_resonant(f) - K and N f = basic_solvable(f) + K, and the
+  derivation Gamma_f with H(Gamma_f g) - Gamma_f(H g) = {N f, g} for the
+  generator ``H = omega d_theta + d_t + {Q x^2 / 2, .}``, applied as one
+  bracket. ``projection_correction`` and ``homological_derivation`` are
+  one-line uses of it.
 
 ``run_identity_suite`` verifies all of the exact operator identities on
 randomized inputs whose support is kept far enough inside the truncation
@@ -49,9 +50,6 @@ __all__ = [
     "small_divisor_solve",
     "translation_coefficient",
     "projection_correction",
-    "resonant_projection",
-    "solvable_projection",
-    "split_projections",
     "half_curvature_x2",
     "hamiltonian_apply",
     "Derivation",
@@ -334,56 +332,6 @@ def translation_coefficient(f: FourierTaylorSeries, q: FourierTaylorSeries,
     return _strip_imag(out, "translation coefficient") if f.is_real and q.is_real else out
 
 
-def _inner_drive(f, q, params, af, dio, min_divisor,
-                 domain: DomainConfig = DEFAULT_DOMAIN):
-    """Q * (a_f + d_theta G_s P0 f), the source shared by Gamma and K."""
-    v0 = small_divisor_solve(project_degree(f, 0), params, dio, min_divisor)
-    return fts.scale(q, af) + fts.multiply(q, fts.partial_theta(v0), domain)
-
-
-def projection_correction(f: FourierTaylorSeries, q: FourierTaylorSeries,
-                          params: AlgebraParams,
-                          dio: DiophantineParams = None,
-                          min_divisor: float = 1e-13,
-                          domain: DomainConfig = DEFAULT_DOMAIN) -> FourierTaylorSeries:
-    """Curvature correction K moving terms between the basic projections."""
-    af = translation_coefficient(f, q, params, dio, min_divisor)
-    const = fts.from_terms([(0, 0, 0, params.rho * params.omega * af)], f.trunc, f.rho)
-    u = project_degree(fts.partial_x(f), 0)
-    inner = _inner_drive(f, q, params, af, dio, min_divisor, domain)
-    w = small_divisor_solve(u + fts.scale(inner, -1.0 / params.rho),
-                            params, dio, min_divisor)
-    return const + fts.poisson_bracket(half_curvature_x2(q), _lift_degree(w), domain)
-
-
-def resonant_projection(f: FourierTaylorSeries, q: FourierTaylorSeries,
-                        params: AlgebraParams,
-                        dio: DiophantineParams = None,
-                        min_divisor: float = 1e-13,
-                        domain: DomainConfig = DEFAULT_DOMAIN) -> FourierTaylorSeries:
-    """Part of f that survives into the normal form."""
-    return basic_resonant(f) - projection_correction(f, q, params, dio, min_divisor, domain)
-
-
-def solvable_projection(f: FourierTaylorSeries, q: FourierTaylorSeries,
-                        params: AlgebraParams,
-                        dio: DiophantineParams = None,
-                        min_divisor: float = 1e-13,
-                        domain: DomainConfig = DEFAULT_DOMAIN) -> FourierTaylorSeries:
-    """Part of f removed by the homological derivation; complements the resonant part."""
-    return basic_solvable(f) + projection_correction(f, q, params, dio, min_divisor, domain)
-
-
-def split_projections(f: FourierTaylorSeries, q: FourierTaylorSeries,
-                      params: AlgebraParams,
-                      dio: DiophantineParams = None,
-                      min_divisor: float = 1e-13,
-                      domain: DomainConfig = DEFAULT_DOMAIN):
-    """(resonant_projection(f), solvable_projection(f)) from one correction K."""
-    k = projection_correction(f, q, params, dio, min_divisor, domain)
-    return basic_resonant(f) - k, basic_solvable(f) + k
-
-
 def hamiltonian_apply(g: FourierTaylorSeries, q: FourierTaylorSeries,
                       params: AlgebraParams,
                       domain: DomainConfig = DEFAULT_DOMAIN) -> FourierTaylorSeries:
@@ -393,32 +341,55 @@ def hamiltonian_apply(g: FourierTaylorSeries, q: FourierTaylorSeries,
 
 
 class Derivation:
-    """The derivation Gamma_f for one generator f, built once.
+    """The derivation Gamma_f and the projections of one generator f, built once.
 
     Gamma_f = {G_s f, .} - (a_f / rho) d_x - {x W_f, .} with W_f built from
     the curvature drive; it satisfies the operator identity
-    H(Gamma_f g) - Gamma_f(H g) = {solvable_projection(f), g}.
+    H(Gamma_f g) - Gamma_f(H g) = {N f, g}.
 
-    Construction forms every small divisor: G_s f, a_f, the inner drive and
-    x W_f. By bilinearity of the bracket, ``gamma(g)`` is then one bracket
+    Construction forms every small divisor once: G_s f, a_f, the inner drive
+    Q (a_f + d_theta G_s P0 f), and from that drive both x W_f and the
+    curvature correction K that turns the basic projections into R f and
+    N f. By bilinearity of the bracket, ``gamma(g)`` is then one bracket
     with the stored generator ``G = G_s f - x W_f`` plus an x-derivative.
 
     Attributes
     ----------
+    correction : FourierTaylorSeries
+        K, the curvature correction moving terms between the basic
+        projections.
+    resonant : FourierTaylorSeries
+        R f = basic_resonant(f) - K, the part that stays in the normal form.
+    solvable : FourierTaylorSeries
+        N f = basic_solvable(f) + K, the part Gamma_f removes; R f + N f = f.
     generator : FourierTaylorSeries
         G_s f - x W_f.
     shift : float or complex
         a_f / rho, the coefficient of the translation d_x.
     """
 
-    __slots__ = ("generator", "shift", "domain")
+    __slots__ = ("correction", "resonant", "solvable", "generator", "shift",
+                 "domain")
 
     def __init__(self, f: FourierTaylorSeries, q: FourierTaylorSeries,
                  params: AlgebraParams, dio: DiophantineParams = None,
                  min_divisor: float = 1e-13,
                  domain: DomainConfig = DEFAULT_DOMAIN):
         af = translation_coefficient(f, q, params, dio, min_divisor)
-        inner = _inner_drive(f, q, params, af, dio, min_divisor, domain)
+        v0 = small_divisor_solve(project_degree(f, 0), params, dio, min_divisor)
+        inner = fts.scale(q, af) + fts.multiply(q, fts.partial_theta(v0), domain)
+
+        const = fts.from_terms([(0, 0, 0, params.rho * params.omega * af)],
+                               f.trunc, f.rho)
+        u = project_degree(fts.partial_x(f), 0)
+        w = small_divisor_solve(u + fts.scale(inner, -1.0 / params.rho),
+                                params, dio, min_divisor)
+        k = const + fts.poisson_bracket(half_curvature_x2(q), _lift_degree(w),
+                                        domain)
+        self.correction = k
+        self.resonant = basic_resonant(f) - k
+        self.solvable = basic_solvable(f) + k
+
         xw = _lift_degree(small_divisor_solve(
             fts.scale(inner, 1.0 / params.rho), params, dio, min_divisor))
         self.generator = small_divisor_solve(f, params, dio, min_divisor) - xw
@@ -429,6 +400,15 @@ class Derivation:
         """Gamma_f g = {G, g} - (a_f / rho) d_x g."""
         return (fts.poisson_bracket(self.generator, g, self.domain)
                 + fts.scale(fts.partial_x(g), -self.shift))
+
+
+def projection_correction(f: FourierTaylorSeries, q: FourierTaylorSeries,
+                          params: AlgebraParams,
+                          dio: DiophantineParams = None,
+                          min_divisor: float = 1e-13,
+                          domain: DomainConfig = DEFAULT_DOMAIN) -> FourierTaylorSeries:
+    """Curvature correction K moving terms between the basic projections."""
+    return Derivation(f, q, params, dio, min_divisor, domain).correction
 
 
 def homological_derivation(f: FourierTaylorSeries, g: FourierTaylorSeries,
@@ -526,8 +506,10 @@ def run_identity_suite(params: AlgebraParams, q: FourierTaylorSeries = None,
                                    l_t_max=win["l_t"], l_theta_max=win["l_theta"],
                                    n_x_max=win["n_x"])
         nf = max(_l1(f), 1e-300)
-        rf, solv = split_projections(f, q, params, dio, domain=domain)
-        rrf, nrf = split_projections(rf, q, params, dio, domain=domain)
+        gamma_f = Derivation(f, q, params, dio, domain=domain)
+        gamma_rf = Derivation(gamma_f.resonant, q, params, dio, domain=domain)
+        rf, solv = gamma_f.resonant, gamma_f.solvable
+        rrf, nrf = gamma_rf.resonant, gamma_rf.solvable
 
         worst["resonant_idempotent"] = max(
             worst["resonant_idempotent"], _l1(rrf - rf) / max(_l1(rf), 1e-300))
@@ -550,8 +532,6 @@ def run_identity_suite(params: AlgebraParams, q: FourierTaylorSeries = None,
             worst["translation_kills_basic_resonant"],
             abs(translation_coefficient(rsf, q, params, dio)) / nf)
 
-        gamma_f = Derivation(f, q, params, dio, domain=domain)
-        gamma_rf = Derivation(rf, q, params, dio, domain=domain)
         for g in probes:
             ng = max(_l1(g), 1e-300)
             worst["derivation_after_resonant"] = max(
@@ -584,14 +564,13 @@ def verify_homological(f: FourierTaylorSeries, q: FourierTaylorSeries,
     if probes is None:
         probes = probe_basket(f.trunc, params.rho)
     nf = max(fts.majorant_norm(f, working_r, domain), 1e-300)
-    solv = solvable_projection(f, q, params, dio, domain=domain)
     gamma = Derivation(f, q, params, dio, domain=domain)
     worst = 0.0
     for g in probes:
         ng = max(fts.majorant_norm(g, working_r, domain), 1e-300)
         lhs = hamiltonian_apply(gamma(g), q, params, domain)
         rhs = gamma(hamiltonian_apply(g, q, params, domain))
-        want = fts.poisson_bracket(solv, g, domain)
+        want = fts.poisson_bracket(gamma.solvable, g, domain)
         resid = (lhs - rhs) - want
         worst = max(worst, fts.majorant_norm(resid, working_r, domain) / (nf * ng))
     return worst
@@ -609,7 +588,7 @@ def verify_gr_zero(f: FourierTaylorSeries, q: FourierTaylorSeries,
     if probes is None:
         probes = probe_basket(f.trunc, params.rho)
     nf = max(fts.majorant_norm(f, working_r, domain), 1e-300)
-    rf = resonant_projection(f, q, params, dio, domain=domain)
+    rf = Derivation(f, q, params, dio, domain=domain).resonant
     gamma = Derivation(rf, q, params, dio, domain=domain)
     worst = 0.0
     for g in probes:

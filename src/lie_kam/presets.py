@@ -22,6 +22,7 @@ __all__ = [
     "default_params",
     "default_diophantine",
     "reduced_drive_series",
+    "preset_drive_series",
     "preset_inertia",
 ]
 
@@ -141,6 +142,19 @@ def reduced_drive_series(eps: float, nu: int = 1, x0: float = None,
         terms[(nu, 2, n)] = -base * pn / 16.0
         terms[(nu, -2, n)] = -base * pn / 16.0
     return fts.from_real_terms(terms, trunc, rho)
+
+
+def preset_drive_series(name: str, eps: float, params: AlgebraParams,
+                        trunc: TruncationSpec) -> fts.FourierTaylorSeries:
+    """Reduced drive of a reduced-chart preset at amplitude eps.
+
+    Applies the preset's amplitude scale and integer drive frequency to
+    :func:`reduced_drive_series`, centered at ``params.x0``.
+    """
+    cfg = PRESETS[name]
+    return reduced_drive_series(cfg["inverse_amplitude_per_eps"] * eps,
+                                nu=int(round(cfg["drive_frequency"])),
+                                x0=params.x0, trunc=trunc, rho=params.rho)
 
 
 def preset_inertia(name: str, eps: float = None) -> InertiaSpec:

@@ -325,20 +325,16 @@ def reduced_field(x, theta, t, params: AlgebraParams,
     --------
     >>> p = AlgebraParams()
     >>> xd, td = reduced_field(0.0, 0.3, 0.0, p)
-    >>> (xd, abs(td - p.omega) < 1e-15)
+    >>> (float(xd), bool(abs(td - p.omega) < 1e-15))
     (0.0, True)
     """
     x = np.asarray(x, dtype=np.float64)
-    if v_series is not None and np.any(np.abs(x) > _x_cap(domain)):
+    if v_series is not None and np.any(np.abs(x) > domain.x_cap):
         raise ValueError(
             f"evaluation outside domain radius |x| <= {domain.x_half}")
     f = make_reduced_field(params, v_series, domain)
     out = f(t, np.stack([x, np.asarray(theta, dtype=np.float64)], axis=-1))
     return out[..., 0], out[..., 1]
-
-
-def _x_cap(domain: DomainConfig):
-    return domain.x_half * (1 + 1e-12) + 1e-15
 
 
 def _compile_terms(series_list, domain: DomainConfig):
@@ -360,7 +356,7 @@ def _compile_terms(series_list, domain: DomainConfig):
     l, m, n, c = (np.array(col).reshape(len(rows), width)
                   for col in zip(*padded))
     degrees = range(int(n.max()) + 1)
-    x_cap = _x_cap(domain)
+    x_cap = domain.x_cap
 
     def ev(x, th, t):
         # per-term real parts sum to the real value on a hermitian box;

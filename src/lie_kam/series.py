@@ -132,6 +132,11 @@ class DomainConfig:
     def radius(self, r: float) -> float:
         return self.x_half + r
 
+    @property
+    def x_cap(self) -> float:
+        """Largest |x| accepted as inside the domain: x_half plus rounding slack."""
+        return self.x_half * (1 + 1e-12) + 1e-15
+
 
 DEFAULT_DOMAIN = DomainConfig()
 
@@ -542,7 +547,11 @@ def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries,
     _check_rho(a, b)
     p = multiply(partial_x(a), partial_theta(b), domain)
     q = multiply(partial_theta(a), partial_x(b), domain)
-    return scale(p - q, 1.0 / a.rho)
+    # p and q share the merged box: one construction for (p - q) / rho
+    c = 1.0 / a.rho
+    return FourierTaylorSeries((p.coeffs - q.coeffs) * c, p.trunc, a.rho,
+                               tail_norm=(p.tail_norm + q.tail_norm) * c,
+                               real=_real_from(p, q))
 
 
 # -- evaluation and norms ---------------------------------------------------
@@ -576,7 +585,7 @@ def evaluate(a: FourierTaylorSeries, x, theta, t,
     discarded; complex series return complex values.
     """
     x = np.asarray(x, dtype=np.float64)
-    if np.any(np.abs(x) > domain.x_half * (1 + 1e-12) + 1e-15):
+    if np.any(np.abs(x) > domain.x_cap):
         raise ValueError(
             f"evaluation outside domain radius |x| <= {domain.x_half}")
     val = _evaluate_raw(a, x, theta, t)

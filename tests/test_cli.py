@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from lie_kam import cli
 from lie_kam import presets as pr
@@ -13,6 +14,7 @@ from lie_kam import series as fts
 from lie_kam.operators import AlgebraParams
 
 FAST_SIM = ["--T", "2.0", "--h", "0.01"]
+COMMANDS = ["simulate", "section", "normalize", "iterate", "bounds", "verify"]
 
 
 def run(argv):
@@ -192,6 +194,23 @@ def test_config_file_merging(tmp_path):
     assert run(["simulate", "--config", str(bad), "--preset", "fig1"]) == 1
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_config_keys_are_the_flags(tmp_path, command):
+    parser = cli._build_parser()
+    flags = set(vars(parser.parse_args([command]))) \
+        - {"command", "func", "config", "config_keys"}
+    assert ("section" in flags) == (command == "simulate")
+    cfg = tmp_path / "cfg.json"
+    doc = {key: 1 for key in flags}
+    doc.update(algebra={}, truncation={})
+    cfg.write_text(json.dumps(doc))
+    args = parser.parse_args([command, "--config", str(cfg)])
+    assert cli._load_config(args) == doc
+    for bad in ({"bogus": 1}, {"config": "x"}, {"func": 1}):
+        cfg.write_text(json.dumps(bad))
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+
+
 def test_non_finite_config_value_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"eps": NaN}')
@@ -304,13 +323,22 @@ def test_verify_passes_with_one_trial(tmp_path, capsys):
     assert "FAIL" not in out
 
 
-def test_verify_rational_rotation_number_fails(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["normalize", "iterate", "bounds", "verify"])
+def test_verify_rational_rotation_number_fails(tmp_path, capsys, command):
+    # omega = -0.2: every command writes its own report before exiting 2
+    report, extra = {
+        "normalize": ("normalize_report.json", ["--eps", "1e-3"]),
+        "iterate": ("iterate_ledger.json", []),
+        "bounds": ("bounds_report.json", ["--trials", "1"]),
+        "verify": ("verify_report.json", ["--trials", "1"]),
+    }[command]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"algebra": {"x0": 0.6}}))
-    rc = run(["verify", "--trials", "1", "--config", str(cfg),
-              "--out", str(tmp_path)])
+    rc = run([command, *extra, "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
-    rep = read_json(tmp_path / "verify_report.json")
+    rep = read_json(tmp_path / report)
+    assert rep["config"]["command"] == command
+    assert rep["config"]["algebra"]["x0"] == 0.6
     assert rep["pass"] is False
     assert rep["first_failure"] == "diophantine"
     err = capsys.readouterr().err

@@ -255,7 +255,8 @@ def test_derivation_generator_keeps_inner_drive_tail():
     v = pr.reduced_drive_series(1e-3, trunc=box)
     q = ops.generic_curvature(PARAMS, box)
     af = ops.translation_coefficient(v, q, PARAMS)
-    inner = ops._inner_drive(v, q, PARAMS, af, None, 1e-13)
+    g0 = ops.small_divisor_solve(ops.project_degree(v, 0), PARAMS)
+    inner = fts.scale(q, af) + fts.multiply(q, fts.partial_theta(g0))
     assert v.tail_norm == 0.0 and inner.tail_norm > 0.0
     gen = ops.Derivation(v, q, PARAMS).generator
     assert gen.tail_norm == pytest.approx(inner.tail_norm / PARAMS.rho, rel=1e-15)
@@ -280,6 +281,24 @@ def test_v_star_solves_do_not_grow_with_lie_terms(monkeypatch):
         solves[res.series_terms_used] = len(calls)
     assert len(solves) == 2, solves
     assert len(set(solves.values())) == 1, solves
+
+
+def test_v_star_builds_one_derivation(monkeypatch):
+    # R V, N V and Gamma_V come from one homological solve, so the a_V
+    # divisor sum is formed once per step
+    calls = []
+    coefficient = ops.translation_coefficient
+
+    def counting_coefficient(*args, **kwargs):
+        calls.append(1)
+        return coefficient(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "translation_coefficient", counting_coefficient)
+    for eps in (1e-5, 1e-2):
+        calls.clear()
+        nf.compute_v_star(pr.reduced_drive_series(eps), Q_SERIES, PARAMS,
+                          dio=DIO)
+        assert len(calls) == 1, (eps, len(calls))
 
 
 def test_v_star_budget_warning():
@@ -307,14 +326,14 @@ def test_normal_form_preserves_degree_ge2():
     # H + {RV, .} maps the zero-jet subspace into the resonant range
     rng = np.random.default_rng(23)
     v = pr.reduced_drive_series(1e-3)
-    rv = ops.resonant_projection(v, Q_SERIES, PARAMS, DIO)
+    rv = ops.Derivation(v, Q_SERIES, PARAMS, DIO).resonant
     for _ in range(5):
         f = ops.project_degree_ge(small_series(rng, n_terms=12), 2)
         h = ops.hamiltonian_apply(f, Q_SERIES, PARAMS) \
             + fts.poisson_bracket(rv, f)
         nh = fts.majorant_norm(h, 0.0)
         assert fts.majorant_norm(
-            ops.solvable_projection(h, Q_SERIES, PARAMS, DIO), 0.0) \
+            ops.Derivation(h, Q_SERIES, PARAMS, DIO).solvable, 0.0) \
             <= 1e-9 * max(nh, 1e-300)
 
 

@@ -140,8 +140,9 @@ def test_full_projections_match_oracle():
                                 TR.l_t, TR.l_theta, TR.n_x)
         ref_n = oracle.restrict(oracle.n_proj(d, Q_DICT, PARAMS.rho, PARAMS.omega),
                                 TR.l_t, TR.l_theta, TR.n_x)
-        assert oracle.diff_norm(ref_r, ops.resonant_projection(s, Q_SERIES, PARAMS)) < 1e-13
-        assert oracle.diff_norm(ref_n, ops.solvable_projection(s, Q_SERIES, PARAMS)) < 1e-13
+        gamma = ops.Derivation(s, Q_SERIES, PARAMS)
+        assert oracle.diff_norm(ref_r, gamma.resonant) < 1e-13
+        assert oracle.diff_norm(ref_n, gamma.solvable) < 1e-13
 
 
 def test_hamiltonian_apply_matches_oracle():
@@ -199,7 +200,8 @@ def test_operators_keep_reality_exactly():
     q = ops.generic_curvature(PARAMS, TruncationSpec(n_x=0, l_theta=2, l_t=2))
     for f in inputs:
         assert _exactly_real(f)
-        res, solv = ops.split_projections(f, Q_SERIES, PARAMS)
+        split = ops.Derivation(f, Q_SERIES, PARAMS)
+        res, solv = split.resonant, split.solvable
         outs = [ops.average_op(f), ops.fluctuation_op(f), ops.project_degree(f, 1),
                 ops.project_degree_le(f, 1), ops.project_degree_ge(f, 2),
                 ops.basic_resonant(f), ops.basic_solvable(f), res, solv,
