@@ -5,6 +5,13 @@ fixed-step RK4; the reduced chart (X, theta) on the sphere of radius rho
 drives the same dynamics through the series algebra, so the two integrators
 cross-validate each other. Sections, chart transforms, conservation
 diagnostics and CSV emission live here too.
+
+The reduced field compiles both derivatives of a real drive series into one
+table of real harmonics on the upper half lattice (l > 0, or l = 0 and
+m > 0, plus (0, 0)); the mirror half of a real series is the complex
+conjugate and only doubles each term's real part. RK4 batches are
+bit-identical member by member to their solo runs; the compiled sums agree
+with the dense series evaluation up to rounding.
 """
 
 import io
@@ -337,63 +344,90 @@ def reduced_field(x, theta, t, params: AlgebraParams,
     return out[..., 0], out[..., 1]
 
 
-def _compile_terms(series_list, domain: DomainConfig):
-    """Joint nonzero-term evaluator for a few real series.
-
-    The terms of all series are broadcast together over the arrays
-    (l, m, n, c), one row per series padded at its end with zero terms;
-    ``ev(x, th, t)`` returns the series values on a new last axis. Orders
-    faster than the dense path for the few-term drive series the
-    integrator sees. Points with |x| beyond the domain radius evaluate to
-    NaN, so an integrated member that leaves the chart domain aborts.
-    """
-    if not all(series.is_real for series in series_list):
-        raise fts.RealityError("reduced fields need real perturbation series")
-    rows = [list(series.nonzero_terms()) for series in series_list]
-    width = max(1, *map(len, rows))
-    padded = [term for row in rows
-              for term in row + [(0, 0, 0, 0j)] * (width - len(row))]
-    l, m, n, c = (np.array(col).reshape(len(rows), width)
-                  for col in zip(*padded))
-    degrees = range(int(n.max()) + 1)
-    x_cap = domain.x_cap
-
-    def ev(x, th, t):
-        # per-term real parts sum to the real value on a hermitian box;
-        # x ** k per degree, a sequential sum from +0.0 and trailing zero
-        # terms keep the bits of a loop over the terms
-        phase = l * np.asarray(t)[..., None, None] + m * th[..., None, None]
-        wave = (c * np.exp(1j * phase)).real
-        powers = np.stack([x ** k for k in degrees], axis=-1)
-        sums = 0.0 + np.add.accumulate(wave * powers[..., n], axis=-1)[..., -1]
-        return np.where(np.abs(x)[..., None] > x_cap, np.nan, sums)
-    return ev
-
-
 def make_reduced_field(params: AlgebraParams,
                        v_series: FourierTaylorSeries = None,
                        domain: DomainConfig = DEFAULT_DOMAIN):
     """Compile the reduced velocity field into an RK4-ready closure.
 
-    States y have shape (..., 2) with columns (x, theta); with a
-    perturbation series, |x| beyond the domain radius gives NaN velocities.
+    States y have shape (..., 2) with columns (x, theta). With a
+    perturbation series V the field is
+
+        dx/dt = -(1/rho) dV/dtheta,
+        dtheta/dt = rho Delta (x0 + x) + (1/rho) dV/dx,
+
+    and |x| beyond the domain radius gives NaN velocities, so an
+    integrated member that leaves the chart domain aborts.
+
+    Both derivatives are compiled into one real table over the union of
+    their (l, m) harmonics. A real series pairs c_{l,m,n} with its mirror
+    conj(c_{l,m,n}) at (-l, -m), and the pair sums to
+    2 (Re c cos(phase) - Im c sin(phase)) x^n, so the upper half lattice
+    (l > 0, or l = 0 and m > 0, weight 2; (0, 0) weight 1) holds the whole
+    series. The table stores the weighted Re c and -Im c per (harmonic,
+    degree, output); a call forms one phase array, its cosine and sine,
+    the powers of x by repeated multiplication and one sequential sum
+    (``np.add.accumulate``) over the table rows for each output.
+
+    Every operation is elementwise over the members or a fixed-order sum
+    along a table axis, so a member of a batch (..., 2) gets the bits of
+    its solo call on (2,). The sums agree with the dense evaluation
+    (``series.evaluate``) up to rounding, not bit for bit.
+
+    Raises
+    ------
+    RealityError
+        If dV/dtheta or dV/dx is not a real series.
     """
     rho, delta, x0 = params.rho, params.delta, params.x0
+    rho_delta = rho * delta
     if v_series is None:
         def fieldfn(t, y):
             out = np.zeros_like(y)
-            out[..., 1] = rho * delta * (x0 + y[..., 0])
+            out[..., 1] = rho_delta * (x0 + y[..., 0])
             return out
         return fieldfn
-    ev = _compile_terms((fts.partial_theta(v_series), fts.partial_x(v_series)),
-                        domain)
+    parts = (fts.partial_theta(v_series), fts.partial_x(v_series))
+    if not all(part.is_real for part in parts):
+        raise fts.RealityError("reduced fields need real perturbation series")
+    tr = v_series.trunc
+    nonzero = (parts[0].coeffs != 0) | (parts[1].coeffs != 0)  # (l, m, n)
+    used = nonzero.any(axis=2)
+    used[:tr.l_t] = False  # l < 0: the mirror half
+    used[tr.l_t, :tr.l_theta] = False  # l = 0, m < 0
+    # a zero series keeps the (0, 0) row, so the domain check still applies
+    used[tr.l_t, tr.l_theta] |= not used.any()
+    li, mi = np.nonzero(used)
+    degrees = np.nonzero(nonzero.any(axis=(0, 1)))[0]
+    n_deg = int(degrees[-1]) + 1 if len(degrees) else 1
+    center = (li == tr.l_t) & (mi == tr.l_theta)
+    weight = np.where(center, 1.0, 2.0)[:, None, None]
+    half = np.stack([part.coeffs[li, mi, :n_deg] for part in parts],
+                    axis=-1)  # (harmonic, degree, out)
+    # rows (cos | sin, harmonic, degree), one contiguous row per output
+    table = np.concatenate([weight * half.real, -weight * half.imag])
+    table = np.ascontiguousarray(table.reshape(-1, 2).T)
+    wave_l = (li - tr.l_t).astype(np.float64)
+    wave_m = (mi - tr.l_theta).astype(np.float64)
+    scale = np.array([-1.0 / rho, 1.0 / rho])
+    x_cap = domain.x_cap
 
     def fieldfn(t, y):
         x = y[..., 0]
-        dv = ev(x, y[..., 1], t)
-        out = np.empty_like(y)
-        out[..., 0] = -dv[..., 0] / rho
-        out[..., 1] = rho * delta * (x0 + x) + dv[..., 1] / rho
+        phase = y[..., 1:] * wave_m + t * wave_l
+        trig = np.concatenate((np.cos(phase), np.sin(phase)), axis=-1)
+        powers = np.empty(x.shape + (n_deg,))
+        powers[..., 0] = 1.0
+        powers[..., 1:] = x[..., None]
+        powers = np.multiply.accumulate(powers, axis=-1)
+        terms = (trig[..., :, None] * powers[..., None, :]).reshape(
+            x.shape + (1, -1)) * table
+        out = np.add.accumulate(terms, axis=-1)[..., -1] * scale
+        out[..., 1] += rho_delta * (x0 + x)
+        # one check for the common in-domain batch; a NaN member (frozen
+        # after an abort) fails it too, so it cannot hide another's exit
+        size = np.abs(x)
+        if not size.max() <= x_cap:
+            out[size > x_cap] = np.nan
         return out
     return fieldfn
 
@@ -492,10 +526,6 @@ def sample_sphere(n: int, rho: float, rng) -> np.ndarray:
 # -- CSV emission -------------------------------------------------------------
 
 
-def _format_row(vals):
-    return ",".join(f"{v:.17g}" for v in vals)
-
-
 def write_trajectory_csv(path, traj: Trajectory, kind: str,
                          config: dict = None):
     """Write `t,M1,M2,M3` or `t,X,theta` rows with a config comment line.
@@ -517,8 +547,10 @@ def write_trajectory_csv(path, traj: Trajectory, kind: str,
     if config is not None:
         buf.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
     buf.write(header + "\n")
-    for t, row in zip(traj.t, traj.y):
-        buf.write(_format_row([t, *row]) + "\n")
+    # every value as %.17g, all rows formatted by one call
+    values = np.column_stack([traj.t, traj.y]).ravel().tolist()
+    row = ",".join(["%.17g"] * (1 + width)) + "\n"
+    buf.write(row * len(traj) % tuple(values))
     text = buf.getvalue()
     if hasattr(path, "write"):
         path.write(text)

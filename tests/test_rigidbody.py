@@ -213,7 +213,7 @@ def test_reduced_field_unperturbed():
 
 
 def test_reduced_field_matches_dense_evaluation():
-    # the compiled per-term evaluator must agree with the dense series path
+    # the compiled field must agree with the dense series path
     p = AlgebraParams()
     v = pr.reduced_drive_series(2e-3)
     vx = fts.partial_x(v)
@@ -247,6 +247,137 @@ def test_reduced_field_rejects_domain_exit():
                             0.1, 1.0)
     assert list(traj.aborted) == [True, False]
     assert len(traj.members()[0]) == 1
+
+
+def _general_series(seed):
+    """Random real series over the whole default box, plus l = 0 and m = 0
+    harmonics and constant (0, 0, n) terms up to degree n_x."""
+    trunc = pr.DEFAULT_TRUNC
+    rng = np.random.default_rng(seed)
+    extra = fts.from_real_terms(
+        [(0, 0, 0, 0.7), (0, 0, 3, -0.4), (0, 0, trunc.n_x, 0.9),
+         (0, 3, 2, 0.2 - 0.5j), (0, trunc.l_theta, trunc.n_x, -0.3j),
+         (2, 0, 1, 0.6 + 0.1j), (trunc.l_t, 0, 4, -0.25)], trunc, RHO)
+    return fts.random_real_series(trunc, RHO, rng) + extra
+
+
+def _dense_field_tolerance(v, p, x):
+    """Bound on |compiled - dense| for both velocity components.
+
+    Each side sums at most N = nnz(dV) products c x^n e^{i phase}, with
+    |x| <= x_half < 1 and a unit-modulus wave, so the sum of the term
+    magnitudes is at most sum |c|. Recursive summation of N terms, each
+    formed by at most n_x + 4 roundings (power, trig, two products),
+    errs by at most (N + n_x + 4) eps sum |c|; allow that for each side,
+    both scaled by 1/rho, plus one rounding of rho Delta (x0 + x).
+    """
+    n_x = v.trunc.n_x
+    tols = []
+    for part in (fts.partial_theta(v), fts.partial_x(v)):
+        nnz = np.count_nonzero(part.coeffs)
+        mass = float(np.sum(np.abs(part.coeffs)))
+        tols.append(2.0 * (nnz + n_x + 4) * np.finfo(float).eps * mass / p.rho)
+    tols[1] += np.finfo(float).eps * abs(p.rho * p.delta * (p.x0 + x))
+    return tols
+
+
+def test_reduced_field_matches_dense_on_general_series():
+    # degrees up to n_x (repeated multiplication, not x ** n), l = 0 and
+    # m = 0 harmonics and constant (0, 0, n) terms on both outputs
+    p = AlgebraParams()
+    x_half = fts.DEFAULT_DOMAIN.x_half
+    rng = np.random.default_rng(21)
+    for seed in range(4):
+        v = _general_series(seed)
+        vth, vx = fts.partial_theta(v), fts.partial_x(v)
+        fieldfn = rb.make_reduced_field(p, v)
+        x = rng.uniform(-x_half, x_half, size=40)
+        th = rng.uniform(0.0, 2.0 * math.pi, size=40)
+        t = float(rng.uniform(0.0, 10.0))
+        out = fieldfn(t, np.stack([x, th], axis=-1))
+        tol_x, tol_th = _dense_field_tolerance(v, p, x)
+        want_x = -fts.evaluate(vth, x, th, t) / p.rho
+        want_th = p.rho * p.delta * (p.x0 + x) + fts.evaluate(vx, x, th, t) / p.rho
+        assert np.all(np.abs(out[:, 0] - want_x) <= tol_x)
+        assert np.all(np.abs(out[:, 1] - want_th) <= tol_th)
+
+
+def test_reduced_field_time_only_drive_has_no_x_velocity():
+    # V without theta modes: dV/dtheta is identically zero, so dx/dt is
+    # exactly zero while dtheta/dt follows the dense dV/dx
+    trunc = pr.DEFAULT_TRUNC
+    p = AlgebraParams()
+    v = fts.from_real_terms([(0, 0, 0, 0.3), (0, 0, 2, -0.2),
+                             (1, 0, 3, 0.4 - 0.1j), (3, 0, 1, 0.05j)],
+                            trunc, RHO)
+    assert not np.any(fts.partial_theta(v).coeffs)
+    fieldfn = rb.make_reduced_field(p, v)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-0.25, 0.25, size=30)
+    th = rng.uniform(0.0, 2.0 * math.pi, size=30)
+    t = 1.7
+    out = fieldfn(t, np.stack([x, th], axis=-1))
+    assert np.all(out[:, 0] == 0.0)
+    want = (p.rho * p.delta * (p.x0 + x)
+            + fts.evaluate(fts.partial_x(v), x, th, t) / p.rho)
+    assert np.all(np.abs(out[:, 1] - want)
+                  <= _dense_field_tolerance(v, p, x)[1])
+
+
+def test_reduced_field_zero_series_is_unperturbed_in_domain():
+    p = AlgebraParams()
+    y = np.array([[0.1, 0.4], [-0.2, 5.0], [0.0, 0.0]])
+    fieldfn = rb.make_reduced_field(p, fts.zeros(pr.DEFAULT_TRUNC, RHO))
+    assert np.array_equal(fieldfn(0.3, y), rb.make_reduced_field(p)(0.3, y))
+    # a perturbation series, even zero, keeps the domain check
+    assert np.all(np.isnan(fieldfn(0.3, np.array([0.3, 0.4]))))
+
+
+def test_reduced_field_rejects_non_real_series():
+    v = fts.from_terms([(1, 2, 1, 0.5)], pr.DEFAULT_TRUNC, RHO)
+    assert not v.is_real
+    with pytest.raises(fts.RealityError):
+        rb.make_reduced_field(AlgebraParams(), v)
+
+
+def test_reduced_field_batch_is_bitwise_solo():
+    # a batch of shape (3, 4, 2) holds in-domain members, members beyond
+    # the domain and non-finite members; each gets the bits of its solo
+    # call, so a NaN member cannot hide another member's domain exit
+    fieldfn = rb.make_reduced_field(AlgebraParams(), _general_series(7))
+    rng = np.random.default_rng(3)
+    y = np.stack([rng.uniform(-0.25, 0.25, size=(3, 4)),
+                  rng.uniform(0.0, 2.0 * math.pi, size=(3, 4))], axis=-1)
+    y[0, 1, 0] = 0.3
+    y[1, 2, 0] = np.nan
+    y[1, 3, 0] = -0.26
+    y[2, 0, 1] = np.inf
+    with np.errstate(invalid="ignore"):
+        out = fieldfn(0.9, y)
+        solos = [fieldfn(0.9, y[idx]) for idx in np.ndindex(3, 4)]
+    assert out.shape == y.shape
+    for idx, solo in zip(np.ndindex(3, 4), solos):
+        assert np.array_equal(out[idx], solo, equal_nan=True)
+    assert np.all(np.isnan(out[0, 1])) and np.all(np.isnan(out[1, 3]))
+    assert np.all(np.isfinite(out[2, 1:]))
+
+
+def test_rk4_reduced_batch_is_bitwise_solo():
+    # V adds sin(theta) to a general series, so dx/dt ~ cos(theta) / rho
+    # pushes the member at theta = pi out of the domain within T, while
+    # the member started beyond it aborts at once and stays frozen there
+    v = _general_series(11) + fts.from_real_terms(
+        [(0, 1, 0, -0.5j)], pr.DEFAULT_TRUNC, RHO)
+    fieldfn = rb.make_reduced_field(AlgebraParams(), v)
+    y0 = np.array([[0.0, 0.3], [0.5, 1.0], [0.2, math.pi], [-0.1, 2.0]])
+    batch = rb.rk4_integrate(y0, fieldfn, 0.005, 1.0, stride=2)
+    assert batch.aborted[1] and batch.aborted[2]
+    assert batch.rows[1] == 1 and batch.rows[2] > 1
+    for k, member in enumerate(batch.members()):
+        solo = rb.rk4_integrate(y0[k], fieldfn, 0.005, 1.0, stride=2)
+        assert member.aborted is solo.aborted
+        assert np.array_equal(member.t, solo.t)
+        assert np.array_equal(member.y, solo.y)
 
 
 def test_cross_integrator_agreement():
@@ -401,3 +532,25 @@ def test_csv_kind_validation():
         rb.write_trajectory_csv(io.StringIO(), traj, "spherical")
     with pytest.raises(ValueError):
         rb.write_trajectory_csv(io.StringIO(), traj, "reduced")
+
+
+def test_csv_golden_bytes():
+    # the literal bytes of %.17g: signed zero, subnormal-range and 2**53
+    # values, the shortest round-trip digits, nan and both infinities
+    reduced = rb.Trajectory(t=np.array([-0.0, 0.1]),
+                            y=np.array([[1e-300, 2.0 ** 53], [np.nan, np.inf]]))
+    buf = io.StringIO()
+    rb.write_trajectory_csv(buf, reduced, "reduced", config={"T": 0.1})
+    assert buf.getvalue() == (
+        '# config: {"T": 0.1}\n'
+        "t,X,theta\n"
+        "-0,1e-300,9007199254740992\n"
+        "0.10000000000000001,nan,inf\n")
+    cartesian = rb.Trajectory(
+        t=np.array([0.0, 1.0]),
+        y=np.array([[-0.0, 0.1, -np.inf], [2.0 ** 53 + 2, 1e-300, np.nan]]))
+    buf = io.StringIO()
+    rb.write_trajectory_csv(buf, cartesian, "cartesian")
+    assert buf.getvalue() == ("t,M1,M2,M3\n"
+                              "0,-0,0.10000000000000001,-inf\n"
+                              "1,9007199254740994,1e-300,nan\n")
