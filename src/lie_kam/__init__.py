@@ -12,7 +12,6 @@ Subpackage map:
 from .series import (
     DomainConfig,
     FourierTaylorSeries,
-    NormEstimate,
     TruncationSpec,
 )
 
@@ -25,7 +24,6 @@ __all__ = [
     "BACKEND_NAME",
     "DomainConfig",
     "FourierTaylorSeries",
-    "NormEstimate",
     "TruncationSpec",
     "__version__",
 ]

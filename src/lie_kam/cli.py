@@ -40,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _ALGEBRA_KEYS = {"rho", "i_perp", "i_3", "x0"}
-_TRUNCATION_KEYS = {"n_x", "l_theta", "l_t", "pad"}
+_TRUNCATION_KEYS = {"n_x", "l_theta", "l_t"}
 
 # identities measured against the loose (--tol) tolerance; the rest are
 # exact cancellations held to 1e-12
@@ -150,7 +150,7 @@ def _truncation(config) -> TruncationSpec:
     return TruncationSpec(
         **{key: _number(tr.get(key, getattr(base, key)), f"truncation.{key}",
                         int)
-           for key in ("n_x", "l_theta", "l_t", "pad")})
+           for key in ("n_x", "l_theta", "l_t")})
 
 
 def _chart_config(params, trunc):
@@ -159,7 +159,7 @@ def _chart_config(params, trunc):
         "algebra": {"rho": params.rho, "i_perp": params.i_perp,
                     "i_3": params.i_3, "x0": params.x0},
         "truncation": {"n_x": trunc.n_x, "l_theta": trunc.l_theta,
-                       "l_t": trunc.l_t, "pad": trunc.pad},
+                       "l_t": trunc.l_t},
     }
 
 
@@ -199,20 +199,11 @@ def _diophantine(params, resolved, report_path):
     return dio
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars so json.dumps stays happy."""
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
-
-
 def _write_json(path, doc):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_plain(doc), fh, sort_keys=True, indent=2)
+        # numpy scalars are written as the Python numbers they hold
+        json.dump(doc, fh, sort_keys=True, indent=2,
+                  default=lambda o: o.item())
         fh.write("\n")
 
 
@@ -370,7 +361,7 @@ def cmd_simulate(args, config):
         if write_traj:
             name = f"{preset}_traj{i:03d}.csv"
             rb.write_trajectory_csv(os.path.join(out, name), traj, kind,
-                                    config=_plain(resolved))
+                                    config=resolved)
             rep["file"] = name
         if resolved["section"]:
             times, sec = _section(traj, resolved["period"],
@@ -378,7 +369,7 @@ def cmd_simulate(args, config):
             sec_name = f"{preset}_section{i:03d}.csv"
             rb.write_trajectory_csv(os.path.join(out, sec_name),
                                     rb.Trajectory(t=times, y=sec), "reduced",
-                                    config=_plain(resolved))
+                                    config=resolved)
             rep["section_file"] = sec_name
             rep["section_rows"] = len(sec)
         rows.append(rep)

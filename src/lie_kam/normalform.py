@@ -14,7 +14,7 @@ one-sided coefficient-sum certificates, not sharp operator norms.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +48,9 @@ __all__ = [
 
 _E = math.e
 _Q_FLOOR_DROP = 2.0 ** (-math.pi ** 2 / 3.0)
+
+# Lie-series term cap; reaching it warns and returns the partial sum
+_MAX_TERMS = 40
 
 
 class DivergenceError(ArithmeticError):
@@ -214,8 +217,8 @@ def compute_bound_constants(params: AlgebraParams, dio: DiophantineParams,
 
 def certify_bounds(w: FourierTaylorSeries, z: FourierTaylorSeries,
                    q: FourierTaylorSeries, params: AlgebraParams,
-                   dio: DiophantineParams, r: float, d: float, delta: float,
-                   domain: DomainConfig = DEFAULT_DOMAIN) -> dict:
+                   dio: DiophantineParams, r: float, d: float,
+                   delta: float) -> dict:
     """Check the bound hypotheses and measure the certified margins.
 
     Verifies the three hypotheses behind :func:`compute_bound_constants`
@@ -231,8 +234,8 @@ def certify_bounds(w: FourierTaylorSeries, z: FourierTaylorSeries,
         input of the projection estimates.
     q : FourierTaylorSeries
         Curvature coefficient series (degree-0 box).
-    params, dio, r, d, delta, domain
-        As in :func:`compute_bound_constants`.
+    params, dio, r, d, delta
+        As in :func:`compute_bound_constants`, on the default domain.
 
     Returns
     -------
@@ -248,7 +251,7 @@ def certify_bounds(w: FourierTaylorSeries, z: FourierTaylorSeries,
     HypothesisError
         If any of the three hypotheses fails on the data.
     """
-    bc = compute_bound_constants(params, dio, r, d, delta, domain)
+    bc = compute_bound_constants(params, dio, r, d, delta)
     boxes = [w.trunc, z.trunc, q.trunc]
     k_need = max(t.l_t + t.l_theta for t in boxes)
     k_eff = max(dio.k_scan, k_need)
@@ -260,19 +263,19 @@ def certify_bounds(w: FourierTaylorSeries, z: FourierTaylorSeries,
     q00 = abs(q.coeff(0, 0, 0))
     if q00 < dio.q:
         raise HypothesisError(f"|Q_00|={q00:.6g} is below the floor q={dio.q}")
-    qn = fts.majorant_norm(q, r, domain)
+    qn = fts.majorant_norm(q, r)
     if qn > 1.0 / dio.q:
         raise HypothesisError(
             f"||Q||_r={qn:.6g} exceeds the cap 1/q={1.0 / dio.q:.6g}")
 
-    nw = fts.majorant_norm(w, r, domain)
-    nz = fts.majorant_norm(z, r - delta, domain)
-    gamma = ops.Derivation(w, q, params, dio, domain=domain)
-    measured_g = fts.majorant_norm(gamma(z), r - d - delta, domain)
+    nw = fts.majorant_norm(w, r)
+    nz = fts.majorant_norm(z, r - delta)
+    gamma = ops.Derivation(w, q, params, dio)
+    measured_g = fts.majorant_norm(gamma(z), r - d - delta)
     bound_g = bc.lam() * nw * nz
 
-    measured_n = fts.majorant_norm(gamma.solvable, r - delta, domain)
-    measured_r = fts.majorant_norm(gamma.resonant, r - delta, domain)
+    measured_n = fts.majorant_norm(gamma.solvable, r - delta)
+    measured_r = fts.majorant_norm(gamma.resonant, r - delta)
     bound_p = bc.xi() * nw
 
     def row(measured, bound):
@@ -300,27 +303,26 @@ def certify_bounds(w: FourierTaylorSeries, z: FourierTaylorSeries,
 
 
 def _lie_series(gamma: ops.Derivation, g: FourierTaylorSeries,
-                h: FourierTaylorSeries, out: FourierTaylorSeries, tol: float,
-                max_terms: int, domain: DomainConfig):
+                h: FourierTaylorSeries, out: FourierTaylorSeries, tol: float):
     """Add ``sum_{k>=1} Gamma^k g / k! - Gamma^k h / (k+1)!`` to out.
 
     h may be None (no second series). Terms are added until the majorant
     weight of the k-th term falls below ``tol`` times the weight of g
     (absolute when g has weight 0). Five consecutive non-decreasing term
-    weights raise :class:`DivergenceError`; hitting ``max_terms`` warns
-    and returns the partial sum. Returns ``(sum, terms_used)``.
+    weights raise :class:`DivergenceError`; reaching ``_MAX_TERMS`` terms
+    warns and returns the partial sum. Returns ``(sum, terms_used)``.
     """
-    scale_ = max(fts.majorant_norm(g, 0.0, domain), 1.0)
+    scale_ = max(fts.majorant_norm(g, 0.0), 1.0)
     prev = math.inf
     rises = 0
-    for k in range(1, max_terms + 1):
+    for k in range(1, _MAX_TERMS + 1):
         g = fts.scale(gamma(g), 1.0 / k)  # Gamma^k g / k!
         term = g
         if h is not None:
             h = fts.scale(gamma(h), 1.0 / k)  # Gamma^k h / k!
             term = g - fts.scale(h, 1.0 / (k + 1))
         out = out + term
-        tn = fts.majorant_norm(term, 0.0, domain)
+        tn = fts.majorant_norm(term, 0.0)
         if tn <= tol * scale_:
             return out, k
         if tn >= prev:
@@ -332,26 +334,25 @@ def _lie_series(gamma: ops.Derivation, g: FourierTaylorSeries,
         else:
             rises = 0
         prev = tn
-    warnings.warn(f"Lie series truncated at {max_terms} terms with last "
+    warnings.warn(f"Lie series truncated at {_MAX_TERMS} terms with last "
                   f"term weight {prev:.3g}", RuntimeWarning)
-    return out, max_terms
+    return out, _MAX_TERMS
 
 
 def lie_exp_apply(f: FourierTaylorSeries, g: FourierTaylorSeries,
                   q: FourierTaylorSeries, params: AlgebraParams,
-                  dio: DiophantineParams = None, tol: float = 1e-12,
-                  max_terms: int = 40,
-                  domain: DomainConfig = DEFAULT_DOMAIN) -> FourierTaylorSeries:
+                  dio: DiophantineParams = None,
+                  tol: float = 1e-12) -> FourierTaylorSeries:
     """Apply ``exp(Gamma_f)`` to g by summing the Lie series.
 
     Terms are added until the majorant weight of the next term falls
     below ``tol`` times the weight of g (absolute when g has weight 0).
     Five consecutive non-decreasing term weights raise
-    :class:`DivergenceError`; hitting ``max_terms`` warns and returns the
-    partial sum.
+    :class:`DivergenceError`; reaching the 40-term cap warns and returns
+    the partial sum.
     """
-    gamma = ops.Derivation(f, q, params, dio, domain=domain)
-    out, _ = _lie_series(gamma, g, None, g, tol, max_terms, domain)
+    gamma = ops.Derivation(f, q, params, dio)
+    out, _ = _lie_series(gamma, g, None, g, tol)
     return out
 
 
@@ -407,9 +408,8 @@ def _curvature_update(q: FourierTaylorSeries,
 
 def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
                    params: AlgebraParams, tol: float = 1e-12,
-                   dio: DiophantineParams = None, max_terms: int = 40,
-                   constants: BoundConstants = None, mu: float = None,
-                   domain: DomainConfig = DEFAULT_DOMAIN) -> LieTransformResult:
+                   dio: DiophantineParams = None,
+                   constants: BoundConstants = None) -> LieTransformResult:
     """Run one normal-form step on the perturbation v.
 
     Splits v into its resonant part (banked into the curvature) and the
@@ -419,7 +419,7 @@ def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
 
     so that ``exp(Gamma_V) (H + {V, .}) exp(-Gamma_V) = H' + {V_*, .}``
     with H' the generator carrying curvature ``q_star`` and drift
-    ``R V``.
+    ``R V``. The Lie series stops at 40 terms with a RuntimeWarning.
 
     Parameters
     ----------
@@ -432,15 +432,10 @@ def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
         Relative majorant tolerance for stopping the Lie series.
     dio : DiophantineParams, optional
         Divisor floor certificate for the small-divisor solves.
-    max_terms : int
-        Lie-series term cap; exceeding it warns and truncates.
     constants : BoundConstants, optional
-        When given together with an implied loss, the input norm is
-        checked against the smallness budget ``constants.eps_mu(mu)``
-        and a RuntimeWarning is emitted if it exceeds the budget.
-    mu : float, optional
-        Loss for the budget check; defaults to ``constants.delta``.
-    domain : DomainConfig
+        When given, the input norm at ``constants.r`` is checked against
+        the smallness budget ``constants.eps_mu(constants.delta)`` and a
+        RuntimeWarning is emitted if it exceeds the budget.
 
     Returns
     -------
@@ -448,26 +443,26 @@ def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
 
     Examples
     --------
-    >>> tr = TruncationSpec(n_x=6, l_theta=8, l_t=8, pad=2)
+    >>> tr = TruncationSpec(n_x=6, l_theta=8, l_t=8)
     >>> p = AlgebraParams()
     >>> qs = ops.generic_curvature(p, tr)
     >>> v0 = fts.zeros(tr, p.rho)
     >>> out = compute_v_star(v0, qs, p)
-    >>> fts.majorant_norm(out.v_star, 0.0, DEFAULT_DOMAIN)
+    >>> fts.majorant_norm(out.v_star, 0.0)
     0.0
     """
     if constants is not None:
-        budget = constants.eps_mu(constants.delta if mu is None else mu)
-        nv = fts.majorant_norm(v, constants.r, domain)
+        budget = constants.eps_mu(constants.delta)
+        nv = fts.majorant_norm(v, constants.r)
         if nv > budget:
             warnings.warn(
                 f"input norm {nv:.3g} exceeds the smallness budget "
                 f"{budget:.3g}; the quantitative contraction is not certified",
                 RuntimeWarning)
-    gamma = ops.Derivation(v, q, params, dio, domain=domain)
+    gamma = ops.Derivation(v, q, params, dio)
     rv = gamma.resonant
     out, terms = _lie_series(gamma, v, gamma.solvable, fts.zeros(v.trunc, v.rho),
-                             tol, max_terms, domain)
+                             tol)
     q_star = _curvature_update(q, rv)
     return LieTransformResult(v_star=out, rv=rv, q_star=q_star,
                               series_terms_used=terms,
@@ -476,9 +471,8 @@ def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
 
 def conjugacy_residual(v: FourierTaylorSeries, q: FourierTaylorSeries,
                        params: AlgebraParams, g: FourierTaylorSeries,
-                       tol: float = 1e-12, dio: DiophantineParams = None,
-                       max_terms: int = 40,
-                       domain: DomainConfig = DEFAULT_DOMAIN) -> float:
+                       tol: float = 1e-12,
+                       dio: DiophantineParams = None) -> float:
     """Majorant weight of the conjugacy defect on one probe g.
 
     Measures ``exp(Gamma_V)((H + {V, .}) exp(-Gamma_V) g) - (H g +
@@ -486,16 +480,15 @@ def conjugacy_residual(v: FourierTaylorSeries, q: FourierTaylorSeries,
     arithmetic would give zero for supports that stay far enough inside
     the index box.
     """
-    res = compute_v_star(v, q, params, tol, dio, max_terms, domain=domain)
-    inner = lie_exp_apply(fts.scale(v, -1.0), g, q, params, dio, tol,
-                          max_terms, domain)
-    mid = ops.hamiltonian_apply(inner, q, params, domain) \
-        + fts.poisson_bracket(v, inner, domain)
-    lhs = lie_exp_apply(v, mid, q, params, dio, tol, max_terms, domain)
-    rhs = ops.hamiltonian_apply(g, q, params, domain) \
-        + fts.poisson_bracket(res.rv + res.v_star, g, domain)
-    ng = max(fts.majorant_norm(g, 0.0, domain), 1e-300)
-    return fts.majorant_norm(lhs - rhs, 0.0, domain) / ng
+    res = compute_v_star(v, q, params, tol, dio)
+    inner = lie_exp_apply(fts.scale(v, -1.0), g, q, params, dio, tol)
+    mid = ops.hamiltonian_apply(inner, q, params) \
+        + fts.poisson_bracket(v, inner)
+    lhs = lie_exp_apply(v, mid, q, params, dio, tol)
+    rhs = ops.hamiltonian_apply(g, q, params) \
+        + fts.poisson_bracket(res.rv + res.v_star, g)
+    ng = max(fts.majorant_norm(g, 0.0), 1e-300)
+    return fts.majorant_norm(lhs - rhs, 0.0) / ng
 
 
 # -- convergence schedule ------------------------------------------------------
@@ -630,14 +623,11 @@ class IterationState:
     contraction_ratio: float
     tail_norm: float
     conditions: dict
-    absorbed: tuple = field(repr=False, default=())
 
 
 def kam_iterate(v0: FourierTaylorSeries, q0: FourierTaylorSeries,
                 params: AlgebraParams, dio: DiophantineParams, r: float,
-                steps: int = 3, tol: float = 1e-12, d: float = None,
-                delta: float = None, max_terms: int = 40,
-                domain: DomainConfig = DEFAULT_DOMAIN) -> list:
+                steps: int = 3, tol: float = 1e-12) -> list:
     """Run several normal-form steps with schedule bookkeeping.
 
     Parameters
@@ -648,14 +638,12 @@ def kam_iterate(v0: FourierTaylorSeries, q0: FourierTaylorSeries,
         Starting curvature coefficient.
     params, dio : AlgebraParams, DiophantineParams
     r : float
-        Starting analyticity radius (must not exceed ``domain.r_max``).
+        Starting analyticity radius (must not exceed the default domain's
+        ``r_max``); the bound constants use the losses d = delta = r / 6.
     steps : int
         Number of normal-form steps; returns steps + 1 states.
-    tol, max_terms : float, int
-        Lie-series controls, as in :func:`compute_v_star`.
-    d, delta : float, optional
-        Losses for the bound constants; default r / 6 each.
-    domain : DomainConfig
+    tol : float
+        Lie-series tolerance, as in :func:`compute_v_star`.
 
     Returns
     -------
@@ -672,10 +660,8 @@ def kam_iterate(v0: FourierTaylorSeries, q0: FourierTaylorSeries,
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    d = r / 6.0 if d is None else d
-    delta = r / 6.0 if delta is None else delta
-    bc = compute_bound_constants(params, dio, r, d, delta, domain)
-    eps0 = fts.majorant_norm(v0, r, domain)
+    bc = compute_bound_constants(params, dio, r, r / 6.0, r / 6.0)
+    eps0 = fts.majorant_norm(v0, r)
     sched = schedule_sequences(max(eps0, 0.0), dio.q, dio.tau, bc.c,
                                bc.c_tilde, r, max_steps=steps + 1)
 
@@ -683,13 +669,12 @@ def kam_iterate(v0: FourierTaylorSeries, q0: FourierTaylorSeries,
     v, qs = v0, q0
     r_i = r
     prev_norm = None
-    absorbed = []
     tail_in = 0.0
     ratio = None
     extra = {}
     for i in range(steps + 1):
         row = sched["steps"][i]
-        measured = fts.majorant_norm(v, r_i, domain)
+        measured = fts.majorant_norm(v, r_i)
         if prev_norm is not None and measured > prev_norm:
             raise IterationError(
                 f"step {i} increased the measured norm: {measured:.3g} > "
@@ -702,12 +687,10 @@ def kam_iterate(v0: FourierTaylorSeries, q0: FourierTaylorSeries,
             i=i, v=v, curvature=qs, r_i=r_i, eps_i=row["eps"],
             mu_i=mu_used, mu_schedule=mu_sched, q_i=row["q"],
             measured_v_norm=measured, contraction_ratio=ratio,
-            tail_norm=tail_in, conditions=conds, absorbed=tuple(absorbed)))
+            tail_norm=tail_in, conditions=conds))
         if i == steps:
             break
-        res = compute_v_star(v, qs, params, tol, dio, max_terms,
-                             domain=domain)
-        absorbed.append(res.rv)
+        res = compute_v_star(v, qs, params, tol, dio)
         # certified floor for the updated average; guard mu = 0
         if mu_sched > 0.0:
             floor = row["q"] - measured * bc.c_tilde \
@@ -719,7 +702,7 @@ def kam_iterate(v0: FourierTaylorSeries, q0: FourierTaylorSeries,
         prev_norm = measured
         v, qs = res.v_star, res.q_star
         r_i = r_i - mu_used
-        next_norm = fts.majorant_norm(v, r_i, domain)
+        next_norm = fts.majorant_norm(v, r_i)
         if measured > 0.0:
             ratio = next_norm / measured ** 2
         else:

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import series as fts
-from .series import DEFAULT_DOMAIN, DomainConfig, FourierTaylorSeries, TruncationSpec
+from .series import FourierTaylorSeries, TruncationSpec
 
 __all__ = [
     "AlgebraParams",
@@ -63,6 +63,12 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# a divisor below this is an exact resonance for the solver
+_MIN_DIVISOR = 1e-13
+
+# strip width at which the single-generator checks measure residuals
+_WORKING_R = 0.5
+
 
 class ResonanceError(ArithmeticError):
     """A required small divisor is numerically zero."""
@@ -78,33 +84,25 @@ class AlgebraParams:
 
     rho is the conserved momentum magnitude, i_perp and i_3 the transverse
     and symmetry-axis moments of inertia, x0 the relative equilibrium around
-    which the angle chart is centered. delta and omega are derived
-    (delta = 1/i_3 - 1/i_perp, omega = rho * delta * x0); passing them
-    explicitly just cross-checks the values.
+    which the angle chart is centered. delta and omega are derived:
+    delta = 1/i_3 - 1/i_perp and omega = rho * delta * x0.
     """
 
     rho: float = 2.0
     i_perp: float = 2.0
     i_3: float = 3.0
     x0: float = _GOLDEN
-    delta: float = None
-    omega: float = None
+    delta: float = field(init=False)
+    omega: float = field(init=False)
 
     def __post_init__(self):
         if self.rho <= 0 or self.i_perp <= 0 or self.i_3 <= 0:
             raise ValueError("rho and moments of inertia must be positive")
         if not -1.0 < self.x0 < 1.0:
             raise ValueError("x0 must lie strictly inside (-1, 1)")
-        d = 1.0 / self.i_3 - 1.0 / self.i_perp
-        if self.delta is None:
-            object.__setattr__(self, "delta", d)
-        elif abs(self.delta - d) > 1e-12 * max(1.0, abs(d)):
-            raise ValueError(f"delta = {self.delta} inconsistent with inertia values ({d})")
-        w = self.rho * self.delta * self.x0
-        if self.omega is None:
-            object.__setattr__(self, "omega", w)
-        elif abs(self.omega - w) > 1e-12 * max(1.0, abs(w)):
-            raise ValueError(f"omega = {self.omega} inconsistent with rho*delta*x0 = {w}")
+        delta = 1.0 / self.i_3 - 1.0 / self.i_perp
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "omega", self.rho * delta * self.x0)
 
     @property
     def curvature0(self) -> float:
@@ -197,14 +195,13 @@ def _divisor_grid(trunc: TruncationSpec, omega: float):
     return ls[:, None] + omega * ms[None, :]
 
 
-def _check_divisors(modes, omega: float, dio: DiophantineParams,
-                    min_divisor: float):
+def _check_divisors(modes, omega: float, dio: DiophantineParams):
     """modes: iterable of (l, m) actually divided by. Raises / warns."""
     for l, m in modes:
         div = abs(omega * m + l)
-        if div < min_divisor:
+        if div < _MIN_DIVISOR:
             raise ResonanceError(
-                f"divisor |omega*{m} + {l}| = {div:.3e} below {min_divisor:.1e}")
+                f"divisor |omega*{m} + {l}| = {div:.3e} below {_MIN_DIVISOR:.1e}")
         if dio is not None and div < dio.floor(l, m):
             warnings.warn(
                 f"divisor at (l={l}, m={m}) is {div:.3e}, below the "
@@ -213,8 +210,7 @@ def _check_divisors(modes, omega: float, dio: DiophantineParams,
 
 
 def small_divisor_solve(f: FourierTaylorSeries, params: AlgebraParams,
-                        dio: DiophantineParams = None,
-                        min_divisor: float = 1e-13) -> FourierTaylorSeries:
+                        dio: DiophantineParams = None) -> FourierTaylorSeries:
     """Invert the drift omega*d_theta + d_t on fluctuating modes of degree <= 1.
 
     Modes of degree >= 2 and the time-angle average are dropped; the result u
@@ -229,9 +225,9 @@ def small_divisor_solve(f: FourierTaylorSeries, params: AlgebraParams,
     src[t.l_t, t.l_theta, :] = 0.0
     li, mi, _ = np.nonzero(src)
     modes = {(int(a - t.l_t), int(b - t.l_theta)) for a, b in zip(li, mi)}
-    _check_divisors(modes, params.omega, dio, min_divisor)
+    _check_divisors(modes, params.omega, dio)
     d = _divisor_grid(t, params.omega)
-    d = np.where(np.abs(d) < min_divisor, 1.0, d)  # masked entries have src == 0
+    d = np.where(np.abs(d) < _MIN_DIVISOR, 1.0, d)  # masked entries have src == 0
     c = np.zeros(t.shape, dtype=np.complex128)
     c[:, :, : top + 1] = -1j * src / d[:, :, None]
     return FourierTaylorSeries(c, t, f.rho, tail_norm=f.tail_norm,
@@ -271,8 +267,7 @@ def half_curvature_x2(q: FourierTaylorSeries) -> FourierTaylorSeries:
     """Lift a degree-0 curvature series Q(theta, t) to Q x^2 / 2."""
     _require_degree0(q)
     t = q.trunc
-    nt = TruncationSpec(n_x=2, l_theta=t.l_theta, l_t=t.l_t,
-                        pad=min(t.pad, 2, t.l_theta, t.l_t))
+    nt = TruncationSpec(n_x=2, l_theta=t.l_theta, l_t=t.l_t)
     c = np.zeros(nt.shape, dtype=np.complex128)
     c[:, :, 2] = 0.5 * q.coeffs[:, :, 0]
     return FourierTaylorSeries(c, nt, q.rho, real=fts._real_from(q))
@@ -282,7 +277,7 @@ def _lift_degree(f: FourierTaylorSeries) -> FourierTaylorSeries:
     """Multiply by x, growing the box when the top slice is occupied; keeps the tail."""
     t = f.trunc
     if np.any(f.coeffs[:, :, t.n_x] != 0):
-        nt = TruncationSpec(n_x=t.n_x + 1, l_theta=t.l_theta, l_t=t.l_t, pad=t.pad)
+        nt = TruncationSpec(n_x=t.n_x + 1, l_theta=t.l_theta, l_t=t.l_t)
         c = np.zeros(nt.shape, dtype=np.complex128)
         c[:, :, 1:] = f.coeffs
         return FourierTaylorSeries(c, nt, f.rho, tail_norm=f.tail_norm,
@@ -301,8 +296,7 @@ def _strip_imag(z: complex, what: str) -> float:
 
 def translation_coefficient(f: FourierTaylorSeries, q: FourierTaylorSeries,
                             params: AlgebraParams,
-                            dio: DiophantineParams = None,
-                            min_divisor: float = 1e-13) -> float:
+                            dio: DiophantineParams = None) -> float:
     """Coefficient of the x-translation that kills the averaged linear term.
 
     Solves the degree-1 average obstruction: the returned scalar a satisfies
@@ -327,17 +321,16 @@ def translation_coefficient(f: FourierTaylorSeries, q: FourierTaylorSeries,
             continue
         modes.append((l, m))
         acc += m * qc * f0[a, b] / (params.omega * m + l)
-    _check_divisors(modes, params.omega, dio, min_divisor)
+    _check_divisors(modes, params.omega, dio)
     out = (params.rho * f.coeff(0, 0, 1) - acc) / q00
     return _strip_imag(out, "translation coefficient") if f.is_real and q.is_real else out
 
 
 def hamiltonian_apply(g: FourierTaylorSeries, q: FourierTaylorSeries,
-                      params: AlgebraParams,
-                      domain: DomainConfig = DEFAULT_DOMAIN) -> FourierTaylorSeries:
+                      params: AlgebraParams) -> FourierTaylorSeries:
     """Generator H g = omega d_theta g + d_t g + {Q x^2 / 2, g}."""
     lin = fts.scale(fts.partial_theta(g), params.omega) + fts.partial_t(g)
-    return lin + fts.poisson_bracket(half_curvature_x2(q), g, domain)
+    return lin + fts.poisson_bracket(half_curvature_x2(q), g)
 
 
 class Derivation:
@@ -368,60 +361,51 @@ class Derivation:
         a_f / rho, the coefficient of the translation d_x.
     """
 
-    __slots__ = ("correction", "resonant", "solvable", "generator", "shift",
-                 "domain")
+    __slots__ = ("correction", "resonant", "solvable", "generator", "shift")
 
     def __init__(self, f: FourierTaylorSeries, q: FourierTaylorSeries,
-                 params: AlgebraParams, dio: DiophantineParams = None,
-                 min_divisor: float = 1e-13,
-                 domain: DomainConfig = DEFAULT_DOMAIN):
-        af = translation_coefficient(f, q, params, dio, min_divisor)
-        v0 = small_divisor_solve(project_degree(f, 0), params, dio, min_divisor)
-        inner = fts.scale(q, af) + fts.multiply(q, fts.partial_theta(v0), domain)
+                 params: AlgebraParams, dio: DiophantineParams = None):
+        af = translation_coefficient(f, q, params, dio)
+        v0 = small_divisor_solve(project_degree(f, 0), params, dio)
+        inner = fts.scale(q, af) + fts.multiply(q, fts.partial_theta(v0))
 
         const = fts.from_terms([(0, 0, 0, params.rho * params.omega * af)],
                                f.trunc, f.rho)
         u = project_degree(fts.partial_x(f), 0)
         w = small_divisor_solve(u + fts.scale(inner, -1.0 / params.rho),
-                                params, dio, min_divisor)
-        k = const + fts.poisson_bracket(half_curvature_x2(q), _lift_degree(w),
-                                        domain)
+                                params, dio)
+        k = const + fts.poisson_bracket(half_curvature_x2(q), _lift_degree(w))
         self.correction = k
         self.resonant = basic_resonant(f) - k
         self.solvable = basic_solvable(f) + k
 
         xw = _lift_degree(small_divisor_solve(
-            fts.scale(inner, 1.0 / params.rho), params, dio, min_divisor))
-        self.generator = small_divisor_solve(f, params, dio, min_divisor) - xw
+            fts.scale(inner, 1.0 / params.rho), params, dio))
+        self.generator = small_divisor_solve(f, params, dio) - xw
         self.shift = af / params.rho
-        self.domain = domain
 
     def __call__(self, g: FourierTaylorSeries) -> FourierTaylorSeries:
         """Gamma_f g = {G, g} - (a_f / rho) d_x g."""
-        return (fts.poisson_bracket(self.generator, g, self.domain)
+        return (fts.poisson_bracket(self.generator, g)
                 + fts.scale(fts.partial_x(g), -self.shift))
 
 
 def projection_correction(f: FourierTaylorSeries, q: FourierTaylorSeries,
                           params: AlgebraParams,
-                          dio: DiophantineParams = None,
-                          min_divisor: float = 1e-13,
-                          domain: DomainConfig = DEFAULT_DOMAIN) -> FourierTaylorSeries:
+                          dio: DiophantineParams = None) -> FourierTaylorSeries:
     """Curvature correction K moving terms between the basic projections."""
-    return Derivation(f, q, params, dio, min_divisor, domain).correction
+    return Derivation(f, q, params, dio).correction
 
 
 def homological_derivation(f: FourierTaylorSeries, g: FourierTaylorSeries,
                            q: FourierTaylorSeries, params: AlgebraParams,
-                           dio: DiophantineParams = None,
-                           min_divisor: float = 1e-13,
-                           domain: DomainConfig = DEFAULT_DOMAIN) -> FourierTaylorSeries:
+                           dio: DiophantineParams = None) -> FourierTaylorSeries:
     """Apply the derivation Gamma_f to g once.
 
     Builds a :class:`Derivation`; callers applying Gamma_f to several
     series build it themselves and reuse it.
     """
-    return Derivation(f, q, params, dio, min_divisor, domain)(g)
+    return Derivation(f, q, params, dio)(g)
 
 
 # -- verification -------------------------------------------------------------
@@ -445,7 +429,7 @@ def generic_curvature(params: AlgebraParams, trunc: TruncationSpec = None) -> Fo
     flat constant.
     """
     if trunc is None:
-        trunc = TruncationSpec(n_x=0, l_theta=1, l_t=1, pad=0)
+        trunc = TruncationSpec(n_x=0, l_theta=1, l_t=1)
     return fts.from_real_terms([
         (0, 0, 0, params.curvature0),
         (0, 1, 0, 0.03 + 0.01j),
@@ -468,22 +452,20 @@ def _suite_window(trunc: TruncationSpec):
     }
 
 
-def run_identity_suite(params: AlgebraParams, q: FourierTaylorSeries = None,
-                       trunc: TruncationSpec = None, n_trials: int = 50,
-                       seed: int = 0, dio: DiophantineParams = None,
-                       domain: DomainConfig = DEFAULT_DOMAIN):
+def run_identity_suite(params: AlgebraParams, trunc: TruncationSpec = None,
+                       n_trials: int = 50, seed: int = 0,
+                       dio: DiophantineParams = None):
     """Measure every exact operator identity on random real series.
 
-    Returns a list of dicts {identity, trials, max_residual, window, seed}.
-    Residuals are relative (coefficient l1, normalized by the inputs) and
+    The curvature is ``generic_curvature(params)``. Returns a list of
+    dicts {identity, trials, max_residual, window, seed}. Residuals are relative (coefficient l1, normalized by the inputs) and
     are floating-point noise when the implementation is correct: random
     supports stay far enough inside the truncation box that no product or
     bracket in any identity can be clipped.
     """
     if trunc is None:
-        trunc = TruncationSpec(n_x=6, l_theta=8, l_t=8, pad=2)
-    if q is None:
-        q = generic_curvature(params)
+        trunc = TruncationSpec(n_x=6, l_theta=8, l_t=8)
+    q = generic_curvature(params)
     win = _suite_window(trunc)
     if min(win.values()) < 1:
         raise ValueError(f"truncation box {trunc} too small for the identity suite")
@@ -506,8 +488,8 @@ def run_identity_suite(params: AlgebraParams, q: FourierTaylorSeries = None,
                                    l_t_max=win["l_t"], l_theta_max=win["l_theta"],
                                    n_x_max=win["n_x"])
         nf = max(_l1(f), 1e-300)
-        gamma_f = Derivation(f, q, params, dio, domain=domain)
-        gamma_rf = Derivation(gamma_f.resonant, q, params, dio, domain=domain)
+        gamma_f = Derivation(f, q, params, dio)
+        gamma_rf = Derivation(gamma_f.resonant, q, params, dio)
         rf, solv = gamma_f.resonant, gamma_f.solvable
         rrf, nrf = gamma_rf.resonant, gamma_rf.solvable
 
@@ -536,10 +518,10 @@ def run_identity_suite(params: AlgebraParams, q: FourierTaylorSeries = None,
             ng = max(_l1(g), 1e-300)
             worst["derivation_after_resonant"] = max(
                 worst["derivation_after_resonant"], _l1(gamma_rf(g)) / (nf * ng))
-            lhs = hamiltonian_apply(gamma_f(g), q, params, domain)
-            rhs = gamma_f(hamiltonian_apply(g, q, params, domain))
+            lhs = hamiltonian_apply(gamma_f(g), q, params)
+            rhs = gamma_f(hamiltonian_apply(g, q, params))
             commutator = lhs - rhs
-            want = fts.poisson_bracket(solv, g, domain)
+            want = fts.poisson_bracket(solv, g)
             worst["homological"] = max(
                 worst["homological"], _l1(commutator - want) / (nf * ng))
 
@@ -551,48 +533,42 @@ def run_identity_suite(params: AlgebraParams, q: FourierTaylorSeries = None,
 
 
 def verify_homological(f: FourierTaylorSeries, q: FourierTaylorSeries,
-                       params: AlgebraParams, probes=None,
-                       dio: DiophantineParams = None, working_r: float = 0.5,
-                       domain: DomainConfig = DEFAULT_DOMAIN) -> float:
+                       params: AlgebraParams,
+                       dio: DiophantineParams = None) -> float:
     """Residual of the commutator identity for one generator f.
 
     Measures ``|| H(Gamma_f g) - Gamma_f(H g) - {Nf, g} ||`` (majorant at
-    ``working_r``) over a probe basket, relative to ``||f|| ||g||``.  The
+    r = 0.5) over the probe basket, relative to ``||f|| ||g||``.  The
     support of f must stay 3 harmonics and 3 degrees inside its own box,
     otherwise products clip and the residual reflects truncation error.
     """
-    if probes is None:
-        probes = probe_basket(f.trunc, params.rho)
-    nf = max(fts.majorant_norm(f, working_r, domain), 1e-300)
-    gamma = Derivation(f, q, params, dio, domain=domain)
+    nf = max(fts.majorant_norm(f, _WORKING_R), 1e-300)
+    gamma = Derivation(f, q, params, dio)
     worst = 0.0
-    for g in probes:
-        ng = max(fts.majorant_norm(g, working_r, domain), 1e-300)
-        lhs = hamiltonian_apply(gamma(g), q, params, domain)
-        rhs = gamma(hamiltonian_apply(g, q, params, domain))
-        want = fts.poisson_bracket(gamma.solvable, g, domain)
+    for g in probe_basket(f.trunc, params.rho):
+        ng = max(fts.majorant_norm(g, _WORKING_R), 1e-300)
+        lhs = hamiltonian_apply(gamma(g), q, params)
+        rhs = gamma(hamiltonian_apply(g, q, params))
+        want = fts.poisson_bracket(gamma.solvable, g)
         resid = (lhs - rhs) - want
-        worst = max(worst, fts.majorant_norm(resid, working_r, domain) / (nf * ng))
+        worst = max(worst, fts.majorant_norm(resid, _WORKING_R) / (nf * ng))
     return worst
 
 
 def verify_gr_zero(f: FourierTaylorSeries, q: FourierTaylorSeries,
-                   params: AlgebraParams, probes=None,
-                   dio: DiophantineParams = None, working_r: float = 0.5,
-                   domain: DomainConfig = DEFAULT_DOMAIN) -> float:
+                   params: AlgebraParams,
+                   dio: DiophantineParams = None) -> float:
     """Residual of Gamma annihilating the resonant range, for one f.
 
-    Measures ``|| Gamma_{Rf} g ||`` relative to ``||f|| ||g||`` over a probe
-    basket.  Same support caveat as `verify_homological`.
+    Measures ``|| Gamma_{Rf} g ||`` relative to ``||f|| ||g||`` over the
+    probe basket.  Same support caveat as `verify_homological`.
     """
-    if probes is None:
-        probes = probe_basket(f.trunc, params.rho)
-    nf = max(fts.majorant_norm(f, working_r, domain), 1e-300)
-    rf = Derivation(f, q, params, dio, domain=domain).resonant
-    gamma = Derivation(rf, q, params, dio, domain=domain)
+    nf = max(fts.majorant_norm(f, _WORKING_R), 1e-300)
+    rf = Derivation(f, q, params, dio).resonant
+    gamma = Derivation(rf, q, params, dio)
     worst = 0.0
-    for g in probes:
-        ng = max(fts.majorant_norm(g, working_r, domain), 1e-300)
+    for g in probe_basket(f.trunc, params.rho):
+        ng = max(fts.majorant_norm(g, _WORKING_R), 1e-300)
         resid = gamma(g)
-        worst = max(worst, fts.majorant_norm(resid, working_r, domain) / (nf * ng))
+        worst = max(worst, fts.majorant_norm(resid, _WORKING_R) / (nf * ng))
     return worst

@@ -26,7 +26,7 @@ __all__ = [
     "preset_inertia",
 ]
 
-DEFAULT_TRUNC = TruncationSpec(n_x=6, l_theta=8, l_t=8, pad=2)
+DEFAULT_TRUNC = TruncationSpec(n_x=6, l_theta=8, l_t=8)
 
 # static ensemble / throbbing runs reproduce the reference phenomenology;
 # pert1 is the reduced symmetric-top drive (I1 = I2 so the chart applies)

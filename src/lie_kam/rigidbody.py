@@ -17,12 +17,12 @@ with the dense series evaluation up to rounding.
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import series as fts
-from .series import DEFAULT_DOMAIN, DomainConfig, FourierTaylorSeries
+from .series import DEFAULT_DOMAIN, FourierTaylorSeries
 from .operators import AlgebraParams
 
 __all__ = [
@@ -177,7 +177,6 @@ class Trajectory:
     t: np.ndarray
     y: np.ndarray
     aborted: bool = False
-    meta: dict = field(default_factory=dict)
     rows: np.ndarray = None
 
     def __len__(self):
@@ -207,16 +206,19 @@ def rk4_integrate(y0, fieldfn, h, t_final, t0=0.0, stride=1) -> Trajectory:
     members integrated together through one field call per stage; the
     arithmetic is elementwise, so every member is bit-identical to its
     solo run. A member whose state stops being finite is frozen at its
-    last good state and marked aborted while the others go on; the run
-    stops once every member has aborted. An aborted member keeps the
-    samples up to its last good state, exactly as its solo run would.
+    last good state and marked aborted while the others go on; from the
+    first abort on, the field sees only the live members' states, with
+    the member axes flattened to one. The run stops once every member has
+    aborted. An aborted member keeps the samples up to its last good
+    state, exactly as its solo run would.
 
     Parameters
     ----------
     y0 : array_like, shape (d,) or (..., d)
         Initial state or states; fields act on the last axis.
     fieldfn : callable
-        ``fieldfn(t, y) -> dy/dt`` with the shape of y.
+        ``fieldfn(t, y) -> dy/dt`` with the shape of y; y is y0's shape or,
+        after an abort, (live members, d).
     h : float
         Step size, positive.
     t_final : float
@@ -252,22 +254,29 @@ def rk4_integrate(y0, fieldfn, h, t_final, t0=0.0, stride=1) -> Trajectory:
     sixth = h / 6.0
     for i in range(n):
         t = t0 + i * h
-        k1 = fieldfn(t, y)
-        k2 = fieldfn(t + half, y + half * k1)
-        k3 = fieldfn(t + half, y + half * k2)
-        k4 = fieldfn(t + h, y + h * k3)
-        step = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        state = y if all_live else y[live]
+        k1 = fieldfn(t, state)
+        k2 = fieldfn(t + half, state + half * k1)
+        k3 = fieldfn(t + half, state + half * k2)
+        k4 = fieldfn(t + h, state + h * k3)
+        step = state + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         # one check per step while all members are finite; a failed member
         # keeps its last good state and its sample count
-        if not (all_live and np.isfinite(step).all()):
-            all_live = False
-            good = live & np.isfinite(step).all(axis=-1)
-            rows[live & ~good] = len(ts)
-            live = good
+        if all_live and np.isfinite(step).all():
+            y = step
+        else:
+            if all_live:
+                all_live = False
+                step = step[live]  # (live members, d), as state is from now on
+            good = np.isfinite(step).all(axis=-1)
+            still = live.copy()
+            still[live] = good
+            rows[live & ~still] = len(ts)
+            live = still
             if not live.any():
                 break
-            step = np.where(live[..., None], step, y)
-        y = step
+            y = y.copy()  # earlier samples hold the old array
+            y[live] = step[good]
         if (i + 1) % stride == 0 or i + 1 == n:
             ts.append(t0 + (i + 1) * h)
             ys.append(y)
@@ -320,8 +329,7 @@ def params_from_inertia(inertia: InertiaSpec, rho: float,
 
 
 def reduced_field(x, theta, t, params: AlgebraParams,
-                  v_series: FourierTaylorSeries = None,
-                  domain: DomainConfig = DEFAULT_DOMAIN):
+                  v_series: FourierTaylorSeries = None):
     """Chart velocities (dx/dt, dtheta/dt) at localized x (X = x0 + x).
 
     Unperturbed: dx/dt = 0 and dtheta/dt = rho Delta X (uniform rotation).
@@ -336,17 +344,16 @@ def reduced_field(x, theta, t, params: AlgebraParams,
     (0.0, True)
     """
     x = np.asarray(x, dtype=np.float64)
-    if v_series is not None and np.any(np.abs(x) > domain.x_cap):
+    if v_series is not None and np.any(np.abs(x) > DEFAULT_DOMAIN.x_cap):
         raise ValueError(
-            f"evaluation outside domain radius |x| <= {domain.x_half}")
-    f = make_reduced_field(params, v_series, domain)
+            f"evaluation outside domain radius |x| <= {DEFAULT_DOMAIN.x_half}")
+    f = make_reduced_field(params, v_series)
     out = f(t, np.stack([x, np.asarray(theta, dtype=np.float64)], axis=-1))
     return out[..., 0], out[..., 1]
 
 
 def make_reduced_field(params: AlgebraParams,
-                       v_series: FourierTaylorSeries = None,
-                       domain: DomainConfig = DEFAULT_DOMAIN):
+                       v_series: FourierTaylorSeries = None):
     """Compile the reduced velocity field into an RK4-ready closure.
 
     States y have shape (..., 2) with columns (x, theta). With a
@@ -409,7 +416,7 @@ def make_reduced_field(params: AlgebraParams,
     wave_l = (li - tr.l_t).astype(np.float64)
     wave_m = (mi - tr.l_theta).astype(np.float64)
     scale = np.array([-1.0 / rho, 1.0 / rho])
-    x_cap = domain.x_cap
+    x_cap = DEFAULT_DOMAIN.x_cap
 
     def fieldfn(t, y):
         x = y[..., 0]
@@ -423,8 +430,8 @@ def make_reduced_field(params: AlgebraParams,
             x.shape + (1, -1)) * table
         out = np.add.accumulate(terms, axis=-1)[..., -1] * scale
         out[..., 1] += rho_delta * (x0 + x)
-        # one check for the common in-domain batch; a NaN member (frozen
-        # after an abort) fails it too, so it cannot hide another's exit
+        # one check for the common in-domain batch; a NaN member fails it
+        # too, so it cannot hide another's exit
         size = np.abs(x)
         if not size.max() <= x_cap:
             out[size > x_cap] = np.nan
@@ -545,7 +552,9 @@ def write_trajectory_csv(path, traj: Trajectory, kind: str,
         raise ValueError(f"{kind} rows need {width} state columns")
     buf = io.StringIO()
     if config is not None:
-        buf.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+        # numpy scalars in the configuration are written as Python numbers
+        buf.write("# config: " + json.dumps(config, sort_keys=True,
+                                            default=lambda o: o.item()) + "\n")
     buf.write(header + "\n")
     # every value as %.17g, all rows formatted by one call
     values = np.column_stack([traj.t, traj.y]).ravel().tolist()

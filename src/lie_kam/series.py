@@ -34,7 +34,6 @@ import numpy as np
 __all__ = [
     "TruncationSpec",
     "DomainConfig",
-    "NormEstimate",
     "FourierTaylorSeries",
     "RealityError",
     "DEFAULT_DOMAIN",
@@ -52,7 +51,6 @@ __all__ = [
     "evaluate",
     "majorant_norm",
     "sampled_norm",
-    "norm_estimate",
     "cauchy_bound_check",
     "random_real_series",
     "max_coeff_diff",
@@ -80,37 +78,28 @@ class TruncationSpec:
         Maximum |m| wave number in the body angle.
     l_t : int
         Maximum |l| wave number in time.
-    pad : int
-        Safety margin used when verifying identities on an inner window.
     """
 
     n_x: int
     l_theta: int
     l_t: int
-    pad: int = 0
 
     def __post_init__(self):
         if min(self.n_x, self.l_theta, self.l_t) < 0:
             raise ValueError("truncation orders must be non-negative")
-        if not 0 <= self.pad <= min(self.n_x, self.l_theta, self.l_t):
-            raise ValueError("pad must satisfy 0 <= pad <= min(N_x, L_theta, L_t)")
 
     @property
     def shape(self):
         return (2 * self.l_t + 1, 2 * self.l_theta + 1, self.n_x + 1)
 
     def merge(self, other: "TruncationSpec") -> "TruncationSpec":
-        """Elementwise max of two boxes (pad included)."""
+        """Elementwise max of two boxes."""
         if other == self:
             return self
         return TruncationSpec(
             n_x=max(self.n_x, other.n_x),
             l_theta=max(self.l_theta, other.l_theta),
             l_t=max(self.l_t, other.l_t),
-            pad=min(max(self.pad, other.pad),
-                    min(max(self.n_x, other.n_x),
-                        max(self.l_theta, other.l_theta),
-                        max(self.l_t, other.l_t))),
         )
 
 
@@ -119,7 +108,9 @@ class DomainConfig:
     """Real domain half-width and analyticity budget for norms.
 
     R(r) = x_half + r is the polynomial weight base of the majorant norm;
-    r above r_max raises instead of silently extrapolating.
+    r above r_max raises instead of silently extrapolating. The engine
+    works on ``DEFAULT_DOMAIN`` throughout; only the bound constants are
+    also evaluated on a wider strip.
     """
 
     x_half: float = 0.25
@@ -139,15 +130,6 @@ class DomainConfig:
 
 
 DEFAULT_DOMAIN = DomainConfig()
-
-
-@dataclass(frozen=True)
-class NormEstimate:
-    """A norm value tagged with its index r and how it was obtained."""
-
-    r: float
-    value: float
-    kind: str  # "majorant" or "sampled"
 
 
 class FourierTaylorSeries:
@@ -476,8 +458,7 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow):
     return out, tail
 
 
-def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries,
-             domain: DomainConfig = DEFAULT_DOMAIN) -> FourierTaylorSeries:
+def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTaylorSeries:
     """Truncated product on the merged box.
 
     Products falling outside the box are dropped; their majorant weight at
@@ -510,7 +491,7 @@ def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries,
     lb = ib[0].astype(np.int64) - tb.l_t
     mb = ib[1].astype(np.int64) - tb.l_theta
     nb = ib[2].astype(np.int64)
-    xpow = domain.x_half ** np.arange(trunc.n_x + 1, dtype=np.float64)
+    xpow = DEFAULT_DOMAIN.x_half ** np.arange(trunc.n_x + 1, dtype=np.float64)
     out, tail = convolve_nonzeros(
         la, ma, na, np.ascontiguousarray(src[ia]),
         lb, mb, nb, np.ascontiguousarray(b.coeffs[ib]),
@@ -541,12 +522,11 @@ def partial_t(a: FourierTaylorSeries) -> FourierTaylorSeries:
     return FourierTaylorSeries(c, a.trunc, a.rho, real=_real_from(a))
 
 
-def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries,
-                    domain: DomainConfig = DEFAULT_DOMAIN) -> FourierTaylorSeries:
+def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTaylorSeries:
     """Reduced bracket {a, b} = (d_x a d_theta b - d_theta a d_x b) / rho."""
     _check_rho(a, b)
-    p = multiply(partial_x(a), partial_theta(b), domain)
-    q = multiply(partial_theta(a), partial_x(b), domain)
+    p = multiply(partial_x(a), partial_theta(b))
+    q = multiply(partial_theta(a), partial_x(b))
     # p and q share the merged box: one construction for (p - q) / rho
     c = 1.0 / a.rho
     return FourierTaylorSeries((p.coeffs - q.coeffs) * c, p.trunc, a.rho,
@@ -576,18 +556,17 @@ def _evaluate_raw(a: FourierTaylorSeries, x, theta, t):
     return val.reshape(shape) if shape else val[()]
 
 
-def evaluate(a: FourierTaylorSeries, x, theta, t,
-             domain: DomainConfig = DEFAULT_DOMAIN):
+def evaluate(a: FourierTaylorSeries, x, theta, t):
     """Evaluate the series at real points.
 
-    |x| must stay within the configured domain half-width. For a real series
+    |x| must stay within the domain half-width. For a real series
     the imaginary part of the result is checked against 1e-12 (scaled) and
     discarded; complex series return complex values.
     """
     x = np.asarray(x, dtype=np.float64)
-    if np.any(np.abs(x) > domain.x_cap):
+    if np.any(np.abs(x) > DEFAULT_DOMAIN.x_cap):
         raise ValueError(
-            f"evaluation outside domain radius |x| <= {domain.x_half}")
+            f"evaluation outside domain radius |x| <= {DEFAULT_DOMAIN.x_half}")
     val = _evaluate_raw(a, x, theta, t)
     if a.is_real:
         scale_ = max(1.0, float(np.max(np.abs(val))))
@@ -597,15 +576,15 @@ def evaluate(a: FourierTaylorSeries, x, theta, t,
     return val
 
 
-def majorant_norm(a: FourierTaylorSeries, r: float,
-                  domain: DomainConfig = DEFAULT_DOMAIN) -> float:
+def majorant_norm(a: FourierTaylorSeries, r: float) -> float:
     """One-sided analytic-norm surrogate at strip width r (see module docs)."""
     if r < 0:
         raise ValueError("r must be non-negative")
-    if r > domain.r_max:
-        raise ValueError(f"r = {r} exceeds the analyticity budget {domain.r_max}")
+    if r > DEFAULT_DOMAIN.r_max:
+        raise ValueError(
+            f"r = {r} exceeds the analyticity budget {DEFAULT_DOMAIN.r_max}")
     tr = a.trunc
-    radius = domain.radius(r)
+    radius = DEFAULT_DOMAIN.radius(r)
     b = np.abs(a.coeffs) @ (radius ** np.arange(tr.n_x + 1))
     ls = np.abs(np.arange(-tr.l_t, tr.l_t + 1))
     ms = np.abs(np.arange(-tr.l_theta, tr.l_theta + 1))
@@ -613,22 +592,21 @@ def majorant_norm(a: FourierTaylorSeries, r: float,
     return float(np.sum(b * w))
 
 
-def sampled_norm(a: FourierTaylorSeries, r: float,
-                 domain: DomainConfig = DEFAULT_DOMAIN,
-                 n_angle: int = 12, n_x_samples: int = 7) -> float:
+def sampled_norm(a: FourierTaylorSeries, r: float) -> float:
     """Max |F| over a sample of the complex strip of width r.
 
     A lower bound for the sup norm, hence always <= the majorant norm. The
-    sample covers real angle grids combined with imaginary angle excursions
-    of size r and x on the circle of radius x_half + r.
+    sample covers 12-point real angle grids combined with imaginary angle
+    excursions of size r and 7 points of x on the circle of radius
+    x_half + r.
     """
-    if r < 0 or r > domain.r_max:
+    if r < 0 or r > DEFAULT_DOMAIN.r_max:
         raise ValueError("r out of range")
-    ang = np.linspace(0.0, 2 * np.pi, n_angle, endpoint=False)
+    ang = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
     shifts = np.array([-r, 0.0, r])
-    phases = np.linspace(0.0, 2 * np.pi, n_x_samples, endpoint=False)
+    phases = np.linspace(0.0, 2 * np.pi, 7, endpoint=False)
     best = 0.0
-    radius = domain.radius(r)
+    radius = DEFAULT_DOMAIN.radius(r)
     for s_th in shifts:
         for s_t in shifts:
             th = ang[:, None, None] + 1j * s_th
@@ -639,18 +617,9 @@ def sampled_norm(a: FourierTaylorSeries, r: float,
     return best
 
 
-def norm_estimate(a: FourierTaylorSeries, r: float, kind: str = "majorant",
-                  domain: DomainConfig = DEFAULT_DOMAIN) -> NormEstimate:
-    if kind == "majorant":
-        return NormEstimate(r=r, value=majorant_norm(a, r, domain), kind=kind)
-    if kind == "sampled":
-        return NormEstimate(r=r, value=sampled_norm(a, r, domain), kind=kind)
-    raise ValueError(f"unknown norm kind {kind!r}")
-
-
 def cauchy_bound_check(w: FourierTaylorSeries, r: float, d: float,
-                       delta: float = 0.0, partner: FourierTaylorSeries = None,
-                       domain: DomainConfig = DEFAULT_DOMAIN) -> dict:
+                       delta: float = 0.0,
+                       partner: FourierTaylorSeries = None) -> dict:
     """Measured derivative and bracket norms against their Cauchy bounds.
 
     Returns a dict with entries 'partial_x', 'partial_theta' and (when a
@@ -662,18 +631,18 @@ def cauchy_bound_check(w: FourierTaylorSeries, r: float, d: float,
         raise ValueError("need 0 < d <= r")
     if partner is not None and (delta <= 0 or r - d - delta < 0):
         raise ValueError("need 0 < delta and d + delta <= r")
-    nw = majorant_norm(w, r, domain)
+    nw = majorant_norm(w, r)
     report = {}
-    meas = majorant_norm(partial_x(w), r - d, domain)
+    meas = majorant_norm(partial_x(w), r - d)
     bound = nw / d
     report["partial_x"] = {"measured": meas, "bound": bound, "margin": bound - meas}
-    meas = majorant_norm(partial_theta(w), r - d, domain)
+    meas = majorant_norm(partial_theta(w), r - d)
     bound = nw / (math.e * d)
     report["partial_theta"] = {"measured": meas, "bound": bound, "margin": bound - meas}
     if partner is not None:
         z = partner
-        meas = majorant_norm(poisson_bracket(w, z, domain), r - d - delta, domain)
-        bound = 2.0 / (w.rho * math.e * d * (d + delta)) * nw * majorant_norm(z, r - delta, domain)
+        meas = majorant_norm(poisson_bracket(w, z), r - d - delta)
+        bound = 2.0 / (w.rho * math.e * d * (d + delta)) * nw * majorant_norm(z, r - delta)
         report["bracket"] = {"measured": meas, "bound": bound, "margin": bound - meas}
     return report
 
@@ -711,15 +680,16 @@ def to_json_dict(a: FourierTaylorSeries) -> dict:
     coeffs.sort(key=lambda e: (e["l"], e["m"], e["n"]))
     return {
         "rho": a.rho,
-        "trunc": {"N_x": t.n_x, "L_theta": t.l_theta, "L_t": t.l_t, "pad": t.pad},
+        "trunc": {"N_x": t.n_x, "L_theta": t.l_theta, "L_t": t.l_t},
         "coeffs": coeffs,
     }
 
 
 def from_json_dict(doc: dict) -> FourierTaylorSeries:
+    """Inverse of :func:`to_json_dict`; a ``trunc.pad`` key of older files is ignored."""
     t = doc["trunc"]
     trunc = TruncationSpec(n_x=int(t["N_x"]), l_theta=int(t["L_theta"]),
-                           l_t=int(t["L_t"]), pad=int(t.get("pad", 0)))
+                           l_t=int(t["L_t"]))
     c = np.zeros(trunc.shape, dtype=np.complex128)
     for e in doc["coeffs"]:
         l, m, n = int(e["l"]), int(e["m"]), int(e["n"])

@@ -192,6 +192,10 @@ def test_config_file_merging(tmp_path):
     assert run(["simulate", "--config", str(bad)]) == 1
     bad.write_text(json.dumps({"algebra": {"spin": 2}}))
     assert run(["simulate", "--config", str(bad), "--preset", "fig1"]) == 1
+    # the box has exactly the keys n_x, l_theta and l_t
+    bad.write_text(json.dumps({"truncation": {"pad": 2}}))
+    assert run(["normalize", "--config", str(bad), "--eps", "1e-3",
+                "--out", str(tmp_path)]) == 1
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -189,6 +189,24 @@ def test_lie_exp_divergence_detected():
         nf.lie_exp_apply(f, g, Q_SERIES, PARAMS, DIO)
 
 
+def test_lie_series_term_cap(monkeypatch):
+    # at the cap the partial sum is returned with a warning
+    monkeypatch.setattr(nf, "_MAX_TERMS", 2)
+    rng = np.random.default_rng(9)
+    f = small_series(rng, n_terms=10, scale=1e-3)
+    g = small_series(rng, n_terms=10)
+    with pytest.warns(RuntimeWarning, match="truncated at 2 terms"):
+        out = nf.lie_exp_apply(f, g, Q_SERIES, PARAMS, DIO)
+    gamma = ops.Derivation(f, Q_SERIES, PARAMS, DIO)
+    g1 = gamma(g)
+    g2 = fts.scale(gamma(g1), 0.5)
+    assert fts.max_coeff_diff(out, g + g1 + g2) == 0.0
+    with pytest.warns(RuntimeWarning, match="truncated at 2 terms"):
+        res = nf.compute_v_star(pr.reduced_drive_series(1e-3), Q_SERIES,
+                                PARAMS, dio=DIO)
+    assert res.series_terms_used == 2
+
+
 # -- compute_v_star -----------------------------------------------------------
 
 

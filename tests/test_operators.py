@@ -11,7 +11,7 @@ from lie_kam.operators import AlgebraParams, DiophantineParams, ResonanceError
 from lie_kam.series import TruncationSpec
 
 PARAMS = AlgebraParams()  # rho=2, i_perp=2, i_3=3, golden x0
-TR = TruncationSpec(n_x=6, l_theta=8, l_t=8, pad=2)
+TR = TruncationSpec(n_x=6, l_theta=8, l_t=8)
 
 
 def oracle_q(params):
@@ -47,11 +47,11 @@ def test_params_derived_values():
 
 
 def test_params_cross_validation():
-    AlgebraParams(x0=0.5, omega=-1 / 6)  # consistent values pass
-    with pytest.raises(ValueError):
-        AlgebraParams(x0=0.5, omega=-0.2)
-    with pytest.raises(ValueError):
-        AlgebraParams(x0=0.5, delta=0.25)
+    # delta and omega are derived, never passed
+    with pytest.raises(TypeError):
+        AlgebraParams(x0=0.5, omega=-1 / 6)
+    with pytest.raises(TypeError):
+        AlgebraParams(x0=0.5, delta=-1 / 6)
     with pytest.raises(ValueError):
         AlgebraParams(rho=-1.0)
     with pytest.raises(ValueError):

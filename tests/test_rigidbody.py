@@ -155,6 +155,30 @@ def test_rk4_batch_aborts_only_the_failing_member():
             assert np.all(batch.y[rows:, 1] == batch.y[rows - 1, 1])
 
 
+def test_rk4_field_sees_only_live_members_after_an_abort():
+    # dy/dt = y^2 blows up at t = 1 / y0: member (0, 1) does at t = 0.2.
+    # From its abort step on, every field call gets the other three
+    # members only, and their stage states are finite
+    calls = []
+
+    def counting(t, y):
+        calls.append((y.shape, bool(np.isfinite(y).all())))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return y * y
+    y0 = np.array([[[0.1], [5.0]], [[-0.2], [0.3]]])
+    batch = rb.rk4_integrate(y0, counting, 0.01, 1.0)
+    assert batch.aborted.tolist() == [[False, True], [False, False]]
+    assert len(calls) == 4 * 100
+    # rows - 1 whole steps, then the step that failed, with every member
+    before = 4 * int(batch.rows[0, 1])
+    assert all(shape == (2, 2, 1) for shape, _ in calls[:before])
+    assert calls[before:] == [((3, 1), True)] * (len(calls) - before)
+    for k, member in enumerate(batch.members()):
+        solo = rb.rk4_integrate(y0.reshape(4, 1)[k], counting, 0.01, 1.0)
+        assert member.aborted is solo.aborted
+        assert np.array_equal(member.y, solo.y)
+
+
 def test_rk4_validation():
     f = static_field(ASYM)
     with pytest.raises(ValueError):

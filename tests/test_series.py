@@ -15,7 +15,7 @@ from lie_kam.series import (
 )
 
 RHO = 2.0
-TR = TruncationSpec(n_x=8, l_theta=8, l_t=6, pad=2)
+TR = TruncationSpec(n_x=8, l_theta=8, l_t=6)
 
 
 def rand_pair(rng):
@@ -31,10 +31,8 @@ def rand_pair(rng):
 def test_truncation_spec_validation():
     with pytest.raises(ValueError):
         TruncationSpec(n_x=-1, l_theta=2, l_t=2)
-    with pytest.raises(ValueError):
-        TruncationSpec(n_x=2, l_theta=2, l_t=2, pad=3)
-    merged = TruncationSpec(2, 5, 1, pad=1).merge(TruncationSpec(4, 2, 3, pad=0))
-    assert (merged.n_x, merged.l_theta, merged.l_t, merged.pad) == (4, 5, 3, 1)
+    merged = TruncationSpec(2, 5, 1).merge(TruncationSpec(4, 2, 3))
+    assert merged == TruncationSpec(4, 5, 3)
 
 
 def test_domain_validation():
@@ -299,8 +297,8 @@ def test_evaluate_rejects_outside_domain():
     f = fts.constant(1.0, TR, RHO)
     with pytest.raises(ValueError):
         fts.evaluate(f, 0.3, 0.0, 0.0)
-    dom = DomainConfig(x_half=0.5)
-    assert fts.evaluate(f, 0.3, 0.0, 0.0, domain=dom) == 1.0
+    x_half = DEFAULT_DOMAIN.x_half
+    assert fts.evaluate(f, [-x_half, x_half], 0.0, 0.0).tolist() == [1.0, 1.0]
 
 
 def test_evaluate_broadcasts():
@@ -361,15 +359,6 @@ def test_sampled_norm_tight_for_single_mode():
     assert got == pytest.approx(0.5 * math.exp(0.8), rel=1e-9)
 
 
-def test_norm_estimate_kinds():
-    f = fts.constant(2.0, TR, RHO)
-    est = fts.norm_estimate(f, 0.5, "majorant")
-    assert (est.kind, est.r, est.value) == ("majorant", 0.5, 2.0)
-    assert fts.norm_estimate(f, 0.5, "sampled").value == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        fts.norm_estimate(f, 0.5, "exact")
-
-
 def test_cauchy_margins_nonnegative():
     pyrng = __import__("random").Random(97)
     for _ in range(25):
@@ -406,7 +395,7 @@ def test_json_rejects_non_real():
 def test_json_layout_and_half_lattice():
     f = fts.from_real_terms([(1, -2, 0, 1.0 + 2.0j), (0, 0, 1, 4.0)], TR, RHO)
     doc = json.loads(fts.to_json(f))
-    assert doc["trunc"] == {"N_x": 8, "L_theta": 8, "L_t": 6, "pad": 2}
+    assert doc["trunc"] == {"N_x": 8, "L_theta": 8, "L_t": 6}
     stored = {(e["l"], e["m"], e["n"]) for e in doc["coeffs"]}
     assert stored == {(1, -2, 0), (0, 0, 1)}
     entries = doc["coeffs"]
@@ -415,6 +404,16 @@ def test_json_layout_and_half_lattice():
     bad["coeffs"] = [{"l": -1, "m": 0, "n": 0, "re": 1.0, "im": 0.0}]
     with pytest.raises(ValueError):
         fts.from_json_dict(bad)
+
+
+def test_json_loads_older_files_with_pad():
+    # files written before the pad knob was removed carry trunc.pad
+    f = fts.from_real_terms([(1, -2, 0, 1.0 + 2.0j), (0, 0, 1, 4.0)], TR, RHO)
+    doc = fts.to_json_dict(f)
+    old = dict(doc, trunc=dict(doc["trunc"], pad=2))
+    back = fts.from_json_dict(old)
+    assert back.trunc == TR
+    assert fts.to_json_dict(back) == doc
 
 
 def test_json_symmetrizes_tiny_defect():
