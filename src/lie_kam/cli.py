@@ -671,11 +671,14 @@ def cmd_verify(args, config):
 # -- wiring -------------------------------------------------------------------
 
 
-def _add_common(sp):
+def _add_common(sp, seed=False, tol=False):
+    """--config and --out, plus --seed and --tol for the commands that read them."""
     sp.add_argument("--config", help="JSON config file; flags override it")
-    sp.add_argument("--seed", type=int, help="random seed (default 0)")
+    if seed:
+        sp.add_argument("--seed", type=int, help="random seed (default 0)")
     sp.add_argument("--out", help="output directory (default .)")
-    sp.add_argument("--tol", type=_finite_float, help="numerical tolerance")
+    if tol:
+        sp.add_argument("--tol", type=_finite_float, help="numerical tolerance")
 
 
 def _add_diophantine_flags(sp):
@@ -713,12 +716,12 @@ def _build_parser():
     _add_simulation_flags(sp)
     sp.add_argument("--section", action="store_true", default=None,
                     help="also emit stroboscopic sections")
-    _add_common(sp)
+    _add_common(sp, seed=True)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("section", help="emit stroboscopic sections only")
     _add_simulation_flags(sp)
-    _add_common(sp)
+    _add_common(sp, seed=True)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("normalize",
@@ -727,7 +730,7 @@ def _build_parser():
     sp.add_argument("--eps", type=_finite_float,
                     help="drive amplitude (required)")
     _add_diophantine_flags(sp)
-    _add_common(sp)
+    _add_common(sp, tol=True)
     sp.set_defaults(func=cmd_normalize)
 
     sp = sub.add_parser("iterate", help="iterated conjugation ledger")
@@ -738,20 +741,20 @@ def _build_parser():
     sp.add_argument("--r", type=_finite_float,
                     help="working radius (default 0.5)")
     _add_diophantine_flags(sp)
-    _add_common(sp)
+    _add_common(sp, tol=True)
     sp.set_defaults(func=cmd_iterate)
 
     sp = sub.add_parser("bounds", help="analytic constants and margins")
     sp.add_argument("--trials", type=int, help="random triples (default 20)")
     _add_diophantine_flags(sp)
-    _add_common(sp)
+    _add_common(sp, seed=True)
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("verify", help="operator identity suite")
     sp.add_argument("--trials", type=int,
                     help="random probes per identity (default 100)")
     _add_diophantine_flags(sp)
-    _add_common(sp)
+    _add_common(sp, seed=True, tol=True)
     sp.set_defaults(func=cmd_verify)
 
     for sp in sub.choices.values():

@@ -401,9 +401,8 @@ def _curvature_update(q: FourierTaylorSeries,
         lt, lth = trm.l_t - rv.trunc.l_t, trm.l_theta - rv.trunc.l_theta
         c[lt:lt + 2 * rv.trunc.l_t + 1, lth:lth + 2 * rv.trunc.l_theta + 1, 0] += \
             2.0 * rv.coeffs[:, :, 2]
-    return FourierTaylorSeries(c, trm, q.rho,
-                               tail_norm=q.tail_norm + rv.tail_norm,
-                               real=fts._real_from(q, rv))
+    return FourierTaylorSeries(c, trm, q.rho, tail_norm=q.tail_norm + rv.tail_norm,
+                               hermitian=True)
 
 
 def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,

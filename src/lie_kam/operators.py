@@ -26,6 +26,7 @@ box that no identity can fail by truncation alone.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -136,7 +137,7 @@ class DiophantineParams:
 
 def _rebox(coeffs, like: FourierTaylorSeries) -> FourierTaylorSeries:
     # the projections keep or drop whole mirror pairs, so reality is kept
-    return FourierTaylorSeries(coeffs, like.trunc, like.rho, real=fts._real_from(like))
+    return FourierTaylorSeries(coeffs, like.trunc, like.rho, hermitian=True)
 
 
 def average_op(f: FourierTaylorSeries) -> FourierTaylorSeries:
@@ -216,7 +217,7 @@ def small_divisor_solve(f: FourierTaylorSeries, params: AlgebraParams,
     Modes of degree >= 2 and the time-angle average are dropped; the result u
     satisfies (omega*d_theta + d_t) u = fluctuating part of degree <= 1 of f.
     Divisors are only formed at modes f actually populates. The result keeps
-    f's tail_norm, and it is real when f is: the divisor is odd,
+    f's tail_norm, and it stays exactly hermitian: the divisor is odd,
     d(-l, -m) = -d(l, m).
     """
     t = f.trunc
@@ -230,16 +231,18 @@ def small_divisor_solve(f: FourierTaylorSeries, params: AlgebraParams,
     d = np.where(np.abs(d) < _MIN_DIVISOR, 1.0, d)  # masked entries have src == 0
     c = np.zeros(t.shape, dtype=np.complex128)
     c[:, :, : top + 1] = -1j * src / d[:, :, None]
-    return FourierTaylorSeries(c, t, f.rho, tail_norm=f.tail_norm,
-                               real=fts._real_from(f))
+    return FourierTaylorSeries(c, t, f.rho, tail_norm=f.tail_norm, hermitian=True)
 
 
+@functools.lru_cache
 def estimate_diophantine(omega: float, tau: float, k_scan: int = 50):
     """Smallest |omega m + l| (|l| + |m|)^tau over 0 < |l| + |m| <= k_scan.
 
     Returns (gamma_hat, (l, m)) for the minimizing mode, scanning one
     representative of each +/- pair (m > 0, or m = 0 and l > 0). A zero
-    gamma_hat means omega is resonant inside the scanned block.
+    gamma_hat means omega is resonant inside the scanned block. The scan
+    is a pure function of its arguments and is cached, so a sweep that
+    certifies many triples at one rotation number scans once.
     """
     best = math.inf
     arg = None
@@ -270,7 +273,7 @@ def half_curvature_x2(q: FourierTaylorSeries) -> FourierTaylorSeries:
     nt = TruncationSpec(n_x=2, l_theta=t.l_theta, l_t=t.l_t)
     c = np.zeros(nt.shape, dtype=np.complex128)
     c[:, :, 2] = 0.5 * q.coeffs[:, :, 0]
-    return FourierTaylorSeries(c, nt, q.rho, real=fts._real_from(q))
+    return FourierTaylorSeries(c, nt, q.rho, hermitian=True)
 
 
 def _lift_degree(f: FourierTaylorSeries) -> FourierTaylorSeries:
@@ -280,12 +283,10 @@ def _lift_degree(f: FourierTaylorSeries) -> FourierTaylorSeries:
         nt = TruncationSpec(n_x=t.n_x + 1, l_theta=t.l_theta, l_t=t.l_t)
         c = np.zeros(nt.shape, dtype=np.complex128)
         c[:, :, 1:] = f.coeffs
-        return FourierTaylorSeries(c, nt, f.rho, tail_norm=f.tail_norm,
-                                   real=fts._real_from(f))
+        return FourierTaylorSeries(c, nt, f.rho, tail_norm=f.tail_norm, hermitian=True)
     c = np.zeros(t.shape, dtype=np.complex128)
     c[:, :, 1:] = f.coeffs[:, :, :-1]
-    return FourierTaylorSeries(c, t, f.rho, tail_norm=f.tail_norm,
-                               real=fts._real_from(f))
+    return FourierTaylorSeries(c, t, f.rho, tail_norm=f.tail_norm, hermitian=True)
 
 
 def _strip_imag(z: complex, what: str) -> float:
@@ -323,7 +324,7 @@ def translation_coefficient(f: FourierTaylorSeries, q: FourierTaylorSeries,
         acc += m * qc * f0[a, b] / (params.omega * m + l)
     _check_divisors(modes, params.omega, dio)
     out = (params.rho * f.coeff(0, 0, 1) - acc) / q00
-    return _strip_imag(out, "translation coefficient") if f.is_real and q.is_real else out
+    return _strip_imag(out, "translation coefficient")
 
 
 def hamiltonian_apply(g: FourierTaylorSeries, q: FourierTaylorSeries,
@@ -357,7 +358,7 @@ class Derivation:
         N f = basic_solvable(f) + K, the part Gamma_f removes; R f + N f = f.
     generator : FourierTaylorSeries
         G_s f - x W_f.
-    shift : float or complex
+    shift : float
         a_f / rho, the coefficient of the translation d_x.
     """
 

@@ -379,11 +379,6 @@ def make_reduced_field(params: AlgebraParams,
     along a table axis, so a member of a batch (..., 2) gets the bits of
     its solo call on (2,). The sums agree with the dense evaluation
     (``series.evaluate``) up to rounding, not bit for bit.
-
-    Raises
-    ------
-    RealityError
-        If dV/dtheta or dV/dx is not a real series.
     """
     rho, delta, x0 = params.rho, params.delta, params.x0
     rho_delta = rho * delta
@@ -394,8 +389,6 @@ def make_reduced_field(params: AlgebraParams,
             return out
         return fieldfn
     parts = (fts.partial_theta(v_series), fts.partial_x(v_series))
-    if not all(part.is_real for part in parts):
-        raise fts.RealityError("reduced fields need real perturbation series")
     tr = v_series.trunc
     nonzero = (parts[0].coeffs != 0) | (parts[1].coeffs != 0)  # (l, m, n)
     used = nonzero.any(axis=2)

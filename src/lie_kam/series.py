@@ -6,12 +6,14 @@ A series is a finite sum
 
 with wave numbers l in [-L_t, L_t], m in [-L_theta, L_theta] and polynomial
 degree n in [0, N_x]. Coefficients are stored densely over that index box.
-A series representing a real-valued function satisfies the reality condition
-c_{-l,-m,n} = conj(c_{l,m,n}). Reality is measured once, where raw
-coefficients enter (the constructor, ``from_terms``, JSON), and a series
-found real is stored exactly hermitian. Operations on real series then
-pass the flag on: sums, real scalings, derivatives and products keep the
-exact symmetry by construction, so nothing is re-measured or repaired.
+Every series is real: its coefficients satisfy the reality condition
+c_{-l,-m,n} = conj(c_{l,m,n}). Reality is checked once, where raw
+coefficients enter (the constructor, ``from_terms``, ``from_real_terms``,
+JSON); data within rounding of real is stored as its exactly hermitian
+part, and anything else raises ``RealityError``, as does ``scale`` by a
+non-real scalar. Operations keep the exact symmetry by construction (sums,
+real scalings, derivatives and products), so no operation asks again
+whether a series is real.
 
 Norms are measured by the one-sided coefficient majorant
 
@@ -152,37 +154,37 @@ class FourierTaylorSeries:
         by |c|, and small-divisor solves and lifts by x keep them. A product
         reports only what it dropped itself; derivatives and projections
         start from zero. It records truncation and is not an error bound.
-    real : bool
-        Whether the series is real. A real series is exactly hermitian.
 
     Parameters
     ----------
     coeffs, trunc, rho, tail_norm
         As the attributes; coeffs is copied and must be finite.
-    real : bool or None
-        None measures the hermitian defect: within ``_REALITY_TOL`` (scaled
-        by max(1, max |c|)) the series is real and stored as its hermitian
-        part. True or False is taken as given, for operations that know
-        their output's reality from their inputs; True promises exactly
-        hermitian coefficients.
+    hermitian : bool
+        False (raw data) measures the hermitian defect: within
+        ``_REALITY_TOL`` (scaled by max(1, max |c|)) the coefficients are
+        stored as their hermitian part, and above it ``RealityError`` is
+        raised. True promises exactly hermitian coefficients, for operations
+        that build their output from real series.
     """
 
-    __slots__ = ("coeffs", "trunc", "rho", "tail_norm", "real")
+    __slots__ = ("coeffs", "trunc", "rho", "tail_norm")
 
     def __init__(self, coeffs, trunc: TruncationSpec, rho: float,
-                 tail_norm: float = 0.0, real: bool = None):
+                 tail_norm: float = 0.0, hermitian: bool = False):
         coeffs = np.array(coeffs, dtype=np.complex128, order="C", copy=True)
         if coeffs.shape != trunc.shape:
             raise ValueError(f"coefficient shape {coeffs.shape} != box {trunc.shape}")
         if not rho > 0:
             raise ValueError("rho must be positive")
-        if real is None:
+        if not hermitian:
             defect = _hermitian_defect(coeffs)
             # the defect is NaN or inf exactly when some coefficient is
             if not math.isfinite(defect):
                 raise ValueError("series coefficients must be finite")
-            real = defect <= _REALITY_TOL * max(1.0, float(np.max(np.abs(coeffs))))
-            if real and defect > 0.0:
+            if defect > _REALITY_TOL * max(1.0, float(np.max(np.abs(coeffs)))):
+                raise RealityError(
+                    f"series coefficients are not real: hermitian defect {defect:.3g}")
+            if defect > 0.0:
                 coeffs = _hermitian_part(coeffs)
         elif not np.isfinite(coeffs).all():
             raise ValueError("series coefficients must be finite")
@@ -191,7 +193,6 @@ class FourierTaylorSeries:
         self.trunc = trunc
         self.rho = float(rho)
         self.tail_norm = float(tail_norm)
-        self.real = bool(real)
 
     # -- basic queries ---------------------------------------------------
 
@@ -199,10 +200,6 @@ class FourierTaylorSeries:
     def hermitian_defect(self) -> float:
         """Max |c_{l,m,n} - conj(c_{-l,-m,n})| over the box, measured on demand."""
         return _hermitian_defect(self.coeffs)
-
-    @property
-    def is_real(self) -> bool:
-        return self.real
 
     def coeff(self, l: int, m: int, n: int) -> complex:
         """Coefficient c_{l,m,n}; indices outside the box are zero."""
@@ -252,23 +249,19 @@ def _hermitian_part(coeffs):
     return 0.5 * (coeffs + np.conj(coeffs[::-1, ::-1, :]))
 
 
-def _real_from(a, b=None):
-    """real= for an operation that keeps reality: True on real inputs, else measure."""
-    return True if a.real and (b is None or b.real) else None
-
-
 # -- construction ----------------------------------------------------------
 
 
 def zeros(trunc: TruncationSpec, rho: float) -> FourierTaylorSeries:
     return FourierTaylorSeries(np.zeros(trunc.shape, dtype=np.complex128), trunc, rho,
-                               real=True)
+                               hermitian=True)
 
 
 def from_terms(terms, trunc: TruncationSpec, rho: float) -> FourierTaylorSeries:
     """Series from an iterable of (l, m, n, value) or a {(l,m,n): value} dict.
 
-    Raises if any index falls outside the box.
+    Values at the same index add up. Raises ValueError if any index falls
+    outside the box, and RealityError if the terms are not a real series.
     """
     if isinstance(terms, dict):
         terms = [(l, m, n, v) for (l, m, n), v in terms.items()]
@@ -283,9 +276,11 @@ def from_terms(terms, trunc: TruncationSpec, rho: float) -> FourierTaylorSeries:
 def from_real_terms(terms, trunc: TruncationSpec, rho: float) -> FourierTaylorSeries:
     """Real series from half-lattice terms; mirror coefficients are implied.
 
-    Terms must have l > 0, or l = 0 and m >= 0. Coefficients at l = m = 0
-    must be real. The conjugate mirror of every off-center term is added
-    automatically, so the result is exactly hermitian.
+    Terms must have l > 0, or l = 0 and m >= 0 (else ValueError).
+    Coefficients at l = m = 0 must be real (else RealityError); an
+    imaginary part within rounding is dropped. The conjugate mirror of every
+    off-center term is added automatically, so the result is exactly
+    hermitian.
     """
     if isinstance(terms, dict):
         terms = [(l, m, n, v) for (l, m, n), v in terms.items()]
@@ -318,7 +313,7 @@ def random_real_series(trunc: TruncationSpec, rho: float, rng, n_terms: int = 30
     lt = trunc.l_t if l_t_max is None else int(l_t_max)
     lm = trunc.l_theta if l_theta_max is None else int(l_theta_max)
     nx = trunc.n_x if n_x_max is None else int(n_x_max)
-    c = np.zeros(trunc.shape, dtype=np.complex128)
+    terms = []
     for _ in range(n_terms):
         l = int(rng.integers(0, lt + 1))
         m = int(rng.integers(-lm, lm + 1))
@@ -328,10 +323,8 @@ def random_real_series(trunc: TruncationSpec, rho: float, rng, n_terms: int = 30
         v = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         if l == 0 and m == 0:
             v = complex(v.real, 0.0)
-        c[l + trunc.l_t, m + trunc.l_theta, n] += v
-        if l != 0 or m != 0:
-            c[-l + trunc.l_t, -m + trunc.l_theta, n] += v.conjugate()
-    return FourierTaylorSeries(c, trunc, rho)
+        terms.append((l, m, n, v))
+    return from_real_terms(terms, trunc, rho)
 
 
 # -- arithmetic -------------------------------------------------------------
@@ -359,19 +352,19 @@ def add(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTaylorSeries:
     _check_rho(a, b)
     trunc = a.trunc.merge(b.trunc)
     return FourierTaylorSeries(_embed(a, trunc) + _embed(b, trunc), trunc, a.rho,
-                               tail_norm=a.tail_norm + b.tail_norm,
-                               real=_real_from(a, b))
+                               tail_norm=a.tail_norm + b.tail_norm, hermitian=True)
 
 
 def scale(a: FourierTaylorSeries, c) -> FourierTaylorSeries:
-    """Multiply by a scalar c; the tail scales by |c|.
+    """Multiply by a real scalar c; the tail scales by |c|.
 
-    A real c (any real Python or numpy number, or a complex one with zero
-    imaginary part) keeps a real series real.
+    c is any real Python or numpy number, or a complex one with zero
+    imaginary part; a nonzero imaginary part raises RealityError.
     """
-    real = _real_from(a) if np.imag(c) == 0 else None
+    if np.imag(c) != 0:
+        raise RealityError(f"scaling a real series by the non-real scalar {c!r}")
     return FourierTaylorSeries(a.coeffs * c, a.trunc, a.rho,
-                               tail_norm=a.tail_norm * abs(c), real=real)
+                               tail_norm=a.tail_norm * abs(c), hermitian=True)
 
 
 # pair products are formed in blocks of at most this many entries
@@ -465,27 +458,21 @@ def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTaylorSer
     r = 0 (so abs(value) * x_half^degree) is reported on the result's
     tail_norm attribute.
 
-    For two real factors only half the pairs are formed. The upper half
-    A+ of a (l > 0, or l = 0 and m > 0, plus half of each l = m = 0 cell)
-    gives P = A+ * b; since a = A+ + conj(mirror A+) and b is hermitian,
-    a * b = P + conj(mirror P), which is exactly hermitian, and the
-    dropped weight is twice P's. A non-real factor takes the whole of a
-    and no mirror step.
+    Only half the pairs are formed. The upper half A+ of a (l > 0, or
+    l = 0 and m > 0, plus half of each l = m = 0 cell) gives P = A+ * b;
+    since a = A+ + conj(mirror A+) and b is hermitian, a * b = P +
+    conj(mirror P), which is exactly hermitian, and the dropped weight is
+    twice P's.
     """
     _check_rho(a, b)
     trunc = a.trunc.merge(b.trunc)
     ta, tb = a.trunc, b.trunc
-    real = a.real and b.real
-    if real:
-        src = np.array(a.coeffs[ta.l_t:])  # l >= 0
-        src[0, :ta.l_theta] = 0.0  # l = 0, m < 0: the mirror half
-        src[0, ta.l_theta] *= 0.5  # l = m = 0: split between the halves
-        l_off = 0
-    else:
-        src, l_off = a.coeffs, ta.l_t
+    src = np.array(a.coeffs[ta.l_t:])  # l >= 0
+    src[0, :ta.l_theta] = 0.0  # l = 0, m < 0: the mirror half
+    src[0, ta.l_theta] *= 0.5  # l = m = 0: split between the halves
     ia = np.nonzero(src)
     ib = np.nonzero(b.coeffs)
-    la = ia[0].astype(np.int64) - l_off
+    la = ia[0].astype(np.int64)
     ma = ia[1].astype(np.int64) - ta.l_theta
     na = ia[2].astype(np.int64)
     lb = ib[0].astype(np.int64) - tb.l_t
@@ -496,30 +483,27 @@ def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTaylorSer
         la, ma, na, np.ascontiguousarray(src[ia]),
         lb, mb, nb, np.ascontiguousarray(b.coeffs[ib]),
         trunc.l_t, trunc.l_theta, trunc.n_x, xpow)
-    if real:
-        out = out + np.conj(out[::-1, ::-1, :])
-        tail = 2.0 * tail
-    return FourierTaylorSeries(out, trunc, a.rho, tail_norm=tail,
-                               real=True if real else None)
+    out = out + np.conj(out[::-1, ::-1, :])
+    return FourierTaylorSeries(out, trunc, a.rho, tail_norm=2.0 * tail, hermitian=True)
 
 
 def partial_x(a: FourierTaylorSeries) -> FourierTaylorSeries:
     c = np.zeros_like(a.coeffs)
     n = np.arange(1, a.trunc.n_x + 1)
     c[:, :, :-1] = a.coeffs[:, :, 1:] * n
-    return FourierTaylorSeries(c, a.trunc, a.rho, real=_real_from(a))
+    return FourierTaylorSeries(c, a.trunc, a.rho, hermitian=True)
 
 
 def partial_theta(a: FourierTaylorSeries) -> FourierTaylorSeries:
     m = np.arange(-a.trunc.l_theta, a.trunc.l_theta + 1)
     c = a.coeffs * (1j * m)[None, :, None]
-    return FourierTaylorSeries(c, a.trunc, a.rho, real=_real_from(a))
+    return FourierTaylorSeries(c, a.trunc, a.rho, hermitian=True)
 
 
 def partial_t(a: FourierTaylorSeries) -> FourierTaylorSeries:
     l = np.arange(-a.trunc.l_t, a.trunc.l_t + 1)
     c = a.coeffs * (1j * l)[:, None, None]
-    return FourierTaylorSeries(c, a.trunc, a.rho, real=_real_from(a))
+    return FourierTaylorSeries(c, a.trunc, a.rho, hermitian=True)
 
 
 def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTaylorSeries:
@@ -530,8 +514,7 @@ def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTa
     # p and q share the merged box: one construction for (p - q) / rho
     c = 1.0 / a.rho
     return FourierTaylorSeries((p.coeffs - q.coeffs) * c, p.trunc, a.rho,
-                               tail_norm=(p.tail_norm + q.tail_norm) * c,
-                               real=_real_from(p, q))
+                               tail_norm=(p.tail_norm + q.tail_norm) * c, hermitian=True)
 
 
 # -- evaluation and norms ---------------------------------------------------
@@ -559,21 +542,15 @@ def _evaluate_raw(a: FourierTaylorSeries, x, theta, t):
 def evaluate(a: FourierTaylorSeries, x, theta, t):
     """Evaluate the series at real points.
 
-    |x| must stay within the domain half-width. For a real series
-    the imaginary part of the result is checked against 1e-12 (scaled) and
-    discarded; complex series return complex values.
+    |x| must stay within the domain half-width. The series is real, so the
+    value is real up to the rounding of the complex sum; that imaginary
+    rounding residue is discarded.
     """
     x = np.asarray(x, dtype=np.float64)
     if np.any(np.abs(x) > DEFAULT_DOMAIN.x_cap):
         raise ValueError(
             f"evaluation outside domain radius |x| <= {DEFAULT_DOMAIN.x_half}")
-    val = _evaluate_raw(a, x, theta, t)
-    if a.is_real:
-        scale_ = max(1.0, float(np.max(np.abs(val))))
-        if float(np.max(np.abs(np.imag(val)))) > 1e-12 * scale_:
-            raise RealityError("real series evaluated to a complex value")
-        return np.real(val)
-    return val
+    return np.real(_evaluate_raw(a, x, theta, t))
 
 
 def majorant_norm(a: FourierTaylorSeries, r: float) -> float:
@@ -657,15 +634,14 @@ def max_coeff_diff(a: FourierTaylorSeries, b: FourierTaylorSeries) -> float:
 
 
 def to_json_dict(a: FourierTaylorSeries) -> dict:
-    """Half-lattice JSON form of a real series.
+    """Half-lattice JSON form of a series.
 
     Stores nonzero coefficients with l > 0 or (l = 0, m >= 0); the reality
-    condition supplies the rest on load. Raises for non-real series. A real
-    series is exactly hermitian, so a load followed by a dump reproduces
-    the document byte for byte.
+    condition supplies the rest on load. A series is exactly hermitian, so
+    a dump followed by a load gives back the same coefficients, and a load
+    followed by a dump reproduces the document byte for byte, up to the
+    sign of zero parts ("-0.0" loads as 0.0).
     """
-    if not a.is_real:
-        raise RealityError("only real series serialize to the half-lattice form")
     t = a.trunc
     coeffs = []
     li, mi, ni = np.nonzero(a.coeffs)
@@ -686,20 +662,18 @@ def to_json_dict(a: FourierTaylorSeries) -> dict:
 
 
 def from_json_dict(doc: dict) -> FourierTaylorSeries:
-    """Inverse of :func:`to_json_dict`; a ``trunc.pad`` key of older files is ignored."""
+    """Inverse of :func:`to_json_dict`, through :func:`from_real_terms`.
+
+    Entries outside the box or off the half-lattice raise ValueError, and
+    an imaginary l = m = 0 entry raises RealityError. A ``trunc.pad`` key
+    of older files is ignored.
+    """
     t = doc["trunc"]
     trunc = TruncationSpec(n_x=int(t["N_x"]), l_theta=int(t["L_theta"]),
                            l_t=int(t["L_t"]))
-    c = np.zeros(trunc.shape, dtype=np.complex128)
-    for e in doc["coeffs"]:
-        l, m, n = int(e["l"]), int(e["m"]), int(e["n"])
-        if l < 0 or (l == 0 and m < 0):
-            raise ValueError("serialized series must store the half-lattice only")
-        v = complex(float(e["re"]), float(e["im"]))
-        c[l + trunc.l_t, m + trunc.l_theta, n] = v
-        if l != 0 or m != 0:
-            c[-l + trunc.l_t, -m + trunc.l_theta, n] = v.conjugate()
-    return FourierTaylorSeries(c, trunc, float(doc["rho"]))
+    terms = [(int(e["l"]), int(e["m"]), int(e["n"]),
+              complex(float(e["re"]), float(e["im"]))) for e in doc["coeffs"]]
+    return from_real_terms(terms, trunc, float(doc["rho"]))
 
 
 def to_json(a: FourierTaylorSeries) -> str:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lie_kam import cli
+from lie_kam import operators as ops
 from lie_kam import presets as pr
 from lie_kam import rigidbody as rb
 from lie_kam import series as fts
@@ -198,6 +199,19 @@ def test_config_file_merging(tmp_path):
                 "--out", str(tmp_path)]) == 1
 
 
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, capsys):
+    # --tol is read by normalize, iterate and verify only; --seed by
+    # simulate, section, bounds and verify only
+    assert run(["simulate", "--preset", "fig1", "--tol", "1e-3",
+                "--out", str(tmp_path)]) == 1
+    assert run(["normalize", "--eps", "1e-3", "--seed", "1",
+                "--out", str(tmp_path)]) == 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 1}))
+    assert run(["bounds", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "unknown config keys for bounds: tol" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_config_keys_are_the_flags(tmp_path, command):
     parser = cli._build_parser()
@@ -260,7 +274,7 @@ def test_normalize_snapshot_and_probe(tmp_path):
     assert rc == 0
     snap = read_json(tmp_path / "v_star.json")
     v_star = fts.from_json_dict(snap["series"])
-    assert v_star.is_real
+    assert v_star.hermitian_defect == 0.0
     rep = read_json(tmp_path / "normalize_report.json")
     assert rep["v_star_norm"] > 0.0
     assert abs(rep["v_star_norm"] - fts.majorant_norm(v_star, 0.2)) <= 1e-15
@@ -310,6 +324,16 @@ def test_bounds_report(tmp_path):
     assert rep["margins"]["min_margin"] >= 0.0
     assert rep["schedule"]["valid"] is True
     assert rep["schedule"]["eps0_max"] > 0.0
+
+
+def test_bounds_scans_the_diophantine_block_once(tmp_path):
+    # the scan is cached: the preset's gamma and every triple's hypothesis
+    # check share one scan of the same (omega, tau, k_scan)
+    ops.estimate_diophantine.cache_clear()
+    assert run(["bounds", "--trials", "3", "--out", str(tmp_path)]) == 0
+    info = ops.estimate_diophantine.cache_info()
+    assert info.misses == 1
+    assert info.hits == 3
 
 
 def test_verify_passes_with_one_trial(tmp_path, capsys):

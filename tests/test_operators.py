@@ -96,7 +96,7 @@ def test_small_divisor_solve_matches_oracle():
 def test_small_divisor_frozen_example():
     # omega = -1/6: mode e^{i(theta + t)} picks divisor 1 - 1/6 = 5/6
     p = AlgebraParams(x0=0.5)
-    f = fts.from_terms([(1, 1, 0, 1.0)], TR, p.rho)
+    f = fts.from_real_terms([(1, 1, 0, 1.0)], TR, p.rho)
     got = ops.small_divisor_solve(f, p)
     assert got.coeff(1, 1, 0) == pytest.approx(-1.2j)
 
@@ -185,7 +185,7 @@ def test_derivation_built_once_matches_oracle():
 
 
 def _exactly_real(s):
-    return s.is_real and s.hermitian_defect == 0.0
+    return s.hermitian_defect == 0.0
 
 
 def test_operators_keep_reality_exactly():
@@ -239,17 +239,17 @@ def test_translation_requires_nonzero_average():
 def test_resonance_raises():
     # omega = -1/6 makes (l, m) = (1, 6) an exact resonance
     p = AlgebraParams(x0=0.5)
-    f = fts.from_terms([(1, 6, 0, 1.0)], TR, p.rho)
+    f = fts.from_real_terms([(1, 6, 0, 1.0)], TR, p.rho)
     with pytest.raises(ResonanceError):
         ops.small_divisor_solve(f, p)
     # modes the series does not populate are never touched
-    g = fts.from_terms([(1, 1, 0, 1.0)], TR, p.rho)
+    g = fts.from_real_terms([(1, 1, 0, 1.0)], TR, p.rho)
     ops.small_divisor_solve(g, p)
 
 
 def test_small_divisor_warning():
     dio = DiophantineParams(gamma=10.0, tau=1.0)  # absurdly demanding floor
-    f = fts.from_terms([(1, 1, 0, 1.0)], TR, PARAMS.rho)
+    f = fts.from_real_terms([(1, 1, 0, 1.0)], TR, PARAMS.rho)
     with pytest.warns(ops.SmallDivisorWarning):
         ops.small_divisor_solve(f, PARAMS, dio=dio)
 

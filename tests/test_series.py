@@ -51,7 +51,7 @@ def test_from_terms_rejects_out_of_box():
 
 def test_from_real_terms_builds_hermitian_box():
     f = fts.from_real_terms([(1, 2, 1, 0.5 - 0.25j), (0, 0, 2, 3.0)], TR, RHO)
-    assert f.is_real
+    assert f.hermitian_defect == 0.0
     assert f.coeff(1, 2, 1) == 0.5 - 0.25j
     assert f.coeff(-1, -2, 1) == 0.5 + 0.25j
     assert f.coeff(0, 0, 2) == 3.0
@@ -61,12 +61,35 @@ def test_from_real_terms_builds_hermitian_box():
         fts.from_real_terms([(0, 0, 0, 1.0 + 1.0j)], TR, RHO)
 
 
+def test_random_real_series_mirrors_its_draws():
+    # the same draws, in the same order, as writing each term and its mirror
+    trunc = TruncationSpec(n_x=3, l_theta=3, l_t=2)
+    got = fts.random_real_series(trunc, RHO, np.random.default_rng(5), n_terms=40)
+    rng = np.random.default_rng(5)
+    c = np.zeros(trunc.shape, dtype=np.complex128)
+    for _ in range(40):
+        l = int(rng.integers(0, 3))
+        m = int(rng.integers(-3, 4))
+        n = int(rng.integers(0, 4))
+        m = -m if l == 0 and m < 0 else m
+        v = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        v = complex(v.real, 0.0) if l == m == 0 else v
+        c[l + 2, m + 3, n] += v
+        if l or m:
+            c[2 - l, 3 - m, n] += v.conjugate()
+    assert np.array_equal(got.coeffs, c)
+
+
 def test_reality_flag_detects_defect():
+    # non-real raw data is rejected where it enters
     c = np.zeros(TR.shape, dtype=np.complex128)
     c[TR.l_t + 1, TR.l_theta, 0] = 1.0 + 0.5j  # no mirror partner
-    f = FourierTaylorSeries(c, TR, RHO)
-    assert not f.is_real
-    assert f.hermitian_defect > 0.1
+    with pytest.raises(RealityError):
+        FourierTaylorSeries(c, TR, RHO)
+    with pytest.raises(RealityError):
+        fts.from_terms([(1, 0, 0, 1.0 + 0.5j)], TR, RHO)
+    with pytest.raises(RealityError):
+        fts.constant(1.0j, TR, RHO)
 
 
 def test_raw_entry_stores_real_series_exactly_hermitian():
@@ -75,7 +98,6 @@ def test_raw_entry_stores_real_series_exactly_hermitian():
     c[TR.l_t - 1, TR.l_theta - 1, 0] = 0.5
     c[TR.l_t, TR.l_theta, 1] = 2.0 + 1e-15j
     f = FourierTaylorSeries(c, TR, RHO)
-    assert f.is_real
     assert f.hermitian_defect == 0.0
     assert f.coeff(0, 0, 1) == 2.0
     assert f.coeff(1, 1, 0) == np.conj(f.coeff(-1, -1, 0))
@@ -86,9 +108,9 @@ def test_given_reality_still_rejects_non_finite():
         for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
             c = np.zeros(TR.shape, dtype=np.complex128)
             c[TR.l_t, TR.l_theta, 0] = bad
-            for real in (True, False):
+            for hermitian in (True, False):
                 with pytest.raises(ValueError, match="finite"):
-                    FourierTaylorSeries(c, TR, RHO, real=real)
+                    FourierTaylorSeries(c, TR, RHO, hermitian=hermitian)
 
 
 def test_coeffs_are_frozen():
@@ -153,7 +175,9 @@ def test_sums_and_scalar_multiples_carry_the_tail():
     assert (clipped + clipped).tail_norm == pytest.approx(2.0 * tail, rel=1e-15)
     assert (clipped - clipped).tail_norm == pytest.approx(2.0 * tail, rel=1e-15)
     assert fts.scale(clipped, -3.0).tail_norm == pytest.approx(3.0 * tail, rel=1e-15)
-    assert fts.scale(clipped, 2j).tail_norm == pytest.approx(2.0 * tail, rel=1e-15)
+    assert fts.scale(clipped, 2.0 + 0.0j).tail_norm == pytest.approx(2.0 * tail, rel=1e-15)
+    with pytest.raises(RealityError):
+        fts.scale(clipped, 2j)
     # the bracket reports what its two products dropped, over rho
     b = fts.from_real_terms([(1, 2, 1, 0.5)], t, RHO)
     p = fts.multiply(fts.partial_x(a), fts.partial_theta(b))
@@ -167,13 +191,13 @@ def test_scale_keeps_reality_for_numpy_real_scalars():
     a = fts.from_real_terms([(1, 2, 1, 0.5 - 0.25j), (0, 0, 2, 3.0)], TR, RHO)
     for c in (np.int64(2), np.float32(0.5), np.array(-1.5), 2.0 + 0.0j, 3):
         out = fts.scale(a, c)
-        assert out.is_real, c
-        assert out.hermitian_defect == 0.0
+        assert out.hermitian_defect == 0.0, c
         assert fts.from_json(fts.to_json(out)).coeff(1, 2, 1) == out.coeff(1, 2, 1)
     assert fts.scale(a, np.int64(2)).coeff(0, 0, 2) == 6.0
     assert fts.scale(a, np.float32(0.5)).coeff(1, 2, 1) == 0.25 - 0.125j
-    assert not fts.scale(a, 1j).is_real
-    assert not fts.scale(a, np.complex64(1j)).is_real
+    for c in (1j, np.complex64(1j)):
+        with pytest.raises(RealityError):
+            fts.scale(a, c)
 
 
 def _real_one_sided(rng, ls, mmax, nmax):
@@ -189,7 +213,7 @@ def _real_one_sided(rng, ls, mmax, nmax):
 
 
 def _exactly_real(s):
-    return s.is_real and s.hermitian_defect == 0.0
+    return s.hermitian_defect == 0.0
 
 
 def test_non_finite_coefficients_rejected():
@@ -222,7 +246,7 @@ def test_poisson_bracket_matches_oracle():
         ref = oracle.bracket(da, db, RHO)
         got = fts.poisson_bracket(a, b)
         assert oracle.diff_norm(ref, got) < 1e-13
-        assert got.is_real
+        assert got.hermitian_defect == 0.0
 
 
 def test_bracket_frozen_example():
@@ -353,10 +377,11 @@ def test_sampled_norm_below_majorant():
 
 
 def test_sampled_norm_tight_for_single_mode():
-    # |0.5 e^{i theta}| on the shifted strip attains 0.5 e^r exactly
-    f = fts.from_terms([(0, 1, 0, 0.5)], TR, RHO)
+    # |cos theta| on the strip |Im theta| <= r has sup cosh r, attained at
+    # theta = +-i r, which the sample holds
+    f = fts.from_real_terms([(0, 1, 0, 0.5)], TR, RHO)
     got = fts.sampled_norm(f, 0.8)
-    assert got == pytest.approx(0.5 * math.exp(0.8), rel=1e-9)
+    assert got == pytest.approx(math.cosh(0.8), rel=1e-9)
 
 
 def test_cauchy_margins_nonnegative():
@@ -385,11 +410,27 @@ def test_json_roundtrip_bit_exact():
 
 
 def test_json_rejects_non_real():
-    c = np.zeros(TR.shape, dtype=np.complex128)
-    c[TR.l_t + 1, TR.l_theta, 0] = 1.0j
-    s = FourierTaylorSeries(c, TR, RHO)
+    # an imaginary l = m = 0 entry is rejected where the document enters
+    doc = fts.to_json_dict(fts.from_real_terms([(0, 0, 1, 4.0)], TR, RHO))
+    doc["coeffs"][0]["im"] = 0.5
     with pytest.raises(RealityError):
-        fts.to_json(s)
+        fts.from_json_dict(doc)
+    # within rounding, the imaginary part is dropped
+    doc["coeffs"][0]["im"] = 1e-15
+    assert fts.from_json_dict(doc).coeff(0, 0, 1) == 4.0
+
+
+@pytest.mark.parametrize("entry", [
+    {"l": 1, "m": 1, "n": -1},  # a negative degree once wrapped to N_x
+    {"l": 1, "m": 3, "n": 0},  # |m| > L_theta
+    {"l": 3, "m": 0, "n": 0},  # |l| > L_t
+])
+def test_json_rejects_entries_outside_the_box(entry):
+    t = TruncationSpec(n_x=2, l_theta=2, l_t=2)
+    doc = fts.to_json_dict(fts.zeros(t, RHO))
+    doc["coeffs"] = [dict(entry, re=1.0, im=0.0)]
+    with pytest.raises(ValueError, match="outside truncation box"):
+        fts.from_json_dict(doc)
 
 
 def test_json_layout_and_half_lattice():
@@ -421,7 +462,7 @@ def test_json_symmetrizes_tiny_defect():
     c[TR.l_t + 1, TR.l_theta + 1, 0] = 0.5 + 1e-15j
     c[TR.l_t - 1, TR.l_theta - 1, 0] = 0.5
     s = FourierTaylorSeries(c, TR, RHO)
-    assert s.is_real
+    assert s.hermitian_defect == 0.0
     text = fts.to_json(s)
     assert fts.to_json(fts.from_json(text)) == text
 
@@ -470,7 +511,7 @@ def _kernel_cases(rng):
     cases.append((_with_centres(rng, real(rng, lmax=1, mmax=1, nmax=1, density=1.0), 1), t2,
                   _with_centres(rng, real(rng, lmax=1, mmax=1, nmax=1, density=1.0), 1), t2,
                   set()))
-    # a non-real factor (a real series times 1j) takes the whole first factor
+    # coefficients that are not a real series (a real one times 1j)
     cases.append(({k: 1j * v for k, v in real(rng, lmax=2, mmax=3, nmax=3).items()}, t3,
                   real(rng, lmax=2, mmax=3, nmax=3), t3, {"l", "m", "n"}))
     return cases
@@ -481,8 +522,31 @@ def _with_centres(rng, d, nmax):
     return {**d, **{(0, 0, n): complex(rng.uniform(-1, 1), 0.0) for n in range(nmax + 1)}}
 
 
+def _is_real_dict(d):
+    return all(d.get((-l, -m, n), 0.0) == v.conjugate() for (l, m, n), v in d.items())
+
+
+def _coeff_lists(d):
+    """(l, m, n, value) arrays of a coefficient dict, as the kernel takes them."""
+    keys = sorted(d)
+    l, m, n = (np.array(col, dtype=np.int64) for col in zip(*keys))
+    return l, m, n, np.array([d[k] for k in keys], dtype=np.complex128)
+
+
+def _kernel(da, db, t):
+    """The kernel on two coefficient dicts, output box t; (product dict, tail)."""
+    xpow = DEFAULT_DOMAIN.x_half ** np.arange(t.n_x + 1, dtype=np.float64)
+    out, tail = fts.convolve_nonzeros(*_coeff_lists(da), *_coeff_lists(db),
+                                      t.l_t, t.l_theta, t.n_x, xpow)
+    got = {(int(a) - t.l_t, int(b) - t.l_theta, int(c)): complex(out[a, b, c])
+           for a, b, c in zip(*np.nonzero(out))}
+    return got, tail
+
+
 def test_product_kernel_matches_oracle_across_blocks(monkeypatch):
-    # a tiny block makes one product span many blocks, some of which clip
+    # a tiny block makes one product span many blocks, some of which clip;
+    # real series go through multiply, other coefficient lists (which reach
+    # the low end of l only) straight through the kernel
     monkeypatch.setattr(fts, "_BLOCK", 50)
     pyrng = __import__("random").Random(31)
     cases = _kernel_cases(pyrng)
@@ -496,29 +560,33 @@ def test_product_kernel_matches_oracle_across_blocks(monkeypatch):
                    "m": {abs(m) > t.l_theta for _, m, _, _ in products},
                    "n": {n > t.n_x for _, _, n, _ in products}}
         assert {ax for ax, hit in clipped.items() if True in hit} == axes
-        a = oracle.series_from_dict(da, ta, RHO)
-        b = oracle.series_from_dict(db, tb, RHO)
-        # the kernel's rows: the upper half of a when both factors are real
+        real = _is_real_dict(da) and _is_real_dict(db)
+        # the kernel's rows: multiply passes the upper half of a
         rows = [(l, m) for l, m, _ in da
-                if not (a.is_real and b.is_real) or l > 0 or (l == 0 and m >= 0)]
+                if not real or l > 0 or (l == 0 and m >= 0)]
         assert len(rows) > max(1, fts._BLOCK // len(db))  # several blocks
-        got = fts.multiply(a, b)
-        assert got.trunc == t
         kept = oracle.restrict(oracle.smul(da, db), t.l_t, t.l_theta, t.n_x)
-        assert oracle.diff_norm(kept, got) < 1e-13
-        # real factors give an exactly hermitian product; others stay non-real
-        assert got.is_real == (a.is_real and b.is_real)
-        if got.is_real:
-            assert got.hermitian_defect == 0.0
-        real_cases += got.is_real
-        centred += a.is_real and any(da.get((0, 0, n), 0) != 0 for n in range(ta.n_x + 1))
+        if real:
+            prod = fts.multiply(oracle.series_from_dict(da, ta, RHO),
+                                oracle.series_from_dict(db, tb, RHO))
+            assert prod.trunc == t
+            # real factors give an exactly hermitian product
+            assert prod.hermitian_defect == 0.0
+            assert oracle.diff_norm(kept, prod) < 1e-13
+            tail = prod.tail_norm
+            real_cases += 1
+            centred += any(da.get((0, 0, n), 0) != 0 for n in range(ta.n_x + 1))
+        else:
+            got, tail = _kernel(da, db, t)
+            keys = set(kept) | set(got)
+            assert max(abs(kept.get(k, 0.0) - got.get(k, 0.0)) for k in keys) < 1e-13
         if not axes:
-            assert got.tail_norm == 0.0
+            assert tail == 0.0
             continue
         expect_tail = sum(abs(v) * DEFAULT_DOMAIN.x_half ** n
                           for l, m, n, v in products
                           if abs(l) > t.l_t or abs(m) > t.l_theta or n > t.n_x)
-        assert got.tail_norm == pytest.approx(expect_tail, rel=1e-12)
-    # both kernel paths ran, and the split met populated centre cells
+        assert tail == pytest.approx(expect_tail, rel=1e-12)
+    # both routes ran, and the half-lattice split met populated centre cells
     assert 0 < real_cases < len(cases)
     assert centred >= 2
