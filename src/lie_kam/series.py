@@ -367,32 +367,92 @@ def scale(a: FourierTaylorSeries, c) -> FourierTaylorSeries:
                                tail_norm=a.tail_norm * abs(c), hermitian=True)
 
 
-# pair products are formed in blocks of at most this many entries
-_BLOCK = 1 << 20
+def _blocks(la, ma, na, va, lb, mb, nb, vb):
+    """Dense blocks of two coefficient lists, each over its l range, its m
+    range and degrees 0..max n, with the wave numbers (l, m) of its first
+    row and column: (block a, l, m, block b, l, m)."""
+    # the bounds of all six index lists, in one min and one max
+    rows = np.concatenate((la, ma, lb, mb, na, nb))
+    ends = np.cumsum((0, la.size, la.size, lb.size, lb.size, na.size))
+    lo = np.minimum.reduceat(rows, ends).tolist()
+    hi = np.maximum.reduceat(rows, ends).tolist()
+    a = np.zeros((hi[0] - lo[0] + 1, hi[1] - lo[1] + 1, hi[4] + 1), dtype=va.dtype)
+    a[la - lo[0], ma - lo[1], na] = va
+    b = np.zeros((hi[2] - lo[2] + 1, hi[3] - lo[3] + 1, hi[5] + 1), dtype=vb.dtype)
+    b[lb - lo[2], mb - lo[3], nb] = vb
+    return a, lo[0], lo[1], b, lo[2], lo[3]
+
+
+def _window(first, half, size):
+    """Index range [lo, hi) of the wave numbers first .. first+size-1 in
+    [-half, half]; empty (hi == lo) when none is."""
+    lo = max(-half - first, 0)
+    return lo, max(min(half + 1 - first, size), lo)
+
+
+def _convolve_window(a, b, lo, hi):
+    """Entries lo <= index < hi of the full convolution of blocks a and b.
+
+    Entry (i, j, k) of the full convolution, of shape a.shape + b.shape - 1,
+    is the sum of a[i1, j1, k1] * b[i - i1, j - j1, k - k1].
+    """
+    if a.shape[1] * a.shape[2] < b.shape[1] * b.shape[2]:
+        a, b = b, a  # the larger (m, n) block forms the view
+    ja, ka, pa = a.shape
+    jb, kb, pb = b.shape
+    nm, nn = hi[1] - lo[1], hi[2] - lo[2]
+    # pad[:, j, k] = a[:, j + sm, k + sn], zero outside a, and
+    # view[:, j, k, j2, k2] = pad[:, j + j2, k + k2] meets b[:, kb-1-j2, pb-1-k2]
+    # at window entry (j, k)
+    sm, sn = lo[1] - kb + 1, lo[2] - pb + 1
+    pad = np.zeros((ja, nm + kb - 1, nn + pb - 1), dtype=a.dtype)
+    pad[:, max(-sm, 0):ka - sm, max(-sn, 0):pa - sn] = \
+        a[:, max(sm, 0):hi[1], max(sn, 0):hi[2]]
+    s = pad.strides
+    view = np.ndarray((ja, nm, nn, kb, pb), a.dtype, pad, 0, s + s[1:])
+    # p[jb-1 + i, i2] = row i of a times row i2 of b, which lands on l index
+    # i + i2. Batched over the rows of a, each BLAS call stays small enough
+    # to run on one thread; one large call was threaded and slower on a
+    # 2-core host
+    q = nm * nn
+    p = np.zeros((ja + 2 * jb - 2, jb, q), dtype=a.dtype)
+    np.matmul(b[:, ::-1, ::-1].reshape(jb, kb * pb),
+              view.reshape(ja, q, kb * pb).transpose(0, 2, 1), out=p[jb - 1:ja + jb - 1])
+    # l index lo[0] + r sums p[jb-1 + lo[0] + r - i2, i2] over i2: a skewed
+    # view reads the shifted copies, and the zero rows of p pad the ends
+    s = p.strides
+    skew = np.ndarray((jb, hi[0] - lo[0], q), a.dtype, p, (jb - 1 + lo[0]) * s[0],
+                      (s[1] - s[0], s[0], s[2]))
+    return skew.sum(axis=0).reshape(hi[0] - lo[0], nm, nn)
 
 
 def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow):
-    """Truncated product of two coefficient lists.
+    """Truncated product of two coefficient lists, by dense block convolution.
 
-    Every pair product is binned in an extended box that holds all of them:
-    l runs over [min(la) + min(lb), max(la) + max(lb)] widened to cover
-    [-l_t, l_t], m likewise, and n over 0..max(max(na) + max(nb), n_x).
-    Each factor's nonzeros get a flat index in that box, the second
-    factor's without the box offsets, so a pair's index is the sum
-    ``ia[:, None] + ib[None, :]``. The output box is then a slice.
+    Each list is scattered into its bounding block, spanning its l range,
+    its m range and degrees 0..max n. Of the full product of the two
+    blocks, only the window that the output box keeps is computed. The
+    block with more (m, n) entries (the first on a tie) is zero-padded
+    and read through a strided view that lines up, for each window entry,
+    the entries the other block meets there. Contracting the view with
+    the other block, flipped, is one matmul batched over the view's l
+    rows, and the l shifts are added through a skewed view. The result
+    depends only on the inputs (and the BLAS build), so runs repeat bit
+    for bit.
 
-    Pairs are formed in blocks of rows of the first factor and binned in
-    pair order, and the blocks are added in order, so each kept
-    coefficient is the same sum, in the same order, whatever the extended
-    box is. The tail pass runs only when the extended box is larger than
-    the output box, that is when some product can leave it; otherwise the
-    tail is exactly 0.0.
+    When some product can leave the output box (the l, m or n range of
+    the products reaches past it), the same convolution runs on the
+    weights abs(v) * xpow[n] over the whole extended box, and the entries
+    outside the window are summed. Every term is nonnegative and nothing
+    is subtracted, so the tail is exact up to rounding relative to
+    itself, as when each pair was weighed alone; when no product can
+    leave the box the tail is exactly 0.0.
 
     Parameters
     ----------
-    la, ma, na : int64 arrays
+    la, ma, na : integer arrays
         Wave numbers (l, m) and polynomial degree n of the nonzero
-        coefficients of the first factor.
+        coefficients of the first factor, each index at most once.
     va : complex128 array
         The matching coefficient values.
     lb, mb, nb, vb : arrays
@@ -401,7 +461,7 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow):
         Half-widths of the output box; degrees run 0..n_x.
     xpow : float64 array
         xpow[n] weights a coefficient of degree n in the reported tail;
-        only xpow[na] and xpow[nb] are read.
+        only xpow[:max(na) + 1] and xpow[:max(nb) + 1] are read.
 
     Returns
     -------
@@ -410,45 +470,24 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow):
         Sum of (abs(va) * xpow[na]) * (abs(vb) * xpow[nb]) over the pairs
         whose product falls outside the output box.
     """
-    n_l, n_m, n_n = 2 * l_t + 1, 2 * l_theta + 1, n_x + 1
+    out = np.zeros((2 * l_t + 1, 2 * l_theta + 1, n_x + 1), dtype=np.complex128)
     if not (la.size and lb.size):
-        return np.zeros((n_l, n_m, n_n), dtype=np.complex128), 0.0
-    lo_l = min(int(la.min()) + int(lb.min()), -l_t)
-    hi_l = max(int(la.max()) + int(lb.max()), l_t)
-    lo_m = min(int(ma.min()) + int(mb.min()), -l_theta)
-    hi_m = max(int(ma.max()) + int(mb.max()), l_theta)
-    top_n = max(int(na.max()) + int(nb.max()), n_x)
-    ext = (hi_l - lo_l + 1, hi_m - lo_m + 1, top_n + 1)
-    size = ext[0] * ext[1] * ext[2]
-    ia = ((la - lo_l) * ext[1] + (ma - lo_m)) * ext[2] + na
-    ib = (lb * ext[1] + mb) * ext[2] + nb
-    box = (slice(-l_t - lo_l, l_t - lo_l + 1),
-           slice(-l_theta - lo_m, l_theta - lo_m + 1),
-           slice(0, n_n))
-    clips = ext != (n_l, n_m, n_n)
-    if clips:
-        wa = np.abs(va) * xpow[na]
-        wb = np.abs(vb) * xpow[nb]
-        w_ext = np.zeros(size)
-    out_re = np.zeros(size)
-    out_im = np.zeros(size)
-    block = max(1, _BLOCK // lb.size)
-    for s in range(0, la.size, block):
-        e = min(la.size, s + block)
-        idx = (ia[s:e, None] + ib[None, :]).ravel()
-        v = (va[s:e, None] * vb[None, :]).ravel()
-        out_re += np.bincount(idx, weights=v.real, minlength=size)
-        out_im += np.bincount(idx, weights=v.imag, minlength=size)
-        if clips:
-            w_ext += np.bincount(idx, weights=(wa[s:e, None] * wb[None, :]).ravel(),
-                                 minlength=size)
-    out = out_re.reshape(ext)[box] + 1j * out_im.reshape(ext)[box]
-    tail = 0.0
-    if clips:
-        w_ext = w_ext.reshape(ext)
-        w_ext[box] = 0.0
-        tail = float(w_ext.sum())
-    return out, tail
+        return out, 0.0
+    a, la0, ma0, b, lb0, mb0 = _blocks(la, ma, na, va, lb, mb, nb, vb)
+    # entry (i, j, k) of the full product has wave numbers (l0 + i, m0 + j)
+    l0, m0 = la0 + lb0, ma0 + mb0
+    ext = tuple(sa + sb - 1 for sa, sb in zip(a.shape, b.shape))
+    (lo_l, hi_l), (lo_m, hi_m) = _window(l0, l_t, ext[0]), _window(m0, l_theta, ext[1])
+    lo, hi = (lo_l, lo_m, 0), (hi_l, hi_m, min(n_x + 1, ext[2]))
+    if hi_l > lo_l and hi_m > lo_m:
+        out[l_t + l0 + lo_l:l_t + l0 + hi_l,
+            l_theta + m0 + lo_m:l_theta + m0 + hi_m, :hi[2]] = _convolve_window(a, b, lo, hi)
+    if lo == (0, 0, 0) and hi == ext:
+        return out, 0.0
+    w = _convolve_window(np.abs(a) * xpow[:a.shape[2]], np.abs(b) * xpow[:b.shape[2]],
+                         (0, 0, 0), ext)
+    w[lo_l:hi_l, lo_m:hi_m, :hi[2]] = 0.0
+    return out, float(w.sum())
 
 
 def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTaylorSeries:
@@ -462,26 +501,23 @@ def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTaylorSer
     l = 0 and m > 0, plus half of each l = m = 0 cell) gives P = A+ * b;
     since a = A+ + conj(mirror A+) and b is hermitian, a * b = P +
     conj(mirror P), which is exactly hermitian, and the dropped weight is
-    twice P's.
+    twice P's. A factor that is identically zero gives the zero series
+    on the merged box, without calling the kernel.
     """
     _check_rho(a, b)
     trunc = a.trunc.merge(b.trunc)
+    if not (a.coeffs.any() and b.coeffs.any()):
+        return zeros(trunc, a.rho)
     ta, tb = a.trunc, b.trunc
     src = np.array(a.coeffs[ta.l_t:])  # l >= 0
     src[0, :ta.l_theta] = 0.0  # l = 0, m < 0: the mirror half
     src[0, ta.l_theta] *= 0.5  # l = m = 0: split between the halves
-    ia = np.nonzero(src)
-    ib = np.nonzero(b.coeffs)
-    la = ia[0].astype(np.int64)
-    ma = ia[1].astype(np.int64) - ta.l_theta
-    na = ia[2].astype(np.int64)
-    lb = ib[0].astype(np.int64) - tb.l_t
-    mb = ib[1].astype(np.int64) - tb.l_theta
-    nb = ib[2].astype(np.int64)
+    la, ma, na = np.nonzero(src)
+    lb, mb, nb = np.nonzero(b.coeffs)
     xpow = DEFAULT_DOMAIN.x_half ** np.arange(trunc.n_x + 1, dtype=np.float64)
     out, tail = convolve_nonzeros(
-        la, ma, na, np.ascontiguousarray(src[ia]),
-        lb, mb, nb, np.ascontiguousarray(b.coeffs[ib]),
+        la, ma - ta.l_theta, na, src[la, ma, na],
+        lb - tb.l_t, mb - tb.l_theta, nb, b.coeffs[lb, mb, nb],
         trunc.l_t, trunc.l_theta, trunc.n_x, xpow)
     out = out + np.conj(out[::-1, ::-1, :])
     return FourierTaylorSeries(out, trunc, a.rho, tail_norm=2.0 * tail, hermitian=True)
@@ -535,7 +571,10 @@ def _evaluate_raw(a: FourierTaylorSeries, x, theta, t):
     et = np.exp(1j * tb[:, None] * ls[None, :])
     em = np.exp(1j * thb[:, None] * ms[None, :])
     xn = xb[:, None] ** ns[None, :]
-    val = np.einsum("lmn,sl,sm,sn->s", a.coeffs, et, em, xn, optimize=True)
+    # contract l in one matmul, then sum over (m, n) point by point
+    c = a.coeffs
+    g = (et @ c.reshape(c.shape[0], -1)).reshape(-1, c.shape[1], c.shape[2])
+    val = np.einsum("smn,sm,sn->s", g, em, xn)
     return val.reshape(shape) if shape else val[()]
 
 

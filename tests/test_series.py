@@ -514,7 +514,39 @@ def _kernel_cases(rng):
     # coefficients that are not a real series (a real one times 1j)
     cases.append(({k: 1j * v for k, v in real(rng, lmax=2, mmax=3, nmax=3).items()}, t3,
                   real(rng, lmax=2, mmax=3, nmax=3), t3, {"l", "m", "n"}))
+    # the different boxes above with the factors swapped: the other block is
+    # now the larger in (m, n), so the other factor forms the strided view
+    cases.append((real(rng, lmax=3, mmax=1, nmax=4, density=0.8),
+                  TruncationSpec(n_x=4, l_theta=1, l_t=3),
+                  real(rng, lmax=1, mmax=4, nmax=2, density=0.8),
+                  TruncationSpec(n_x=2, l_theta=4, l_t=1), {"l", "m", "n"}))
+    # single-row factors: l = 0 only (its upper half is one row), and one l
+    cases.append((real(rng, lmax=0, mmax=2, nmax=1, density=1.0), t2,
+                  real(rng, lmax=2, mmax=1, nmax=1, density=0.8), t2, {"m"}))
+    cases.append((_one_sided(rng, (-2,), 1, 1), t2,
+                  _one_sided(rng, (-1, 0, 1), 2, 1), t2, {"l", "m"}))
+    # one row each, every product below -l_t or above l_t: nothing is kept
+    cases.append((_one_sided(rng, (-2,), 1, 1), t2,
+                  _one_sided(rng, (-1,), 1, 1), t2, {"l"}))
+    t_wide = TruncationSpec(n_x=2, l_theta=2, l_t=3)
+    cases.append((_one_sided(rng, (2, 3), 1, 1), t_wide,
+                  _one_sided(rng, (3,), 1, 1), t_wide, {"l"}))
+    # lowest degrees above 0, so the blocks start with empty degrees
+    cases.append((_raise_degree(real(rng, lmax=1, mmax=1, nmax=1, density=0.8), 1), t3,
+                  _raise_degree(real(rng, lmax=1, mmax=1, nmax=1, density=0.8), 2), t3,
+                  {"n"}))
     return cases
+
+
+def _raise_degree(d, k):
+    """d times x^k."""
+    return {(l, m, n + k): v for (l, m, n), v in d.items()}
+
+
+def _mn_block(keys):
+    """Entries of the (m, n) face of the kernel's block for these indices."""
+    ms = [m for _, m, _ in keys]
+    return (max(ms) - min(ms) + 1) * (max(n for _, _, n in keys) + 1)
 
 
 def _with_centres(rng, d, nmax):
@@ -543,14 +575,13 @@ def _kernel(da, db, t):
     return got, tail
 
 
-def test_product_kernel_matches_oracle_across_blocks(monkeypatch):
-    # a tiny block makes one product span many blocks, some of which clip;
-    # real series go through multiply, other coefficient lists (which reach
-    # the low end of l only) straight through the kernel
-    monkeypatch.setattr(fts, "_BLOCK", 50)
+def test_product_kernel_matches_oracle_across_blocks():
+    # real series go through multiply, other coefficient lists (one-sided
+    # supports, which clip at one end of l only) straight through the kernel
     pyrng = __import__("random").Random(31)
     cases = _kernel_cases(pyrng)
     real_cases = centred = 0
+    views, single_rows, raised = set(), set(), 0
     for da, ta, db, tb, axes in cases:
         t = ta.merge(tb)
         products = [(l1 + l2, m1 + m2, n1 + n2, v1 * v2)
@@ -561,10 +592,11 @@ def test_product_kernel_matches_oracle_across_blocks(monkeypatch):
                    "n": {n > t.n_x for _, _, n, _ in products}}
         assert {ax for ax, hit in clipped.items() if True in hit} == axes
         real = _is_real_dict(da) and _is_real_dict(db)
-        # the kernel's rows: multiply passes the upper half of a
-        rows = [(l, m) for l, m, _ in da
-                if not real or l > 0 or (l == 0 and m >= 0)]
-        assert len(rows) > max(1, fts._BLOCK // len(db))  # several blocks
+        # the kernel's first factor: multiply passes the upper half of a
+        rows = [k for k in da if not real or k[0] > 0 or (k[0] == 0 and k[1] >= 0)]
+        views.add(_mn_block(rows) >= _mn_block(db))
+        single_rows.add((real, len({l for l, _, _ in rows}) == 1))
+        raised += min(n for _, _, n in da) > 0 and min(n for _, _, n in db) > 0
         kept = oracle.restrict(oracle.smul(da, db), t.l_t, t.l_theta, t.n_x)
         if real:
             prod = fts.multiply(oracle.series_from_dict(da, ta, RHO),
@@ -579,7 +611,8 @@ def test_product_kernel_matches_oracle_across_blocks(monkeypatch):
         else:
             got, tail = _kernel(da, db, t)
             keys = set(kept) | set(got)
-            assert max(abs(kept.get(k, 0.0) - got.get(k, 0.0)) for k in keys) < 1e-13
+            assert max((abs(kept.get(k, 0.0) - got.get(k, 0.0)) for k in keys),
+                       default=0.0) < 1e-13
         if not axes:
             assert tail == 0.0
             continue
@@ -590,3 +623,31 @@ def test_product_kernel_matches_oracle_across_blocks(monkeypatch):
     # both routes ran, and the half-lattice split met populated centre cells
     assert 0 < real_cases < len(cases)
     assert centred >= 2
+    # each axis clipped alone and all three together
+    assert {frozenset(c[4]) for c in cases} >= {frozenset(ax) for ax in ("l", "m", "n", "lmn")}
+    # either factor formed the view; single-row factors on both routes
+    assert views == {True, False}
+    assert {(True, True), (False, True)} <= single_rows
+    assert raised >= 1
+
+
+def test_multiply_by_zero_skips_the_kernel(monkeypatch):
+    calls = []
+    kernel = fts.convolve_nonzeros
+
+    def counted(*args):
+        calls.append(args[0].size * args[4].size)
+        return kernel(*args)
+
+    monkeypatch.setattr(fts, "convolve_nonzeros", counted)
+    ta, tb = TruncationSpec(n_x=2, l_theta=4, l_t=1), TruncationSpec(n_x=4, l_theta=1, l_t=3)
+    f = fts.random_real_series(ta, RHO, np.random.default_rng(5))
+    z = fts.zeros(tb, RHO)
+    for prod in (fts.multiply(f, z), fts.multiply(z, f)):
+        assert prod.trunc == ta.merge(tb)
+        assert not prod.coeffs.any()
+        assert prod.tail_norm == 0.0
+    assert calls == []
+    # the counter does see a product of nonzero factors
+    fts.multiply(f, f)
+    assert len(calls) == 1
