@@ -438,7 +438,8 @@ def cmd_normalize(args, config):
     _, n_half, _ = v_star_norm(0.5 * eps)
     ratio = n_full / n_half if n_half > 0 else float("inf")
     slope = math.log(ratio) / math.log(2.0) if n_half > 0 else float("inf")
-    quadratic_ok = 1.5 <= slope <= 2.5
+    # the band of acceptance criterion 3
+    quadratic_ok = abs(slope - 2.0) <= 0.1
 
     _write_json(os.path.join(out, "v_star.json"),
                 {"config": resolved, "series": fts.to_json_dict(result.v_star)})

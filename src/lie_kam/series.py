@@ -369,17 +369,20 @@ def scale(a: FourierTaylorSeries, c) -> FourierTaylorSeries:
 
 def _blocks(la, ma, na, va, lb, mb, nb, vb):
     """Dense blocks of two coefficient lists, each over its l range, its m
-    range and degrees 0..max n, with the wave numbers (l, m) of its first
-    row and column: (block a, l, m, block b, l, m)."""
+    range and degrees 0..max n, with the channel axis second, and the wave
+    numbers (l, m) of its first row and column: (block a, l, m, block b,
+    l, m)."""
     # the bounds of all six index lists, in one min and one max
     rows = np.concatenate((la, ma, lb, mb, na, nb))
     ends = np.cumsum((0, la.size, la.size, lb.size, lb.size, na.size))
     lo = np.minimum.reduceat(rows, ends).tolist()
     hi = np.maximum.reduceat(rows, ends).tolist()
-    a = np.zeros((hi[0] - lo[0] + 1, hi[1] - lo[1] + 1, hi[4] + 1), dtype=va.dtype)
-    a[la - lo[0], ma - lo[1], na] = va
-    b = np.zeros((hi[2] - lo[2] + 1, hi[3] - lo[3] + 1, hi[5] + 1), dtype=vb.dtype)
-    b[lb - lo[2], mb - lo[3], nb] = vb
+    a = np.zeros((hi[0] - lo[0] + 1, va.shape[0], hi[1] - lo[1] + 1, hi[4] + 1),
+                 dtype=va.dtype)
+    a[la - lo[0], :, ma - lo[1], na] = va.T
+    b = np.zeros((hi[2] - lo[2] + 1, vb.shape[0], hi[3] - lo[3] + 1, hi[5] + 1),
+                 dtype=vb.dtype)
+    b[lb - lo[2], :, mb - lo[3], nb] = vb.T
     return a, lo[0], lo[1], b, lo[2], lo[3]
 
 
@@ -391,33 +394,36 @@ def _window(first, half, size):
 
 
 def _convolve_window(a, b, lo, hi):
-    """Entries lo <= index < hi of the full convolution of blocks a and b.
+    """Entries lo <= index < hi of the full convolution of blocks a and b,
+    summed over their channels.
 
-    Entry (i, j, k) of the full convolution, of shape a.shape + b.shape - 1,
-    is the sum of a[i1, j1, k1] * b[i - i1, j - j1, k - k1].
+    Blocks have axes (l, channel, m, n). Entry (i, j, k) of the full
+    convolution, of shape a.shape + b.shape - 1 over (l, m, n), is the sum
+    of a[i1, c, j1, k1] * b[i - i1, c, j - j1, k - k1].
     """
-    if a.shape[1] * a.shape[2] < b.shape[1] * b.shape[2]:
+    if a.shape[2] * a.shape[3] < b.shape[2] * b.shape[3]:
         a, b = b, a  # the larger (m, n) block forms the view
-    ja, ka, pa = a.shape
-    jb, kb, pb = b.shape
+    ja, nc, ka, pa = a.shape
+    jb, _, kb, pb = b.shape
     nm, nn = hi[1] - lo[1], hi[2] - lo[2]
-    # pad[:, j, k] = a[:, j + sm, k + sn], zero outside a, and
-    # view[:, j, k, j2, k2] = pad[:, j + j2, k + k2] meets b[:, kb-1-j2, pb-1-k2]
-    # at window entry (j, k)
+    # pad[:, c, j, k] = a[:, c, j + sm, k + sn], zero outside a, and
+    # view[:, j, k, c, j2, k2] = pad[:, c, j + j2, k + k2] meets
+    # b[:, c, kb-1-j2, pb-1-k2] at window entry (j, k)
     sm, sn = lo[1] - kb + 1, lo[2] - pb + 1
-    pad = np.zeros((ja, nm + kb - 1, nn + pb - 1), dtype=a.dtype)
-    pad[:, max(-sm, 0):ka - sm, max(-sn, 0):pa - sn] = \
-        a[:, max(sm, 0):hi[1], max(sn, 0):hi[2]]
+    pad = np.zeros((ja, nc, nm + kb - 1, nn + pb - 1), dtype=a.dtype)
+    pad[:, :, max(-sm, 0):ka - sm, max(-sn, 0):pa - sn] = \
+        a[:, :, max(sm, 0):hi[1], max(sn, 0):hi[2]]
     s = pad.strides
-    view = np.ndarray((ja, nm, nn, kb, pb), a.dtype, pad, 0, s + s[1:])
-    # p[jb-1 + i, i2] = row i of a times row i2 of b, which lands on l index
-    # i + i2. Batched over the rows of a, each BLAS call stays small enough
-    # to run on one thread; one large call was threaded and slower on a
-    # 2-core host
-    q = nm * nn
+    view = np.ndarray((ja, nm, nn, nc, kb, pb), a.dtype, pad, 0,
+                      (s[0], s[2], s[3], s[1], s[2], s[3]))
+    # p[jb-1 + i, i2] = row i of a times row i2 of b, summed over the
+    # channels, which lands on l index i + i2. Batched over the rows of a,
+    # each BLAS call stays small enough to run on one thread; one large
+    # call was threaded and slower on a 2-core host
+    q, depth = nm * nn, nc * kb * pb
     p = np.zeros((ja + 2 * jb - 2, jb, q), dtype=a.dtype)
-    np.matmul(b[:, ::-1, ::-1].reshape(jb, kb * pb),
-              view.reshape(ja, q, kb * pb).transpose(0, 2, 1), out=p[jb - 1:ja + jb - 1])
+    np.matmul(b[:, :, ::-1, ::-1].reshape(jb, depth),
+              view.reshape(ja, q, depth).transpose(0, 2, 1), out=p[jb - 1:ja + jb - 1])
     # l index lo[0] + r sums p[jb-1 + lo[0] + r - i2, i2] over i2: a skewed
     # view reads the shifted copies, and the zero rows of p pad the ends
     s = p.strides
@@ -427,7 +433,14 @@ def _convolve_window(a, b, lo, hi):
 
 
 def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow):
-    """Truncated product of two coefficient lists, by dense block convolution.
+    """Truncated product of two coefficient lists, summed over channels, by
+    dense block convolution.
+
+    Each list carries one or more channels of values on its positions;
+    the result is the sum over channels c of the products of channel c of
+    the first list and channel c of the second. A single product is the
+    one-channel case, and a Poisson bracket is two channels (see
+    :func:`poisson_bracket`).
 
     Each list is scattered into its bounding block, spanning its l range,
     its m range and degrees 0..max n. Of the full product of the two
@@ -435,10 +448,10 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow):
     block with more (m, n) entries (the first on a tie) is zero-padded
     and read through a strided view that lines up, for each window entry,
     the entries the other block meets there. Contracting the view with
-    the other block, flipped, is one matmul batched over the view's l
-    rows, and the l shifts are added through a skewed view. The result
-    depends only on the inputs (and the BLAS build), so runs repeat bit
-    for bit.
+    the other block, flipped, over the channels and the (m, n) face is
+    one matmul batched over the view's l rows, and the l shifts are added
+    through a skewed view. The result depends only on the inputs (and the
+    BLAS build), so runs repeat bit for bit.
 
     When some product can leave the output box (the l, m or n range of
     the products reaches past it), the same convolution runs on the
@@ -453,10 +466,10 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow):
     la, ma, na : integer arrays
         Wave numbers (l, m) and polynomial degree n of the nonzero
         coefficients of the first factor, each index at most once.
-    va : complex128 array
-        The matching coefficient values.
+    va : complex128 array, shape (channels, la.size)
+        The matching coefficient values, one row per channel.
     lb, mb, nb, vb : arrays
-        Same for the second factor.
+        Same for the second factor, with as many channels.
     l_t, l_theta, n_x : int
         Half-widths of the output box; degrees run 0..n_x.
     xpow : float64 array
@@ -467,8 +480,8 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow):
     -------
     out : complex128 array, shape (2*l_t+1, 2*l_theta+1, n_x+1)
     tail : float
-        Sum of (abs(va) * xpow[na]) * (abs(vb) * xpow[nb]) over the pairs
-        whose product falls outside the output box.
+        Sum over channels c of (abs(va[c]) * xpow[na]) * (abs(vb[c]) *
+        xpow[nb]) over the pairs whose product falls outside the output box.
     """
     out = np.zeros((2 * l_t + 1, 2 * l_theta + 1, n_x + 1), dtype=np.complex128)
     if not (la.size and lb.size):
@@ -476,7 +489,7 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow):
     a, la0, ma0, b, lb0, mb0 = _blocks(la, ma, na, va, lb, mb, nb, vb)
     # entry (i, j, k) of the full product has wave numbers (l0 + i, m0 + j)
     l0, m0 = la0 + lb0, ma0 + mb0
-    ext = tuple(sa + sb - 1 for sa, sb in zip(a.shape, b.shape))
+    ext = tuple(a.shape[i] + b.shape[i] - 1 for i in (0, 2, 3))  # (l, m, n)
     (lo_l, hi_l), (lo_m, hi_m) = _window(l0, l_t, ext[0]), _window(m0, l_theta, ext[1])
     lo, hi = (lo_l, lo_m, 0), (hi_l, hi_m, min(n_x + 1, ext[2]))
     if hi_l > lo_l and hi_m > lo_m:
@@ -484,10 +497,20 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow):
             l_theta + m0 + lo_m:l_theta + m0 + hi_m, :hi[2]] = _convolve_window(a, b, lo, hi)
     if lo == (0, 0, 0) and hi == ext:
         return out, 0.0
-    w = _convolve_window(np.abs(a) * xpow[:a.shape[2]], np.abs(b) * xpow[:b.shape[2]],
+    w = _convolve_window(np.abs(a) * xpow[:a.shape[3]], np.abs(b) * xpow[:b.shape[3]],
                          (0, 0, 0), ext)
     w[lo_l:hi_l, lo_m:hi_m, :hi[2]] = 0.0
     return out, float(w.sum())
+
+
+def _upper_half(a: FourierTaylorSeries):
+    """Coefficients of a at l >= 0, zero at l = 0, m < 0 and halved at
+    l = m = 0: the upper half A+ of a, with a = A+ + conj(mirror A+)."""
+    t = a.trunc
+    src = np.array(a.coeffs[t.l_t:])
+    src[0, :t.l_theta] = 0.0
+    src[0, t.l_theta] *= 0.5
+    return src
 
 
 def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTaylorSeries:
@@ -509,15 +532,13 @@ def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTaylorSer
     if not (a.coeffs.any() and b.coeffs.any()):
         return zeros(trunc, a.rho)
     ta, tb = a.trunc, b.trunc
-    src = np.array(a.coeffs[ta.l_t:])  # l >= 0
-    src[0, :ta.l_theta] = 0.0  # l = 0, m < 0: the mirror half
-    src[0, ta.l_theta] *= 0.5  # l = m = 0: split between the halves
+    src = _upper_half(a)
     la, ma, na = np.nonzero(src)
     lb, mb, nb = np.nonzero(b.coeffs)
     xpow = DEFAULT_DOMAIN.x_half ** np.arange(trunc.n_x + 1, dtype=np.float64)
     out, tail = convolve_nonzeros(
-        la, ma - ta.l_theta, na, src[la, ma, na],
-        lb - tb.l_t, mb - tb.l_theta, nb, b.coeffs[lb, mb, nb],
+        la, ma - ta.l_theta, na, src[None, la, ma, na],
+        lb - tb.l_t, mb - tb.l_theta, nb, b.coeffs[None, lb, mb, nb],
         trunc.l_t, trunc.l_theta, trunc.n_x, xpow)
     out = out + np.conj(out[::-1, ::-1, :])
     return FourierTaylorSeries(out, trunc, a.rho, tail_norm=2.0 * tail, hermitian=True)
@@ -543,14 +564,47 @@ def partial_t(a: FourierTaylorSeries) -> FourierTaylorSeries:
 
 
 def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTaylorSeries:
-    """Reduced bracket {a, b} = (d_x a d_theta b - d_theta a d_x b) / rho."""
+    """Reduced bracket {a, b} = (d_x a d_theta b - d_theta a d_x b) / rho.
+
+    One kernel call over two channels: {a, b} = sum_c A_c * B_c / rho with
+    A = (d_x a, d_theta a) and B = (d_theta b, -d_x b). Each channel sits
+    on its factor's own positions, with d_x taken as n c_n at degree n
+    rather than at n - 1, so every channel product lands one degree high:
+    the kernel runs on the merged box with degrees 0..n_x + 1, and its
+    degree-0 slice, where every channel product vanishes, is dropped.
+    As in :func:`multiply`, only the upper half of a enters and the result
+    is mirrored once. A factor without x or theta dependence gives the
+    zero series on the merged box, without calling the kernel.
+
+    The tail is the majorant weight at r = 0 that the two derivative
+    products d_x a d_theta b and d_theta a d_x b drop outside the box,
+    added and divided by rho.
+    """
     _check_rho(a, b)
-    p = multiply(partial_x(a), partial_theta(b))
-    q = multiply(partial_theta(a), partial_x(b))
-    # p and q share the merged box: one construction for (p - q) / rho
+    trunc = a.trunc.merge(b.trunc)
+    ta, tb = a.trunc, b.trunc
+    # positions where n = m = 0 carry no channel: drop them
+    src = _upper_half(a)
+    src[:, ta.l_theta, 0] = 0.0
+    other = np.array(b.coeffs)
+    other[:, tb.l_theta, 0] = 0.0
+    la, ma, na = np.nonzero(src)
+    lb, mb, nb = np.nonzero(other)
+    if not (la.size and lb.size):
+        return zeros(trunc, a.rho)
+    va, vb = src[la, ma, na], other[lb, mb, nb]
+    ma, mb = ma - ta.l_theta, mb - tb.l_theta
+    xpow = DEFAULT_DOMAIN.x_half ** np.arange(trunc.n_x + 1, dtype=np.float64)
+    out, tail = convolve_nonzeros(
+        la, ma, na, np.array((na, 1j * ma)) * va,
+        lb - tb.l_t, mb, nb, np.array((1j * mb, -nb)) * vb,
+        trunc.l_t, trunc.l_theta, trunc.n_x + 1, xpow)
+    out = out[:, :, 1:]
     c = 1.0 / a.rho
-    return FourierTaylorSeries((p.coeffs - q.coeffs) * c, p.trunc, a.rho,
-                               tail_norm=(p.tail_norm + q.tail_norm) * c, hermitian=True)
+    # each weight carries one x_half too many, as its degree does
+    return FourierTaylorSeries((out + np.conj(out[::-1, ::-1, :])) * c, trunc, a.rho,
+                               tail_norm=2.0 * tail / DEFAULT_DOMAIN.x_half * c,
+                               hermitian=True)
 
 
 # -- evaluation and norms ---------------------------------------------------

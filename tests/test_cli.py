@@ -283,6 +283,17 @@ def test_normalize_snapshot_and_probe(tmp_path):
     assert 1.9 <= probe["slope"] <= 2.1
 
 
+def test_normalize_probe_outside_band_fails(tmp_path):
+    # at eps 0.2 the remainder is no longer quadratic: slope about 2.17
+    rc = run(["normalize", "--eps", "0.2", "--preset", "pert1",
+              "--out", str(tmp_path)])
+    assert rc == 2
+    probe = read_json(tmp_path / "normalize_report.json")["quadratic_probe"]
+    assert probe["pass"] is False
+    assert abs(probe["slope"] - 2.0) > 0.1
+    assert (tmp_path / "v_star.json").exists()
+
+
 def test_iterate_ledger(tmp_path):
     rc = run(["iterate", "--steps", "3", "--out", str(tmp_path)])
     assert rc == 0

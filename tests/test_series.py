@@ -558,11 +558,28 @@ def _is_real_dict(d):
     return all(d.get((-l, -m, n), 0.0) == v.conjugate() for (l, m, n), v in d.items())
 
 
+def _outside(t, l, m, n):
+    return (abs(l) > t.l_t, abs(m) > t.l_theta, n > t.n_x)
+
+
+def _clipped_axes(products, t):
+    """Axes along which some (l, m, n, value) product leaves box t."""
+    return {ax for l, m, n, _ in products
+            for ax, out in zip("lmn", _outside(t, l, m, n)) if out}
+
+
+def _dropped_weight(products, t):
+    """Majorant weight at r = 0 of the (l, m, n, value) products outside box t."""
+    return sum(abs(v) * DEFAULT_DOMAIN.x_half ** n for l, m, n, v in products
+               if any(_outside(t, l, m, n)))
+
+
 def _coeff_lists(d):
-    """(l, m, n, value) arrays of a coefficient dict, as the kernel takes them."""
+    """(l, m, n, values) arrays of a coefficient dict, as the kernel takes
+    them: the values as one channel."""
     keys = sorted(d)
     l, m, n = (np.array(col, dtype=np.int64) for col in zip(*keys))
-    return l, m, n, np.array([d[k] for k in keys], dtype=np.complex128)
+    return l, m, n, np.array([[d[k] for k in keys]], dtype=np.complex128)
 
 
 def _kernel(da, db, t):
@@ -587,10 +604,7 @@ def test_product_kernel_matches_oracle_across_blocks():
         products = [(l1 + l2, m1 + m2, n1 + n2, v1 * v2)
                     for (l1, m1, n1), v1 in da.items()
                     for (l2, m2, n2), v2 in db.items()]
-        clipped = {"l": {abs(l) > t.l_t for l, _, _, _ in products},
-                   "m": {abs(m) > t.l_theta for _, m, _, _ in products},
-                   "n": {n > t.n_x for _, _, n, _ in products}}
-        assert {ax for ax, hit in clipped.items() if True in hit} == axes
+        assert _clipped_axes(products, t) == axes
         real = _is_real_dict(da) and _is_real_dict(db)
         # the kernel's first factor: multiply passes the upper half of a
         rows = [k for k in da if not real or k[0] > 0 or (k[0] == 0 and k[1] >= 0)]
@@ -616,10 +630,7 @@ def test_product_kernel_matches_oracle_across_blocks():
         if not axes:
             assert tail == 0.0
             continue
-        expect_tail = sum(abs(v) * DEFAULT_DOMAIN.x_half ** n
-                          for l, m, n, v in products
-                          if abs(l) > t.l_t or abs(m) > t.l_theta or n > t.n_x)
-        assert tail == pytest.approx(expect_tail, rel=1e-12)
+        assert tail == pytest.approx(_dropped_weight(products, t), rel=1e-12)
     # both routes ran, and the half-lattice split met populated centre cells
     assert 0 < real_cases < len(cases)
     assert centred >= 2
@@ -651,3 +662,112 @@ def test_multiply_by_zero_skips_the_kernel(monkeypatch):
     # the counter does see a product of nonzero factors
     fts.multiply(f, f)
     assert len(calls) == 1
+
+
+# -- the bracket as one kernel call -------------------------------------------
+
+
+def _bracket_cases(rng):
+    """(da, box a, db, box b, axes the bracket's products clip) for the
+    fused-bracket test."""
+    real = oracle.rand_real_series
+    t3 = TruncationSpec(n_x=3, l_theta=3, l_t=2)
+    t2 = TruncationSpec(n_x=2, l_theta=2, l_t=2)
+    small = TruncationSpec(n_x=2, l_theta=4, l_t=1)
+    wide = TruncationSpec(n_x=4, l_theta=1, l_t=3)
+    cases = [(real(rng, lmax=2, mmax=3, nmax=3), t3,
+              real(rng, lmax=2, mmax=3, nmax=3), t3, {"l", "m", "n"})
+             for _ in range(3)]
+    # operands on different boxes, in both argument orders
+    da = real(rng, lmax=1, mmax=4, nmax=2, density=0.8)
+    db = real(rng, lmax=3, mmax=1, nmax=4, density=0.8)
+    cases += [(da, small, db, wide, {"l", "m", "n"}), (db, wide, da, small, {"l", "m", "n"})]
+    # clipping in exactly one axis at a time, and in none
+    cases.append((real(rng, lmax=2, mmax=1, nmax=1, density=0.8), t2,
+                  real(rng, lmax=2, mmax=1, nmax=1, density=0.8), t2, {"l"}))
+    cases.append((real(rng, lmax=1, mmax=2, nmax=1, density=0.8), t2,
+                  real(rng, lmax=1, mmax=2, nmax=1, density=0.8), t2, {"m"}))
+    cases.append((real(rng, lmax=1, mmax=1, nmax=2, density=0.8), t2,
+                  real(rng, lmax=1, mmax=1, nmax=2, density=0.8), t2, {"n"}))
+    cases.append((real(rng, lmax=1, mmax=1, nmax=1, density=0.8), t2,
+                  real(rng, lmax=1, mmax=1, nmax=1, density=0.8), t2, set()))
+    # one-sided half-lattice supports: every l of a's upper half is > 0
+    cases.append((_real_one_sided(rng, (1, 2), 1, 1), t2,
+                  _real_one_sided(rng, (1,), 1, 1), t2, {"l"}))
+    cases.append((_real_one_sided(rng, (1,), 1, 1), t2,
+                  _real_one_sided(rng, (1,), 1, 1), t2, set()))
+    # d_x a = 0 (degree 0 only): only d_theta a d_x b is left, in both orders
+    flat = real(rng, lmax=2, mmax=2, nmax=0, density=0.8)
+    curved = real(rng, lmax=2, mmax=2, nmax=2, density=0.8)
+    cases += [(flat, t2, curved, t2, {"l", "m"}), (curved, t2, flat, t2, {"l", "m"})]
+    # d_theta a = 0 (m = 0 only): only d_x a d_theta b is left
+    cases.append((real(rng, lmax=2, mmax=0, nmax=2, density=0.8), t2,
+                  real(rng, lmax=1, mmax=2, nmax=2, density=0.8), t2, {"l", "n"}))
+    # populated l = m = 0 cells, which the half-lattice split halves
+    cases.append((_with_centres(rng, real(rng, lmax=2, mmax=1, nmax=2, density=1.0), 2), t2,
+                  _with_centres(rng, real(rng, lmax=2, mmax=1, nmax=2, density=1.0), 2), t2,
+                  {"l", "n"}))
+    return cases
+
+
+def _bracket_products(da, db):
+    """(l, m, n, value) of every pair product of d_x a d_theta b and of
+    d_theta a d_x b."""
+    return [(l1 + l2, m1 + m2, n1 + n2, v1 * v2)
+            for fa, fb in ((oracle.dx(da), oracle.dtheta(db)),
+                           (oracle.dtheta(da), oracle.dx(db)))
+            for (l1, m1, n1), v1 in fa.items() for (l2, m2, n2), v2 in fb.items()]
+
+
+def test_bracket_matches_oracle_with_clipping():
+    pyrng = __import__("random").Random(71)
+    cases = _bracket_cases(pyrng)
+    for da, ta, db, tb, axes in cases:
+        t = ta.merge(tb)
+        products = _bracket_products(da, db)
+        assert _clipped_axes(products, t) == axes
+        got = fts.poisson_bracket(oracle.series_from_dict(da, ta, RHO),
+                                  oracle.series_from_dict(db, tb, RHO))
+        assert got.trunc == t
+        assert got.hermitian_defect == 0.0
+        kept = oracle.restrict(oracle.bracket(da, db, RHO), t.l_t, t.l_theta, t.n_x)
+        assert oracle.diff_norm(kept, got) < 1e-13
+        if not axes:
+            assert got.tail_norm == 0.0
+            continue
+        assert got.tail_norm > 0.0
+        assert got.tail_norm == pytest.approx(_dropped_weight(products, t) / RHO, rel=1e-12)
+    # each axis clipped alone and all three together, and none
+    assert {frozenset(c[4]) for c in cases} >= {frozenset(ax) for ax in ("", "l", "m", "n", "lmn")}
+
+
+def test_bracket_is_one_kernel_call(monkeypatch):
+    calls = []
+    kernel = fts.convolve_nonzeros
+
+    def counted(*args):
+        calls.append(args[0].size * args[4].size)
+        return kernel(*args)
+
+    def unused(*args):
+        raise AssertionError("the bracket forms no derivative series or products")
+
+    monkeypatch.setattr(fts, "convolve_nonzeros", counted)
+    for name in ("multiply", "partial_x", "partial_theta"):
+        monkeypatch.setattr(fts, name, unused)
+    ta, tb = TruncationSpec(n_x=2, l_theta=4, l_t=1), TruncationSpec(n_x=4, l_theta=1, l_t=3)
+    rng = np.random.default_rng(9)
+    f = fts.random_real_series(ta, RHO, rng)
+    g = fts.random_real_series(tb, RHO, rng)
+    for a, b in ((f, g), (g, f), (f, f)):
+        calls.clear()
+        fts.poisson_bracket(a, b)
+        assert len(calls) == 1
+    # a factor of t alone gives exact zeros, without a kernel call
+    cos_t = fts.from_real_terms([(1, 0, 0, 0.5)], tb, RHO)
+    calls.clear()
+    for out in (fts.poisson_bracket(f, cos_t), fts.poisson_bracket(cos_t, f)):
+        assert out.trunc == ta.merge(tb)
+        assert not out.coeffs.any()
+        assert out.tail_norm == 0.0
+    assert calls == []
