@@ -373,15 +373,12 @@ class LieTransformResult:
         Updated curvature coefficient after absorbing rv.
     series_terms_used : int
         Lie-series terms summed before the tolerance was met.
-    tail_norm : float
-        Majorant weight dropped outside the index box while building v_star.
     """
 
     v_star: FourierTaylorSeries
     rv: FourierTaylorSeries
     q_star: FourierTaylorSeries
     series_terms_used: int
-    tail_norm: float
 
 
 def _curvature_update(q: FourierTaylorSeries,
@@ -464,8 +461,7 @@ def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
                              tol)
     q_star = _curvature_update(q, rv)
     return LieTransformResult(v_star=out, rv=rv, q_star=q_star,
-                              series_terms_used=terms,
-                              tail_norm=out.tail_norm)
+                              series_terms_used=terms)
 
 
 def conjugacy_residual(v: FourierTaylorSeries, q: FourierTaylorSeries,
@@ -620,7 +616,6 @@ class IterationState:
     q_i: float
     measured_v_norm: float
     contraction_ratio: float
-    tail_norm: float
     conditions: dict
 
 
@@ -668,7 +663,6 @@ def kam_iterate(v0: FourierTaylorSeries, q0: FourierTaylorSeries,
     v, qs = v0, q0
     r_i = r
     prev_norm = None
-    tail_in = 0.0
     ratio = None
     extra = {}
     for i in range(steps + 1):
@@ -686,7 +680,7 @@ def kam_iterate(v0: FourierTaylorSeries, q0: FourierTaylorSeries,
             i=i, v=v, curvature=qs, r_i=r_i, eps_i=row["eps"],
             mu_i=mu_used, mu_schedule=mu_sched, q_i=row["q"],
             measured_v_norm=measured, contraction_ratio=ratio,
-            tail_norm=tail_in, conditions=conds))
+            conditions=conds))
         if i == steps:
             break
         res = compute_v_star(v, qs, params, tol, dio)
@@ -697,7 +691,6 @@ def kam_iterate(v0: FourierTaylorSeries, q0: FourierTaylorSeries,
         else:
             floor = -math.inf
         extra = {"q_star": abs(res.q_star.coeff(0, 0, 0)) >= floor}
-        tail_in = res.tail_norm
         prev_norm = measured
         v, qs = res.v_star, res.q_star
         r_i = r_i - mu_used
@@ -722,7 +715,7 @@ def iteration_ledger(states: list) -> list:
             "q_i": st.q_i,
             "measured_norm": st.measured_v_norm,
             "contraction_ratio": st.contraction_ratio,
-            "tail_norm": st.tail_norm,
+            "tail_norm": st.v.tail_norm,
             "conditions": dict(st.conditions),
         })
     return out

@@ -58,7 +58,6 @@ __all__ = [
     "estimate_diophantine",
     "probe_basket",
     "generic_curvature",
-    "verify_homological",
     "run_identity_suite",
 ]
 
@@ -66,9 +65,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # a divisor below this is an exact resonance for the solver
 _MIN_DIVISOR = 1e-13
-
-# strip width at which the single-generator checks measure residuals
-_WORKING_R = 0.5
 
 
 class ResonanceError(ArithmeticError):
@@ -531,45 +527,3 @@ def run_identity_suite(params: AlgebraParams, trunc: TruncationSpec = None,
          "window": dict(win), "seed": seed}
         for name in names
     ]
-
-
-def verify_homological(f: FourierTaylorSeries, q: FourierTaylorSeries,
-                       params: AlgebraParams,
-                       dio: DiophantineParams = None) -> float:
-    """Residual of the commutator identity for one generator f.
-
-    Measures ``|| H(Gamma_f g) - Gamma_f(H g) - {Nf, g} ||`` (majorant at
-    r = 0.5) over the probe basket, relative to ``||f|| ||g||``.  The
-    support of f must stay 3 harmonics and 3 degrees inside its own box,
-    otherwise products clip and the residual reflects truncation error.
-    """
-    nf = max(fts.majorant_norm(f, _WORKING_R), 1e-300)
-    gamma = Derivation(f, q, params, dio)
-    worst = 0.0
-    for g in probe_basket(f.trunc, params.rho):
-        ng = max(fts.majorant_norm(g, _WORKING_R), 1e-300)
-        lhs = hamiltonian_apply(gamma(g), q, params)
-        rhs = gamma(hamiltonian_apply(g, q, params))
-        want = fts.poisson_bracket(gamma.solvable, g)
-        resid = (lhs - rhs) - want
-        worst = max(worst, fts.majorant_norm(resid, _WORKING_R) / (nf * ng))
-    return worst
-
-
-def verify_gr_zero(f: FourierTaylorSeries, q: FourierTaylorSeries,
-                   params: AlgebraParams,
-                   dio: DiophantineParams = None) -> float:
-    """Residual of Gamma annihilating the resonant range, for one f.
-
-    Measures ``|| Gamma_{Rf} g ||`` relative to ``||f|| ||g||`` over the
-    probe basket.  Same support caveat as `verify_homological`.
-    """
-    nf = max(fts.majorant_norm(f, _WORKING_R), 1e-300)
-    rf = Derivation(f, q, params, dio).resonant
-    gamma = Derivation(rf, q, params, dio)
-    worst = 0.0
-    for g in probe_basket(f.trunc, params.rho):
-        ng = max(fts.majorant_norm(g, _WORKING_R), 1e-300)
-        resid = gamma(g)
-        worst = max(worst, fts.majorant_norm(resid, _WORKING_R) / (nf * ng))
-    return worst

@@ -19,7 +19,6 @@ from .rigidbody import InertiaSpec
 __all__ = [
     "DEFAULT_TRUNC",
     "PRESETS",
-    "default_params",
     "default_diophantine",
     "reduced_drive_series",
     "preset_drive_series",
@@ -68,12 +67,7 @@ PRESETS = {
 }
 
 
-def default_params() -> AlgebraParams:
-    """Reference reduced system: rho = 2, I_perp = 2, I_3 = 3, golden x0."""
-    return AlgebraParams()
-
-
-def default_diophantine(params: AlgebraParams = None, tau: float = 1.0,
+def default_diophantine(params: AlgebraParams, tau: float = 1.0,
                         q: float = 0.5, k_scan: int = 50) -> DiophantineParams:
     """Diophantine certificate with gamma set by scanning the rotation number.
 
@@ -87,7 +81,6 @@ def default_diophantine(params: AlgebraParams = None, tau: float = 1.0,
         If the scan finds an exact resonance; the message names the
         integer pair (l, m) with omega m + l = 0.
     """
-    params = default_params() if params is None else params
     gamma_hat, pair = ops.estimate_diophantine(params.omega, tau, k_scan)
     if gamma_hat <= 0.0:
         raise ValueError(

@@ -33,7 +33,6 @@ __all__ = [
     "rk4_integrate",
     "to_reduced",
     "from_reduced",
-    "reduced_field",
     "make_reduced_field",
     "params_from_inertia",
     "poincare_section",
@@ -328,30 +327,6 @@ def params_from_inertia(inertia: InertiaSpec, rho: float,
     return AlgebraParams(rho=rho, i_perp=inertia.i1, i_3=inertia.i3, x0=x0)
 
 
-def reduced_field(x, theta, t, params: AlgebraParams,
-                  v_series: FourierTaylorSeries = None):
-    """Chart velocities (dx/dt, dtheta/dt) at localized x (X = x0 + x).
-
-    Unperturbed: dx/dt = 0 and dtheta/dt = rho Delta X (uniform rotation).
-    A perturbation series adds the bracket terms -(1/rho) dV/dtheta and
-    +(1/rho) dV/dx, and then |x| must stay within the domain radius.
-
-    Examples
-    --------
-    >>> p = AlgebraParams()
-    >>> xd, td = reduced_field(0.0, 0.3, 0.0, p)
-    >>> (float(xd), bool(abs(td - p.omega) < 1e-15))
-    (0.0, True)
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if v_series is not None and np.any(np.abs(x) > DEFAULT_DOMAIN.x_cap):
-        raise ValueError(
-            f"evaluation outside domain radius |x| <= {DEFAULT_DOMAIN.x_half}")
-    f = make_reduced_field(params, v_series)
-    out = f(t, np.stack([x, np.asarray(theta, dtype=np.float64)], axis=-1))
-    return out[..., 0], out[..., 1]
-
-
 def make_reduced_field(params: AlgebraParams,
                        v_series: FourierTaylorSeries = None):
     """Compile the reduced velocity field into an RK4-ready closure.
@@ -379,6 +354,13 @@ def make_reduced_field(params: AlgebraParams,
     along a table axis, so a member of a batch (..., 2) gets the bits of
     its solo call on (2,). The sums agree with the dense evaluation
     (``series.evaluate``) up to rounding, not bit for bit.
+
+    Examples
+    --------
+    >>> p = AlgebraParams()
+    >>> xd, td = make_reduced_field(p)(0.0, np.array([0.0, 0.3]))
+    >>> (float(xd), bool(abs(td - p.omega) < 1e-15))
+    (0.0, True)
     """
     rho, delta, x0 = params.rho, params.delta, params.x0
     rho_delta = rho * delta

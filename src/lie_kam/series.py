@@ -43,8 +43,10 @@ __all__ = [
     "from_terms",
     "from_real_terms",
     "constant",
+    "random_real_series",
     "add",
     "scale",
+    "convolve_nonzeros",
     "multiply",
     "partial_x",
     "partial_theta",
@@ -52,10 +54,8 @@ __all__ = [
     "poisson_bracket",
     "evaluate",
     "majorant_norm",
-    "sampled_norm",
-    "cauchy_bound_check",
-    "random_real_series",
-    "max_coeff_diff",
+    "to_json_dict",
+    "from_json_dict",
     "to_json",
     "from_json",
 ]
@@ -207,13 +207,6 @@ class FourierTaylorSeries:
         if abs(l) > t.l_t or abs(m) > t.l_theta or not 0 <= n <= t.n_x:
             return 0.0 + 0.0j
         return complex(self.coeffs[l + t.l_t, m + t.l_theta, n])
-
-    def nonzero_terms(self):
-        """Iterate (l, m, n, value) over nonzero coefficients."""
-        t = self.trunc
-        li, mi, ni = np.nonzero(self.coeffs)
-        for a, b, c in zip(li, mi, ni):
-            yield int(a - t.l_t), int(b - t.l_theta), int(c), complex(self.coeffs[a, b, c])
 
     def __repr__(self):
         t = self.trunc
@@ -610,8 +603,17 @@ def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTa
 # -- evaluation and norms ---------------------------------------------------
 
 
-def _evaluate_raw(a: FourierTaylorSeries, x, theta, t):
-    x = np.asarray(x)
+def evaluate(a: FourierTaylorSeries, x, theta, t):
+    """Evaluate the series at real points.
+
+    |x| must stay within the domain half-width. The series is real, so the
+    value is real up to the rounding of the complex sum; that imaginary
+    rounding residue is discarded.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if np.any(np.abs(x) > DEFAULT_DOMAIN.x_cap):
+        raise ValueError(
+            f"evaluation outside domain radius |x| <= {DEFAULT_DOMAIN.x_half}")
     theta = np.asarray(theta)
     t = np.asarray(t)
     shape = np.broadcast_shapes(x.shape, theta.shape, t.shape)
@@ -628,22 +630,8 @@ def _evaluate_raw(a: FourierTaylorSeries, x, theta, t):
     # contract l in one matmul, then sum over (m, n) point by point
     c = a.coeffs
     g = (et @ c.reshape(c.shape[0], -1)).reshape(-1, c.shape[1], c.shape[2])
-    val = np.einsum("smn,sm,sn->s", g, em, xn)
+    val = np.real(np.einsum("smn,sm,sn->s", g, em, xn))
     return val.reshape(shape) if shape else val[()]
-
-
-def evaluate(a: FourierTaylorSeries, x, theta, t):
-    """Evaluate the series at real points.
-
-    |x| must stay within the domain half-width. The series is real, so the
-    value is real up to the rounding of the complex sum; that imaginary
-    rounding residue is discarded.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(np.abs(x) > DEFAULT_DOMAIN.x_cap):
-        raise ValueError(
-            f"evaluation outside domain radius |x| <= {DEFAULT_DOMAIN.x_half}")
-    return np.real(_evaluate_raw(a, x, theta, t))
 
 
 def majorant_norm(a: FourierTaylorSeries, r: float) -> float:
@@ -660,67 +648,6 @@ def majorant_norm(a: FourierTaylorSeries, r: float) -> float:
     ms = np.abs(np.arange(-tr.l_theta, tr.l_theta + 1))
     w = np.exp(r * (ls[:, None] + ms[None, :]))
     return float(np.sum(b * w))
-
-
-def sampled_norm(a: FourierTaylorSeries, r: float) -> float:
-    """Max |F| over a sample of the complex strip of width r.
-
-    A lower bound for the sup norm, hence always <= the majorant norm. The
-    sample covers 12-point real angle grids combined with imaginary angle
-    excursions of size r and 7 points of x on the circle of radius
-    x_half + r.
-    """
-    if r < 0 or r > DEFAULT_DOMAIN.r_max:
-        raise ValueError("r out of range")
-    ang = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
-    shifts = np.array([-r, 0.0, r])
-    phases = np.linspace(0.0, 2 * np.pi, 7, endpoint=False)
-    best = 0.0
-    radius = DEFAULT_DOMAIN.radius(r)
-    for s_th in shifts:
-        for s_t in shifts:
-            th = ang[:, None, None] + 1j * s_th
-            tt = ang[None, :, None] + 1j * s_t
-            xx = radius * np.exp(1j * phases)[None, None, :]
-            val = _evaluate_raw(a, xx, th, tt)
-            best = max(best, float(np.max(np.abs(val))))
-    return best
-
-
-def cauchy_bound_check(w: FourierTaylorSeries, r: float, d: float,
-                       delta: float = 0.0,
-                       partner: FourierTaylorSeries = None) -> dict:
-    """Measured derivative and bracket norms against their Cauchy bounds.
-
-    Returns a dict with entries 'partial_x', 'partial_theta' and (when a
-    partner series Z is given) 'bracket', each holding measured value, bound
-    and margin = bound - measured. Margins are non-negative in exact
-    arithmetic; the checks exist to keep it that way in floating point.
-    """
-    if d <= 0 or r - d < 0:
-        raise ValueError("need 0 < d <= r")
-    if partner is not None and (delta <= 0 or r - d - delta < 0):
-        raise ValueError("need 0 < delta and d + delta <= r")
-    nw = majorant_norm(w, r)
-    report = {}
-    meas = majorant_norm(partial_x(w), r - d)
-    bound = nw / d
-    report["partial_x"] = {"measured": meas, "bound": bound, "margin": bound - meas}
-    meas = majorant_norm(partial_theta(w), r - d)
-    bound = nw / (math.e * d)
-    report["partial_theta"] = {"measured": meas, "bound": bound, "margin": bound - meas}
-    if partner is not None:
-        z = partner
-        meas = majorant_norm(poisson_bracket(w, z), r - d - delta)
-        bound = 2.0 / (w.rho * math.e * d * (d + delta)) * nw * majorant_norm(z, r - delta)
-        report["bracket"] = {"measured": meas, "bound": bound, "margin": bound - meas}
-    return report
-
-
-def max_coeff_diff(a: FourierTaylorSeries, b: FourierTaylorSeries) -> float:
-    """Max |c_a - c_b| over the merged box."""
-    trunc = a.trunc.merge(b.trunc)
-    return float(np.max(np.abs(_embed(a, trunc) - _embed(b, trunc))))
 
 
 # -- serialization ----------------------------------------------------------

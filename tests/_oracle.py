@@ -4,8 +4,13 @@ Series are plain dicts {(l, m, n): complex} holding coefficients of
 x^n e^{i(l t + m theta)}. Products are exact (no truncation box), so a
 mismatch against the package on a window where truncation cannot bite is a
 real algebra bug. Deliberately no imports from lie_kam in the math itself.
+
+Test-only checks of package series also live here: the sampled sup norm
+on the complex strip and the coefficient difference of two series.
 """
 import math
+
+import numpy as np
 
 
 def sadd(a, b, ca=1.0, cb=1.0):
@@ -151,6 +156,35 @@ def majorant(a, r, x_half):
                for (l, m, n), v in a.items())
 
 
+def evaluate(a, x, theta, t):
+    """Value of a at (possibly complex) points, broadcast over x, theta, t."""
+    x, theta, t = np.broadcast_arrays(np.asarray(x), np.asarray(theta), np.asarray(t))
+    out = np.zeros(x.shape, dtype=np.complex128)
+    for (l, m, n), v in a.items():
+        out += v * x ** n * np.exp(1j * (l * t + m * theta))
+    return out
+
+
+def sampled_norm(a, r, x_half):
+    """Max |F| over a sample of the complex strip of width r.
+
+    A lower bound for the sup norm, hence never above the majorant norm.
+    The sample combines 12-point real angle grids with imaginary angle
+    excursions of size r, and 7 points of x on the circle of radius
+    x_half + r.
+    """
+    ang = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
+    phases = np.linspace(0.0, 2 * np.pi, 7, endpoint=False)
+    xx = (x_half + r) * np.exp(1j * phases)[None, None, :]
+    best = 0.0
+    for s_th in (-r, 0.0, r):
+        for s_t in (-r, 0.0, r):
+            th = ang[:, None, None] + 1j * s_th
+            tt = ang[None, :, None] + 1j * s_t
+            best = max(best, float(np.max(np.abs(evaluate(a, xx, th, tt)))))
+    return best
+
+
 def rand_real_series(rng, lmax=2, mmax=2, nmax=3, density=0.5):
     out = {}
     for l in range(0, lmax + 1):
@@ -179,7 +213,9 @@ def restrict(a, l_t, l_theta, n_x):
 
 
 def dict_from_series(s):
-    return {(l, m, n): v for l, m, n, v in s.nonzero_terms()}
+    t = s.trunc
+    return {(int(l) - t.l_t, int(m) - t.l_theta, int(n)): complex(s.coeffs[l, m, n])
+            for l, m, n in zip(*np.nonzero(s.coeffs))}
 
 
 def series_from_dict(d, trunc, rho):
@@ -192,3 +228,8 @@ def diff_norm(d_ref, s_pkg):
     got = dict_from_series(s_pkg)
     keys = set(d_ref) | set(got)
     return max((abs(d_ref.get(k, 0.0) - got.get(k, 0.0)) for k in keys), default=0.0)
+
+
+def max_coeff_diff(a, b):
+    """Max abs coefficient difference between two package series."""
+    return diff_norm(dict_from_series(a), b)

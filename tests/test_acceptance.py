@@ -19,7 +19,7 @@ from lie_kam import series as fts
 from lie_kam.operators import AlgebraParams
 from lie_kam.series import DomainConfig
 
-PARAMS = pr.default_params()
+PARAMS = AlgebraParams()
 TR = pr.DEFAULT_TRUNC
 DIO = pr.default_diophantine(PARAMS)
 Q_SERIES = ops.generic_curvature(PARAMS, TR)

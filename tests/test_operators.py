@@ -270,6 +270,10 @@ def test_estimate_diophantine_default_omega():
 # -- identity suite -------------------------------------------------------------
 
 
+def _l1(s):
+    return float(np.sum(np.abs(s.coeffs)))
+
+
 def test_identity_suite_residuals_are_noise():
     reports = ops.run_identity_suite(PARAMS, n_trials=10, seed=42)
     names = {r["identity"] for r in reports}
@@ -277,31 +281,22 @@ def test_identity_suite_residuals_are_noise():
     for r in reports:
         assert r["trials"] == 10
         assert r["max_residual"] < 1e-12, r["identity"]
+    # two generators the random inputs never draw, measured as the suite
+    # rows "homological" and "derivation_after_resonant" are: a constant,
+    # whose Gamma is zero, and x^2 e^{it}, already in the basic resonant range
+    const = fts.constant(3.0, TR, PARAMS.rho)
+    resonant = fts.from_real_terms({(1, 0, 2): 0.5}, TR, PARAMS.rho)
+    gamma_c = ops.Derivation(const, Q_SERIES, PARAMS)
+    gamma_rr = ops.Derivation(ops.Derivation(resonant, Q_SERIES, PARAMS).resonant,
+                              Q_SERIES, PARAMS)
+    for g in ops.probe_basket(TR, PARAMS.rho):
+        lhs = ops.hamiltonian_apply(gamma_c(g), Q_SERIES, PARAMS)
+        rhs = gamma_c(ops.hamiltonian_apply(g, Q_SERIES, PARAMS))
+        assert _l1(lhs - rhs - fts.poisson_bracket(gamma_c.solvable, g)) == 0.0
+        assert _l1(gamma_rr(g)) / (_l1(resonant) * _l1(g)) < 1e-12
 
 
 def test_identity_suite_rejects_tiny_box():
     with pytest.raises(ValueError):
         ops.run_identity_suite(PARAMS, trunc=TruncationSpec(2, 3, 3), n_trials=1)
 
-
-def test_verify_homological_single_generator():
-    rng = np.random.default_rng(7)
-    win = ops._suite_window(TR)
-    f = fts.random_real_series(TR, PARAMS.rho, rng, n_terms=20,
-                               l_t_max=win["l_t"], l_theta_max=win["l_theta"],
-                               n_x_max=win["n_x"])
-    assert ops.verify_homological(f, Q_SERIES, PARAMS) < 1e-9
-    const = fts.constant(3.0, TR, PARAMS.rho)
-    assert ops.verify_homological(const, Q_SERIES, PARAMS) == 0.0
-
-
-def test_verify_gr_zero_single_generator():
-    rng = np.random.default_rng(8)
-    win = ops._suite_window(TR)
-    f = fts.random_real_series(TR, PARAMS.rho, rng, n_terms=20,
-                               l_t_max=win["l_t"], l_theta_max=win["l_theta"],
-                               n_x_max=win["n_x"])
-    assert ops.verify_gr_zero(f, Q_SERIES, PARAMS) < 1e-9
-    # x^2 e^{it} sits in the basic resonant range already
-    g2 = fts.from_real_terms({(1, 0, 2): 0.5}, TR, PARAMS.rho)
-    assert ops.verify_gr_zero(g2, Q_SERIES, PARAMS) < 1e-9

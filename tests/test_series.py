@@ -373,26 +373,38 @@ def test_sampled_norm_below_majorant():
         da, _ = rand_pair(pyrng)
         a = oracle.series_from_dict(da, TR, RHO)
         for r in (0.0, 0.4):
-            assert fts.sampled_norm(a, r) <= fts.majorant_norm(a, r) * (1 + 1e-12)
+            sampled = oracle.sampled_norm(da, r, DEFAULT_DOMAIN.x_half)
+            assert sampled <= fts.majorant_norm(a, r) * (1 + 1e-12)
 
 
 def test_sampled_norm_tight_for_single_mode():
     # |cos theta| on the strip |Im theta| <= r has sup cosh r, attained at
     # theta = +-i r, which the sample holds
-    f = fts.from_real_terms([(0, 1, 0, 0.5)], TR, RHO)
-    got = fts.sampled_norm(f, 0.8)
+    f = oracle.dict_from_series(fts.from_real_terms([(0, 1, 0, 0.5)], TR, RHO))
+    got = oracle.sampled_norm(f, 0.8, DEFAULT_DOMAIN.x_half)
     assert got == pytest.approx(math.cosh(0.8), rel=1e-9)
 
 
 def test_cauchy_margins_nonnegative():
+    # the Cauchy estimates of derivatives and brackets hold for the
+    # majorant coefficient-wise, so their margins are never negative
+    r, d, delta = 1.0, 0.4, 0.3
     pyrng = __import__("random").Random(97)
     for _ in range(25):
         da, db = rand_pair(pyrng)
         w = oracle.series_from_dict(da, TR, RHO)
         z = oracle.series_from_dict(db, TR, RHO)
-        rep = fts.cauchy_bound_check(w, r=1.0, d=0.4, delta=0.3, partner=z)
-        for name, entry in rep.items():
-            assert entry["margin"] >= -1e-12 * max(1.0, entry["bound"]), name
+        nw = fts.majorant_norm(w, r)
+        checks = {
+            "partial_x": (fts.majorant_norm(fts.partial_x(w), r - d), nw / d),
+            "partial_theta": (fts.majorant_norm(fts.partial_theta(w), r - d),
+                              nw / (math.e * d)),
+            "bracket": (fts.majorant_norm(fts.poisson_bracket(w, z), r - d - delta),
+                        2.0 / (RHO * math.e * d * (d + delta)) * nw
+                        * fts.majorant_norm(z, r - delta)),
+        }
+        for name, (measured, bound) in checks.items():
+            assert bound - measured >= -1e-12 * max(1.0, bound), name
 
 
 # -- serialization ------------------------------------------------------------
@@ -406,7 +418,7 @@ def test_json_roundtrip_bit_exact():
         text = fts.to_json(a)
         back = fts.from_json(text)
         assert fts.to_json(back) == text
-        assert fts.max_coeff_diff(a, back) == 0.0
+        assert oracle.max_coeff_diff(a, back) == 0.0
 
 
 def test_json_rejects_non_real():
