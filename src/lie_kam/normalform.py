@@ -271,7 +271,7 @@ def certify_bounds(w: FourierTaylorSeries, z: FourierTaylorSeries,
     nw = fts.majorant_norm(w, r)
     nz = fts.majorant_norm(z, r - delta)
     gamma = ops.Derivation(w, q, params, dio)
-    measured_g = fts.majorant_norm(gamma(z), r - d - delta)
+    measured_g = fts.majorant_norm(gamma(z)[0], r - d - delta)
     bound_g = bc.lam() * nw * nz
 
     measured_n = fts.majorant_norm(gamma.solvable, r - delta)
@@ -310,21 +310,27 @@ def _lie_series(gamma: ops.Derivation, g: FourierTaylorSeries,
     weight of the k-th term falls below ``tol`` times the weight of g
     (absolute when g has weight 0). Five consecutive non-decreasing term
     weights raise :class:`DivergenceError`; reaching ``_MAX_TERMS`` terms
-    warns and returns the partial sum. Returns ``(sum, terms_used)``.
+    warns and returns the partial sum. Returns ``(sum, terms_used, dropped)``,
+    dropped summing the weight each term's brackets dropped times its factors.
     """
     scale_ = max(fts.majorant_norm(g, 0.0), 1.0)
     prev = math.inf
     rises = 0
+    dropped = 0.0
     for k in range(1, _MAX_TERMS + 1):
-        g = fts.scale(gamma(g), 1.0 / k)  # Gamma^k g / k!
-        term = g
+        g, lost = gamma(g)
+        g = fts.scale(g, 1.0 / k)  # Gamma^k g / k!
+        term, lost = g, lost * (1.0 / k)
         if h is not None:
-            h = fts.scale(gamma(h), 1.0 / k)  # Gamma^k h / k!
+            h, lost_h = gamma(h)
+            h = fts.scale(h, 1.0 / k)  # Gamma^k h / k!
             term = g - fts.scale(h, 1.0 / (k + 1))
+            lost += lost_h * (1.0 / k) * (1.0 / (k + 1))
         out = out + term
+        dropped += lost
         tn = fts.majorant_norm(term, 0.0)
         if tn <= tol * scale_:
-            return out, k
+            return out, k, dropped
         if tn >= prev:
             rises += 1
             if rises >= 5:
@@ -336,7 +342,7 @@ def _lie_series(gamma: ops.Derivation, g: FourierTaylorSeries,
         prev = tn
     warnings.warn(f"Lie series truncated at {_MAX_TERMS} terms with last "
                   f"term weight {prev:.3g}", RuntimeWarning)
-    return out, _MAX_TERMS
+    return out, _MAX_TERMS, dropped
 
 
 def lie_exp_apply(f: FourierTaylorSeries, g: FourierTaylorSeries,
@@ -352,8 +358,7 @@ def lie_exp_apply(f: FourierTaylorSeries, g: FourierTaylorSeries,
     the partial sum.
     """
     gamma = ops.Derivation(f, q, params, dio)
-    out, _ = _lie_series(gamma, g, None, g, tol)
-    return out
+    return _lie_series(gamma, g, None, g, tol)[0]
 
 
 # -- one normal-form step ------------------------------------------------------
@@ -373,12 +378,16 @@ class LieTransformResult:
         Updated curvature coefficient after absorbing rv.
     series_terms_used : int
         Lie-series terms summed before the tolerance was met.
+    tail_norm : float
+        Majorant weight at r = 0 that the Lie-series brackets dropped outside
+        the box, times each term's factors; a record, not an error bound.
     """
 
     v_star: FourierTaylorSeries
     rv: FourierTaylorSeries
     q_star: FourierTaylorSeries
     series_terms_used: int
+    tail_norm: float
 
 
 def _curvature_update(q: FourierTaylorSeries,
@@ -398,8 +407,7 @@ def _curvature_update(q: FourierTaylorSeries,
         lt, lth = trm.l_t - rv.trunc.l_t, trm.l_theta - rv.trunc.l_theta
         c[lt:lt + 2 * rv.trunc.l_t + 1, lth:lth + 2 * rv.trunc.l_theta + 1, 0] += \
             2.0 * rv.coeffs[:, :, 2]
-    return FourierTaylorSeries(c, trm, q.rho, tail_norm=q.tail_norm + rv.tail_norm,
-                               hermitian=True)
+    return FourierTaylorSeries(c, trm, q.rho, hermitian=True)
 
 
 def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
@@ -457,11 +465,11 @@ def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
                 RuntimeWarning)
     gamma = ops.Derivation(v, q, params, dio)
     rv = gamma.resonant
-    out, terms = _lie_series(gamma, v, gamma.solvable, fts.zeros(v.trunc, v.rho),
-                             tol)
+    out, terms, tail = _lie_series(gamma, v, gamma.solvable,
+                                   fts.zeros(v.trunc, v.rho), tol)
     q_star = _curvature_update(q, rv)
     return LieTransformResult(v_star=out, rv=rv, q_star=q_star,
-                              series_terms_used=terms)
+                              series_terms_used=terms, tail_norm=tail)
 
 
 def conjugacy_residual(v: FourierTaylorSeries, q: FourierTaylorSeries,
@@ -478,10 +486,10 @@ def conjugacy_residual(v: FourierTaylorSeries, q: FourierTaylorSeries,
     res = compute_v_star(v, q, params, tol, dio)
     inner = lie_exp_apply(fts.scale(v, -1.0), g, q, params, dio, tol)
     mid = ops.hamiltonian_apply(inner, q, params) \
-        + fts.poisson_bracket(v, inner)
+        + fts.poisson_bracket(v, inner)[0]
     lhs = lie_exp_apply(v, mid, q, params, dio, tol)
     rhs = ops.hamiltonian_apply(g, q, params) \
-        + fts.poisson_bracket(res.rv + res.v_star, g)
+        + fts.poisson_bracket(res.rv + res.v_star, g)[0]
     ng = max(fts.majorant_norm(g, 0.0), 1e-300)
     return fts.majorant_norm(lhs - rhs, 0.0) / ng
 
@@ -603,7 +611,8 @@ class IterationState:
     budget); ``mu_schedule`` is the uncapped schedule value the side
     conditions refer to. ``conditions`` carries the schedule booleans
     for this step plus ``q_star`` (updated curvature average above its
-    certified floor) for states produced by a step.
+    certified floor) for states produced by a step, and ``tail_norm`` the
+    tail of the step that produced this state (0.0 for state 0).
     """
 
     i: int
@@ -616,6 +625,7 @@ class IterationState:
     q_i: float
     measured_v_norm: float
     contraction_ratio: float
+    tail_norm: float
     conditions: dict
 
 
@@ -664,6 +674,7 @@ def kam_iterate(v0: FourierTaylorSeries, q0: FourierTaylorSeries,
     r_i = r
     prev_norm = None
     ratio = None
+    tail = 0.0
     extra = {}
     for i in range(steps + 1):
         row = sched["steps"][i]
@@ -680,7 +691,7 @@ def kam_iterate(v0: FourierTaylorSeries, q0: FourierTaylorSeries,
             i=i, v=v, curvature=qs, r_i=r_i, eps_i=row["eps"],
             mu_i=mu_used, mu_schedule=mu_sched, q_i=row["q"],
             measured_v_norm=measured, contraction_ratio=ratio,
-            conditions=conds))
+            tail_norm=tail, conditions=conds))
         if i == steps:
             break
         res = compute_v_star(v, qs, params, tol, dio)
@@ -692,7 +703,7 @@ def kam_iterate(v0: FourierTaylorSeries, q0: FourierTaylorSeries,
             floor = -math.inf
         extra = {"q_star": abs(res.q_star.coeff(0, 0, 0)) >= floor}
         prev_norm = measured
-        v, qs = res.v_star, res.q_star
+        v, qs, tail = res.v_star, res.q_star, res.tail_norm
         r_i = r_i - mu_used
         next_norm = fts.majorant_norm(v, r_i)
         if measured > 0.0:
@@ -715,7 +726,7 @@ def iteration_ledger(states: list) -> list:
             "q_i": st.q_i,
             "measured_norm": st.measured_v_norm,
             "contraction_ratio": st.contraction_ratio,
-            "tail_norm": st.v.tail_norm,
+            "tail_norm": st.tail_norm,
             "conditions": dict(st.conditions),
         })
     return out

@@ -212,9 +212,8 @@ def small_divisor_solve(f: FourierTaylorSeries, params: AlgebraParams,
 
     Modes of degree >= 2 and the time-angle average are dropped; the result u
     satisfies (omega*d_theta + d_t) u = fluctuating part of degree <= 1 of f.
-    Divisors are only formed at modes f actually populates. The result keeps
-    f's tail_norm, and it stays exactly hermitian: the divisor is odd,
-    d(-l, -m) = -d(l, m).
+    Divisors are only formed at modes f actually populates. The result
+    stays exactly hermitian: the divisor is odd, d(-l, -m) = -d(l, m).
     """
     t = f.trunc
     top = min(1, t.n_x)
@@ -227,7 +226,7 @@ def small_divisor_solve(f: FourierTaylorSeries, params: AlgebraParams,
     d = np.where(np.abs(d) < _MIN_DIVISOR, 1.0, d)  # masked entries have src == 0
     c = np.zeros(t.shape, dtype=np.complex128)
     c[:, :, : top + 1] = -1j * src / d[:, :, None]
-    return FourierTaylorSeries(c, t, f.rho, tail_norm=f.tail_norm, hermitian=True)
+    return FourierTaylorSeries(c, t, f.rho, hermitian=True)
 
 
 @functools.lru_cache
@@ -273,16 +272,16 @@ def half_curvature_x2(q: FourierTaylorSeries) -> FourierTaylorSeries:
 
 
 def _lift_degree(f: FourierTaylorSeries) -> FourierTaylorSeries:
-    """Multiply by x, growing the box when the top slice is occupied; keeps the tail."""
+    """Multiply by x, growing the box when the top slice is occupied."""
     t = f.trunc
     if np.any(f.coeffs[:, :, t.n_x] != 0):
         nt = TruncationSpec(n_x=t.n_x + 1, l_theta=t.l_theta, l_t=t.l_t)
         c = np.zeros(nt.shape, dtype=np.complex128)
         c[:, :, 1:] = f.coeffs
-        return FourierTaylorSeries(c, nt, f.rho, tail_norm=f.tail_norm, hermitian=True)
+        return FourierTaylorSeries(c, nt, f.rho, hermitian=True)
     c = np.zeros(t.shape, dtype=np.complex128)
     c[:, :, 1:] = f.coeffs[:, :, :-1]
-    return FourierTaylorSeries(c, t, f.rho, tail_norm=f.tail_norm, hermitian=True)
+    return FourierTaylorSeries(c, t, f.rho, hermitian=True)
 
 
 def _strip_imag(z: complex, what: str) -> float:
@@ -327,7 +326,7 @@ def hamiltonian_apply(g: FourierTaylorSeries, q: FourierTaylorSeries,
                       params: AlgebraParams) -> FourierTaylorSeries:
     """Generator H g = omega d_theta g + d_t g + {Q x^2 / 2, g}."""
     lin = fts.scale(fts.partial_theta(g), params.omega) + fts.partial_t(g)
-    return lin + fts.poisson_bracket(half_curvature_x2(q), g)
+    return lin + fts.poisson_bracket(half_curvature_x2(q), g)[0]
 
 
 class Derivation:
@@ -364,14 +363,14 @@ class Derivation:
                  params: AlgebraParams, dio: DiophantineParams = None):
         af = translation_coefficient(f, q, params, dio)
         v0 = small_divisor_solve(project_degree(f, 0), params, dio)
-        inner = fts.scale(q, af) + fts.multiply(q, fts.partial_theta(v0))
+        inner = fts.scale(q, af) + q * fts.partial_theta(v0)
 
         const = fts.from_terms([(0, 0, 0, params.rho * params.omega * af)],
                                f.trunc, f.rho)
         u = project_degree(fts.partial_x(f), 0)
         w = small_divisor_solve(u + fts.scale(inner, -1.0 / params.rho),
                                 params, dio)
-        k = const + fts.poisson_bracket(half_curvature_x2(q), _lift_degree(w))
+        k = const + fts.poisson_bracket(half_curvature_x2(q), _lift_degree(w))[0]
         self.correction = k
         self.resonant = basic_resonant(f) - k
         self.solvable = basic_solvable(f) + k
@@ -381,10 +380,10 @@ class Derivation:
         self.generator = small_divisor_solve(f, params, dio) - xw
         self.shift = af / params.rho
 
-    def __call__(self, g: FourierTaylorSeries) -> FourierTaylorSeries:
-        """Gamma_f g = {G, g} - (a_f / rho) d_x g."""
-        return (fts.poisson_bracket(self.generator, g)
-                + fts.scale(fts.partial_x(g), -self.shift))
+    def __call__(self, g: FourierTaylorSeries):
+        """(Gamma_f g, weight its bracket dropped), Gamma_f g = {G, g} - (a_f / rho) d_x g."""
+        bracket, dropped = fts.poisson_bracket(self.generator, g)
+        return bracket + fts.scale(fts.partial_x(g), -self.shift), dropped
 
 
 def projection_correction(f: FourierTaylorSeries, q: FourierTaylorSeries,
@@ -402,7 +401,7 @@ def homological_derivation(f: FourierTaylorSeries, g: FourierTaylorSeries,
     Builds a :class:`Derivation`; callers applying Gamma_f to several
     series build it themselves and reuse it.
     """
-    return Derivation(f, q, params, dio)(g)
+    return Derivation(f, q, params, dio)(g)[0]
 
 
 # -- verification -------------------------------------------------------------
@@ -514,11 +513,11 @@ def run_identity_suite(params: AlgebraParams, trunc: TruncationSpec = None,
         for g in probes:
             ng = max(_l1(g), 1e-300)
             worst["derivation_after_resonant"] = max(
-                worst["derivation_after_resonant"], _l1(gamma_rf(g)) / (nf * ng))
-            lhs = hamiltonian_apply(gamma_f(g), q, params)
-            rhs = gamma_f(hamiltonian_apply(g, q, params))
+                worst["derivation_after_resonant"], _l1(gamma_rf(g)[0]) / (nf * ng))
+            lhs = hamiltonian_apply(gamma_f(g)[0], q, params)
+            rhs = gamma_f(hamiltonian_apply(g, q, params))[0]
             commutator = lhs - rhs
-            want = fts.poisson_bracket(solv, g)
+            want = fts.poisson_bracket(solv, g)[0]
             worst["homological"] = max(
                 worst["homological"], _l1(commutator - want) / (nf * ng))
 

@@ -147,17 +147,13 @@ class FourierTaylorSeries:
     trunc : TruncationSpec
     rho : float
         Casimir radius of the momentum sphere the reduced coordinates live on.
-    tail_norm : float
-        Majorant weight (at r = 0) that the products building this series
-        dropped outside the index box, carried through the operations that
-        followed: sums add their inputs' tails, scalar multiples scale them
-        by |c|, and small-divisor solves and lifts by x keep them. A product
-        reports only what it dropped itself; derivatives and projections
-        start from zero. It records truncation and is not an error bound.
+
+    A series holds no truncation record: :func:`multiply` and
+    :func:`poisson_bracket` return the weight they dropped beside their result.
 
     Parameters
     ----------
-    coeffs, trunc, rho, tail_norm
+    coeffs, trunc, rho
         As the attributes; coeffs is copied and must be finite.
     hermitian : bool
         False (raw data) measures the hermitian defect: within
@@ -167,10 +163,10 @@ class FourierTaylorSeries:
         that build their output from real series.
     """
 
-    __slots__ = ("coeffs", "trunc", "rho", "tail_norm")
+    __slots__ = ("coeffs", "trunc", "rho")
 
     def __init__(self, coeffs, trunc: TruncationSpec, rho: float,
-                 tail_norm: float = 0.0, hermitian: bool = False):
+                 hermitian: bool = False):
         coeffs = np.array(coeffs, dtype=np.complex128, order="C", copy=True)
         if coeffs.shape != trunc.shape:
             raise ValueError(f"coefficient shape {coeffs.shape} != box {trunc.shape}")
@@ -192,14 +188,8 @@ class FourierTaylorSeries:
         self.coeffs = coeffs
         self.trunc = trunc
         self.rho = float(rho)
-        self.tail_norm = float(tail_norm)
 
     # -- basic queries ---------------------------------------------------
-
-    @property
-    def hermitian_defect(self) -> float:
-        """Max |c_{l,m,n} - conj(c_{-l,-m,n})| over the box, measured on demand."""
-        return _hermitian_defect(self.coeffs)
 
     def coeff(self, l: int, m: int, n: int) -> complex:
         """Coefficient c_{l,m,n}; indices outside the box are zero."""
@@ -227,7 +217,7 @@ class FourierTaylorSeries:
 
     def __mul__(self, other):
         if isinstance(other, FourierTaylorSeries):
-            return multiply(self, other)
+            return multiply(self, other)[0]
         return scale(self, other)
 
     __rmul__ = __mul__
@@ -341,23 +331,22 @@ def _embed(a: FourierTaylorSeries, trunc: TruncationSpec):
 
 
 def add(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTaylorSeries:
-    """Sum on the merged truncation box; the inputs' tails add up."""
+    """Sum on the merged truncation box."""
     _check_rho(a, b)
     trunc = a.trunc.merge(b.trunc)
     return FourierTaylorSeries(_embed(a, trunc) + _embed(b, trunc), trunc, a.rho,
-                               tail_norm=a.tail_norm + b.tail_norm, hermitian=True)
+                               hermitian=True)
 
 
 def scale(a: FourierTaylorSeries, c) -> FourierTaylorSeries:
-    """Multiply by a real scalar c; the tail scales by |c|.
+    """Multiply by a real scalar c.
 
     c is any real Python or numpy number, or a complex one with zero
     imaginary part; a nonzero imaginary part raises RealityError.
     """
     if np.imag(c) != 0:
         raise RealityError(f"scaling a real series by the non-real scalar {c!r}")
-    return FourierTaylorSeries(a.coeffs * c, a.trunc, a.rho,
-                               tail_norm=a.tail_norm * abs(c), hermitian=True)
+    return FourierTaylorSeries(a.coeffs * c, a.trunc, a.rho, hermitian=True)
 
 
 def _blocks(la, ma, na, va, lb, mb, nb, vb):
@@ -506,12 +495,12 @@ def _upper_half(a: FourierTaylorSeries):
     return src
 
 
-def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTaylorSeries:
-    """Truncated product on the merged box.
+def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries):
+    """Truncated product on the merged box, and the weight it dropped.
 
-    Products falling outside the box are dropped; their majorant weight at
-    r = 0 (so abs(value) * x_half^degree) is reported on the result's
-    tail_norm attribute.
+    Returns ``(product, dropped)``: dropped is the majorant weight at r = 0
+    (so abs(value) * x_half^degree) of the products outside the box.
+    ``a * b`` is the product alone.
 
     Only half the pairs are formed. The upper half A+ of a (l > 0, or
     l = 0 and m > 0, plus half of each l = m = 0 cell) gives P = A+ * b;
@@ -523,7 +512,7 @@ def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTaylorSer
     _check_rho(a, b)
     trunc = a.trunc.merge(b.trunc)
     if not (a.coeffs.any() and b.coeffs.any()):
-        return zeros(trunc, a.rho)
+        return zeros(trunc, a.rho), 0.0
     ta, tb = a.trunc, b.trunc
     src = _upper_half(a)
     la, ma, na = np.nonzero(src)
@@ -534,7 +523,7 @@ def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTaylorSer
         lb - tb.l_t, mb - tb.l_theta, nb, b.coeffs[None, lb, mb, nb],
         trunc.l_t, trunc.l_theta, trunc.n_x, xpow)
     out = out + np.conj(out[::-1, ::-1, :])
-    return FourierTaylorSeries(out, trunc, a.rho, tail_norm=2.0 * tail, hermitian=True)
+    return FourierTaylorSeries(out, trunc, a.rho, hermitian=True), 2.0 * tail
 
 
 def partial_x(a: FourierTaylorSeries) -> FourierTaylorSeries:
@@ -556,8 +545,9 @@ def partial_t(a: FourierTaylorSeries) -> FourierTaylorSeries:
     return FourierTaylorSeries(c, a.trunc, a.rho, hermitian=True)
 
 
-def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTaylorSeries:
-    """Reduced bracket {a, b} = (d_x a d_theta b - d_theta a d_x b) / rho.
+def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries):
+    """Reduced bracket {a, b} = (d_x a d_theta b - d_theta a d_x b) / rho,
+    and the weight it dropped: ``(bracket, dropped)``.
 
     One kernel call over two channels: {a, b} = sum_c A_c * B_c / rho with
     A = (d_x a, d_theta a) and B = (d_theta b, -d_x b). Each channel sits
@@ -569,7 +559,7 @@ def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTa
     is mirrored once. A factor without x or theta dependence gives the
     zero series on the merged box, without calling the kernel.
 
-    The tail is the majorant weight at r = 0 that the two derivative
+    ``dropped`` is the majorant weight at r = 0 that the two derivative
     products d_x a d_theta b and d_theta a d_x b drop outside the box,
     added and divided by rho.
     """
@@ -584,7 +574,7 @@ def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTa
     la, ma, na = np.nonzero(src)
     lb, mb, nb = np.nonzero(other)
     if not (la.size and lb.size):
-        return zeros(trunc, a.rho)
+        return zeros(trunc, a.rho), 0.0
     va, vb = src[la, ma, na], other[lb, mb, nb]
     ma, mb = ma - ta.l_theta, mb - tb.l_theta
     xpow = DEFAULT_DOMAIN.x_half ** np.arange(trunc.n_x + 1, dtype=np.float64)
@@ -595,9 +585,9 @@ def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTa
     out = out[:, :, 1:]
     c = 1.0 / a.rho
     # each weight carries one x_half too many, as its degree does
-    return FourierTaylorSeries((out + np.conj(out[::-1, ::-1, :])) * c, trunc, a.rho,
-                               tail_norm=2.0 * tail / DEFAULT_DOMAIN.x_half * c,
-                               hermitian=True)
+    return (FourierTaylorSeries((out + np.conj(out[::-1, ::-1, :])) * c, trunc, a.rho,
+                                hermitian=True),
+            2.0 * tail / DEFAULT_DOMAIN.x_half * c)
 
 
 # -- evaluation and norms ---------------------------------------------------

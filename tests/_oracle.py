@@ -6,7 +6,8 @@ mismatch against the package on a window where truncation cannot bite is a
 real algebra bug. Deliberately no imports from lie_kam in the math itself.
 
 Test-only checks of package series also live here: the sampled sup norm
-on the complex strip and the coefficient difference of two series.
+on the complex strip, the coefficient difference of two series and the
+hermitian defect of a coefficient box.
 """
 import math
 
@@ -233,3 +234,8 @@ def diff_norm(d_ref, s_pkg):
 def max_coeff_diff(a, b):
     """Max abs coefficient difference between two package series."""
     return diff_norm(dict_from_series(a), b)
+
+
+def hermitian_defect(coeffs):
+    """Max |c_{l,m,n} - conj(c_{-l,-m,n})| over a dense (l, m, n) box."""
+    return float(np.max(np.abs(coeffs - np.conj(coeffs[::-1, ::-1, :]))))

@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+import _oracle as oracle
 from lie_kam import cli
+from lie_kam import normalform as nf
 from lie_kam import operators as ops
 from lie_kam import presets as pr
 from lie_kam import rigidbody as rb
@@ -274,13 +276,20 @@ def test_normalize_snapshot_and_probe(tmp_path):
     assert rc == 0
     snap = read_json(tmp_path / "v_star.json")
     v_star = fts.from_json_dict(snap["series"])
-    assert v_star.hermitian_defect == 0.0
+    assert oracle.hermitian_defect(v_star.coeffs) == 0.0
     rep = read_json(tmp_path / "normalize_report.json")
     assert rep["v_star_norm"] > 0.0
     assert abs(rep["v_star_norm"] - fts.majorant_norm(v_star, 0.2)) <= 1e-15
     probe = rep["quadratic_probe"]
     assert probe["pass"] is True
     assert 1.9 <= probe["slope"] <= 2.1
+    # the report's tail is the step's own, bit for bit
+    params = AlgebraParams()
+    res = nf.compute_v_star(pr.preset_drive_series("pert1", 1e-3, params, pr.DEFAULT_TRUNC),
+                            ops.generic_curvature(params, pr.DEFAULT_TRUNC), params,
+                            dio=pr.default_diophantine(params))
+    assert rep["tail_norm"] > 0.0
+    assert rep["tail_norm"] == res.tail_norm
 
 
 def test_normalize_probe_outside_band_fails(tmp_path):
@@ -304,6 +313,20 @@ def test_iterate_ledger(tmp_path):
     norms = [row["measured_norm"] for row in rows]
     assert all(b < a for a, b in zip(norms, norms[1:]))
     assert doc["config"]["steps"] == 3
+
+
+def test_iterate_contraction_failure_writes_ledger(tmp_path, capsys):
+    # at eps 0.3 step 2 grows the norm: exit 2 with the ledger so far
+    rc = run(["iterate", "--eps", "0.3", "--steps", "3", "--out", str(tmp_path)])
+    assert rc == 2
+    doc = read_json(tmp_path / "iterate_ledger.json")
+    assert doc["pass"] is False
+    assert "step 2 increased the measured norm" in doc["error"]
+    rows = doc["steps"]
+    assert [row["i"] for row in rows] == [0, 1]
+    assert rows[0]["tail_norm"] == 0.0
+    assert rows[1]["tail_norm"] > 0.0
+    assert "contraction failure" in capsys.readouterr().err
 
 
 def test_normal_form_commands_deterministic_bytes(tmp_path):
