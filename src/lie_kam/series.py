@@ -436,12 +436,19 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow):
     BLAS build), so runs repeat bit for bit.
 
     When some product can leave the output box (the l, m or n range of
-    the products reaches past it), the same convolution runs on the
-    weights abs(v) * xpow[n] over the whole extended box, and the entries
-    outside the window are summed. Every term is nonnegative and nothing
-    is subtracted, so the tail is exact up to rounding relative to
-    itself, as when each pair was weighed alone; when no product can
-    leave the box the tail is exactly 0.0.
+    the products reaches past it), the tail is summed from the weights
+    abs(v) * xpow[n] over two disjoint parts of the rest of the extended
+    box, each one convolution of depth 1 in degree. Products whose (l, m)
+    falls outside the window, at any degree, come from the weights summed
+    over degree, convolved over the whole extended (l, m) range with the
+    window left out. Products whose (l, m) falls inside the window but
+    whose degree reaches past the box come from each degree n1 of the
+    first list, taken as a channel, against the second list's weight
+    summed over its degrees n2 >= n_x + 1 - n1, over the window only.
+    Every term is nonnegative and nothing is subtracted, so the tail is
+    exact up to rounding relative to itself, as when each pair was
+    weighed alone; when no product can leave the box the tail is exactly
+    0.0.
 
     Parameters
     ----------
@@ -479,10 +486,25 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow):
             l_theta + m0 + lo_m:l_theta + m0 + hi_m, :hi[2]] = _convolve_window(a, b, lo, hi)
     if lo == (0, 0, 0) and hi == ext:
         return out, 0.0
-    w = _convolve_window(np.abs(a) * xpow[:a.shape[3]], np.abs(b) * xpow[:b.shape[3]],
-                         (0, 0, 0), ext)
-    w[lo_l:hi_l, lo_m:hi_m, :hi[2]] = 0.0
-    return out, float(w.sum())
+    wa, wb = np.abs(a) * xpow[:a.shape[3]], np.abs(b) * xpow[:b.shape[3]]
+    # (l, m) outside the window, every degree: the degree sums convolve
+    w = _convolve_window(wa.sum(axis=3, keepdims=True), wb.sum(axis=3, keepdims=True),
+                         (0, 0, 0), (ext[0], ext[1], 1))
+    w[lo_l:hi_l, lo_m:hi_m] = 0.0
+    tail = w.sum()
+    if hi[2] < ext[2] and hi_l > lo_l and hi_m > lo_m:
+        # (l, m) in the window, degree >= hi[2]: degree n1 of a is a channel,
+        # met by b's weight summed over its degrees >= hi[2] - n1 (suffix
+        # index pb is the empty sum)
+        ja, nc, ka, pa = a.shape
+        jb, _, kb, pb = b.shape
+        suffix = np.zeros((jb, nc, kb, pb + 1))
+        suffix[..., :pb] = wb[..., ::-1].cumsum(axis=3)[..., ::-1]
+        sb = suffix[..., np.clip(hi[2] - np.arange(pa), 0, pb)]
+        tail += _convolve_window(wa.transpose(0, 1, 3, 2).reshape(ja, nc * pa, ka, 1),
+                                 sb.transpose(0, 1, 3, 2).reshape(jb, nc * pa, kb, 1),
+                                 (lo_l, lo_m, 0), (hi_l, hi_m, 1)).sum()
+    return out, float(tail)
 
 
 def _upper_half(a: FourierTaylorSeries):

@@ -315,6 +315,18 @@ def test_iterate_ledger(tmp_path):
     assert doc["config"]["steps"] == 3
 
 
+def test_reported_tails_frozen(tmp_path):
+    # the dropped weight that normalize and iterate report, pinned
+    assert run(["normalize", "--preset", "pert1", "--eps", "1e-2",
+                "--out", str(tmp_path)]) == 0
+    rep = read_json(tmp_path / "normalize_report.json")
+    assert rep["tail_norm"] == pytest.approx(2.36962248311673e-10, rel=1e-12, abs=0.0)
+    assert run(["iterate", "--steps", "3", "--out", str(tmp_path)]) == 0
+    rows = read_json(tmp_path / "iterate_ledger.json")["steps"]
+    frozen = [0.0, 4.661671377626285e-14, 4.2628575744431104e-12, 1.4036277692729683e-22]
+    assert [row["tail_norm"] for row in rows] == pytest.approx(frozen, rel=1e-12, abs=0.0)
+
+
 def test_iterate_contraction_failure_writes_ledger(tmp_path, capsys):
     # at eps 0.3 step 2 grows the norm: exit 2 with the ledger so far
     rc = run(["iterate", "--eps", "0.3", "--steps", "3", "--out", str(tmp_path)])

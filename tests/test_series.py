@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 import _oracle as oracle
 from lie_kam import series as fts
+from lie_kam.presets import DEFAULT_TRUNC
 from lie_kam.series import (
     DEFAULT_DOMAIN,
     DomainConfig,
@@ -162,7 +164,7 @@ def test_multiply_tail_accounts_for_dropped_weight():
     got, dropped = fts.multiply(a, a)
     kept = oracle.restrict(ref, 1, 2, 2)
     assert oracle.diff_norm(kept, got) < 1e-14
-    assert dropped == pytest.approx(expect_tail, rel=1e-12)
+    assert dropped == pytest.approx(expect_tail, rel=1e-12, abs=0.0)
     # the operator form is the product alone
     assert oracle.max_coeff_diff(a * a, got) == 0.0
 
@@ -472,10 +474,16 @@ def test_json_symmetrizes_tiny_defect():
 # -- product kernel ----------------------------------------------------------
 
 
+def _grid(rng, ls, ms, nmax):
+    """Complex coefficients on wave numbers l in ls and m in ms only (not a
+    real series)."""
+    return {(l, m, n): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            for l in ls for m in ms for n in range(nmax + 1)}
+
+
 def _one_sided(rng, ls, mmax, nmax):
     """Complex coefficients on wave numbers l in ls only (not a real series)."""
-    return {(l, m, n): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            for l in ls for m in range(-mmax, mmax + 1) for n in range(nmax + 1)}
+    return _grid(rng, ls, range(-mmax, mmax + 1), nmax)
 
 
 def _kernel_cases(rng):
@@ -533,6 +541,21 @@ def _kernel_cases(rng):
     t_wide = TruncationSpec(n_x=2, l_theta=2, l_t=3)
     cases.append((_one_sided(rng, (2, 3), 1, 1), t_wide,
                   _one_sided(rng, (3,), 1, 1), t_wide, {"l"}))
+    # nothing kept while the degrees clip too: every l sum, then every m sum,
+    # outside the box
+    cases.append((_one_sided(rng, (-2,), 1, 2), t2,
+                  _one_sided(rng, (-1,), 1, 2), t2, {"l", "n"}))
+    cases.append((_grid(rng, (-1, 0, 1), (2,), 2), t2,
+                  _grid(rng, (0,), (1,), 2), t2, {"m", "n"}))
+    # a factor of degree above n_x (the kernel's own input, not a series on
+    # that box): every product it forms drops, also where (l, m) is kept,
+    # in either argument order and where no (l, m) is kept
+    t_flat = TruncationSpec(n_x=2, l_theta=2, l_t=1)
+    deep = _one_sided(rng, (-1, 0), 1, 4)
+    shallow = _one_sided(rng, (0, 1), 1, 1)
+    cases += [(deep, t_flat, shallow, t_flat, {"n"}), (shallow, t_flat, deep, t_flat, {"n"}),
+              (_one_sided(rng, (1,), 1, 4), t_flat, _one_sided(rng, (1,), 1, 0), t_flat,
+               {"l", "n"})]
     # lowest degrees above 0, so the blocks start with empty degrees
     cases.append((_raise_degree(real(rng, lmax=1, mmax=1, nmax=1, density=0.8), 1), t3,
                   _raise_degree(real(rng, lmax=1, mmax=1, nmax=1, density=0.8), 2), t3,
@@ -570,6 +593,12 @@ def _clipped_axes(products, t):
             for ax, out in zip("lmn", _outside(t, l, m, n)) if out}
 
 
+def _pair_products(da, db):
+    """(l, m, n, value) of every pair product of two coefficient dicts."""
+    return [(l1 + l2, m1 + m2, n1 + n2, v1 * v2)
+            for (l1, m1, n1), v1 in da.items() for (l2, m2, n2), v2 in db.items()]
+
+
 def _dropped_weight(products, t):
     """Majorant weight at r = 0 of the (l, m, n, value) products outside box t."""
     return sum(abs(v) * DEFAULT_DOMAIN.x_half ** n for l, m, n, v in products
@@ -586,7 +615,8 @@ def _coeff_lists(d):
 
 def _kernel(da, db, t):
     """The kernel on two coefficient dicts, output box t; (product dict, tail)."""
-    xpow = DEFAULT_DOMAIN.x_half ** np.arange(t.n_x + 1, dtype=np.float64)
+    degree = max(n for _, _, n in (*da, *db))
+    xpow = DEFAULT_DOMAIN.x_half ** np.arange(max(t.n_x, degree) + 1, dtype=np.float64)
     out, tail = fts.convolve_nonzeros(*_coeff_lists(da), *_coeff_lists(db),
                                       t.l_t, t.l_theta, t.n_x, xpow)
     got = {(int(a) - t.l_t, int(b) - t.l_theta, int(c)): complex(out[a, b, c])
@@ -603,9 +633,7 @@ def test_product_kernel_matches_oracle_across_blocks():
     views, single_rows, raised = set(), set(), 0
     for da, ta, db, tb, axes in cases:
         t = ta.merge(tb)
-        products = [(l1 + l2, m1 + m2, n1 + n2, v1 * v2)
-                    for (l1, m1, n1), v1 in da.items()
-                    for (l2, m2, n2), v2 in db.items()]
+        products = _pair_products(da, db)
         assert _clipped_axes(products, t) == axes
         real = _is_real_dict(da) and _is_real_dict(db)
         # the kernel's first factor: multiply passes the upper half of a
@@ -631,7 +659,7 @@ def test_product_kernel_matches_oracle_across_blocks():
         if not axes:
             assert tail == 0.0
             continue
-        assert tail == pytest.approx(_dropped_weight(products, t), rel=1e-12)
+        assert tail == pytest.approx(_dropped_weight(products, t), rel=1e-12, abs=0.0)
     # both routes ran, and the half-lattice split met populated centre cells
     assert 0 < real_cases < len(cases)
     assert centred >= 2
@@ -641,6 +669,56 @@ def test_product_kernel_matches_oracle_across_blocks():
     assert views == {True, False}
     assert {(True, True), (False, True)} <= single_rows
     assert raised >= 1
+
+
+def _graded(rng, lmax, mmax, nmax):
+    """Complex coefficients of modulus 10**-min(20, 6 (|l| + |m| + n)): the
+    farther out, the smaller, down to 1e-20."""
+    return {(l, m, n): cmath.rect(10.0 ** -min(20, 6 * (abs(l) + abs(m) + n)),
+                                  rng.uniform(0, 2 * math.pi))
+            for l in range(-lmax, lmax + 1) for m in range(-mmax, mmax + 1)
+            for n in range(nmax + 1)}
+
+
+def test_kernel_tail_has_no_cancellation():
+    # the dropped weight is far below the rounding of the total weight, so
+    # a tail formed as total minus kept would be noise
+    pyrng = __import__("random").Random(41)
+    t2 = TruncationSpec(n_x=2, l_theta=2, l_t=2)
+    cases = [((1, 1, 2), {"n"}), ((2, 2, 1), {"l", "m"}), ((2, 2, 2), {"l", "m", "n"})]
+    smallest = 1.0
+    for (lmax, mmax, nmax), axes in cases:
+        da, db = _graded(pyrng, lmax, mmax, nmax), _graded(pyrng, lmax, mmax, nmax)
+        products = _pair_products(da, db)
+        assert _clipped_axes(products, t2) == axes
+        dropped = _dropped_weight(products, t2)
+        total = sum(abs(v) * DEFAULT_DOMAIN.x_half ** n for _, _, n, v in products)
+        smallest = min(smallest, dropped / total)
+        _, tail = _kernel(da, db, t2)
+        assert tail == pytest.approx(dropped, rel=1e-12, abs=0.0)
+    assert smallest <= 1e-15
+
+
+def test_kernel_weight_convolutions_span_one_degree(monkeypatch):
+    # the tail convolves degree sums and suffix sums, never the weights
+    # over the extended degree range
+    calls = []
+    convolve = fts._convolve_window
+
+    def recorded(a, b, lo, hi):
+        calls.append((a.dtype, hi[2] - lo[2]))
+        return convolve(a, b, lo, hi)
+
+    monkeypatch.setattr(fts, "_convolve_window", recorded)
+    t = DEFAULT_TRUNC
+    rng = np.random.default_rng(13)
+    f, g = fts.random_real_series(t, RHO, rng), fts.random_real_series(t, RHO, rng)
+    for _, dropped in (fts.poisson_bracket(f, g), fts.multiply(f, g)):
+        assert dropped > 0.0
+    weights = [depth for dtype, depth in calls if dtype == np.float64]
+    assert weights and set(weights) == {1}
+    # per call one values contraction and both tail slabs
+    assert len(calls) == 6 and len(weights) == 4
 
 
 def test_multiply_by_zero_skips_the_kernel(monkeypatch):
@@ -737,7 +815,7 @@ def test_bracket_matches_oracle_with_clipping():
             assert tail == 0.0
             continue
         assert tail > 0.0
-        assert tail == pytest.approx(_dropped_weight(products, t) / RHO, rel=1e-12)
+        assert tail == pytest.approx(_dropped_weight(products, t) / RHO, rel=1e-12, abs=0.0)
     # each axis clipped alone and all three together, and none
     assert {frozenset(c[4]) for c in cases} >= {frozenset(ax) for ax in ("", "l", "m", "n", "lmn")}
 
