@@ -3,17 +3,31 @@
 Exit codes: 0 on success, 1 on usage or configuration problems, 2 on
 scientific failure (conservation out of band, aborted trajectory,
 identity residual over tolerance, hypothesis or contraction failure,
-resonant rotation number). A JSON config file supplies defaults; explicit
-flags override it; unknown keys and non-finite numbers (NaN, infinities,
-also as strings) are rejected. Identical config and seed give
-byte-identical outputs. Ensembles are integrated as one batch.
+resonant rotation number).
+
+Each subcommand declares its inputs once, in ``_COMMANDS``: key, check,
+default and help. An input comes from its flag, else from the JSON config
+file (``--config``), else from its default. The key's one check validates
+it as flag text or as a JSON value, so both reject the same things
+(NaN, infinities, also as strings; wrong types; out-of-range values), and
+a usage error names ``--flag`` or ``config key K``. Unknown keys are
+rejected. Every report writes the command's inputs as ``config``, a valid
+``--config`` document for the same subcommand (every input but ``out``),
+and the values computed from them as ``derived``: ``command`` and
+``gamma``, or for ``simulate``/``section`` ``command``, ``kind``,
+``inertia``, ``period``, ``rho`` and, for ``section``, ``section``.
+Trajectory CSVs carry ``config`` on their first line. Identical config
+and seed give byte-identical outputs. Ensembles are integrated as one
+batch.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,9 +53,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_ALGEBRA_KEYS = {"rho", "i_perp", "i_3", "x0"}
-_TRUNCATION_KEYS = {"n_x", "l_theta", "l_t"}
-
 # identities measured against the loose (--tol) tolerance; the rest are
 # exact cancellations held to 1e-12
 _LOOSE_IDENTITIES = {
@@ -54,7 +65,84 @@ _LOOSE_IDENTITIES = {
 _STRICT_TOL = 1e-12
 
 
+# -- inputs -------------------------------------------------------------------
+
+
+def _number(kind, ok=None, need=""):
+    """Check for a float or int input: flag text, a JSON number or a numeric
+    string, finite, and ``need`` where ``ok`` says so; ValueError otherwise."""
+    # bool is an int subclass, and int() would truncate a float
+    accepted = (str, int, float) if kind is float else (str, int)
+    what = "a number" if kind is float else "an integer"
+
+    def check(val):
+        if isinstance(val, bool) or not isinstance(val, accepted):
+            raise ValueError(f"must be {what}, got {val!r}")
+        try:
+            num = kind(val)
+        except (ValueError, OverflowError):
+            raise ValueError(f"must be {what}, got {val!r}")
+        if not math.isfinite(num):
+            raise ValueError(f"must be a finite number, got {val!r}")
+        if ok is not None and not ok(num):
+            raise ValueError(f"must be {need}, got {val!r}")
+        return num
+    return check
+
+
+_REAL = _number(float)
+_POSITIVE = _number(float, lambda v: v > 0, "positive")
+_NONNEGATIVE = _number(float, lambda v: v >= 0, "nonnegative")
+_FRACTION = _number(float, lambda v: 0 < v < 1, "in (0, 1)")
+_COUNT = _number(int, lambda v: v >= 1, "at least 1")
+_INDEX = _number(int, lambda v: v >= 0, "nonnegative")
+
+
+def _one_of(names):
+    names = sorted(names)
+
+    def check(val):
+        if val not in names:
+            raise ValueError(f"must be one of {', '.join(names)}, got {val!r}")
+        return val
+    return check
+
+
+def _switch(val):
+    if not isinstance(val, bool):
+        raise ValueError(f"must be true or false, got {val!r}")
+    return val
+
+
+def _path(val):
+    if not isinstance(val, str):
+        raise ValueError(f"must be a path, got {val!r}")
+    return val
+
+
+# the algebra and truncation blocks: keys are the fields of the stock object,
+# which also holds their defaults
+_BLOCKS = {"algebra": (AlgebraParams(), _REAL),
+           "truncation": (pr.DEFAULT_TRUNC, _INDEX)}
+
+
+def _block_keys(base):
+    return [f.name for f in dataclasses.fields(base) if f.init]
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _checked(check, val, where):
+    try:
+        return check(val)
+    except ValueError as exc:
+        raise UsageError(f"{where}: {exc}")
+
+
 def _load_config(args):
+    """The config file as a dict whose keys the subcommand accepts."""
     path = getattr(args, "config", None)
     if path is None:
         return {}
@@ -67,135 +155,74 @@ def _load_config(args):
         raise UsageError(f"config file is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise UsageError("config file must hold a JSON object")
-    _reject_non_finite(doc)
-    unknown = sorted(set(doc) - args.config_keys)
+    unknown = sorted(set(doc) - set(_COMMANDS[args.command].inputs)
+                     - set(_BLOCKS))
     if unknown:
         raise UsageError(
             f"unknown config keys for {args.command}: {', '.join(unknown)}")
-    for sub, keys in (("algebra", _ALGEBRA_KEYS),
-                      ("truncation", _TRUNCATION_KEYS)):
-        if sub in doc:
-            if not isinstance(doc[sub], dict):
-                raise UsageError(f"config key {sub!r} must be an object")
-            bad = sorted(set(doc[sub]) - keys)
+    for name, (base, _) in _BLOCKS.items():
+        if name in doc:
+            if not isinstance(doc[name], dict):
+                raise UsageError(f"config key {name!r} must be an object")
+            bad = sorted(set(doc[name]) - set(_block_keys(base)))
             if bad:
                 raise UsageError(
-                    f"unknown {sub} config keys: {', '.join(bad)}")
+                    f"unknown {name} config keys: {', '.join(bad)}")
     return doc
 
 
-def _reject_non_finite(doc, prefix=""):
-    # json accepts NaN and Infinity; they must not reach the engine
-    for key, val in doc.items():
-        if isinstance(val, dict):
-            _reject_non_finite(val, f"{prefix}{key}.")
-        elif isinstance(val, float) and not math.isfinite(val):
-            raise UsageError(
-                f"config key {prefix}{key} must be a finite number, got {val}")
+_REQUIRED = object()
 
 
-def _finite(val):
-    """float(val); ValueError unless it is a finite number."""
-    try:
-        num = float(val)
-    except (TypeError, ValueError):
-        raise ValueError(f"invalid float value: {val!r}")
-    if not math.isfinite(num):
-        raise ValueError(f"must be a finite number, got {val!r}")
-    return num
+def _inputs(args, config):
+    """The subcommand's inputs, each from its flag, else the config, else
+    its default, through its key's check; both blocks are checked even where
+    the command does not read them. A JSON null counts as absent, and a key
+    with neither value nor default is left out."""
+    inputs = {}
+    for key, (check, default, _) in _COMMANDS[args.command].inputs.items():
+        val, where = getattr(args, key), _flag(key)
+        if val is None:
+            val, where = config.get(key), f"config key {key}"
+        if val is not None:
+            inputs[key] = _checked(check, val, where)
+        elif default is _REQUIRED:
+            raise UsageError(f"{_flag(key)} is required")
+        elif default is not None:
+            inputs[key] = default
+    for name, (base, check) in _BLOCKS.items():
+        given = config.get(name, {})
+        inputs[name] = {
+            key: (_checked(check, given[key], f"config key {name}.{key}")
+                  if key in given else getattr(base, key))
+            for key in _block_keys(base)}
+    return inputs
 
 
-def _finite_float(text):
-    """argparse type for float flags: NaN and infinities are usage errors."""
-    try:
-        return _finite(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _chart(config):
+    return (AlgebraParams(**config["algebra"]),
+            TruncationSpec(**config["truncation"]))
 
 
-def _number(val, key, kind=float):
-    """A config value as a finite float (or an int); errors name the key.
-
-    JSON strings such as "nan" get past the load-time check, so numbers
-    are converted here, where they are read.
-    """
-    try:
-        return _finite(val) if kind is float else int(val)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"config key {key}: {exc}")
-
-
-def _get(args, config, key, default):
-    val = getattr(args, key, None)
-    if val is None:
-        val = config.get(key, default)
-    return val
-
-
-def _get_number(args, config, key, default, kind=float):
-    return _number(_get(args, config, key, default), key, kind)
-
-
-def _algebra(config) -> AlgebraParams:
-    base = AlgebraParams()
-    alg = config.get("algebra", {})
-    return AlgebraParams(
-        **{key: _number(alg.get(key, getattr(base, key)), f"algebra.{key}")
-           for key in ("rho", "i_perp", "i_3", "x0")})
-
-
-def _truncation(config) -> TruncationSpec:
-    base = pr.DEFAULT_TRUNC
-    tr = config.get("truncation", {})
-    return TruncationSpec(
-        **{key: _number(tr.get(key, getattr(base, key)), f"truncation.{key}",
-                        int)
-           for key in ("n_x", "l_theta", "l_t")})
-
-
-def _chart_config(params, trunc):
-    """The algebra and truncation blocks of a resolved configuration."""
-    return {
-        "algebra": {"rho": params.rho, "i_perp": params.i_perp,
-                    "i_3": params.i_3, "x0": params.x0},
-        "truncation": {"n_x": trunc.n_x, "l_theta": trunc.l_theta,
-                       "l_t": trunc.l_t},
-    }
-
-
-def _diophantine_flags(args, config):
-    """tau, q and gamma_scan as a resolved-config block; usage-checked."""
-    tau = _get_number(args, config, "tau", 1.0)
-    q = _get_number(args, config, "q", 0.5)
-    k_scan = _get_number(args, config, "gamma_scan", 50, int)
-    if tau <= 0:
-        raise UsageError("--tau must be positive")
-    if not 0 < q < 1:
-        raise UsageError("q must lie in (0, 1)")
-    if k_scan < 1:
-        raise UsageError("--gamma-scan must be a positive mode count")
-    return {"tau": tau, "q": q, "gamma_scan": k_scan}
-
-
-def _diophantine(params, resolved, report_path):
-    """Diophantine constants from the scan, recording gamma in ``resolved``.
+def _diophantine(params, config, derived, report_path):
+    """Diophantine constants from the scan, recording gamma in ``derived``.
 
     A resonant rotation number is a scientific failure: the command's
     report is written at ``report_path`` with ``first_failure``
     "diophantine", and None is returned so the command exits 2.
     """
     try:
-        dio = pr.default_diophantine(params, tau=resolved["tau"],
-                                     q=resolved["q"],
-                                     k_scan=resolved["gamma_scan"])
+        dio = pr.default_diophantine(params, tau=config["tau"], q=config["q"],
+                                     k_scan=config["gamma_scan"])
     except ValueError as exc:
-        _write_json(report_path, {"config": resolved, "pass": False,
+        _write_json(report_path, {"config": config, "derived": derived,
+                                  "pass": False,
                                   "first_failure": "diophantine",
                                   "error": str(exc)})
         print(f"FAIL diophantine: {exc}", file=sys.stderr)
         print(f"report: {report_path}")
         return None
-    resolved["gamma"] = dio.gamma
+    derived["gamma"] = dio.gamma
     return dio
 
 
@@ -207,87 +234,56 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _out_dir(args, config):
-    out = _get(args, config, "out", ".")
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 # -- simulate / section -------------------------------------------------------
 
 
-def _resolve_simulation(args, config):
-    preset = _get(args, config, "preset", None)
-    if preset is None:
-        raise UsageError("--preset is required")
-    if preset not in pr.PRESETS:
-        raise UsageError(f"unknown preset {preset!r}; "
-                         f"choose from {', '.join(sorted(pr.PRESETS))}")
+def _resolve_simulation(config, derived):
+    """Complete ``config`` from the preset and check the inputs against it."""
+    preset = config["preset"]
     cfg = pr.PRESETS[preset]
-    eps = _get(args, config, "eps", None)
-    if cfg["requires_eps"] and eps is None:
+    if cfg["requires_eps"] and "eps" not in config:
         raise UsageError(f"preset {preset!r} requires --eps")
-    if not cfg["requires_eps"] and eps is not None:
+    if not cfg["requires_eps"] and "eps" in config:
         raise UsageError(f"preset {preset!r} takes no --eps")
-    n = _get_number(args, config, "n", 1, int)
-    seed = _get_number(args, config, "seed", 0, int)
-    h = _get_number(args, config, "h", cfg["h"])
-    t_final = _get_number(args, config, "T", cfg["T"])
-    stride = _get_number(args, config, "stride", 1, int)
-    section = (args.command == "section"
-               or bool(_get(args, config, "section", False)))
-    if n < 1:
-        raise UsageError("--n must be at least 1")
-    if h <= 0:
-        raise UsageError("--h must be positive")
-    if t_final < 0:
-        raise UsageError("--T must be nonnegative")
-    if stride < 1:
-        raise UsageError("--stride must be at least 1")
+    config.setdefault("h", float(cfg["h"]))
+    config.setdefault("T", float(cfg["T"]))
+    if cfg["kind"] == "cartesian":
+        # checked, but a Cartesian preset reads neither block
+        del config["algebra"], config["truncation"]
+    sections_only = derived["command"] == "section"
     period = 2.0 * math.pi / cfg.get("drive_frequency", 1.0)
-    if section and t_final < period:
+    if (sections_only or config["section"]) and config["T"] < period:
         raise UsageError(
             f"sections need --T of at least one period ({period:.6g})")
-    resolved = {
-        "command": args.command,
-        "preset": preset,
-        "kind": cfg["kind"],
-        "inertia": list(cfg["inertia"]),
-        "rho": cfg["rho"],
-        "eps": eps if eps is None else _number(eps, "eps"),
-        "n": n,
-        "seed": seed,
-        "h": h,
-        "T": t_final,
-        "stride": stride,
-        "section": section,
-        "period": period,
-    }
-    return preset, cfg, resolved
+    derived.update(kind=cfg["kind"], period=period)
+    if sections_only:
+        derived["section"] = True
+    return cfg
 
 
-def _integrate(inits, fieldfn, resolved):
+def _integrate(inits, fieldfn, config):
     """One batched RK4 run over the ensemble, split into member trajectories."""
-    if resolved["T"] == 0.0:
+    if config["T"] == 0.0:
         empty = np.empty((0, inits.shape[-1]))
         return [rb.Trajectory(t=np.empty(0), y=empty) for _ in inits]
     # a lone member runs unbatched: same bits, less per-call overhead
     y0 = inits[0] if len(inits) == 1 else inits
-    return rb.rk4_integrate(y0, fieldfn, resolved["h"], resolved["T"],
-                            stride=resolved["stride"]).members()
+    return rb.rk4_integrate(y0, fieldfn, config["h"], config["T"],
+                            stride=config["stride"]).members()
 
 
-def _simulate_cartesian(resolved):
-    inertia = pr.preset_inertia(resolved["preset"], eps=resolved["eps"])
-    rho = resolved["rho"]
-    inits = rb.sample_sphere(resolved["n"], rho, resolved["seed"])
+def _simulate_cartesian(config, cfg, derived):
+    inertia = pr.preset_inertia(config["preset"], eps=config.get("eps"))
+    rho = cfg["rho"]
+    derived.update(inertia=list(cfg["inertia"]), rho=rho)
+    inits = rb.sample_sphere(config["n"], rho, config["seed"])
     if inertia.modulation is None:
         def fieldfn(t, y):
             return rb.euler_field(y, inertia)
     else:
         def fieldfn(t, y):
             return rb.throbbing_field(y, t, inertia)
-    trajs = _integrate(inits, fieldfn, resolved)
+    trajs = _integrate(inits, fieldfn, config)
 
     def report(traj):
         if len(traj) == 0:
@@ -297,25 +293,22 @@ def _simulate_cartesian(resolved):
         rep["aborted"] = traj.aborted
         return rep
 
-    return trajs, report, "cartesian", rho
+    return trajs, report
 
 
-def _simulate_reduced(resolved, config):
-    params = _algebra(config)
-    trunc = _truncation(config)
-    if abs(params.rho - resolved["rho"]) > 1e-12:
-        resolved["rho"] = params.rho
-    v = pr.preset_drive_series(resolved["preset"], resolved["eps"], params,
-                               trunc)
-    fieldfn = rb.make_reduced_field(params, v)
+def _simulate_reduced(config, derived):
+    params, trunc = _chart(config)
     inertia = rb.InertiaSpec(params.i_perp, params.i_perp, params.i_3)
-    rng = np.random.default_rng(resolved["seed"])
-    inits = np.stack([rng.uniform(-0.1, 0.1, size=resolved["n"]),
-                      rng.uniform(0.0, 2.0 * math.pi, size=resolved["n"])],
+    derived.update(inertia=[params.i_perp, params.i_perp, params.i_3],
+                   rho=params.rho)
+    v = pr.preset_drive_series(config["preset"], config["eps"], params, trunc)
+    fieldfn = rb.make_reduced_field(params, v)
+    rng = np.random.default_rng(config["seed"])
+    inits = np.stack([rng.uniform(-0.1, 0.1, size=config["n"]),
+                      rng.uniform(0.0, 2.0 * math.pi, size=config["n"])],
                      axis=-1)
-    resolved.update(_chart_config(params, trunc))
     trajs = []
-    for traj in _integrate(inits, fieldfn, resolved):
+    for traj in _integrate(inits, fieldfn, config):
         # store the global chart coordinate X = x0 + x
         y = traj.y.copy()
         y[:, 0] += params.x0
@@ -333,7 +326,7 @@ def _simulate_reduced(resolved, config):
         rep["x_max"] = float(np.max(traj.y[:, 0]))
         return rep
 
-    return trajs, report, "reduced", params.rho
+    return trajs, report
 
 
 def _section(traj, period, rho):
@@ -346,30 +339,33 @@ def _section(traj, period, rho):
     return (k0 + np.arange(len(sec))) * period, sec
 
 
-def cmd_simulate(args, config):
-    preset, cfg, resolved = _resolve_simulation(args, config)
-    out = _out_dir(args, config)
-    if cfg["kind"] == "cartesian":
-        trajs, report, kind, rho = _simulate_cartesian(resolved)
+def cmd_simulate(config, derived, out):
+    cfg = _resolve_simulation(config, derived)
+    os.makedirs(out, exist_ok=True)
+    preset, kind = config["preset"], derived["kind"]
+    if kind == "cartesian":
+        trajs, report = _simulate_cartesian(config, cfg, derived)
     else:
-        trajs, report, kind, rho = _simulate_reduced(resolved, config)
+        trajs, report = _simulate_reduced(config, derived)
 
-    write_traj = args.command == "simulate"
+    write_traj = derived["command"] == "simulate"
+    sections = not write_traj or config["section"]
     rows = []
     for i, traj in enumerate(trajs):
         rep = report(traj)
         if write_traj:
             name = f"{preset}_traj{i:03d}.csv"
             rb.write_trajectory_csv(os.path.join(out, name), traj, kind,
-                                    config=resolved)
+                                    config=config)
             rep["file"] = name
-        if resolved["section"]:
-            times, sec = _section(traj, resolved["period"],
-                                  rho if kind == "cartesian" else None)
+        if sections:
+            times, sec = _section(traj, derived["period"],
+                                  derived["rho"] if kind == "cartesian"
+                                  else None)
             sec_name = f"{preset}_section{i:03d}.csv"
             rb.write_trajectory_csv(os.path.join(out, sec_name),
                                     rb.Trajectory(t=times, y=sec), "reduced",
-                                    config=resolved)
+                                    config=config)
             rep["section_file"] = sec_name
             rep["section_rows"] = len(sec)
         rows.append(rep)
@@ -377,7 +373,8 @@ def cmd_simulate(args, config):
     aborted = [i for i, rep in enumerate(rows) if rep["aborted"]]
     out_of_band = [i for i, rep in enumerate(rows) if not rep["in_band"]]
     ok = not aborted and not out_of_band
-    doc = {"config": resolved, "trajectories": rows, "pass": ok}
+    doc = {"config": config, "derived": derived, "trajectories": rows,
+           "pass": ok}
     _write_json(os.path.join(out, f"{preset}_report.json"), doc)
     for i, rep in enumerate(rows):
         if rep.get("rows", 0) == 0:
@@ -400,30 +397,12 @@ def cmd_simulate(args, config):
 # -- normalize ----------------------------------------------------------------
 
 
-def _reduced_setup(args, config):
-    preset = _get(args, config, "preset", "pert1")
-    if preset not in pr.PRESETS:
-        raise UsageError(f"unknown preset {preset!r}")
-    if pr.PRESETS[preset]["kind"] != "reduced":
-        raise UsageError(f"preset {preset!r} is not a reduced-chart preset")
-    return preset, _algebra(config), _truncation(config)
-
-
-def cmd_normalize(args, config):
-    preset, params, trunc = _reduced_setup(args, config)
-    dio_flags = _diophantine_flags(args, config)
-    eps = _get(args, config, "eps", None)
-    if eps is None:
-        raise UsageError("--eps is required")
-    eps = _number(eps, "eps")
-    if eps <= 0:
-        raise UsageError("--eps must be positive")
-    tol = _get_number(args, config, "tol", 1e-12)
-    out = _out_dir(args, config)
-    resolved = {"command": "normalize", "preset": preset, "eps": eps,
-                "tol": tol, **dio_flags, **_chart_config(params, trunc)}
+def cmd_normalize(config, derived, out):
+    params, trunc = _chart(config)
+    preset, eps, tol = config["preset"], config["eps"], config["tol"]
+    os.makedirs(out, exist_ok=True)
     report_path = os.path.join(out, "normalize_report.json")
-    dio = _diophantine(params, resolved, report_path)
+    dio = _diophantine(params, config, derived, report_path)
     if dio is None:
         return 2
     q_series = ops.generic_curvature(params, trunc)
@@ -442,9 +421,11 @@ def cmd_normalize(args, config):
     quadratic_ok = abs(slope - 2.0) <= 0.1
 
     _write_json(os.path.join(out, "v_star.json"),
-                {"config": resolved, "series": fts.to_json_dict(result.v_star)})
+                {"config": config, "derived": derived,
+                 "series": fts.to_json_dict(result.v_star)})
     doc = {
-        "config": resolved,
+        "config": config,
+        "derived": derived,
         "v_norm": n_v,
         "v_star_norm": n_full,
         "series_terms_used": result.series_terms_used,
@@ -468,41 +449,28 @@ def cmd_normalize(args, config):
 # -- iterate ------------------------------------------------------------------
 
 
-def cmd_iterate(args, config):
-    preset, params, trunc = _reduced_setup(args, config)
-    dio_flags = _diophantine_flags(args, config)
-    eps = _get_number(args, config, "eps", 1e-3)
-    steps = _get_number(args, config, "steps", 3, int)
-    radius = _get_number(args, config, "r", 0.5)
-    tol = _get_number(args, config, "tol", 1e-12)
-    if eps <= 0:
-        raise UsageError("--eps must be positive")
-    if steps < 1:
-        raise UsageError("--steps must be at least 1")
-    if radius <= 0:
-        raise UsageError("--r must be positive")
-    out = _out_dir(args, config)
-    resolved = {"command": "iterate", "preset": preset, "eps": eps,
-                "steps": steps, "r": radius, "tol": tol, **dio_flags,
-                **_chart_config(params, trunc)}
+def cmd_iterate(config, derived, out):
+    params, trunc = _chart(config)
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "iterate_ledger.json")
-    dio = _diophantine(params, resolved, path)
+    dio = _diophantine(params, config, derived, path)
     if dio is None:
         return 2
-    v0 = pr.preset_drive_series(preset, eps, params, trunc)
+    v0 = pr.preset_drive_series(config["preset"], config["eps"], params, trunc)
     q0 = ops.generic_curvature(params, trunc)
     try:
-        states = nf.kam_iterate(v0, q0, params, dio, radius, steps=steps,
-                                tol=tol)
+        states = nf.kam_iterate(v0, q0, params, dio, config["r"],
+                                steps=config["steps"], tol=config["tol"])
     except nf.IterationError as exc:
         rows = nf.iteration_ledger(exc.states)
-        _write_json(path, {"config": resolved, "steps": rows,
-                           "pass": False, "error": str(exc)})
+        _write_json(path, {"config": config, "derived": derived,
+                           "steps": rows, "pass": False, "error": str(exc)})
         print(f"contraction failure: {exc}", file=sys.stderr)
         print(f"ledger: {path}")
         return 2
     rows = nf.iteration_ledger(states)
-    _write_json(path, {"config": resolved, "steps": rows, "pass": True})
+    _write_json(path, {"config": config, "derived": derived, "steps": rows,
+                       "pass": True})
     for row in rows:
         ratio = row["contraction_ratio"]
         shown = "-" if ratio is None else f"{ratio:.3f}"
@@ -542,24 +510,17 @@ def _margin_sweep(params, trunc, dio, trials, seed):
     return worst, count
 
 
-def cmd_bounds(args, config):
-    params = _algebra(config)
-    trunc = _truncation(config)
-    dio_flags = _diophantine_flags(args, config)
-    trials = _get_number(args, config, "trials", 20, int)
-    seed = _get_number(args, config, "seed", 0, int)
-    if trials < 1:
-        raise UsageError("--trials must be at least 1")
-    out = _out_dir(args, config)
-    resolved = {"command": "bounds", **dio_flags, "trials": trials,
-                "seed": seed, **_chart_config(params, trunc)}
+def cmd_bounds(config, derived, out):
+    params, trunc = _chart(config)
+    trials = config["trials"]
+    os.makedirs(out, exist_ok=True)
     report_path = os.path.join(out, "bounds_report.json")
-    dio = _diophantine(params, resolved, report_path)
+    dio = _diophantine(params, config, derived, report_path)
     if dio is None:
         return 2
 
     desk = nf.compute_bound_constants(params, dio, 0.5, 0.1, 0.1)
-    worst, count = _margin_sweep(params, trunc, dio, trials, seed)
+    worst, count = _margin_sweep(params, trunc, dio, trials, config["seed"])
 
     # wide strip where the full schedule is feasible
     wide = DomainConfig(x_half=0.25, r_max=40.0)
@@ -572,7 +533,8 @@ def cmd_bounds(args, config):
                                   r_wide, max_steps=10)
 
     doc = {
-        "config": resolved,
+        "config": config,
+        "derived": derived,
         "gamma_hat": dio.gamma,
         "constants": {
             "r": desk.r, "d": desk.d, "delta": desk.delta,
@@ -610,25 +572,18 @@ def cmd_bounds(args, config):
 # -- verify -------------------------------------------------------------------
 
 
-def cmd_verify(args, config):
-    params = _algebra(config)
-    trunc = _truncation(config)
-    dio_flags = _diophantine_flags(args, config)
-    trials = _get_number(args, config, "trials", 100, int)
-    seed = _get_number(args, config, "seed", 0, int)
-    tol = _get_number(args, config, "tol", 1e-9)
-    if trials < 1:
-        raise UsageError("--trials must be at least 1")
-    out = _out_dir(args, config)
-    resolved = {"command": "verify", **dio_flags, "trials": trials,
-                "seed": seed, "tol": tol, **_chart_config(params, trunc)}
+def cmd_verify(config, derived, out):
+    params, trunc = _chart(config)
+    tol, seed = config["tol"], config["seed"]
+    os.makedirs(out, exist_ok=True)
     report_path = os.path.join(out, "verify_report.json")
-    dio = _diophantine(params, resolved, report_path)
+    dio = _diophantine(params, config, derived, report_path)
     if dio is None:
         return 2
 
-    suite = ops.run_identity_suite(params, trunc=trunc, n_trials=trials,
-                                   seed=seed, dio=dio)
+    suite = ops.run_identity_suite(params, trunc=trunc,
+                                   n_trials=config["trials"], seed=seed,
+                                   dio=dio)
     rows = []
     first_failure = None
     for entry in suite:
@@ -647,7 +602,8 @@ def cmd_verify(args, config):
         first_failure = "bound_margins"
 
     doc = {
-        "config": resolved,
+        "config": config,
+        "derived": derived,
         "gamma_hat": dio.gamma,
         "identities": rows,
         "margins": {"trials": 5, "checked": count,
@@ -672,38 +628,72 @@ def cmd_verify(args, config):
 # -- wiring -------------------------------------------------------------------
 
 
-def _add_common(sp, seed=False, tol=False):
-    """--config and --out, plus --seed and --tol for the commands that read them."""
-    sp.add_argument("--config", help="JSON config file; flags override it")
-    if seed:
-        sp.add_argument("--seed", type=int, help="random seed (default 0)")
-    sp.add_argument("--out", help="output directory (default .)")
-    if tol:
-        sp.add_argument("--tol", type=_finite_float, help="numerical tolerance")
+class _Command(NamedTuple):
+    help: str
+    run: Callable
+    # key -> (check, default, help); default None: no value unless given
+    inputs: dict
 
 
-def _add_diophantine_flags(sp):
-    sp.add_argument("--tau", type=_finite_float, help="Diophantine exponent "
-                    "(default 1)")
-    sp.add_argument("--q", type=_finite_float, help="curvature floor "
-                    "parameter in (0, 1) (default 0.5)")
-    sp.add_argument("--gamma-scan", dest="gamma_scan", type=int,
-                    help="mode count for the gamma scan (default 50)")
+_OUT = {"out": (_path, ".", "output directory")}
+_DIOPHANTINE = {
+    "tau": (_POSITIVE, 1.0, "Diophantine exponent"),
+    "q": (_FRACTION, 0.5, "curvature floor parameter in (0, 1)"),
+    "gamma_scan": (_COUNT, 50, "mode count for the gamma scan"),
+}
+_SIMULATION = {
+    "preset": (_one_of(pr.PRESETS), _REQUIRED,
+               f"preset: {', '.join(sorted(pr.PRESETS))}"),
+    "n": (_COUNT, 1, "ensemble size"),
+    "h": (_POSITIVE, None, "step size (default: the preset's)"),
+    "T": (_NONNEGATIVE, None, "integration span (default: the preset's)"),
+    "eps": (_REAL, None, "drive amplitude (fig2 and pert1 only)"),
+    "stride": (_COUNT, 1, "sampling stride"),
+    "seed": (_INDEX, 0, "random seed"),
+    **_OUT,
+}
+_REDUCED_PRESET = (
+    _one_of(k for k, cfg in pr.PRESETS.items() if cfg["kind"] == "reduced"),
+    "pert1", "reduced preset")
 
-
-def _add_simulation_flags(sp):
-    sp.add_argument("--preset", choices=sorted(pr.PRESETS))
-    sp.add_argument("--n", type=int, help="ensemble size (default 1)")
-    sp.add_argument("--h", type=_finite_float, help="step size")
-    sp.add_argument("--T", type=_finite_float, help="integration span")
-    sp.add_argument("--eps", type=_finite_float, help="drive amplitude")
-    sp.add_argument("--stride", type=int, help="sampling stride (default 1)")
-
-
-def _config_keys(sp):
-    """Config keys a subcommand accepts: its flags' dests and the blocks."""
-    dests = {action.dest for action in sp._actions if action.option_strings}
-    return (dests - {"help", "config"}) | {"algebra", "truncation"}
+_COMMANDS = {
+    "simulate": _Command("integrate preset trajectories", cmd_simulate, {
+        **_SIMULATION,
+        "section": (_switch, False, "also emit stroboscopic sections"),
+    }),
+    "section": _Command("emit stroboscopic sections only", cmd_simulate,
+                        _SIMULATION),
+    "normalize": _Command(
+        "one conjugation step: remainder and probes", cmd_normalize, {
+            "preset": _REDUCED_PRESET,
+            "eps": (_POSITIVE, _REQUIRED, "drive amplitude"),
+            **_DIOPHANTINE,
+            "tol": (_POSITIVE, 1e-12, "numerical tolerance"),
+            **_OUT,
+        }),
+    "iterate": _Command("iterated conjugation ledger", cmd_iterate, {
+        "preset": _REDUCED_PRESET,
+        "eps": (_POSITIVE, 1e-3, "drive amplitude"),
+        "steps": (_COUNT, 3, "iteration count"),
+        "r": (_POSITIVE, 0.5, "working radius"),
+        **_DIOPHANTINE,
+        "tol": (_POSITIVE, 1e-12, "numerical tolerance"),
+        **_OUT,
+    }),
+    "bounds": _Command("analytic constants and margins", cmd_bounds, {
+        "trials": (_COUNT, 20, "random triples"),
+        **_DIOPHANTINE,
+        "seed": (_INDEX, 0, "random seed"),
+        **_OUT,
+    }),
+    "verify": _Command("operator identity suite", cmd_verify, {
+        "trials": (_COUNT, 100, "random probes per identity"),
+        **_DIOPHANTINE,
+        "seed": (_INDEX, 0, "random seed"),
+        "tol": (_POSITIVE, 1e-9, "tolerance of the loose identities"),
+        **_OUT,
+    }),
+}
 
 
 def _build_parser():
@@ -712,54 +702,19 @@ def _build_parser():
                                  "simulator on the momentum sphere")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
-
-    sp = sub.add_parser("simulate", help="integrate preset trajectories")
-    _add_simulation_flags(sp)
-    sp.add_argument("--section", action="store_true", default=None,
-                    help="also emit stroboscopic sections")
-    _add_common(sp, seed=True)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("section", help="emit stroboscopic sections only")
-    _add_simulation_flags(sp)
-    _add_common(sp, seed=True)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("normalize",
-                        help="one conjugation step: remainder and probes")
-    sp.add_argument("--preset", help="reduced preset (default pert1)")
-    sp.add_argument("--eps", type=_finite_float,
-                    help="drive amplitude (required)")
-    _add_diophantine_flags(sp)
-    _add_common(sp, tol=True)
-    sp.set_defaults(func=cmd_normalize)
-
-    sp = sub.add_parser("iterate", help="iterated conjugation ledger")
-    sp.add_argument("--preset", help="reduced preset (default pert1)")
-    sp.add_argument("--eps", type=_finite_float, help="drive amplitude "
-                    "(default 1e-3)")
-    sp.add_argument("--steps", type=int, help="iteration count (default 3)")
-    sp.add_argument("--r", type=_finite_float,
-                    help="working radius (default 0.5)")
-    _add_diophantine_flags(sp)
-    _add_common(sp, tol=True)
-    sp.set_defaults(func=cmd_iterate)
-
-    sp = sub.add_parser("bounds", help="analytic constants and margins")
-    sp.add_argument("--trials", type=int, help="random triples (default 20)")
-    _add_diophantine_flags(sp)
-    _add_common(sp, seed=True)
-    sp.set_defaults(func=cmd_bounds)
-
-    sp = sub.add_parser("verify", help="operator identity suite")
-    sp.add_argument("--trials", type=int,
-                    help="random probes per identity (default 100)")
-    _add_diophantine_flags(sp)
-    _add_common(sp, seed=True, tol=True)
-    sp.set_defaults(func=cmd_verify)
-
-    for sp in sub.choices.values():
-        sp.set_defaults(config_keys=_config_keys(sp))
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        sp.add_argument("--config", help="JSON config file; flags override it")
+        for key, (check, default, about) in command.inputs.items():
+            if check is _switch:
+                sp.add_argument(_flag(key), dest=key, action="store_true",
+                                default=None, help=about)
+                continue
+            if default is _REQUIRED:
+                about += " (required)"
+            elif default is not None:
+                about += f" (default {default})"
+            sp.add_argument(_flag(key), dest=key, help=about)
     return parser
 
 
@@ -770,8 +725,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        config = _load_config(args)
-        return args.func(args, config)
+        config = _inputs(args, _load_config(args))
+        # where the outputs go is not an input of the run
+        out = config.pop("out")
+        return _COMMANDS[args.command].run(config, {"command": args.command},
+                                           out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

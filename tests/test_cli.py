@@ -100,6 +100,19 @@ def test_simulate_usage_errors(tmp_path):
     assert run([]) == 1
 
 
+def test_reduced_simulate_reports_the_inertia_it_ran(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"algebra": {"i_3": 4.0}}))
+    assert run(["simulate", "--preset", "pert1", "--eps", "1e-3", "--T", "0.1",
+                "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rep = read_json(tmp_path / "pert1_report.json")
+    assert rep["config"]["algebra"]["i_3"] == 4.0
+    assert rep["derived"]["inertia"] == [2.0, 2.0, 4.0]
+    assert rep["derived"]["rho"] == 2.0
+    # the energy band is the integrated top's: rho^2 / (2 i_3)
+    assert rep["trajectories"][0]["band_lo"] == 0.5
+
+
 def test_simulate_deterministic_bytes(tmp_path):
     args = ["simulate", "--preset", "pert1", "--eps", "1e-3", "--n", "2",
             "--seed", "3", *FAST_SIM]
@@ -255,6 +268,49 @@ def test_non_finite_config_value_rejected(tmp_path, capsys):
     cfg.write_text(json.dumps({"preset": "fig1", "n": "nan"}))
     assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert "config key n" in capsys.readouterr().err
+    # a block the command does not read is checked all the same
+    cfg.write_text('{"algebra": {"rho": NaN}}')
+    assert run(["simulate", "--preset", "fig1", "--T", "0.1", "--config",
+                str(cfg), "--out", str(tmp_path)]) == 1
+    assert "algebra.rho" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"n": 2.7}, "config key n"),
+    ({"seed": True}, "config key seed"),
+    ({"section": "false"}, "config key section"),
+    ({"T": True}, "config key T"),
+    ({"truncation": {"n_x": 4.5}}, "config key truncation.n_x"),
+])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, doc, key):
+    # an int key takes no float and no boolean, a switch only true or false
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": "fig1", "T": 0.1, **doc}))
+    assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "fig1_report.json").exists()
+
+
+def test_flag_text_is_checked_like_config_values(tmp_path, capsys):
+    for flag, value in (("--n", "2.5"), ("--seed", "-1"), ("--stride", "0")):
+        assert run(["simulate", "--preset", "fig1", "--T", "0.1", flag, value,
+                    "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}: must be")
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "--eps", "1e-3", "--tol", "-1"],
+    ["iterate", "--tol", "0"],
+    ["verify", "--trials", "1", "--tol", "-1"],
+])
+def test_tolerance_must_be_positive(tmp_path, capsys, argv):
+    assert run([*argv, "--out", str(tmp_path)]) == 1
+    assert "--tol: must be positive" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": -1e-9}))
+    assert run([*argv[:-2], "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "config key tol: must be positive" in capsys.readouterr().err
 
 
 def test_non_finite_flags_rejected(tmp_path, capsys):
@@ -265,6 +321,46 @@ def test_non_finite_flags_rejected(tmp_path, capsys):
     assert run(["simulate", "--preset", "fig1", "--T", "nan",
                 "--out", str(tmp_path)]) == 1
     assert "--T" in capsys.readouterr().err
+
+
+# -- replay -------------------------------------------------------------------
+
+SIMULATE = ["simulate", "--preset", "pert1", "--eps", "1e-2", "--n", "2",
+            "--T", "0.1", "--stride", "2", "--seed", "3"]
+REPLAYS = {
+    "simulate": (SIMULATE, "pert1_report.json"),
+    "simulate-csv": (SIMULATE, "pert1_traj001.csv"),
+    "section": (["section", "--preset", "fig2", "--eps", "1", "--n", "2",
+                 "--T", "7"], "fig2_report.json"),
+    "normalize": (["normalize", "--eps", "1e-2", "--tol", "1e-11"],
+                  "normalize_report.json"),
+    "iterate": (["iterate", "--eps", "2e-3", "--steps", "2", "--r", "0.4"],
+                "iterate_ledger.json"),
+    "bounds": (["bounds", "--trials", "2", "--seed", "4"],
+               "bounds_report.json"),
+    "verify": (["verify", "--trials", "1", "--seed", "3", "--tol", "1e-8"],
+               "verify_report.json"),
+}
+
+
+@pytest.mark.parametrize("case", REPLAYS)
+def test_written_config_replays(tmp_path, case):
+    # the config a run writes, given back as --config, reproduces every
+    # output file byte for byte
+    argv, written = REPLAYS[case]
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run([*argv, "--out", str(first)]) == 0
+    if written.endswith(".csv"):
+        config = rb.read_trajectory_csv(str(first / written))[1]
+    else:
+        config = read_json(first / written)["config"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([argv[0], "--config", str(cfg), "--out", str(again)]) == 0
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in again.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
 # -- normalize / iterate ------------------------------------------------------
@@ -411,7 +507,7 @@ def test_verify_rational_rotation_number_fails(tmp_path, capsys, command):
     rc = run([command, *extra, "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
     rep = read_json(tmp_path / report)
-    assert rep["config"]["command"] == command
+    assert rep["derived"]["command"] == command
     assert rep["config"]["algebra"]["x0"] == 0.6
     assert rep["pass"] is False
     assert rep["first_failure"] == "diophantine"
