@@ -26,6 +26,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -47,6 +48,13 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only -1 and -1.5 as negative numbers, so
+        # `--eps -1e-3` would take -1e-3 for an option; exponents count too
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with 2 on usage errors; the contract reserves 2 for
     # scientific failures, so remap
     def error(self, message):
@@ -266,9 +274,7 @@ def _integrate(inits, fieldfn, config):
     if config["T"] == 0.0:
         empty = np.empty((0, inits.shape[-1]))
         return [rb.Trajectory(t=np.empty(0), y=empty) for _ in inits]
-    # a lone member runs unbatched: same bits, less per-call overhead
-    y0 = inits[0] if len(inits) == 1 else inits
-    return rb.rk4_integrate(y0, fieldfn, config["h"], config["T"],
+    return rb.rk4_integrate(inits, fieldfn, config["h"], config["T"],
                             stride=config["stride"]).members()
 
 
@@ -277,12 +283,10 @@ def _simulate_cartesian(config, cfg, derived):
     rho = cfg["rho"]
     derived.update(inertia=list(cfg["inertia"]), rho=rho)
     inits = rb.sample_sphere(config["n"], rho, config["seed"])
-    if inertia.modulation is None:
-        def fieldfn(t, y):
-            return rb.euler_field(y, inertia)
-    else:
-        def fieldfn(t, y):
-            return rb.throbbing_field(y, t, inertia)
+
+    def fieldfn(t, y):
+        return rb.throbbing_field(y, t, inertia)
+
     trajs = _integrate(inits, fieldfn, config)
 
     def report(traj):

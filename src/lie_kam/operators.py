@@ -5,20 +5,21 @@ removed by a near-identity change of coordinates (the solvable part) and a
 part that stays in the normal form (the resonant part). This module builds
 that splitting and the derivation that realizes the removal:
 
-- ``basic_resonant`` / ``basic_solvable``: the splitting that ignores the
-  curvature coupling (time-angle average of degree 0, plus everything of
-  degree >= 2, against the fluctuating degree-0 and all degree-1 terms).
+- ``_split``: the basic split f = R_s f + N_s f that ignores the curvature
+  coupling, stated once as one mask of resonant modes (the time-angle
+  averaged degree-0 modes and everything of degree >= 2) and its
+  complement (the fluctuating degree-0 and all degree-1 modes).
 - ``small_divisor_solve``: inverts the drift ``omega d_theta + d_t`` on
   fluctuating modes of degree <= 1, the only place small divisors appear.
 - ``translation_coefficient``: the coefficient a_f of the x-translation,
   the one divisor sum outside ``small_divisor_solve``.
 - ``Derivation``: everything one generator f needs, from one homological
   solve. It holds the curvature correction K, the full projections
-  R f = basic_resonant(f) - K and N f = basic_solvable(f) + K, and the
-  derivation Gamma_f with H(Gamma_f g) - Gamma_f(H g) = {N f, g} for the
-  generator ``H = omega d_theta + d_t + {Q x^2 / 2, .}``, applied as one
-  bracket. ``projection_correction`` and ``homological_derivation`` are
-  one-line uses of it.
+  R f = R_s f - K and N f = N_s f + K, and the derivation Gamma_f with
+  H(Gamma_f g) - Gamma_f(H g) = {N f, g} for the generator
+  ``H = omega d_theta + d_t + {Q x^2 / 2, .}``, applied as one bracket.
+  ``projection_correction`` and ``homological_derivation`` are one-line
+  uses of it.
 
 ``run_identity_suite`` verifies all of the exact operator identities on
 randomized inputs whose support is kept far enough inside the truncation
@@ -41,13 +42,6 @@ __all__ = [
     "DiophantineParams",
     "ResonanceError",
     "SmallDivisorWarning",
-    "average_op",
-    "fluctuation_op",
-    "project_degree",
-    "project_degree_le",
-    "project_degree_ge",
-    "basic_resonant",
-    "basic_solvable",
     "small_divisor_solve",
     "translation_coefficient",
     "projection_correction",
@@ -128,59 +122,31 @@ class DiophantineParams:
         return self.gamma / (abs(l) + abs(m)) ** self.tau
 
 
-# -- projections -------------------------------------------------------------
+# -- the subalgebra split ----------------------------------------------------
 
 
-def _rebox(coeffs, like: FourierTaylorSeries) -> FourierTaylorSeries:
-    # the projections keep or drop whole mirror pairs, so reality is kept
-    return FourierTaylorSeries(coeffs, like.trunc, like.rho, hermitian=True)
+def _split(f: FourierTaylorSeries):
+    """(basic resonant part, basic solvable part) of f, from one mask.
 
-
-def average_op(f: FourierTaylorSeries) -> FourierTaylorSeries:
-    """Keep only the time-angle average (the (l, m) = (0, 0) modes)."""
+    The resonant modes are the time-angle averaged ((l, m) = (0, 0)) modes
+    of degree 0 and every mode of degree >= 2; the solvable part is the
+    complement, the fluctuating degree-0 and all degree-1 modes. The two
+    parts have disjoint supports and add back to f exactly, and each keeps
+    or drops whole mirror pairs, so both stay exactly real.
+    """
     t = f.trunc
-    c = np.zeros(t.shape, dtype=np.complex128)
-    c[t.l_t, t.l_theta, :] = f.coeffs[t.l_t, t.l_theta, :]
-    return _rebox(c, f)
+    resonant = np.zeros(t.shape, dtype=bool)
+    resonant[t.l_t, t.l_theta, 0] = True
+    resonant[:, :, 2:] = True
+    parts = np.where(resonant, f.coeffs, 0), np.where(resonant, 0, f.coeffs)
+    return tuple(FourierTaylorSeries(c, t, f.rho, hermitian=True) for c in parts)
 
 
-def fluctuation_op(f: FourierTaylorSeries) -> FourierTaylorSeries:
-    t = f.trunc
-    c = np.array(f.coeffs)
-    c[t.l_t, t.l_theta, :] = 0.0
-    return _rebox(c, f)
-
-
-def project_degree(f: FourierTaylorSeries, n: int) -> FourierTaylorSeries:
+def _p0(f: FourierTaylorSeries) -> FourierTaylorSeries:
+    """P0 f, the degree-0 slice of f on f's box."""
     c = np.zeros(f.trunc.shape, dtype=np.complex128)
-    if 0 <= n <= f.trunc.n_x:
-        c[:, :, n] = f.coeffs[:, :, n]
-    return _rebox(c, f)
-
-
-def project_degree_le(f: FourierTaylorSeries, n: int) -> FourierTaylorSeries:
-    c = np.zeros(f.trunc.shape, dtype=np.complex128)
-    top = min(n, f.trunc.n_x)
-    if top >= 0:
-        c[:, :, : top + 1] = f.coeffs[:, :, : top + 1]
-    return _rebox(c, f)
-
-
-def project_degree_ge(f: FourierTaylorSeries, n: int) -> FourierTaylorSeries:
-    c = np.zeros(f.trunc.shape, dtype=np.complex128)
-    if n <= f.trunc.n_x:
-        c[:, :, max(n, 0):] = f.coeffs[:, :, max(n, 0):]
-    return _rebox(c, f)
-
-
-def basic_resonant(f: FourierTaylorSeries) -> FourierTaylorSeries:
-    """Averaged degree-0 part plus everything of degree >= 2."""
-    return average_op(project_degree(f, 0)) + project_degree_ge(f, 2)
-
-
-def basic_solvable(f: FourierTaylorSeries) -> FourierTaylorSeries:
-    """Fluctuating degree-0 part plus the full degree-1 part."""
-    return fluctuation_op(project_degree(f, 0)) + project_degree(f, 1)
+    c[:, :, 0] = f.coeffs[:, :, 0]
+    return FourierTaylorSeries(c, f.trunc, f.rho, hermitian=True)
 
 
 # -- small divisors ----------------------------------------------------------
@@ -348,9 +314,10 @@ class Derivation:
         K, the curvature correction moving terms between the basic
         projections.
     resonant : FourierTaylorSeries
-        R f = basic_resonant(f) - K, the part that stays in the normal form.
+        R f = R_s f - K, the part that stays in the normal form.
     solvable : FourierTaylorSeries
-        N f = basic_solvable(f) + K, the part Gamma_f removes; R f + N f = f.
+        N f = N_s f + K, the part Gamma_f removes; R f + N f = f.
+        R_s f and N_s f are the basic split of f (see ``_split``).
     generator : FourierTaylorSeries
         G_s f - x W_f.
     shift : float
@@ -362,18 +329,19 @@ class Derivation:
     def __init__(self, f: FourierTaylorSeries, q: FourierTaylorSeries,
                  params: AlgebraParams, dio: DiophantineParams = None):
         af = translation_coefficient(f, q, params, dio)
-        v0 = small_divisor_solve(project_degree(f, 0), params, dio)
+        v0 = small_divisor_solve(_p0(f), params, dio)
         inner = fts.scale(q, af) + q * fts.partial_theta(v0)
 
         const = fts.from_terms([(0, 0, 0, params.rho * params.omega * af)],
                                f.trunc, f.rho)
-        u = project_degree(fts.partial_x(f), 0)
+        u = _p0(fts.partial_x(f))
         w = small_divisor_solve(u + fts.scale(inner, -1.0 / params.rho),
                                 params, dio)
         k = const + fts.poisson_bracket(half_curvature_x2(q), _lift_degree(w))[0]
+        r_s, n_s = _split(f)
         self.correction = k
-        self.resonant = basic_resonant(f) - k
-        self.solvable = basic_solvable(f) + k
+        self.resonant = r_s - k
+        self.solvable = n_s + k
 
         xw = _lift_degree(small_divisor_solve(
             fts.scale(inner, 1.0 / params.rho), params, dio))
@@ -496,13 +464,16 @@ def run_identity_suite(params: AlgebraParams, trunc: TruncationSpec = None,
         worst["partition_of_identity"] = max(
             worst["partition_of_identity"], _l1(rf + solv - f) / nf)
 
+        rsf, nsf = _split(f)
         gs = small_divisor_solve(f, params, dio)
         drift = fts.scale(fts.partial_theta(gs), params.omega) + fts.partial_t(gs)
-        target = fluctuation_op(project_degree_le(f, 1))
+        # the fluctuating part of degree <= 1: N_s f less its averaged x term
+        target = np.array(nsf.coeffs)
+        target[trunc.l_t, trunc.l_theta, 1] = 0.0
         worst["drift_inverse_on_low_degree"] = max(
-            worst["drift_inverse_on_low_degree"], _l1(drift - target) / nf)
+            worst["drift_inverse_on_low_degree"],
+            float(np.sum(np.abs(drift.coeffs - target))) / nf)
 
-        rsf = basic_resonant(f)
         worst["basic_solver_kills_basic_resonant"] = max(
             worst["basic_solver_kills_basic_resonant"],
             _l1(small_divisor_solve(rsf, params, dio)) / nf)

@@ -1,8 +1,9 @@
 """Direct dynamics of the free and throbbing top on the momentum sphere.
 
-Cartesian fields integrate the angular momentum 3-vector M with a classical
-fixed-step RK4; the reduced chart (X, theta) on the sphere of radius rho
-drives the same dynamics through the series algebra, so the two integrators
+One Cartesian field, free or driven by the inertia it is given, moves
+the angular momentum 3-vector M under a classical fixed-step RK4; the
+reduced chart (X, theta) on the sphere of radius rho drives the same
+dynamics through the series algebra, so the two integrators
 cross-validate each other. Sections, chart transforms, conservation
 diagnostics and CSV emission live here too.
 
@@ -28,7 +29,6 @@ from .operators import AlgebraParams
 __all__ = [
     "InertiaSpec",
     "Trajectory",
-    "euler_field",
     "throbbing_field",
     "rk4_integrate",
     "to_reduced",
@@ -121,17 +121,22 @@ def _cross(a, b):
     return out
 
 
-def euler_field(m, inertia: InertiaSpec):
-    """Free-top field (LM) x M of the momentum-sphere bracket.
+def throbbing_field(m, t, inertia: InertiaSpec):
+    """Top field ((L + A(t)) M) x M of the momentum-sphere bracket.
 
-    Orthogonal to both M and LM, so the Casimir |M| and the energy are
-    conserved by the exact flow. The orientation is fixed by the chart
-    convention theta_dot = rho Delta X of the reduced system.
+    L holds the static inverse moments and A(t) their periodic modulation;
+    an inertia without modulation gives the free top, (LM) x M. The field
+    is orthogonal to M, so the Casimir |M| is conserved by the exact flow;
+    the energy is conserved for the free top and breathes inside the
+    rigid-body band for the driven one. The orientation is fixed by the
+    chart convention theta_dot = rho Delta X of the reduced system.
 
     Parameters
     ----------
     m : array_like, shape (..., 3)
         Angular momentum vector(s).
+    t : float
+        Time, read only by the modulation.
     inertia : InertiaSpec
 
     Returns
@@ -140,21 +145,11 @@ def euler_field(m, inertia: InertiaSpec):
 
     Examples
     --------
-    >>> euler_field(np.array([0.0, 1.0, 1.0]), InertiaSpec(1.0, 2.0, 3.0))
+    >>> throbbing_field(np.array([0.0, 1.0, 1.0]), 0.0, InertiaSpec(1.0, 2.0, 3.0))
     array([0.16666667, 0.        , 0.        ])
     """
     m = np.asarray(m, dtype=np.float64)
-    return _cross(m * inertia.static_inverse(), m)
-
-
-def throbbing_field(m, t, inertia: InertiaSpec):
-    """Driven-top field ((L + A(t)) M) x M with periodic inverse moments.
-
-    Still orthogonal to M, so the Casimir is conserved by the exact flow
-    while the energy breathes inside the rigid-body band.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    inv = inertia.static_inverse().copy()
+    inv = inertia.static_inverse()
     if inertia.modulation is not None:
         for i, (amp, freq, phase) in enumerate(inertia.modulation):
             if amp != 0.0:
@@ -327,12 +322,12 @@ def params_from_inertia(inertia: InertiaSpec, rho: float,
     return AlgebraParams(rho=rho, i_perp=inertia.i1, i_3=inertia.i3, x0=x0)
 
 
-def make_reduced_field(params: AlgebraParams,
-                       v_series: FourierTaylorSeries = None):
+def make_reduced_field(params: AlgebraParams, v_series: FourierTaylorSeries):
     """Compile the reduced velocity field into an RK4-ready closure.
 
-    States y have shape (..., 2) with columns (x, theta). With a
-    perturbation series V the field is
+    States y have shape (..., 2) with columns (x, theta). With the
+    perturbation series V (a zero series for the unperturbed top) the
+    field is
 
         dx/dt = -(1/rho) dV/dtheta,
         dtheta/dt = rho Delta (x0 + x) + (1/rho) dV/dx,
@@ -358,18 +353,13 @@ def make_reduced_field(params: AlgebraParams,
     Examples
     --------
     >>> p = AlgebraParams()
-    >>> xd, td = make_reduced_field(p)(0.0, np.array([0.0, 0.3]))
-    >>> (float(xd), bool(abs(td - p.omega) < 1e-15))
-    (0.0, True)
+    >>> flat = fts.zeros(fts.TruncationSpec(0, 0, 0), p.rho)
+    >>> xd, td = make_reduced_field(p, flat)(0.0, np.array([0.0, 0.3]))
+    >>> (bool(xd == 0.0), bool(abs(td - p.omega) < 1e-15))
+    (True, True)
     """
     rho, delta, x0 = params.rho, params.delta, params.x0
     rho_delta = rho * delta
-    if v_series is None:
-        def fieldfn(t, y):
-            out = np.zeros_like(y)
-            out[..., 1] = rho_delta * (x0 + y[..., 0])
-            return out
-        return fieldfn
     parts = (fts.partial_theta(v_series), fts.partial_x(v_series))
     tr = v_series.trunc
     nonzero = (parts[0].coeffs != 0) | (parts[1].coeffs != 0)  # (l, m, n)

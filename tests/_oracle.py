@@ -68,10 +68,6 @@ def pdeg_ge(a, n0):
     return {k: v for k, v in a.items() if k[2] >= n0}
 
 
-def pdeg_le(a, n0):
-    return {k: v for k, v in a.items() if k[2] <= n0}
-
-
 def r_s(a):
     return sadd(avg(pdeg(a, 0)), pdeg_ge(a, 2))
 

@@ -150,8 +150,8 @@ def test_criterion_6_dynamics_ground_truth():
     t0 = time.perf_counter()
     inertia = rb.InertiaSpec(1.0, 2.0, 3.0)
     y0 = rb.sample_sphere(1, 2.0, 7)[0]
-    static = rb.rk4_integrate(y0, lambda t, y: rb.euler_field(y, inertia),
-                              0.001, 100.0, stride=10)
+    fieldfn = lambda t, y: rb.throbbing_field(y, t, inertia)
+    static = rb.rk4_integrate(y0, fieldfn, 0.001, 100.0, stride=10)
     rep_s = rb.conservation_report(static, inertia)
 
     throb = pr.preset_inertia("fig2", eps=1.0)
@@ -163,7 +163,6 @@ def test_criterion_6_dynamics_ground_truth():
                and rep_t["energy_min"] >= 2.0 / 3.0 - 1e-9
                and rep_t["energy_max"] <= 2.0 + 1e-9)
 
-    fieldfn = lambda t, y: rb.euler_field(y, inertia)
     ref = rb.rk4_integrate(y0, fieldfn, 0.00125, 10.0).y[-1]
     e1 = np.max(np.abs(rb.rk4_integrate(y0, fieldfn, 0.02, 10.0).y[-1] - ref))
     e2 = np.max(np.abs(rb.rk4_integrate(y0, fieldfn, 0.01, 10.0).y[-1] - ref))

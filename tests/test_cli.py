@@ -100,6 +100,19 @@ def test_simulate_usage_errors(tmp_path):
     assert run([]) == 1
 
 
+def test_negative_exponent_is_a_flag_value(tmp_path):
+    # argparse alone reads `-1e-3` after `--eps` as an unknown option
+    for name, eps in (("apart", ["--eps", "-1e-3"]),
+                      ("joined", ["--eps=-1e-3"])):
+        assert run(["simulate", "--preset", "fig2", *eps, "--T", "1",
+                    "--out", str(tmp_path / name)]) == 0
+    for name in ("fig2_report.json", "fig2_traj000.csv"):
+        assert ((tmp_path / "apart" / name).read_bytes()
+                == (tmp_path / "joined" / name).read_bytes())
+    assert read_json(tmp_path / "apart" / "fig2_report.json")[
+        "config"]["eps"] == -1e-3
+
+
 def test_reduced_simulate_reports_the_inertia_it_ran(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"algebra": {"i_3": 4.0}}))
@@ -136,7 +149,7 @@ def test_simulate_batch_members_match_solo_runs(tmp_path):
     n, seed, h, t_final = 4, 5, 0.01, 1.0
     fig2 = pr.preset_inertia("fig2", eps=1.0)
     cartesian = {
-        "fig1": lambda t, y: rb.euler_field(y, pr.preset_inertia("fig1")),
+        "fig1": lambda t, y: rb.throbbing_field(y, t, pr.preset_inertia("fig1")),
         "fig2": lambda t, y: rb.throbbing_field(y, t, fig2),
     }
     for preset, fieldfn in cartesian.items():

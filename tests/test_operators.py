@@ -74,14 +74,33 @@ def test_projections_match_oracle():
     rng = random.Random(3)
     for _ in range(15):
         d = rand_f(rng)
-        s = as_series(d)
-        assert oracle.diff_norm(oracle.avg(d), ops.average_op(s)) < 1e-14
-        assert oracle.diff_norm(oracle.fluct(d), ops.fluctuation_op(s)) < 1e-14
-        assert oracle.diff_norm(oracle.pdeg(d, 1), ops.project_degree(s, 1)) < 1e-14
-        assert oracle.diff_norm(oracle.pdeg_le(d, 1), ops.project_degree_le(s, 1)) < 1e-14
-        assert oracle.diff_norm(oracle.pdeg_ge(d, 2), ops.project_degree_ge(s, 2)) < 1e-14
-        assert oracle.diff_norm(oracle.r_s(d), ops.basic_resonant(s)) < 1e-14
-        assert oracle.diff_norm(oracle.n_s(d), ops.basic_solvable(s)) < 1e-14
+        resonant, solvable = ops._split(as_series(d))
+        assert oracle.diff_norm(oracle.r_s(d), resonant) < 1e-14
+        assert oracle.diff_norm(oracle.n_s(d), solvable) < 1e-14
+
+
+def test_basic_split_is_exact():
+    # one mask and its complement: disjoint supports that add back to f
+    # bit for bit, for random series and for one that fills its box
+    rng = random.Random(41)
+    full = TruncationSpec(n_x=3, l_theta=3, l_t=2)
+    filled = oracle.series_from_dict(
+        oracle.rand_real_series(rng, lmax=2, mmax=3, nmax=3, density=1.0),
+        full, PARAMS.rho)
+    assert np.all(filled.coeffs != 0)
+    for f in [as_series(rand_f(rng)) for _ in range(10)] + [filled]:
+        resonant, solvable = ops._split(f)
+        assert not np.any((resonant.coeffs != 0) & (solvable.coeffs != 0))
+        assert (resonant + solvable).coeffs.tobytes() == f.coeffs.tobytes()
+    resonant, solvable = ops._split(filled)
+    assert np.count_nonzero(resonant.coeffs) + np.count_nonzero(
+        solvable.coeffs) == filled.coeffs.size
+    # a series of degree >= 2 is all resonant
+    for _ in range(5):
+        f = as_series({k: v for k, v in rand_f(rng).items() if k[2] >= 2})
+        resonant, solvable = ops._split(f)
+        assert resonant.coeffs.tobytes() == f.coeffs.tobytes()
+        assert not np.any(solvable.coeffs)
 
 
 def test_small_divisor_solve_matches_oracle():
@@ -202,9 +221,7 @@ def test_operators_keep_reality_exactly():
         assert _exactly_real(f)
         split = ops.Derivation(f, Q_SERIES, PARAMS)
         res, solv = split.resonant, split.solvable
-        outs = [ops.average_op(f), ops.fluctuation_op(f), ops.project_degree(f, 1),
-                ops.project_degree_le(f, 1), ops.project_degree_ge(f, 2),
-                ops.basic_resonant(f), ops.basic_solvable(f), res, solv,
+        outs = [*ops._split(f), res, solv,
                 ops.projection_correction(f, Q_SERIES, PARAMS),
                 ops.small_divisor_solve(f, PARAMS), ops._lift_degree(f),
                 ops.half_curvature_x2(q),

@@ -11,40 +11,41 @@ from lie_kam.operators import AlgebraParams
 
 RHO = 2.0
 ASYM = rb.InertiaSpec(1.0, 2.0, 3.0)
+FLAT = fts.zeros(pr.DEFAULT_TRUNC, RHO)  # the unperturbed drive
 
 
 def static_field(inertia):
-    return lambda t, y: rb.euler_field(y, inertia)
+    return lambda t, y: rb.throbbing_field(y, t, inertia)
 
 
 # -- fields -------------------------------------------------------------------
 
 
-def test_euler_field_principal_axes_are_fixed_points():
+def test_unmodulated_field_principal_axes_are_fixed_points():
     for axis in range(3):
         m = np.zeros(3)
         m[axis] = RHO
-        assert np.all(rb.euler_field(m, ASYM) == 0.0)
+        assert np.all(rb.throbbing_field(m, 0.0, ASYM) == 0.0)
 
 
-def test_euler_field_spherical_top_is_free():
+def test_unmodulated_field_spherical_top_is_free():
     sphere = rb.InertiaSpec(2.0, 2.0, 2.0)
     for m in rb.sample_sphere(50, RHO, 3):
-        assert np.max(np.abs(rb.euler_field(m, sphere))) <= 1e-15
+        assert np.max(np.abs(rb.throbbing_field(m, 0.0, sphere))) <= 1e-15
 
 
-def test_euler_field_frozen_example():
+def test_unmodulated_field_frozen_example():
     # M = (0, m, m) with I = (1, 2, 3) evolves as (m^2/2 - m^2/3, 0, 0)
     m = 1.3
-    out = rb.euler_field(np.array([0.0, m, m]), ASYM)
+    out = rb.throbbing_field(np.array([0.0, m, m]), 0.0, ASYM)
     assert abs(out[0] - m * m / 6.0) <= 1e-15
     assert out[1] == 0.0 and out[2] == 0.0
 
 
-def test_euler_field_orthogonal_to_momentum():
+def test_unmodulated_field_orthogonal_to_momentum():
     rng = np.random.default_rng(11)
     for m in rb.sample_sphere(200, RHO, rng):
-        assert abs(float(rb.euler_field(m, ASYM) @ m)) <= 1e-13
+        assert abs(float(rb.throbbing_field(m, 0.0, ASYM) @ m)) <= 1e-13
 
 
 def test_throbbing_field_orthogonal_to_momentum():
@@ -60,13 +61,13 @@ def test_throbbing_field_reduces_to_static():
     m = np.array([0.3, 1.1, -0.7])
     # cos(t) vanishes at t = pi/2, leaving the static moments
     off = rb.throbbing_field(m, math.pi / 2.0, inertia)
-    assert np.max(np.abs(off - rb.euler_field(m, ASYM))) <= 1e-15
+    assert np.max(np.abs(off - rb.throbbing_field(m, 0.0, ASYM))) <= 1e-15
     # zero amplitude matches the unmodulated top at every t
     zero = rb.InertiaSpec(1.0, 2.0, 3.0,
                           modulation=((0.0, 0.0, 0.0),) * 3)
     for t in (0.0, 0.7, 4.2):
         assert np.all(rb.throbbing_field(m, t, zero)
-                      == rb.euler_field(m, ASYM))
+                      == rb.throbbing_field(m, t, ASYM))
 
 
 def test_inertia_validation():
@@ -228,7 +229,7 @@ def test_params_from_inertia():
 
 def test_reduced_field_unperturbed():
     p = AlgebraParams()
-    fieldfn = rb.make_reduced_field(p)
+    fieldfn = rb.make_reduced_field(p, FLAT)
     xd, td = fieldfn(0.0, np.array([0.0, 0.3]))
     assert xd == 0.0
     assert abs(td - p.omega) <= 1e-15
@@ -350,8 +351,10 @@ def test_reduced_field_time_only_drive_has_no_x_velocity():
 def test_reduced_field_zero_series_is_unperturbed_in_domain():
     p = AlgebraParams()
     y = np.array([[0.1, 0.4], [-0.2, 5.0], [0.0, 0.0]])
-    fieldfn = rb.make_reduced_field(p, fts.zeros(pr.DEFAULT_TRUNC, RHO))
-    assert np.array_equal(fieldfn(0.3, y), rb.make_reduced_field(p)(0.3, y))
+    fieldfn = rb.make_reduced_field(p, FLAT)
+    want = np.zeros_like(y)
+    want[:, 1] = p.rho * p.delta * (p.x0 + y[:, 0])
+    assert np.array_equal(fieldfn(0.3, y), want)
     # a perturbation series, even zero, keeps the domain check
     assert np.all(np.isnan(fieldfn(0.3, np.array([0.3, 0.4]))))
 
@@ -434,7 +437,7 @@ def test_cross_integrator_agreement():
 
 def test_poincare_unperturbed_reduced_is_flat():
     p = AlgebraParams()
-    fieldfn = rb.make_reduced_field(p)
+    fieldfn = rb.make_reduced_field(p, FLAT)
     traj = rb.rk4_integrate(np.array([0.07, 0.4]), fieldfn, 0.01, 50.0)
     sec = rb.poincare_section(traj, 2.0 * math.pi)
     assert len(sec) == 8
@@ -474,8 +477,8 @@ def test_poincare_throbbing_smears_symmetric_section():
 
 
 def test_poincare_validation():
-    traj = rb.rk4_integrate(np.array([0.0, 0.1]),
-                            rb.make_reduced_field(AlgebraParams()), 0.1, 2.0)
+    fieldfn = rb.make_reduced_field(AlgebraParams(), FLAT)
+    traj = rb.rk4_integrate(np.array([0.0, 0.1]), fieldfn, 0.1, 2.0)
     with pytest.raises(ValueError):
         rb.poincare_section(traj, -1.0)
     with pytest.raises(ValueError):
@@ -527,8 +530,8 @@ def test_csv_round_trip_cartesian():
 
 
 def test_csv_round_trip_reduced_without_config():
-    traj = rb.rk4_integrate(np.array([0.02, 0.3]),
-                            rb.make_reduced_field(AlgebraParams()), 0.1, 2.0)
+    fieldfn = rb.make_reduced_field(AlgebraParams(), FLAT)
+    traj = rb.rk4_integrate(np.array([0.02, 0.3]), fieldfn, 0.1, 2.0)
     buf = io.StringIO()
     rb.write_trajectory_csv(buf, traj, "reduced")
     back, cfg = rb.read_trajectory_csv(io.StringIO(buf.getvalue()))
