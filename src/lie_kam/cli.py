@@ -509,9 +509,17 @@ def _margin_sweep(params, trunc, dio, trials, seed):
         w, z, q_series = _random_triple(rng, trunc, params)
         rep = nf.certify_bounds(w, z, q_series, params, dio, 0.5, 0.1, 0.1)
         for row in rep["bounds"].values():
-            worst = min(worst, row["margin"])
+            # a margin that is not finite certifies nothing: it counts as
+            # -inf, which fails, where min() would drop a NaN
+            margin = row["margin"]
+            worst = min(worst, margin if math.isfinite(margin) else -math.inf)
             count += 1
     return worst, count
+
+
+def _reported(x):
+    """x as a report writes it: a value that is not finite is null."""
+    return x if math.isfinite(x) else None
 
 
 def cmd_bounds(config, derived, out):
@@ -546,7 +554,7 @@ def cmd_bounds(config, derived, out):
             "c": desk.c, "c_tilde": desk.c_tilde,
         },
         "margins": {
-            "trials": trials, "checked": count, "min_margin": worst,
+            "trials": trials, "checked": count, "min_margin": _reported(worst),
             "all_nonnegative": worst >= 0.0,
         },
         "schedule": {
@@ -593,8 +601,10 @@ def cmd_verify(config, derived, out):
     for entry in suite:
         name = entry["identity"]
         limit = tol if name in _LOOSE_IDENTITIES else _STRICT_TOL
+        # a residual that is not finite is inf here, and fails
         passed = entry["max_residual"] <= limit
-        rows.append({"identity": name, "max_residual": entry["max_residual"],
+        rows.append({"identity": name,
+                     "max_residual": _reported(entry["max_residual"]),
                      "tol": limit, "trials": entry["trials"],
                      "pass": passed})
         if not passed and first_failure is None:
@@ -611,14 +621,14 @@ def cmd_verify(config, derived, out):
         "gamma_hat": dio.gamma,
         "identities": rows,
         "margins": {"trials": 5, "checked": count,
-                    "min_margin": worst_margin, "pass": margins_ok},
+                    "min_margin": _reported(worst_margin), "pass": margins_ok},
         "pass": first_failure is None,
         "first_failure": first_failure,
     }
     _write_json(report_path, doc)
-    for row in rows:
+    for entry, row in zip(suite, rows):
         status = "PASS" if row["pass"] else "FAIL"
-        print(f"{row['identity']}: max residual {row['max_residual']:.3e} "
+        print(f"{row['identity']}: max residual {entry['max_residual']:.3e} "
               f"(tol {row['tol']:g}) {status}")
     print(f"bound margins: min {worst_margin:.6e} "
           f"{'PASS' if margins_ok else 'FAIL'}")

@@ -302,6 +302,19 @@ def certify_bounds(w: FourierTaylorSeries, z: FourierTaylorSeries,
 # -- exponential of the derivation -------------------------------------------
 
 
+def _minus_scaled(g: FourierTaylorSeries, h: FourierTaylorSeries,
+                  c: float) -> FourierTaylorSeries:
+    """g - scale(h, c), built once when the boxes agree.
+
+    The subtraction is written as g + (h * c) * -1, the operations of the
+    general path in their order, so the bits are the same.
+    """
+    if g.trunc != h.trunc:
+        return g - fts.scale(h, c)
+    return FourierTaylorSeries(g.coeffs + (h.coeffs * c) * -1.0, g.trunc, g.rho,
+                               hermitian=True)
+
+
 def _lie_series(gamma: ops.Derivation, g: FourierTaylorSeries,
                 h: FourierTaylorSeries, out: FourierTaylorSeries, tol: float):
     """Add ``sum_{k>=1} Gamma^k g / k! - Gamma^k h / (k+1)!`` to out.
@@ -312,6 +325,10 @@ def _lie_series(gamma: ops.Derivation, g: FourierTaylorSeries,
     weights raise :class:`DivergenceError`; reaching ``_MAX_TERMS`` terms
     warns and returns the partial sum. Returns ``(sum, terms_used, dropped)``,
     dropped summing the weight each term's brackets dropped times its factors.
+    A term whose weight is not finite raises ValueError.
+
+    With h, a term builds eight series: for each of g and h the two of
+    Gamma and one for the 1/k, then the term and the running sum.
     """
     scale_ = max(fts.majorant_norm(g, 0.0), 1.0)
     prev = math.inf
@@ -324,11 +341,13 @@ def _lie_series(gamma: ops.Derivation, g: FourierTaylorSeries,
         if h is not None:
             h, lost_h = gamma(h)
             h = fts.scale(h, 1.0 / k)  # Gamma^k h / k!
-            term = g - fts.scale(h, 1.0 / (k + 1))
+            term = _minus_scaled(g, h, 1.0 / (k + 1))
             lost += lost_h * (1.0 / k) * (1.0 / (k + 1))
         out = out + term
         dropped += lost
         tn = fts.majorant_norm(term, 0.0)
+        if not math.isfinite(tn):
+            raise ValueError("series coefficients must be finite")
         if tn <= tol * scale_:
             return out, k, dropped
         if tn >= prev:

@@ -158,16 +158,28 @@ def _divisor_grid(trunc: TruncationSpec, omega: float):
     return ls[:, None] + omega * ms[None, :]
 
 
-def _check_divisors(modes, omega: float, dio: DiophantineParams):
-    """modes: iterable of (l, m) actually divided by. Raises / warns."""
-    for l, m in modes:
-        div = abs(omega * m + l)
-        if div < _MIN_DIVISOR:
+def _check_divisors(ls, ms, omega: float, dio: DiophantineParams):
+    """Raise or warn for the modes (ls[i], ms[i]) actually divided by.
+
+    All modes are tested in one expression; only the ones that fail are
+    visited, in order, to raise ``ResonanceError`` below ``_MIN_DIVISOR``
+    or warn below the Diophantine floor.
+    """
+    ls, ms = np.asarray(ls, dtype=np.int64), np.asarray(ms, dtype=np.int64)
+    div = np.abs(omega * ms + ls)
+    low = div < _MIN_DIVISOR
+    if dio is not None:
+        # the array power may differ from the scalar floor in the last bit:
+        # take a hair more here, and decide each mode by the scalar floor
+        low |= div < dio.floor(ls, ms) * (1.0 + 1e-12)
+    for i in np.flatnonzero(low):
+        l, m, d = int(ls[i]), int(ms[i]), float(div[i])
+        if d < _MIN_DIVISOR:
             raise ResonanceError(
-                f"divisor |omega*{m} + {l}| = {div:.3e} below {_MIN_DIVISOR:.1e}")
-        if dio is not None and div < dio.floor(l, m):
+                f"divisor |omega*{m} + {l}| = {d:.3e} below {_MIN_DIVISOR:.1e}")
+        if d < dio.floor(l, m):
             warnings.warn(
-                f"divisor at (l={l}, m={m}) is {div:.3e}, below the "
+                f"divisor at (l={l}, m={m}) is {d:.3e}, below the "
                 f"Diophantine floor {dio.floor(l, m):.3e}",
                 SmallDivisorWarning, stacklevel=3)
 
@@ -185,9 +197,8 @@ def small_divisor_solve(f: FourierTaylorSeries, params: AlgebraParams,
     top = min(1, t.n_x)
     src = np.array(f.coeffs[:, :, : top + 1])
     src[t.l_t, t.l_theta, :] = 0.0
-    li, mi, _ = np.nonzero(src)
-    modes = {(int(a - t.l_t), int(b - t.l_theta)) for a, b in zip(li, mi)}
-    _check_divisors(modes, params.omega, dio)
+    li, mi = np.nonzero(src.any(axis=2))
+    _check_divisors(li - t.l_t, mi - t.l_theta, params.omega, dio)
     d = _divisor_grid(t, params.omega)
     d = np.where(np.abs(d) < _MIN_DIVISOR, 1.0, d)  # masked entries have src == 0
     c = np.zeros(t.shape, dtype=np.complex128)
@@ -273,7 +284,7 @@ def translation_coefficient(f: FourierTaylorSeries, q: FourierTaylorSeries,
     f0 = f.coeffs[:, :, 0]
     li, mi = np.nonzero(f0)
     acc = 0.0 + 0.0j
-    modes = []
+    ls, ms = [], []
     for a, b in zip(li, mi):
         l, m = int(a - t.l_t), int(b - t.l_theta)
         if l == 0 and m == 0:
@@ -281,9 +292,10 @@ def translation_coefficient(f: FourierTaylorSeries, q: FourierTaylorSeries,
         qc = q.coeff(-l, -m, 0)
         if qc == 0:
             continue
-        modes.append((l, m))
+        ls.append(l)
+        ms.append(m)
         acc += m * qc * f0[a, b] / (params.omega * m + l)
-    _check_divisors(modes, params.omega, dio)
+    _check_divisors(ls, ms, params.omega, dio)
     out = (params.rho * f.coeff(0, 0, 1) - acc) / q00
     return _strip_imag(out, "translation coefficient")
 
@@ -349,9 +361,21 @@ class Derivation:
         self.shift = af / params.rho
 
     def __call__(self, g: FourierTaylorSeries):
-        """(Gamma_f g, weight its bracket dropped), Gamma_f g = {G, g} - (a_f / rho) d_x g."""
+        """(Gamma_f g, weight its bracket dropped), Gamma_f g = {G, g} - (a_f / rho) d_x g.
+
+        When the bracket stays on g's box, the call builds two series: the
+        bracket and the result.
+        """
         bracket, dropped = fts.poisson_bracket(self.generator, g)
-        return bracket + fts.scale(fts.partial_x(g), -self.shift), dropped
+        if bracket.trunc != g.trunc:
+            return bracket + fts.scale(fts.partial_x(g), -self.shift), dropped
+        # bracket + (d_x g) * -shift in one array, by the operations of the
+        # line above in their order, so the bits are the same
+        c = np.zeros_like(g.coeffs)
+        c[:, :, :-1] = g.coeffs[:, :, 1:] * np.arange(1, g.trunc.n_x + 1)
+        c *= -self.shift
+        c += bracket.coeffs
+        return FourierTaylorSeries(c, g.trunc, bracket.rho, hermitian=True), dropped
 
 
 def projection_correction(f: FourierTaylorSeries, q: FourierTaylorSeries,
@@ -422,10 +446,12 @@ def run_identity_suite(params: AlgebraParams, trunc: TruncationSpec = None,
     """Measure every exact operator identity on random real series.
 
     The curvature is ``generic_curvature(params)``. Returns a list of
-    dicts {identity, trials, max_residual, window, seed}. Residuals are relative (coefficient l1, normalized by the inputs) and
-    are floating-point noise when the implementation is correct: random
+    dicts {identity, trials, max_residual, window, seed}. Residuals are
+    relative (coefficient l1, normalized by the inputs) and are
+    floating-point noise when the implementation is correct: random
     supports stay far enough inside the truncation box that no product or
-    bracket in any identity can be clipped.
+    bracket in any identity can be clipped. A residual that is not finite
+    makes its identity's max_residual inf.
     """
     if trunc is None:
         trunc = TruncationSpec(n_x=6, l_theta=8, l_t=8)
@@ -447,6 +473,11 @@ def run_identity_suite(params: AlgebraParams, trunc: TruncationSpec = None,
     ]
     worst = dict.fromkeys(names, 0.0)
 
+    def record(name, residual):
+        # max() drops a NaN, so a non-finite residual is kept as inf
+        worst[name] = max(worst[name],
+                          residual if math.isfinite(residual) else math.inf)
+
     for _ in range(n_trials):
         f = fts.random_real_series(trunc, params.rho, rng, n_terms=30,
                                    l_t_max=win["l_t"], l_theta_max=win["l_theta"],
@@ -457,12 +488,9 @@ def run_identity_suite(params: AlgebraParams, trunc: TruncationSpec = None,
         rf, solv = gamma_f.resonant, gamma_f.solvable
         rrf, nrf = gamma_rf.resonant, gamma_rf.solvable
 
-        worst["resonant_idempotent"] = max(
-            worst["resonant_idempotent"], _l1(rrf - rf) / max(_l1(rf), 1e-300))
-        worst["solvable_after_resonant"] = max(
-            worst["solvable_after_resonant"], _l1(nrf) / nf)
-        worst["partition_of_identity"] = max(
-            worst["partition_of_identity"], _l1(rf + solv - f) / nf)
+        record("resonant_idempotent", _l1(rrf - rf) / max(_l1(rf), 1e-300))
+        record("solvable_after_resonant", _l1(nrf) / nf)
+        record("partition_of_identity", _l1(rf + solv - f) / nf)
 
         rsf, nsf = _split(f)
         gs = small_divisor_solve(f, params, dio)
@@ -470,27 +498,22 @@ def run_identity_suite(params: AlgebraParams, trunc: TruncationSpec = None,
         # the fluctuating part of degree <= 1: N_s f less its averaged x term
         target = np.array(nsf.coeffs)
         target[trunc.l_t, trunc.l_theta, 1] = 0.0
-        worst["drift_inverse_on_low_degree"] = max(
-            worst["drift_inverse_on_low_degree"],
-            float(np.sum(np.abs(drift.coeffs - target))) / nf)
+        record("drift_inverse_on_low_degree",
+               float(np.sum(np.abs(drift.coeffs - target))) / nf)
 
-        worst["basic_solver_kills_basic_resonant"] = max(
-            worst["basic_solver_kills_basic_resonant"],
-            _l1(small_divisor_solve(rsf, params, dio)) / nf)
-        worst["translation_kills_basic_resonant"] = max(
-            worst["translation_kills_basic_resonant"],
-            abs(translation_coefficient(rsf, q, params, dio)) / nf)
+        record("basic_solver_kills_basic_resonant",
+               _l1(small_divisor_solve(rsf, params, dio)) / nf)
+        record("translation_kills_basic_resonant",
+               abs(translation_coefficient(rsf, q, params, dio)) / nf)
 
         for g in probes:
             ng = max(_l1(g), 1e-300)
-            worst["derivation_after_resonant"] = max(
-                worst["derivation_after_resonant"], _l1(gamma_rf(g)[0]) / (nf * ng))
+            record("derivation_after_resonant", _l1(gamma_rf(g)[0]) / (nf * ng))
             lhs = hamiltonian_apply(gamma_f(g)[0], q, params)
             rhs = gamma_f(hamiltonian_apply(g, q, params))[0]
             commutator = lhs - rhs
             want = fts.poisson_bracket(solv, g)[0]
-            worst["homological"] = max(
-                worst["homological"], _l1(commutator - want) / (nf * ng))
+            record("homological", _l1(commutator - want) / (nf * ng))
 
     return [
         {"identity": name, "trials": n_trials, "max_residual": worst[name],

@@ -15,6 +15,12 @@ non-real scalar. Operations keep the exact symmetry by construction (sums,
 real scalings, derivatives and products), so no operation asks again
 whether a series is real.
 
+Finiteness is checked where values enter or can overflow: raw
+coefficients and JSON as they enter, the scalar of ``scale``, and the
+output of each product kernel call (``multiply``, ``poisson_bracket``),
+where finite inputs can overflow. An operation builds its output in a
+fresh array that the series takes over without a copy or a scan.
+
 Norms are measured by the one-sided coefficient majorant
 
     ||F||_r = sum_{l,m} B_{l,m}(r) exp(r (|l| + |m|)),
@@ -154,20 +160,25 @@ class FourierTaylorSeries:
     Parameters
     ----------
     coeffs, trunc, rho
-        As the attributes; coeffs is copied and must be finite.
+        As the attributes.
     hermitian : bool
-        False (raw data) measures the hermitian defect: within
+        False (raw data) copies coeffs, rejects non-finite values with
+        ValueError and measures the hermitian defect: within
         ``_REALITY_TOL`` (scaled by max(1, max |c|)) the coefficients are
         stored as their hermitian part, and above it ``RealityError`` is
-        raised. True promises exactly hermitian coefficients, for operations
-        that build their output from real series.
+        raised. True is for operations that build their output from real
+        series: coeffs must be a fresh, exactly hermitian and finite array,
+        which the series takes over (frozen, not copied) without checking.
     """
 
     __slots__ = ("coeffs", "trunc", "rho")
 
     def __init__(self, coeffs, trunc: TruncationSpec, rho: float,
                  hermitian: bool = False):
-        coeffs = np.array(coeffs, dtype=np.complex128, order="C", copy=True)
+        if hermitian:
+            coeffs = np.asarray(coeffs, dtype=np.complex128, order="C")
+        else:
+            coeffs = np.array(coeffs, dtype=np.complex128, order="C", copy=True)
         if coeffs.shape != trunc.shape:
             raise ValueError(f"coefficient shape {coeffs.shape} != box {trunc.shape}")
         if not rho > 0:
@@ -182,8 +193,6 @@ class FourierTaylorSeries:
                     f"series coefficients are not real: hermitian defect {defect:.3g}")
             if defect > 0.0:
                 coeffs = _hermitian_part(coeffs)
-        elif not np.isfinite(coeffs).all():
-            raise ValueError("series coefficients must be finite")
         coeffs.flags.writeable = False
         self.coeffs = coeffs
         self.trunc = trunc
@@ -225,6 +234,13 @@ class FourierTaylorSeries:
 
 def _hermitian_defect(coeffs) -> float:
     return float(np.max(np.abs(coeffs - np.conj(coeffs[::-1, ::-1, :]))))
+
+
+def _check_finite(coeffs):
+    """coeffs, once every entry is checked to be finite."""
+    if not np.isfinite(coeffs).all():
+        raise ValueError("series coefficients must be finite")
+    return coeffs
 
 
 def _hermitian_part(coeffs):
@@ -341,11 +357,14 @@ def add(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTaylorSeries:
 def scale(a: FourierTaylorSeries, c) -> FourierTaylorSeries:
     """Multiply by a real scalar c.
 
-    c is any real Python or numpy number, or a complex one with zero
-    imaginary part; a nonzero imaginary part raises RealityError.
+    c is any finite real Python or numpy number, or a complex one with zero
+    imaginary part; a nonzero imaginary part raises RealityError, and an
+    infinite or NaN c raises ValueError.
     """
     if np.imag(c) != 0:
         raise RealityError(f"scaling a real series by the non-real scalar {c!r}")
+    if not np.isfinite(c):
+        raise ValueError("series coefficients must be finite")
     return FourierTaylorSeries(a.coeffs * c, a.trunc, a.rho, hermitian=True)
 
 
@@ -529,7 +548,8 @@ def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries):
     since a = A+ + conj(mirror A+) and b is hermitian, a * b = P +
     conj(mirror P), which is exactly hermitian, and the dropped weight is
     twice P's. A factor that is identically zero gives the zero series
-    on the merged box, without calling the kernel.
+    on the merged box, without calling the kernel. A product that
+    overflows raises ValueError.
     """
     _check_rho(a, b)
     trunc = a.trunc.merge(b.trunc)
@@ -544,7 +564,7 @@ def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries):
         la, ma - ta.l_theta, na, src[None, la, ma, na],
         lb - tb.l_t, mb - tb.l_theta, nb, b.coeffs[None, lb, mb, nb],
         trunc.l_t, trunc.l_theta, trunc.n_x, xpow)
-    out = out + np.conj(out[::-1, ::-1, :])
+    out = _check_finite(out + np.conj(out[::-1, ::-1, :]))
     return FourierTaylorSeries(out, trunc, a.rho, hermitian=True), 2.0 * tail
 
 
@@ -583,7 +603,7 @@ def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries):
 
     ``dropped`` is the majorant weight at r = 0 that the two derivative
     products d_x a d_theta b and d_theta a d_x b drop outside the box,
-    added and divided by rho.
+    added and divided by rho. A bracket that overflows raises ValueError.
     """
     _check_rho(a, b)
     trunc = a.trunc.merge(b.trunc)
@@ -606,9 +626,9 @@ def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries):
         trunc.l_t, trunc.l_theta, trunc.n_x + 1, xpow)
     out = out[:, :, 1:]
     c = 1.0 / a.rho
+    out = _check_finite((out + np.conj(out[::-1, ::-1, :])) * c)
     # each weight carries one x_half too many, as its degree does
-    return (FourierTaylorSeries((out + np.conj(out[::-1, ::-1, :])) * c, trunc, a.rho,
-                                hermitian=True),
+    return (FourierTaylorSeries(out, trunc, a.rho, hermitian=True),
             2.0 * tail / DEFAULT_DOMAIN.x_half * c)
 
 

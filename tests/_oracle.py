@@ -7,9 +7,11 @@ real algebra bug. Deliberately no imports from lie_kam in the math itself.
 
 Test-only checks of package series also live here: the sampled sup norm
 on the complex strip, the coefficient difference of two series and the
-hermitian defect of a coefficient box.
+hermitian defect of a coefficient box, and the small-divisor check one
+mode at a time.
 """
 import math
+import warnings
 
 import numpy as np
 
@@ -198,6 +200,25 @@ def rand_real_series(rng, lmax=2, mmax=2, nmax=3, density=0.5):
                 if not (l == 0 and m == 0):
                     out[(-l, -m, n)] = c.conjugate()
     return out
+
+
+def check_divisors(modes, omega, dio, min_divisor, resonance_error, warning):
+    """The divisor check one mode at a time, in the order of modes.
+
+    Raises resonance_error at the first mode whose divisor |omega m + l|
+    is below min_divisor, and warns (category warning, stacklevel 3) at
+    each mode before it whose divisor is below dio.floor(l, m).
+    """
+    for l, m in modes:
+        div = abs(omega * m + l)
+        if div < min_divisor:
+            raise resonance_error(
+                f"divisor |omega*{m} + {l}| = {div:.3e} below {min_divisor:.1e}")
+        if dio is not None and div < dio.floor(l, m):
+            warnings.warn(
+                f"divisor at (l={l}, m={m}) is {div:.3e}, below the "
+                f"Diophantine floor {dio.floor(l, m):.3e}",
+                warning, stacklevel=3)
 
 
 def restrict(a, l_t, l_theta, n_x):

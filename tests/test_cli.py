@@ -506,6 +506,50 @@ def test_verify_passes_with_one_trial(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def _no_non_finite_token(path):
+    text = path.read_text()
+    assert "NaN" not in text and "Infinity" not in text
+
+
+def test_non_finite_residual_fails_its_row(tmp_path, monkeypatch, capsys):
+    # max() would drop a NaN residual; the suite keeps it and the row fails
+    monkeypatch.setattr(ops, "_l1", lambda s: math.nan)
+    assert run(["verify", "--trials", "1", "--out", str(tmp_path)]) == 2
+    path = tmp_path / "verify_report.json"
+    _no_non_finite_token(path)
+    rep = read_json(path)
+    assert rep["pass"] is False
+    assert rep["first_failure"] == "resonant_idempotent"
+    for row in rep["identities"]:
+        assert row["pass"] is False and row["max_residual"] is None, row
+    assert rep["margins"]["pass"] is True
+    assert "FAIL resonant_idempotent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_margin_fails(tmp_path, monkeypatch, bad):
+    # min() would drop a NaN margin; a margin that is not finite fails
+    certify = nf.certify_bounds
+
+    def certify_with_bad_margin(*args, **kwargs):
+        rep = certify(*args, **kwargs)
+        rep["bounds"]["solvable"]["margin"] = bad
+        return rep
+
+    monkeypatch.setattr(nf, "certify_bounds", certify_with_bad_margin)
+    assert run(["bounds", "--trials", "1", "--out", str(tmp_path)]) == 2
+    _no_non_finite_token(tmp_path / "bounds_report.json")
+    rep = read_json(tmp_path / "bounds_report.json")
+    assert rep["margins"]["min_margin"] is None
+    assert rep["margins"]["all_nonnegative"] is False
+    assert run(["verify", "--trials", "1", "--out", str(tmp_path)]) == 2
+    _no_non_finite_token(tmp_path / "verify_report.json")
+    rep = read_json(tmp_path / "verify_report.json")
+    assert rep["first_failure"] == "bound_margins"
+    assert rep["margins"] == {"trials": 5, "checked": 15, "min_margin": None,
+                              "pass": False}
+
+
 @pytest.mark.parametrize("command", ["normalize", "iterate", "bounds", "verify"])
 def test_verify_rational_rotation_number_fails(tmp_path, capsys, command):
     # omega = -0.2: every command writes its own report before exiting 2

@@ -208,6 +208,58 @@ def test_lie_series_term_cap(monkeypatch):
     assert res.series_terms_used == 2
 
 
+def test_lie_term_builds_and_bits(monkeypatch):
+    # one term with h builds eight series: for each of g and h the two of
+    # Gamma and one for the 1/k, then the term and the running sum; four
+    # without h
+    v = small_series(np.random.default_rng(29), scale=1e-2)
+    gamma = ops.Derivation(v, Q_SERIES, PARAMS, DIO)
+    assert gamma.generator.trunc == v.trunc == gamma.solvable.trunc
+    out = fts.zeros(TR, PARAMS.rho)
+    builds = []
+    init = fts.FourierTaylorSeries.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fts.FourierTaylorSeries, "__init__", counting_init)
+    # a tolerance every term meets stops the sum after one term
+    got, terms, _ = nf._lie_series(gamma, v, gamma.solvable, out, 1e300)
+    assert terms == 1 and len(builds) <= 8
+    builds.clear()
+    nf._lie_series(gamma, v, None, out, 1e300)
+    assert len(builds) <= 4
+    monkeypatch.undo()
+    # the same bits as the series-by-series sum it replaces
+    g1 = fts.scale(gamma(v)[0], 1.0)
+    h1 = fts.scale(gamma(gamma.solvable)[0], 1.0)
+    want = out + (g1 - fts.scale(h1, 0.5))
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+class _Blowup:
+    """A stand-in derivation that multiplies by 1e200 at each application."""
+
+    def __call__(self, g):
+        return fts.FourierTaylorSeries(g.coeffs * 1e200, g.trunc, g.rho,
+                                       hermitian=True), 0.0
+
+
+def test_lie_series_term_that_overflows_raises():
+    rng = np.random.default_rng(31)
+    g = small_series(rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the second term's coefficients overflow: its weight is checked
+        for h in (None, g):
+            with pytest.raises(ValueError, match="finite"):
+                nf._lie_series(_Blowup(), g, h, g, 1e-12)
+        # a real generator this large overflows in a bracket first
+        with pytest.raises(ValueError, match="finite"):
+            nf.lie_exp_apply(small_series(rng, scale=1e150), g, Q_SERIES,
+                             PARAMS, DIO)
+
+
 # -- compute_v_star -----------------------------------------------------------
 
 

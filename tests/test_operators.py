@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,68 @@ def test_translation_requires_nonzero_average():
         ops.translation_coefficient(fts.constant(1.0, TR, PARAMS.rho), q, PARAMS)
 
 
+def test_operations_own_their_output():
+    # an operation's array is taken over without a copy, so each result must
+    # be a fresh, frozen array that shares memory with no input
+    rng = random.Random(61)
+    f, g = as_series(rand_f(rng)), as_series(rand_f(rng))
+    small = fts.from_real_terms([(1, 1, 1, 0.5)], TruncationSpec(2, 2, 2), PARAMS.rho)
+    zero = fts.zeros(TR, PARAMS.rho)
+    gamma = ops.Derivation(f, Q_SERIES, PARAMS)
+    inputs = [f, g, small, zero, Q_SERIES, gamma.generator, gamma.resonant,
+              gamma.solvable, gamma.correction]
+    results = {
+        "add": fts.add(f, g),
+        "add on a merged box": fts.add(small, f),
+        "add zero": fts.add(f, zero),
+        "scale": fts.scale(f, -0.5),
+        "scale by one": fts.scale(f, 1.0),
+        "multiply": fts.multiply(f, g)[0],
+        "multiply by zero": fts.multiply(f, zero)[0],
+        "poisson_bracket": fts.poisson_bracket(f, g)[0],
+        "poisson_bracket with zero": fts.poisson_bracket(zero, g)[0],
+        "partial_x": fts.partial_x(f),
+        "partial_theta": fts.partial_theta(f),
+        "partial_t": fts.partial_t(f),
+        "_split resonant": ops._split(f)[0],
+        "_split solvable": ops._split(f)[1],
+        "small_divisor_solve": ops.small_divisor_solve(f, PARAMS),
+        "Derivation": gamma(g)[0],
+        "Derivation on a smaller box": gamma(small)[0],
+    }
+    for name, r in results.items():
+        assert not r.coeffs.flags.writeable, name
+        for s in inputs:
+            assert not np.shares_memory(r.coeffs, s.coeffs), name
+    arrays = [r.coeffs for r in results.values()]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def test_derivation_call_builds_two_series(monkeypatch):
+    rng = random.Random(67)
+    f, g = as_series(rand_f(rng)), as_series(rand_f(rng))
+    gamma = ops.Derivation(f, Q_SERIES, PARAMS)
+    assert gamma.generator.trunc == g.trunc
+    builds = []
+    init = fts.FourierTaylorSeries.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fts.FourierTaylorSeries, "__init__", counting_init)
+    got, dropped = gamma(g)
+    assert len(builds) <= 2
+    monkeypatch.undo()
+    # the same bits as the bracket, derivative, scale and add it replaces
+    bracket, want_dropped = fts.poisson_bracket(gamma.generator, g)
+    want = bracket + fts.scale(fts.partial_x(g), -gamma.shift)
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    assert dropped == want_dropped
+
+
 # -- resonance handling --------------------------------------------------------
 
 
@@ -269,6 +332,58 @@ def test_small_divisor_warning():
     f = fts.from_real_terms([(1, 1, 0, 1.0)], TR, PARAMS.rho)
     with pytest.warns(ops.SmallDivisorWarning):
         ops.small_divisor_solve(f, PARAMS, dio=dio)
+
+
+def _divisor_events(call):
+    """(ResonanceError message or None, set of warning messages, set of
+    warning file names) of call()."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            call()
+            err = None
+        except ResonanceError as exc:
+            err = str(exc)
+    assert all(issubclass(w.category, ops.SmallDivisorWarning) for w in caught)
+    return err, {str(w.message) for w in caught}, {w.filename for w in caught}
+
+
+def test_divisor_check_matches_per_mode_oracle():
+    rng = random.Random(23)
+    raised = warned = 0
+    for trial in range(40):
+        # x0 = 0.5 gives omega = -1/6, an exact resonance at (l, m) = (1, 6)
+        x0 = 0.5 if trial % 2 else rng.uniform(-0.9, 0.9)
+        p = AlgebraParams(x0=x0)
+        d = oracle.rand_real_series(rng, lmax=2, mmax=8, nmax=1)
+        modes = sorted({(l, m) for l, m, _ in d if (l, m) != (0, 0)})
+        if not modes:
+            continue
+        # a floor through the middle of the modes' scaled divisors, so that
+        # about half fall below it, one of them within rounding of it
+        tau = rng.choice([1.0, 1.5])
+        scaled = sorted(abs(p.omega * m + l) * (abs(l) + abs(m)) ** tau
+                        for l, m in modes)
+        dio = DiophantineParams(gamma=max(scaled[len(scaled) // 2], 1e-3), tau=tau)
+        want = _divisor_events(lambda: oracle.check_divisors(
+            modes, p.omega, dio, ops._MIN_DIVISOR, ResonanceError,
+            ops.SmallDivisorWarning))
+        got = _divisor_events(lambda: ops.small_divisor_solve(as_series(d), p, dio))
+        assert got[:2] == want[:2]
+        # stacklevel names the solver's caller: this file
+        assert got[2] <= {__file__}
+        raised += got[0] is not None
+        warned += bool(got[1])
+    assert raised >= 5 and warned >= 20
+
+
+def test_translation_divisor_warning_names_the_caller():
+    dio = DiophantineParams(gamma=10.0, tau=1.0)
+    f = fts.from_real_terms([(1, 1, 0, 1.0)], TR, PARAMS.rho)
+    err, messages, files = _divisor_events(
+        lambda: ops.translation_coefficient(f, Q_SERIES, PARAMS, dio))
+    assert err is None and len(messages) == 2  # (1, 1) and its mirror
+    assert files == {__file__}
 
 
 def test_estimate_diophantine_resonant_case():

@@ -106,13 +106,56 @@ def test_raw_entry_stores_real_series_exactly_hermitian():
 
 
 def test_given_reality_still_rejects_non_finite():
+    # hermitian=True takes an operation's own array unchecked; finiteness
+    # is checked where values enter or overflow (the tests below)
     with np.errstate(invalid="ignore"):
         for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
             c = np.zeros(TR.shape, dtype=np.complex128)
             c[TR.l_t, TR.l_theta, 0] = bad
-            for hermitian in (True, False):
-                with pytest.raises(ValueError, match="finite"):
-                    FourierTaylorSeries(c, TR, RHO, hermitian=hermitian)
+            with pytest.raises(ValueError, match="finite"):
+                FourierTaylorSeries(c, TR, RHO, hermitian=False)
+
+
+def test_given_reality_takes_the_array_and_freezes_it():
+    c = np.zeros(TR.shape, dtype=np.complex128)
+    c[TR.l_t, TR.l_theta, 0] = 2.0
+    f = FourierTaylorSeries(c, TR, RHO, hermitian=True)
+    assert f.coeffs is c
+    assert not c.flags.writeable
+    # raw data is copied, so the caller's array stays its own
+    d = np.zeros(TR.shape, dtype=np.complex128)
+    g = FourierTaylorSeries(d, TR, RHO)
+    assert not np.shares_memory(g.coeffs, d)
+    assert d.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(0.0, math.nan), complex(math.inf, 1.0)])
+def test_non_finite_terms_rejected_where_they_enter(bad):
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            fts.from_terms([(1, 2, 0, bad), (-1, -2, 0, np.conj(bad))], TR, RHO)
+        with pytest.raises(ValueError, match="finite"):
+            fts.from_real_terms([(1, 2, 0, bad)], TR, RHO)
+        doc = fts.to_json_dict(fts.from_real_terms([(1, 2, 0, 1.0)], TR, RHO))
+        doc["coeffs"][0]["re"] = complex(bad).real
+        doc["coeffs"][0]["im"] = complex(bad).imag
+        with pytest.raises(ValueError, match="finite"):
+            fts.from_json_dict(doc)
+
+
+def test_products_that_overflow_raise():
+    # finite factors near 1e200 whose products pass 1e308
+    big = fts.from_real_terms([(0, 1, 1, 1e200), (1, 0, 2, 3e200j)], TR, RHO)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            fts.multiply(big, big)
+        with pytest.raises(ValueError, match="finite"):
+            fts.poisson_bracket(big, big)
+    # the same factors at 1e100 stay finite
+    small = fts.scale(big, 1e-100)
+    assert np.isfinite(fts.multiply(small, small)[0].coeffs).all()
+    assert np.isfinite(fts.poisson_bracket(small, small)[0].coeffs).all()
 
 
 def test_coeffs_are_frozen():
@@ -215,8 +258,9 @@ def test_non_finite_coefficients_rejected():
             c[1, 2, 3] = bad
             with pytest.raises(ValueError, match="finite"):
                 FourierTaylorSeries(c, TR, RHO)
-        with pytest.raises(ValueError, match="finite"):
-            fts.scale(fts.constant(1.0, TR, RHO), math.inf)
+        for bad in (math.inf, -math.inf, math.nan, np.float64(math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                fts.scale(fts.constant(1.0, TR, RHO), bad)
 
 
 def test_partials_match_oracle():
