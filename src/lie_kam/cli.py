@@ -1,9 +1,16 @@
 """Subcommand CLI wiring presets, runs, and report emission.
 
 Exit codes: 0 on success, 1 on usage or configuration problems, 2 on
-scientific failure (conservation out of band, aborted trajectory,
-identity residual over tolerance, hypothesis or contraction failure,
-resonant rotation number).
+scientific failure. A usage error writes no file. Every other run writes
+the command's report, which has a top-level ``pass``, false on every
+exit 2. A failed check (conservation out of band, aborted trajectory,
+quadratic probe, bound margin or schedule, identity residual) writes the
+full report. A failure that stops the run writes ``first_failure``,
+``error`` and the rows computed before it (``iterate``'s ``steps``), and
+prints ``FAIL <first_failure>: <error>``. It is one of ``diophantine``
+(resonant rotation number), ``hypothesis``, ``divergence`` (of a Lie
+series), ``resonance`` (a zero divisor), ``contraction`` (of the
+iteration) and ``overflow`` (finite values whose product is not finite).
 
 Each subcommand declares its inputs once, in ``_COMMANDS``: key, check,
 default and help. An input comes from its flag, else from the JSON config
@@ -212,26 +219,27 @@ def _chart(config):
             TruncationSpec(**config["truncation"]))
 
 
-def _diophantine(params, config, derived, report_path):
-    """Diophantine constants from the scan, recording gamma in ``derived``.
+class _ResonantRotation(ArithmeticError):
+    """The gamma scan met an exact resonance of the rotation number."""
 
-    A resonant rotation number is a scientific failure: the command's
-    report is written at ``report_path`` with ``first_failure``
-    "diophantine", and None is returned so the command exits 2.
-    """
+
+def _diophantine(params, config, derived):
+    """Diophantine constants from the scan, recording gamma in ``derived``;
+    a resonant rotation number raises _ResonantRotation."""
     try:
         dio = pr.default_diophantine(params, tau=config["tau"], q=config["q"],
                                      k_scan=config["gamma_scan"])
     except ValueError as exc:
-        _write_json(report_path, {"config": config, "derived": derived,
-                                  "pass": False,
-                                  "first_failure": "diophantine",
-                                  "error": str(exc)})
-        print(f"FAIL diophantine: {exc}", file=sys.stderr)
-        print(f"report: {report_path}")
-        return None
+        # the block's values are checked inputs: only a resonance is left
+        raise _ResonantRotation(str(exc)) from None
     derived["gamma"] = dio.gamma
     return dio
+
+
+def _output(out, name):
+    """The path of output file ``name``, its directory made on first use."""
+    os.makedirs(out, exist_ok=True)
+    return os.path.join(out, name)
 
 
 def _write_json(path, doc):
@@ -345,7 +353,6 @@ def _section(traj, period, rho):
 
 def cmd_simulate(config, derived, out):
     cfg = _resolve_simulation(config, derived)
-    os.makedirs(out, exist_ok=True)
     preset, kind = config["preset"], derived["kind"]
     if kind == "cartesian":
         trajs, report = _simulate_cartesian(config, cfg, derived)
@@ -359,7 +366,7 @@ def cmd_simulate(config, derived, out):
         rep = report(traj)
         if write_traj:
             name = f"{preset}_traj{i:03d}.csv"
-            rb.write_trajectory_csv(os.path.join(out, name), traj, kind,
+            rb.write_trajectory_csv(_output(out, name), traj, kind,
                                     config=config)
             rep["file"] = name
         if sections:
@@ -367,7 +374,7 @@ def cmd_simulate(config, derived, out):
                                   derived["rho"] if kind == "cartesian"
                                   else None)
             sec_name = f"{preset}_section{i:03d}.csv"
-            rb.write_trajectory_csv(os.path.join(out, sec_name),
+            rb.write_trajectory_csv(_output(out, sec_name),
                                     rb.Trajectory(t=times, y=sec), "reduced",
                                     config=config)
             rep["section_file"] = sec_name
@@ -376,10 +383,6 @@ def cmd_simulate(config, derived, out):
 
     aborted = [i for i, rep in enumerate(rows) if rep["aborted"]]
     out_of_band = [i for i, rep in enumerate(rows) if not rep["in_band"]]
-    ok = not aborted and not out_of_band
-    doc = {"config": config, "derived": derived, "trajectories": rows,
-           "pass": ok}
-    _write_json(os.path.join(out, f"{preset}_report.json"), doc)
     for i, rep in enumerate(rows):
         if rep.get("rows", 0) == 0:
             print(f"traj {i}: empty (T = 0)")
@@ -388,14 +391,13 @@ def cmd_simulate(config, derived, out):
                   f"rho drift {rep.get('rho_drift_max', 0.0):.3e}, "
                   f"in band {rep['in_band']}"
                   + (", aborted" if rep["aborted"] else ""))
-    print(f"report: {os.path.join(out, preset + '_report.json')}")
     if aborted:
         print("trajectory aborted (non-finite state or chart domain exit): "
               f"traj {', '.join(map(str, aborted))}", file=sys.stderr)
     if out_of_band:
         print("conservation failure: "
               f"traj {', '.join(map(str, out_of_band))}", file=sys.stderr)
-    return 0 if ok else 2
+    return {"trajectories": rows}, not aborted and not out_of_band
 
 
 # -- normalize ----------------------------------------------------------------
@@ -404,11 +406,7 @@ def cmd_simulate(config, derived, out):
 def cmd_normalize(config, derived, out):
     params, trunc = _chart(config)
     preset, eps, tol = config["preset"], config["eps"], config["tol"]
-    os.makedirs(out, exist_ok=True)
-    report_path = os.path.join(out, "normalize_report.json")
-    dio = _diophantine(params, config, derived, report_path)
-    if dio is None:
-        return 2
+    dio = _diophantine(params, config, derived)
     q_series = ops.generic_curvature(params, trunc)
 
     def v_star_norm(e):
@@ -424,12 +422,10 @@ def cmd_normalize(config, derived, out):
     # the band of acceptance criterion 3
     quadratic_ok = abs(slope - 2.0) <= 0.1
 
-    _write_json(os.path.join(out, "v_star.json"),
+    _write_json(_output(out, "v_star.json"),
                 {"config": config, "derived": derived,
                  "series": fts.to_json_dict(result.v_star)})
     doc = {
-        "config": config,
-        "derived": derived,
         "v_norm": n_v,
         "v_star_norm": n_full,
         "series_terms_used": result.series_terms_used,
@@ -440,14 +436,11 @@ def cmd_normalize(config, derived, out):
             "ratio": ratio, "slope": slope, "pass": quadratic_ok,
         },
     }
-    _write_json(report_path, doc)
     print(f"|V| = {n_v:.6e}, |V_star| = {n_full:.6e}")
     print(f"quadratic probe: ratio {ratio:.4f}, slope {slope:.4f}")
-    print(f"report: {report_path}")
     if not quadratic_ok:
         print("quadratic smallness failure", file=sys.stderr)
-        return 2
-    return 0
+    return doc, quadratic_ok
 
 
 # -- iterate ------------------------------------------------------------------
@@ -455,33 +448,18 @@ def cmd_normalize(config, derived, out):
 
 def cmd_iterate(config, derived, out):
     params, trunc = _chart(config)
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "iterate_ledger.json")
-    dio = _diophantine(params, config, derived, path)
-    if dio is None:
-        return 2
+    dio = _diophantine(params, config, derived)
     v0 = pr.preset_drive_series(config["preset"], config["eps"], params, trunc)
     q0 = ops.generic_curvature(params, trunc)
-    try:
-        states = nf.kam_iterate(v0, q0, params, dio, config["r"],
-                                steps=config["steps"], tol=config["tol"])
-    except nf.IterationError as exc:
-        rows = nf.iteration_ledger(exc.states)
-        _write_json(path, {"config": config, "derived": derived,
-                           "steps": rows, "pass": False, "error": str(exc)})
-        print(f"contraction failure: {exc}", file=sys.stderr)
-        print(f"ledger: {path}")
-        return 2
+    states = nf.kam_iterate(v0, q0, params, dio, config["r"],
+                            steps=config["steps"], tol=config["tol"])
     rows = nf.iteration_ledger(states)
-    _write_json(path, {"config": config, "derived": derived, "steps": rows,
-                       "pass": True})
     for row in rows:
         ratio = row["contraction_ratio"]
         shown = "-" if ratio is None else f"{ratio:.3f}"
         print(f"step {row['i']}: |V| = {row['measured_norm']:.6e}, "
               f"ratio = {shown}")
-    print(f"ledger: {path}")
-    return 0
+    return {"steps": rows}, True
 
 
 # -- bounds -------------------------------------------------------------------
@@ -525,11 +503,7 @@ def _reported(x):
 def cmd_bounds(config, derived, out):
     params, trunc = _chart(config)
     trials = config["trials"]
-    os.makedirs(out, exist_ok=True)
-    report_path = os.path.join(out, "bounds_report.json")
-    dio = _diophantine(params, config, derived, report_path)
-    if dio is None:
-        return 2
+    dio = _diophantine(params, config, derived)
 
     desk = nf.compute_bound_constants(params, dio, 0.5, 0.1, 0.1)
     worst, count = _margin_sweep(params, trunc, dio, trials, config["seed"])
@@ -545,8 +519,6 @@ def cmd_bounds(config, derived, out):
                                   r_wide, max_steps=10)
 
     doc = {
-        "config": config,
-        "derived": derived,
         "gamma_hat": dio.gamma,
         "constants": {
             "r": desk.r, "d": desk.d, "delta": desk.delta,
@@ -568,17 +540,15 @@ def cmd_bounds(config, derived, out):
             "valid": sched["valid"],
         },
     }
-    _write_json(report_path, doc)
     print(f"gamma_hat = {dio.gamma:.12g}")
     print(f"margins: min {worst:.6e} over {count} checks "
           f"({trials} triples)")
     print(f"schedule at r = {r_wide:g}: valid = {sched['valid']}, "
           f"eps0_max = {thr:.6e}")
-    print(f"report: {report_path}")
-    if worst < 0.0 or not sched["valid"]:
+    passed = worst >= 0.0 and sched["valid"]
+    if not passed:
         print("bound certification failure", file=sys.stderr)
-        return 2
-    return 0
+    return doc, passed
 
 
 # -- verify -------------------------------------------------------------------
@@ -587,11 +557,7 @@ def cmd_bounds(config, derived, out):
 def cmd_verify(config, derived, out):
     params, trunc = _chart(config)
     tol, seed = config["tol"], config["seed"]
-    os.makedirs(out, exist_ok=True)
-    report_path = os.path.join(out, "verify_report.json")
-    dio = _diophantine(params, config, derived, report_path)
-    if dio is None:
-        return 2
+    dio = _diophantine(params, config, derived)
 
     suite = ops.run_identity_suite(params, trunc=trunc,
                                    n_trials=config["trials"], seed=seed,
@@ -616,27 +582,21 @@ def cmd_verify(config, derived, out):
         first_failure = "bound_margins"
 
     doc = {
-        "config": config,
-        "derived": derived,
         "gamma_hat": dio.gamma,
         "identities": rows,
         "margins": {"trials": 5, "checked": count,
                     "min_margin": _reported(worst_margin), "pass": margins_ok},
-        "pass": first_failure is None,
         "first_failure": first_failure,
     }
-    _write_json(report_path, doc)
     for entry, row in zip(suite, rows):
         status = "PASS" if row["pass"] else "FAIL"
         print(f"{row['identity']}: max residual {entry['max_residual']:.3e} "
               f"(tol {row['tol']:g}) {status}")
     print(f"bound margins: min {worst_margin:.6e} "
           f"{'PASS' if margins_ok else 'FAIL'}")
-    print(f"report: {report_path}")
     if first_failure is not None:
         print(f"FAIL {first_failure}", file=sys.stderr)
-        return 2
-    return 0
+    return doc, first_failure is None
 
 
 # -- wiring -------------------------------------------------------------------
@@ -644,7 +604,10 @@ def cmd_verify(config, derived, out):
 
 class _Command(NamedTuple):
     help: str
+    # (config, derived, out) -> (report document, passed)
     run: Callable
+    # the report's file name, formatted with the config
+    report: str
     # key -> (check, default, help); default None: no value unless given
     inputs: dict
 
@@ -671,21 +634,24 @@ _REDUCED_PRESET = (
     "pert1", "reduced preset")
 
 _COMMANDS = {
-    "simulate": _Command("integrate preset trajectories", cmd_simulate, {
+    "simulate": _Command("integrate preset trajectories", cmd_simulate,
+                         "{preset}_report.json", {
         **_SIMULATION,
         "section": (_switch, False, "also emit stroboscopic sections"),
     }),
     "section": _Command("emit stroboscopic sections only", cmd_simulate,
-                        _SIMULATION),
+                        "{preset}_report.json", _SIMULATION),
     "normalize": _Command(
-        "one conjugation step: remainder and probes", cmd_normalize, {
+        "one conjugation step: remainder and probes", cmd_normalize,
+        "normalize_report.json", {
             "preset": _REDUCED_PRESET,
             "eps": (_POSITIVE, _REQUIRED, "drive amplitude"),
             **_DIOPHANTINE,
             "tol": (_POSITIVE, 1e-12, "numerical tolerance"),
             **_OUT,
         }),
-    "iterate": _Command("iterated conjugation ledger", cmd_iterate, {
+    "iterate": _Command("iterated conjugation ledger", cmd_iterate,
+                        "iterate_ledger.json", {
         "preset": _REDUCED_PRESET,
         "eps": (_POSITIVE, 1e-3, "drive amplitude"),
         "steps": (_COUNT, 3, "iteration count"),
@@ -694,13 +660,15 @@ _COMMANDS = {
         "tol": (_POSITIVE, 1e-12, "numerical tolerance"),
         **_OUT,
     }),
-    "bounds": _Command("analytic constants and margins", cmd_bounds, {
+    "bounds": _Command("analytic constants and margins", cmd_bounds,
+                       "bounds_report.json", {
         "trials": (_COUNT, 20, "random triples"),
         **_DIOPHANTINE,
         "seed": (_INDEX, 0, "random seed"),
         **_OUT,
     }),
-    "verify": _Command("operator identity suite", cmd_verify, {
+    "verify": _Command("operator identity suite", cmd_verify,
+                       "verify_report.json", {
         "trials": (_COUNT, 100, "random probes per identity"),
         **_DIOPHANTINE,
         "seed": (_INDEX, 0, "random seed"),
@@ -732,6 +700,40 @@ def _build_parser():
     return parser
 
 
+# the scientific failures that stop a run, by the exception that signals
+# each, named as the report's first_failure
+_FAILURES = {
+    _ResonantRotation: "diophantine",
+    nf.HypothesisError: "hypothesis",
+    nf.DivergenceError: "divergence",
+    ops.ResonanceError: "resonance",
+    nf.IterationError: "contraction",
+    fts.NonFiniteError: "overflow",
+}
+
+
+def _run(command, config, derived, out):
+    """Run ``command`` and write its report; returns the exit code.
+
+    The report holds ``config``, ``derived``, ``pass`` and the document the
+    command returns. A scientific failure that stops the run gives instead
+    ``first_failure``, ``error`` and the rows computed before it.
+    """
+    try:
+        doc, passed = command.run(config, derived, out)
+    except tuple(_FAILURES) as exc:
+        name = _FAILURES[type(exc)]
+        doc, passed = {"first_failure": name, "error": str(exc)}, False
+        if isinstance(exc, nf.IterationError):
+            doc["steps"] = nf.iteration_ledger(exc.states)
+        print(f"FAIL {name}: {exc}", file=sys.stderr)
+    path = _output(out, command.report.format(**config))
+    _write_json(path, {"config": config, "derived": derived, "pass": passed,
+                       **doc})
+    print(f"report: {path}")
+    return 0 if passed else 2
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -742,18 +744,10 @@ def main(argv=None) -> int:
         config = _inputs(args, _load_config(args))
         # where the outputs go is not an input of the run
         out = config.pop("out")
-        return _COMMANDS[args.command].run(config, {"command": args.command},
-                                           out)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (nf.HypothesisError, nf.DivergenceError, ops.ResonanceError) as exc:
-        print(f"scientific failure: {exc}", file=sys.stderr)
-        return 2
-    except nf.IterationError as exc:
-        print(f"contraction failure: {exc}", file=sys.stderr)
-        return 2
+        return _run(_COMMANDS[args.command], config,
+                    {"command": args.command}, out)
     except ValueError as exc:
+        # a UsageError, or an input the engine rejects
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

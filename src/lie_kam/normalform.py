@@ -325,7 +325,7 @@ def _lie_series(gamma: ops.Derivation, g: FourierTaylorSeries,
     weights raise :class:`DivergenceError`; reaching ``_MAX_TERMS`` terms
     warns and returns the partial sum. Returns ``(sum, terms_used, dropped)``,
     dropped summing the weight each term's brackets dropped times its factors.
-    A term whose weight is not finite raises ValueError.
+    A term whose weight is not finite raises ``NonFiniteError``.
 
     With h, a term builds eight series: for each of g and h the two of
     Gamma and one for the 1/k, then the term and the running sum.
@@ -347,7 +347,9 @@ def _lie_series(gamma: ops.Derivation, g: FourierTaylorSeries,
         dropped += lost
         tn = fts.majorant_norm(term, 0.0)
         if not math.isfinite(tn):
-            raise ValueError("series coefficients must be finite")
+            raise fts.NonFiniteError(
+                f"Lie series overflowed: term {k} has a weight that is not "
+                "finite")
         if tn <= tol * scale_:
             return out, k, dropped
         if tn >= prev:

@@ -18,8 +18,10 @@ whether a series is real.
 Finiteness is checked where values enter or can overflow: raw
 coefficients and JSON as they enter, the scalar of ``scale``, and the
 output of each product kernel call (``multiply``, ``poisson_bracket``),
-where finite inputs can overflow. An operation builds its output in a
-fresh array that the series takes over without a copy or a scan.
+where finite inputs can overflow. Input that is not finite raises
+ValueError, and an overflow its subclass ``NonFiniteError``. An operation
+builds its output in a fresh array that the series takes over without a
+copy or a scan.
 
 Norms are measured by the one-sided coefficient majorant
 
@@ -44,6 +46,7 @@ __all__ = [
     "DomainConfig",
     "FourierTaylorSeries",
     "RealityError",
+    "NonFiniteError",
     "DEFAULT_DOMAIN",
     "zeros",
     "from_terms",
@@ -72,6 +75,10 @@ _REALITY_TOL = 1e-12
 
 class RealityError(ValueError):
     """Non-real data where a real series or value is required."""
+
+
+class NonFiniteError(ValueError):
+    """Finite operands gave a result that is not finite: an overflow."""
 
 
 @dataclass(frozen=True)
@@ -237,9 +244,11 @@ def _hermitian_defect(coeffs) -> float:
 
 
 def _check_finite(coeffs):
-    """coeffs, once every entry is checked to be finite."""
+    """coeffs, once every entry is checked to be finite; a product kernel's
+    output that is not raises NonFiniteError."""
     if not np.isfinite(coeffs).all():
-        raise ValueError("series coefficients must be finite")
+        raise NonFiniteError("series product overflowed: coefficients "
+                             "must be finite")
     return coeffs
 
 
@@ -549,7 +558,7 @@ def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries):
     conj(mirror P), which is exactly hermitian, and the dropped weight is
     twice P's. A factor that is identically zero gives the zero series
     on the merged box, without calling the kernel. A product that
-    overflows raises ValueError.
+    overflows raises NonFiniteError.
     """
     _check_rho(a, b)
     trunc = a.trunc.merge(b.trunc)
@@ -603,7 +612,7 @@ def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries):
 
     ``dropped`` is the majorant weight at r = 0 that the two derivative
     products d_x a d_theta b and d_theta a d_x b drop outside the box,
-    added and divided by rho. A bracket that overflows raises ValueError.
+    added and divided by rho. A bracket that overflows raises NonFiniteError.
     """
     _check_rho(a, b)
     trunc = a.trunc.merge(b.trunc)

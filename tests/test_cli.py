@@ -447,7 +447,7 @@ def test_iterate_contraction_failure_writes_ledger(tmp_path, capsys):
     assert [row["i"] for row in rows] == [0, 1]
     assert rows[0]["tail_norm"] == 0.0
     assert rows[1]["tail_norm"] > 0.0
-    assert "contraction failure" in capsys.readouterr().err
+    assert "FAIL contraction" in capsys.readouterr().err
 
 
 def test_normal_form_commands_deterministic_bytes(tmp_path):
@@ -571,6 +571,55 @@ def test_verify_rational_rotation_number_fails(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "FAIL diophantine" in err
     assert "(1, 5)" in err
+
+
+# runs the engine stops: argv, report, first_failure
+STOPPED = {
+    "normalize-divergence": (["normalize", "--eps", "2"],
+                             "normalize_report.json", "divergence"),
+    "iterate-divergence": (["iterate", "--eps", "5", "--steps", "2"],
+                           "iterate_ledger.json", "divergence"),
+    "verify-hypothesis": (["verify", "--trials", "1", "--q", "0.99"],
+                          "verify_report.json", "hypothesis"),
+    "bounds-hypothesis": (["bounds", "--trials", "1", "--q", "0.99"],
+                          "bounds_report.json", "hypothesis"),
+    "iterate-contraction": (["iterate", "--eps", "0.3", "--steps", "3"],
+                            "iterate_ledger.json", "contraction"),
+    "normalize-overflow": (["normalize", "--eps", "1e150"],
+                           "normalize_report.json", "overflow"),
+}
+
+
+def run_module(argv):
+    return subprocess.run([sys.executable, "-m", "lie_kam", *argv],
+                          capture_output=True, text=True).returncode
+
+
+@pytest.mark.parametrize("case", STOPPED)
+def test_stopped_run_writes_a_report_that_replays(tmp_path, case):
+    # exit 2 with the report so far, whose config gives the same report
+    argv, name, failure = STOPPED[case]
+    # numpy warns as the product overflows, which pytest makes an error
+    runner = run_module if failure == "overflow" else run
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert runner([*argv, "--out", str(first)]) == 2
+    rep = read_json(first / name)
+    assert rep["pass"] is False
+    assert rep["first_failure"] == failure
+    assert rep["error"]
+    if failure == "contraction":
+        assert [row["i"] for row in rep["steps"]] == [0, 1]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(rep["config"]))
+    assert runner([argv[0], "--config", str(cfg), "--out", str(again)]) == 2
+    assert (again / name).read_bytes() == (first / name).read_bytes()
+
+
+def test_every_report_has_a_top_level_pass(tmp_path):
+    assert run(["normalize", "--eps", "1e-3", "--out", str(tmp_path)]) == 0
+    assert run(["bounds", "--trials", "1", "--out", str(tmp_path)]) == 0
+    for name in ("normalize_report.json", "bounds_report.json"):
+        assert read_json(tmp_path / name)["pass"] is True, name
 
 
 def test_module_entry_point(tmp_path):
