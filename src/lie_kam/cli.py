@@ -3,11 +3,11 @@
 Exit codes: 0 on success, 1 on usage or configuration problems, 2 on
 scientific failure. A usage error writes no file. Every other run writes
 the command's report, which has a top-level ``pass``, false on every
-exit 2. A failed check (conservation out of band, aborted trajectory,
-quadratic probe, bound margin or schedule, identity residual) writes the
-full report. A failure that stops the run writes ``first_failure``,
-``error`` and the rows computed before it (``iterate``'s ``steps``), and
-prints ``FAIL <first_failure>: <error>``. It is one of ``diophantine``
+exit 2. A failed check writes the full report and names the check as
+``first_failure`` (``_CHECKS``; ``verify`` names the identity). A failure
+that stops the run writes ``first_failure``, ``error`` and the rows
+computed before it (``iterate``'s ``steps``), and prints
+``FAIL <first_failure>: <error>``. It is one of ``diophantine``
 (resonant rotation number), ``hypothesis``, ``divergence`` (of a Lie
 series), ``resonance`` (a zero divisor), ``contraction`` (of the
 iteration) and ``overflow`` (finite values whose product is not finite).
@@ -277,16 +277,17 @@ def _resolve_simulation(config, derived):
     return cfg
 
 
-def _integrate(inits, fieldfn, config):
-    """One batched RK4 run over the ensemble, split into member trajectories."""
+def _integrate(inits, fieldfn, config, period):
+    """One batched RK4 run over the ensemble (with sections at a period),
+    split into member trajectories."""
     if config["T"] == 0.0:
         empty = np.empty((0, inits.shape[-1]))
         return [rb.Trajectory(t=np.empty(0), y=empty) for _ in inits]
     return rb.rk4_integrate(inits, fieldfn, config["h"], config["T"],
-                            stride=config["stride"]).members()
+                            stride=config["stride"], period=period).members()
 
 
-def _simulate_cartesian(config, cfg, derived):
+def _simulate_cartesian(config, cfg, derived, period):
     inertia = pr.preset_inertia(config["preset"], eps=config.get("eps"))
     rho = cfg["rho"]
     derived.update(inertia=list(cfg["inertia"]), rho=rho)
@@ -295,20 +296,15 @@ def _simulate_cartesian(config, cfg, derived):
     def fieldfn(t, y):
         return rb.throbbing_field(y, t, inertia)
 
-    trajs = _integrate(inits, fieldfn, config)
-
-    def report(traj):
-        if len(traj) == 0:
-            return {"rows": 0, "in_band": True, "aborted": False}
-        rep = rb.conservation_report(traj, inertia)
-        rep["rows"] = len(traj)
-        rep["aborted"] = traj.aborted
-        return rep
-
-    return trajs, report
+    trajs = _integrate(inits, fieldfn, config, period)
+    for traj in trajs:
+        if traj.section is not None:
+            # sections are written in the chart (X, theta)
+            traj.section.y = np.column_stack(rb.to_reduced(traj.section.y, rho))
+    return trajs, lambda traj: rb.conservation_report(traj, inertia)
 
 
-def _simulate_reduced(config, derived):
+def _simulate_reduced(config, derived, period):
     params, trunc = _chart(config)
     inertia = rb.InertiaSpec(params.i_perp, params.i_perp, params.i_3)
     derived.update(inertia=[params.i_perp, params.i_perp, params.i_3],
@@ -319,66 +315,53 @@ def _simulate_reduced(config, derived):
     inits = np.stack([rng.uniform(-0.1, 0.1, size=config["n"]),
                       rng.uniform(0.0, 2.0 * math.pi, size=config["n"])],
                      axis=-1)
-    trajs = []
-    for traj in _integrate(inits, fieldfn, config):
-        # store the global chart coordinate X = x0 + x
-        y = traj.y.copy()
-        y[:, 0] += params.x0
-        trajs.append(rb.Trajectory(t=traj.t, y=y, aborted=traj.aborted))
+    trajs = _integrate(inits, fieldfn, config, period)
+    for traj in trajs:
+        # store the global chart coordinate X = x0 + x, and section angles
+        # in [0, 2 pi)
+        traj.y = np.column_stack([params.x0 + traj.y[:, 0], traj.y[:, 1]])
+        if traj.section is not None:
+            sec = traj.section.y
+            traj.section.y = np.column_stack(
+                [params.x0 + sec[:, 0], np.mod(sec[:, 1], 2.0 * math.pi)])
 
     def report(traj):
-        if len(traj) == 0:
-            return {"rows": 0, "in_band": True, "aborted": False}
         m = rb.from_reduced(traj.y[:, 0], traj.y[:, 1], params.rho)
-        rep = rb.conservation_report(
-            rb.Trajectory(t=traj.t, y=m, aborted=traj.aborted), inertia)
-        rep["rows"] = len(traj)
-        rep["aborted"] = traj.aborted
-        rep["x_min"] = float(np.min(traj.y[:, 0]))
-        rep["x_max"] = float(np.max(traj.y[:, 0]))
-        return rep
+        return dict(rb.conservation_report(rb.Trajectory(t=traj.t, y=m),
+                                           inertia),
+                    x_min=float(np.min(traj.y[:, 0])),
+                    x_max=float(np.max(traj.y[:, 0])))
 
     return trajs, report
-
-
-def _section(traj, period, rho):
-    """Section rows and their times; empty for a member that aborted
-    before spanning one period."""
-    if traj.aborted and (len(traj) < 2 or traj.t[-1] - traj.t[0] < period):
-        return np.empty(0), np.empty((0, 2))
-    sec = rb.poincare_section(traj, period, rho=rho)
-    k0 = int(math.ceil((traj.t[0] - 1e-12) / period))
-    return (k0 + np.arange(len(sec))) * period, sec
 
 
 def cmd_simulate(config, derived, out):
     cfg = _resolve_simulation(config, derived)
     preset, kind = config["preset"], derived["kind"]
+    sections = "section" in derived or config["section"]
+    period = derived["period"] if sections else None
     if kind == "cartesian":
-        trajs, report = _simulate_cartesian(config, cfg, derived)
+        trajs, report = _simulate_cartesian(config, cfg, derived, period)
     else:
-        trajs, report = _simulate_reduced(config, derived)
+        trajs, report = _simulate_reduced(config, derived, period)
 
     write_traj = derived["command"] == "simulate"
-    sections = not write_traj or config["section"]
     rows = []
     for i, traj in enumerate(trajs):
-        rep = report(traj)
+        # the conservation report of the member's states (none for T = 0)
+        rep = report(traj) if len(traj) else {"in_band": True}
+        rep.update(rows=len(traj), aborted=traj.aborted)
         if write_traj:
             name = f"{preset}_traj{i:03d}.csv"
             rb.write_trajectory_csv(_output(out, name), traj, kind,
                                     config=config)
             rep["file"] = name
         if sections:
-            times, sec = _section(traj, derived["period"],
-                                  derived["rho"] if kind == "cartesian"
-                                  else None)
             sec_name = f"{preset}_section{i:03d}.csv"
-            rb.write_trajectory_csv(_output(out, sec_name),
-                                    rb.Trajectory(t=times, y=sec), "reduced",
-                                    config=config)
+            rb.write_trajectory_csv(_output(out, sec_name), traj.section,
+                                    "reduced", config=config)
             rep["section_file"] = sec_name
-            rep["section_rows"] = len(sec)
+            rep["section_rows"] = len(traj.section)
         rows.append(rep)
 
     aborted = [i for i, rep in enumerate(rows) if rep["aborted"]]
@@ -712,12 +695,27 @@ _FAILURES = {
 }
 
 
+# the checks of a finished run, by command: its report names as
+# first_failure the first whose test of the report fails (verify names its
+# failed identity or bound_margins itself)
+_CHECKS = {
+    "simulate": (
+        ("aborted", lambda d: not any(r["aborted"] for r in d["trajectories"])),
+        ("conservation", lambda d: all(r["in_band"] for r in d["trajectories"]))),
+    "normalize": (("quadratic_probe", lambda d: d["quadratic_probe"]["pass"]),),
+    "bounds": (("bound_margins", lambda d: d["margins"]["all_nonnegative"]),
+               ("schedule", lambda d: d["schedule"]["valid"])),
+}
+_CHECKS["section"] = _CHECKS["simulate"]
+
+
 def _run(command, config, derived, out):
     """Run ``command`` and write its report; returns the exit code.
 
     The report holds ``config``, ``derived``, ``pass`` and the document the
-    command returns. A scientific failure that stops the run gives instead
-    ``first_failure``, ``error`` and the rows computed before it.
+    command returns, with the failed check as ``first_failure``. A
+    scientific failure that stops the run gives instead ``first_failure``,
+    ``error`` and the rows computed before it.
     """
     try:
         doc, passed = command.run(config, derived, out)
@@ -727,6 +725,9 @@ def _run(command, config, derived, out):
         if isinstance(exc, nf.IterationError):
             doc["steps"] = nf.iteration_ledger(exc.states)
         print(f"FAIL {name}: {exc}", file=sys.stderr)
+    if not passed and "first_failure" not in doc:
+        doc["first_failure"] = next(
+            name for name, ok in _CHECKS[derived["command"]] if not ok(doc))
     path = _output(out, command.report.format(**config))
     _write_json(path, {"config": config, "derived": derived, "pass": passed,
                        **doc})

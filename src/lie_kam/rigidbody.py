@@ -4,8 +4,9 @@ One Cartesian field, free or driven by the inertia it is given, moves
 the angular momentum 3-vector M under a classical fixed-step RK4; the
 reduced chart (X, theta) on the sphere of radius rho drives the same
 dynamics through the series algebra, so the two integrators
-cross-validate each other. Sections, chart transforms, conservation
-diagnostics and CSV emission live here too.
+cross-validate each other. The same RK4 run gives the states at the
+stroboscopic section times; chart transforms, conservation diagnostics
+and CSV emission live here too.
 
 The reduced field compiles both derivatives of a real drive series into one
 table of real harmonics on the upper half lattice (l > 0, or l = 0 and
@@ -35,7 +36,6 @@ __all__ = [
     "from_reduced",
     "make_reduced_field",
     "params_from_inertia",
-    "poincare_section",
     "conservation_report",
     "energy_series",
     "sample_sphere",
@@ -53,8 +53,8 @@ class InertiaSpec:
     The modulated inverse inertia is ``1/I_i + A_ii(t)`` with
     ``A_ii(t) = amp_i cos(freq_i t + phase_i)``; ``modulation`` is a
     3-tuple of (amp, freq, phase) triples, or None for the static top.
-    Positivity of every modulated inverse moment is checked analytically
-    (|amp_i| < 1/I_i) and on a grid covering the slowest period.
+    The check |amp_i| < 1/I_i keeps every modulated inverse moment, also
+    in floating point, at least 1/I_i - |amp_i| > 0.
 
     Attributes
     ----------
@@ -80,16 +80,11 @@ class InertiaSpec:
             raise ValueError("modulation must be three (amp, freq, phase) triples")
         object.__setattr__(self, "modulation", mod)
         inv = self.static_inverse()
-        for i, (amp, freq, _) in enumerate(mod):
+        for i, (amp, _, _) in enumerate(mod):
             if abs(amp) >= inv[i]:
                 raise ValueError(
                     f"modulation amplitude {amp} on axis {i + 1} drives the "
                     f"inverse moment {inv[i]} non-positive")
-        freqs = [abs(row[1]) for row in mod if row[1] != 0.0]
-        period = 2.0 * math.pi / min(freqs) if freqs else 2.0 * math.pi
-        grid = np.linspace(0.0, 4.0 * period, 2049)
-        if np.min(self.inverse_moments(grid)) <= 0.0:
-            raise ValueError("modulated inverse moments must stay positive")
 
     @property
     def is_symmetric(self) -> bool:
@@ -98,18 +93,6 @@ class InertiaSpec:
     def static_inverse(self):
         """Inverse moments (1/I1, 1/I2, 1/I3) without modulation."""
         return np.array([1.0 / self.i1, 1.0 / self.i2, 1.0 / self.i3])
-
-    def inverse_moments(self, t):
-        """Modulated inverse moments at time(s) t, shape (3,) + shape(t)."""
-        base = self.static_inverse()
-        t = np.asarray(t, dtype=np.float64)
-        out = np.broadcast_to(base.reshape((3,) + (1,) * t.ndim),
-                              (3,) + t.shape).copy()
-        if self.modulation is not None:
-            for i, (amp, freq, phase) in enumerate(self.modulation):
-                if amp != 0.0:
-                    out[i] += amp * np.cos(freq * t + phase)
-        return out
 
 
 def _cross(a, b):
@@ -165,6 +148,8 @@ class Trajectory:
     per member, ``aborted`` as a bool array over the member axes and
     ``rows`` as the number of leading samples that belong to each member
     (an aborted member's later samples repeat its frozen last good state).
+    ``section``, when the run was asked for one, is a Trajectory of the
+    states at the section times, split per member in the same way.
     ``members()`` splits it into one Trajectory per member.
     """
 
@@ -172,6 +157,7 @@ class Trajectory:
     y: np.ndarray
     aborted: bool = False
     rows: np.ndarray = None
+    section: "Trajectory" = None
 
     def __len__(self):
         return len(self.t)
@@ -179,22 +165,46 @@ class Trajectory:
     def members(self):
         """Per-member trajectories in C order over the member axes.
 
-        Each holds exactly the samples and the abort flag of the member's
-        solo run; a single-state trajectory is its own only member.
+        Each holds exactly the samples, the section and the abort flag of
+        the member's solo run; a single-state trajectory is its own only
+        member.
         """
         if self.rows is None:
             return [self]
         ys = self.y.reshape(len(self.t), -1, self.y.shape[-1])
-        return [Trajectory(t=self.t[:r], y=ys[:r, k], aborted=bool(a))
-                for k, (r, a) in enumerate(zip(self.rows.ravel(),
-                                               self.aborted.ravel()))]
+        sections = (self.section.members() if self.section is not None
+                    else [None] * ys.shape[1])
+        return [Trajectory(t=self.t[:r], y=ys[:r, k], aborted=bool(a),
+                           section=sec)
+                for k, (r, a, sec) in enumerate(zip(
+                    self.rows.ravel(), self.aborted.ravel(), sections))]
 
 
-def rk4_integrate(y0, fieldfn, h, t_final, t0=0.0, stride=1) -> Trajectory:
+# a section time this close to a grid time takes the grid state
+_GRID_TOL = 1e-12
+
+
+def _rk4_step(fieldfn, t, y, h):
+    half = 0.5 * h
+    k1 = fieldfn(t, y)
+    k2 = fieldfn(t + half, y + half * k1)
+    k3 = fieldfn(t + half, y + half * k2)
+    k4 = fieldfn(t + h, y + h * k3)
+    return y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def rk4_integrate(y0, fieldfn, h, t_final, t0=0.0, stride=1,
+                  period=None) -> Trajectory:
     """Classical fixed-step RK4 for dy/dt = fieldfn(t, y).
 
     Integrates ``round(t_final / h)`` whole steps of size h and samples
     every ``stride`` steps (the final state is always included).
+
+    With a ``period``, the run also records as ``section`` the state at
+    each k * period in [t0, t0 + n h]: the grid state within 1e-12 of a
+    grid time, else one RK4 step of length k * period - t_i from the grid
+    state at the grid time t_i before it, apart from the grid trajectory.
+    Sections therefore do not depend on ``stride``.
 
     A y0 of shape (d,) is one state. A y0 of shape (..., d) is a batch of
     members integrated together through one field call per stage; the
@@ -204,7 +214,8 @@ def rk4_integrate(y0, fieldfn, h, t_final, t0=0.0, stride=1) -> Trajectory:
     first abort on, the field sees only the live members' states, with
     the member axes flattened to one. The run stops once every member has
     aborted. An aborted member keeps the samples up to its last good
-    state, exactly as its solo run would.
+    state and the section times at or before its last good grid time,
+    exactly as its solo run would.
 
     Parameters
     ----------
@@ -221,13 +232,15 @@ def rk4_integrate(y0, fieldfn, h, t_final, t0=0.0, stride=1) -> Trajectory:
         Initial time.
     stride : int
         Sampling stride in steps.
+    period : float or None
+        Section period, positive; None records no section.
 
     Returns
     -------
     Trajectory
         For one state: y of shape (k, d) and a bool ``aborted``. For a
         batch: y of shape (k, ..., d), ``aborted`` and ``rows`` per member
-        (see Trajectory.members).
+        (see Trajectory.members); ``section`` is laid out the same way.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -235,25 +248,43 @@ def rk4_integrate(y0, fieldfn, h, t_final, t0=0.0, stride=1) -> Trajectory:
         raise ValueError("t_final must be nonnegative")
     if stride < 1:
         raise ValueError("stride must be at least 1")
+    if period is not None and not period > 0:
+        raise ValueError("period must be positive")
     y = np.array(y0, dtype=np.float64)
     if y.ndim == 0:
         raise ValueError("y0 needs a state axis")
     n = int(round(t_final / h))
+    t_end = t0 + n * h
+    sec_t = []
+    if period is not None:
+        k = math.ceil((t0 - _GRID_TOL) / period)
+        while k * period <= t_end + _GRID_TOL:
+            sec_t.append(k * period)
+            k += 1
+    sec_y = []
+    pending = iter(sec_t)
+    due = next(pending, math.inf)  # the next section time
     ts = [t0]
     ys = [y]
     live = np.ones(y.shape[:-1], dtype=bool)
     all_live = True
     rows = np.zeros(y.shape[:-1], dtype=np.int64)
-    half = 0.5 * h
-    sixth = h / 6.0
+    last_good = np.full(y.shape[:-1], t_end)
     for i in range(n):
         t = t0 + i * h
+        t_next = t0 + (i + 1) * h
         state = y if all_live else y[live]
-        k1 = fieldfn(t, state)
-        k2 = fieldfn(t + half, state + half * k1)
-        k3 = fieldfn(t + half, state + half * k2)
-        k4 = fieldfn(t + h, state + h * k3)
-        step = state + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        while due < t_next - _GRID_TOL:
+            if due <= t + _GRID_TOL:
+                sec_y.append(y)
+            elif all_live:
+                sec_y.append(_rk4_step(fieldfn, t, y, due - t))
+            else:
+                part = y.copy()
+                part[live] = _rk4_step(fieldfn, t, state, due - t)
+                sec_y.append(part)
+            due = next(pending, math.inf)
+        step = _rk4_step(fieldfn, t, state, h)
         # one check per step while all members are finite; a failed member
         # keeps its last good state and its sample count
         if all_live and np.isfinite(step).all():
@@ -266,20 +297,30 @@ def rk4_integrate(y0, fieldfn, h, t_final, t0=0.0, stride=1) -> Trajectory:
             still = live.copy()
             still[live] = good
             rows[live & ~still] = len(ts)
+            last_good[live & ~still] = t
             live = still
             if not live.any():
                 break
             y = y.copy()  # earlier samples hold the old array
             y[live] = step[good]
         if (i + 1) % stride == 0 or i + 1 == n:
-            ts.append(t0 + (i + 1) * h)
+            ts.append(t_next)
             ys.append(y)
+    if live.any():
+        # the section times at the final grid time
+        sec_y += [y] * (len(sec_t) - len(sec_y))
     rows[live] = len(ts)
-    if y.ndim == 1:
-        return Trajectory(t=np.asarray(ts), y=np.stack(ys),
-                          aborted=not live)
-    return Trajectory(t=np.asarray(ts), y=np.stack(ys), aborted=~live,
-                      rows=rows)
+    section = None
+    if period is not None:
+        sec_t = np.asarray(sec_t[:len(sec_y)])
+        section = Trajectory(
+            t=sec_t, y=np.array(sec_y).reshape((-1,) + y.shape),
+            aborted=~live,
+            rows=np.searchsorted(sec_t, last_good + _GRID_TOL, side="right"))
+    traj = Trajectory(t=np.asarray(ts), y=np.stack(ys), aborted=~live,
+                      rows=rows, section=section)
+    # one state is a batch of one, returned as its only member
+    return traj.members()[0] if y.ndim == 1 else traj
 
 
 # -- chart transforms ---------------------------------------------------------
@@ -405,44 +446,6 @@ def make_reduced_field(params: AlgebraParams, v_series: FourierTaylorSeries):
 
 
 # -- diagnostics --------------------------------------------------------------
-
-
-def poincare_section(traj: Trajectory, period: float, rho: float = None):
-    """Chart samples at the stroboscopic times t = k * period.
-
-    Works on reduced trajectories (y shape (k, 2), columns x or X and
-    theta) and on Cartesian ones (y shape (k, 3), mapped through
-    to_reduced; rho required). X is interpolated linearly between the
-    bracketing samples and theta through its unwrapped lift.
-
-    Returns
-    -------
-    ndarray, shape (k, 2)
-        Rows (X, theta) in crossing order, starting at t = t0.
-    """
-    if period <= 0:
-        raise ValueError("period must be positive")
-    if len(traj) < 2 or traj.t[-1] - traj.t[0] < period:
-        raise ValueError("trajectory spans less than one period")
-    if traj.y.ndim != 2:
-        raise ValueError("need a flat trajectory (one state per row)")
-    if traj.y.shape[1] == 3:
-        if rho is None:
-            raise ValueError("rho is required to reduce a Cartesian trajectory")
-        x_big, theta = to_reduced(traj.y, rho)
-    elif traj.y.shape[1] == 2:
-        x_big, theta = traj.y[:, 0], traj.y[:, 1]
-    else:
-        raise ValueError("trajectory states must be 2- or 3-dimensional")
-    theta_lift = np.unwrap(np.asarray(theta, dtype=np.float64))
-    t0, t1 = traj.t[0], traj.t[-1]
-    k0 = int(math.ceil((t0 - 1e-12) / period))
-    k1 = int(math.floor((t1 + 1e-12) / period))
-    times = [k * period for k in range(k0, k1 + 1)
-             if t0 - 1e-12 <= k * period <= t1 + 1e-12]
-    xs = np.interp(times, traj.t, x_big)
-    ths = np.mod(np.interp(times, traj.t, theta_lift), 2.0 * math.pi)
-    return np.stack([xs, ths], axis=-1)
 
 
 def energy_series(traj: Trajectory, inertia: InertiaSpec):

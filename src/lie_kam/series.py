@@ -19,7 +19,9 @@ Finiteness is checked where values enter or can overflow: raw
 coefficients and JSON as they enter, the scalar of ``scale``, and the
 output of each product kernel call (``multiply``, ``poisson_bracket``),
 where finite inputs can overflow. Input that is not finite raises
-ValueError, and an overflow its subclass ``NonFiniteError``. An operation
+ValueError, and an overflow its subclass ``NonFiniteError``; the kernel
+call and its check run under a local ``np.errstate`` that ignores
+overflow, so this holds also where warnings are errors. An operation
 builds its output in a fresh array that the series takes over without a
 copy or a scan.
 
@@ -35,7 +37,6 @@ certification in :mod:`lie_kam.normalform` meaningful.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -65,8 +66,6 @@ __all__ = [
     "majorant_norm",
     "to_json_dict",
     "from_json_dict",
-    "to_json",
-    "from_json",
 ]
 
 # reality defect threshold, scaled by max(1, max |coefficient|)
@@ -569,11 +568,12 @@ def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries):
     la, ma, na = np.nonzero(src)
     lb, mb, nb = np.nonzero(b.coeffs)
     xpow = DEFAULT_DOMAIN.x_half ** np.arange(trunc.n_x + 1, dtype=np.float64)
-    out, tail = convolve_nonzeros(
-        la, ma - ta.l_theta, na, src[None, la, ma, na],
-        lb - tb.l_t, mb - tb.l_theta, nb, b.coeffs[None, lb, mb, nb],
-        trunc.l_t, trunc.l_theta, trunc.n_x, xpow)
-    out = _check_finite(out + np.conj(out[::-1, ::-1, :]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, tail = convolve_nonzeros(
+            la, ma - ta.l_theta, na, src[None, la, ma, na],
+            lb - tb.l_t, mb - tb.l_theta, nb, b.coeffs[None, lb, mb, nb],
+            trunc.l_t, trunc.l_theta, trunc.n_x, xpow)
+        out = _check_finite(out + np.conj(out[::-1, ::-1, :]))
     return FourierTaylorSeries(out, trunc, a.rho, hermitian=True), 2.0 * tail
 
 
@@ -629,13 +629,14 @@ def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries):
     va, vb = src[la, ma, na], other[lb, mb, nb]
     ma, mb = ma - ta.l_theta, mb - tb.l_theta
     xpow = DEFAULT_DOMAIN.x_half ** np.arange(trunc.n_x + 1, dtype=np.float64)
-    out, tail = convolve_nonzeros(
-        la, ma, na, np.array((na, 1j * ma)) * va,
-        lb - tb.l_t, mb, nb, np.array((1j * mb, -nb)) * vb,
-        trunc.l_t, trunc.l_theta, trunc.n_x + 1, xpow)
-    out = out[:, :, 1:]
     c = 1.0 / a.rho
-    out = _check_finite((out + np.conj(out[::-1, ::-1, :])) * c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, tail = convolve_nonzeros(
+            la, ma, na, np.array((na, 1j * ma)) * va,
+            lb - tb.l_t, mb, nb, np.array((1j * mb, -nb)) * vb,
+            trunc.l_t, trunc.l_theta, trunc.n_x + 1, xpow)
+        out = out[:, :, 1:]
+        out = _check_finite((out + np.conj(out[::-1, ::-1, :])) * c)
     # each weight carries one x_half too many, as its degree does
     return (FourierTaylorSeries(out, trunc, a.rho, hermitian=True),
             2.0 * tail / DEFAULT_DOMAIN.x_half * c)
@@ -735,11 +736,3 @@ def from_json_dict(doc: dict) -> FourierTaylorSeries:
     terms = [(int(e["l"]), int(e["m"]), int(e["n"]),
               complex(float(e["re"]), float(e["im"]))) for e in doc["coeffs"]]
     return from_real_terms(terms, trunc, float(doc["rho"]))
-
-
-def to_json(a: FourierTaylorSeries) -> str:
-    return json.dumps(to_json_dict(a), sort_keys=True, separators=(",", ":"))
-
-
-def from_json(text: str) -> FourierTaylorSeries:
-    return from_json_dict(json.loads(text))

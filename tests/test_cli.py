@@ -78,6 +78,41 @@ def test_simulate_fig2_section(tmp_path):
     assert rep["trajectories"][0]["section_rows"] == 3
 
 
+def _section_rows(path):
+    """The rows of a section CSV after its ``# config`` line."""
+    return path.read_bytes().split(b"\n", 1)[1]
+
+
+def test_sections_do_not_depend_on_stride(tmp_path):
+    rows = []
+    for stride in ("1", "10", "500"):
+        out = tmp_path / stride
+        assert run(["simulate", "--preset", "fig2", "--eps", "1", "--T", "13",
+                    "--h", "0.01", "--section", "--stride", stride,
+                    "--out", str(out)]) == 0
+        rows.append(_section_rows(out / "fig2_section000.csv"))
+    assert rows[0].count(b"\n") == 1 + 3
+    assert rows[1] == rows[0] and rows[2] == rows[0]
+
+
+def test_sections_agree_with_a_finer_step(tmp_path):
+    # RK4 at h = 2e-3 is good to about 2e-13 here, linear interpolation
+    # between its steps to about 5e-8; 2 pi is off the grid of both runs
+    runs = []
+    for h in ("2e-3", "2.5e-4"):
+        out = tmp_path / h
+        assert run(["section", "--preset", "fig2", "--eps", "1", "--T", "7",
+                    "--n", "2", "--h", h, "--out", str(out)]) == 0
+        runs.append([rb.read_trajectory_csv(str(path))[0]
+                     for path in sorted(out.glob("fig2_section*.csv"))])
+    for coarse, fine in zip(*runs):
+        assert len(coarse) == len(fine) == 2
+        assert np.array_equal(coarse.t, fine.t)
+        diff = np.abs(coarse.y - fine.y)
+        diff[:, 1] = np.minimum(diff[:, 1], 2.0 * math.pi - diff[:, 1])
+        assert np.max(diff) <= 1e-10
+
+
 def test_section_command_emits_only_sections(tmp_path):
     rc = run(["section", "--preset", "pert1", "--eps", "1e-3", "--T", "13.0",
               "--h", "0.01", "--out", str(tmp_path)])
@@ -542,6 +577,7 @@ def test_non_finite_margin_fails(tmp_path, monkeypatch, bad):
     rep = read_json(tmp_path / "bounds_report.json")
     assert rep["margins"]["min_margin"] is None
     assert rep["margins"]["all_nonnegative"] is False
+    assert rep["first_failure"] == "bound_margins"
     assert run(["verify", "--trials", "1", "--out", str(tmp_path)]) == 2
     _no_non_finite_token(tmp_path / "verify_report.json")
     rep = read_json(tmp_path / "verify_report.json")
@@ -590,19 +626,13 @@ STOPPED = {
 }
 
 
-def run_module(argv):
-    return subprocess.run([sys.executable, "-m", "lie_kam", *argv],
-                          capture_output=True, text=True).returncode
-
-
 @pytest.mark.parametrize("case", STOPPED)
 def test_stopped_run_writes_a_report_that_replays(tmp_path, case):
     # exit 2 with the report so far, whose config gives the same report
+    # (an overflow runs here under pytest's error::RuntimeWarning filter)
     argv, name, failure = STOPPED[case]
-    # numpy warns as the product overflows, which pytest makes an error
-    runner = run_module if failure == "overflow" else run
     first, again = tmp_path / "first", tmp_path / "again"
-    assert runner([*argv, "--out", str(first)]) == 2
+    assert run([*argv, "--out", str(first)]) == 2
     rep = read_json(first / name)
     assert rep["pass"] is False
     assert rep["first_failure"] == failure
@@ -611,8 +641,41 @@ def test_stopped_run_writes_a_report_that_replays(tmp_path, case):
         assert [row["i"] for row in rep["steps"]] == [0, 1]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(rep["config"]))
-    assert runner([argv[0], "--config", str(cfg), "--out", str(again)]) == 2
+    assert run([argv[0], "--config", str(cfg), "--out", str(again)]) == 2
     assert (again / name).read_bytes() == (first / name).read_bytes()
+
+
+def _out_of_band(traj, inertia, report=rb.conservation_report):
+    return dict(report(traj, inertia), in_band=False)
+
+
+# finished runs that fail a check: argv, report, first_failure, and a
+# stand-in for the conservation report
+FAILED_CHECKS = {
+    "simulate-aborted": (["simulate", "--preset", "pert1", "--eps", "1.0",
+                          "--T", "20", "--n", "3"],
+                         "pert1_report.json", "aborted", None),
+    "section-conservation": (["section", "--preset", "fig2", "--eps", "1",
+                              "--T", "7", "--h", "0.01"],
+                             "fig2_report.json", "conservation", _out_of_band),
+    "normalize-quadratic-probe": (["normalize", "--eps", "0.5"],
+                                  "normalize_report.json", "quadratic_probe",
+                                  None),
+    "bounds-schedule": (["bounds", "--trials", "2", "--tau", "0.01"],
+                        "bounds_report.json", "schedule", None),
+}
+
+
+@pytest.mark.parametrize("case", FAILED_CHECKS)
+def test_failed_check_is_named(tmp_path, monkeypatch, case):
+    argv, name, failure, report = FAILED_CHECKS[case]
+    if report is not None:
+        monkeypatch.setattr(rb, "conservation_report", report)
+    assert run([*argv, "--out", str(tmp_path)]) == 2
+    rep = read_json(tmp_path / name)
+    assert rep["pass"] is False
+    assert rep["first_failure"] == failure
+    assert failure in dict(cli._CHECKS[argv[0]])
 
 
 def test_every_report_has_a_top_level_pass(tmp_path):

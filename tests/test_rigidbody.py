@@ -83,8 +83,9 @@ def test_inertia_validation():
     ok = rb.InertiaSpec(1.0, 2.0, 3.0,
                         modulation=((0.0, 0.0, 0.0), (0.49, 1.0, 0.0),
                                     (0.0, 0.0, 0.0)))
-    inv = ok.inverse_moments(0.0)
-    assert abs(inv[1] - (0.5 + 0.49)) <= 1e-15
+    # M = (0, 1, 1) gives the field (inv_2(t) - inv_3, 0, 0), read at t = 0
+    field = rb.throbbing_field(np.array([0.0, 1.0, 1.0]), 0.0, ok)
+    assert abs(field[0] - (0.5 + 0.49 - 1.0 / 3.0)) <= 1e-15
     assert not ok.is_symmetric
     assert rb.InertiaSpec(2.0, 2.0, 3.0).is_symmetric
 
@@ -438,10 +439,10 @@ def test_cross_integrator_agreement():
 def test_poincare_unperturbed_reduced_is_flat():
     p = AlgebraParams()
     fieldfn = rb.make_reduced_field(p, FLAT)
-    traj = rb.rk4_integrate(np.array([0.07, 0.4]), fieldfn, 0.01, 50.0)
-    sec = rb.poincare_section(traj, 2.0 * math.pi)
+    sec = rb.rk4_integrate(np.array([0.07, 0.4]), fieldfn, 0.01, 50.0,
+                           period=2.0 * math.pi).section
     assert len(sec) == 8
-    assert np.max(np.abs(sec[:, 0] - 0.07)) <= 1e-9
+    assert np.max(np.abs(sec.y[:, 0] - 0.07)) <= 1e-9
 
 
 def test_poincare_static_section_conserves_energy():
@@ -449,12 +450,11 @@ def test_poincare_static_section_conserves_energy():
     # energy level of the initial condition
     ang = 0.08
     y0 = np.array([RHO * math.sin(ang), RHO * math.cos(ang), 0.0])
-    traj = rb.rk4_integrate(y0, static_field(ASYM), 0.002, 100.0)
-    sec = rb.poincare_section(traj, 2.0 * math.pi, rho=RHO)
-    m_sec = rb.from_reduced(sec[:, 0], sec[:, 1], RHO)
+    sec = rb.rk4_integrate(y0, static_field(ASYM), 0.002, 100.0,
+                           period=2.0 * math.pi).section
     inv = ASYM.static_inverse()
     e0 = 0.5 * float(y0 * y0 @ inv)
-    e_sec = 0.5 * np.sum(m_sec * m_sec * inv, axis=-1)
+    e_sec = 0.5 * np.sum(sec.y * sec.y * inv, axis=-1)
     assert len(sec) >= 15
     assert np.max(np.abs(e_sec - e0)) <= 1e-6
 
@@ -464,29 +464,69 @@ def test_poincare_throbbing_smears_symmetric_section():
     # keeps the section at a single X
     y0 = np.array([RHO * math.sin(0.9), 0.0, RHO * math.cos(0.9)])
     inertia = pr.preset_inertia("fig2", eps=1.0)
-    traj = rb.rk4_integrate(
-        y0, lambda t, y: rb.throbbing_field(y, t, inertia), 0.002, 50.0)
-    spread = np.ptp(rb.poincare_section(traj, 2.0 * math.pi, rho=RHO)[:, 0])
+    sec = rb.rk4_integrate(
+        y0, lambda t, y: rb.throbbing_field(y, t, inertia), 0.002, 50.0,
+        period=2.0 * math.pi).section
+    spread = np.ptp(rb.to_reduced(sec.y, RHO)[0])
 
     sym = rb.InertiaSpec(2.0, 2.0, 3.0)
-    traj_s = rb.rk4_integrate(y0, static_field(sym), 0.002, 50.0)
-    spread_s = np.ptp(rb.poincare_section(traj_s, 2.0 * math.pi,
-                                          rho=RHO)[:, 0])
+    sec_s = rb.rk4_integrate(y0, static_field(sym), 0.002, 50.0,
+                             period=2.0 * math.pi).section
+    spread_s = np.ptp(rb.to_reduced(sec_s.y, RHO)[0])
     assert spread > 0.5
     assert spread_s <= 1e-9
 
 
 def test_poincare_validation():
     fieldfn = rb.make_reduced_field(AlgebraParams(), FLAT)
-    traj = rb.rk4_integrate(np.array([0.0, 0.1]), fieldfn, 0.1, 2.0)
-    with pytest.raises(ValueError):
-        rb.poincare_section(traj, -1.0)
-    with pytest.raises(ValueError):
-        rb.poincare_section(traj, 10.0)
-    traj3 = rb.rk4_integrate(rb.sample_sphere(1, RHO, 1)[0],
-                             static_field(ASYM), 0.1, 10.0)
-    with pytest.raises(ValueError):
-        rb.poincare_section(traj3, 2.0 * math.pi)
+    for period in (-1.0, 0.0):
+        with pytest.raises(ValueError):
+            rb.rk4_integrate(np.array([0.0, 0.1]), fieldfn, 0.1, 2.0,
+                             period=period)
+
+
+def _growth_field(t, y):
+    # dx/dt = x, dtheta/dt = 1; beyond |x| = 1 the velocity is NaN
+    out = np.empty_like(y)
+    out[..., 0] = y[..., 0]
+    out[..., 1] = 1.0
+    out[np.abs(y[..., 0]) > 1.0] = np.nan
+    return out
+
+
+def test_section_of_an_aborting_batch_member():
+    # x = x0 e^t leaves |x| <= 1 at t = ln(1/x0): member 1 before the first
+    # section period, member 2 after three sections, member 0 never
+    period, h, t_final = 0.2345, 0.01, 2.0
+    y0 = np.array([[1e-3, 0.0], [0.9, 0.0], [0.5, 0.0]])
+    batch = rb.rk4_integrate(y0, _growth_field, h, t_final, period=period)
+    members = batch.members()
+    assert [m.aborted for m in members] == [False, True, True]
+    every = [k * period for k in range(9)]
+    for member in members:
+        # the member's last good grid time is its last sample (stride 1)
+        times = [s for s in every if s <= member.t[-1] + 1e-12]
+        assert member.section.t.tolist() == times
+    assert [len(m.section) for m in members] == [9, 1, 3]
+    for member, init in zip(members, y0):
+        solo = rb.rk4_integrate(init, _growth_field, h, t_final,
+                                period=period)
+        assert solo.aborted == member.aborted
+        assert np.array_equal(solo.section.t, member.section.t)
+        assert solo.section.y.tobytes() == member.section.y.tobytes()
+    strided = rb.rk4_integrate(y0, _growth_field, h, t_final, stride=7,
+                               period=period).members()
+    for member, other in zip(members, strided):
+        assert np.array_equal(other.section.t, member.section.t)
+        assert other.section.y.tobytes() == member.section.y.tobytes()
+
+
+def test_section_at_grid_times_is_the_grid_state():
+    # a period of 25 steps puts every section time on the grid
+    y0 = np.array([1e-3, 0.0])
+    traj = rb.rk4_integrate(y0, _growth_field, 0.01, 1.0, period=0.25)
+    assert traj.section.t.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert traj.section.y.tobytes() == traj.y[::25].tobytes()
 
 
 def test_conservation_report_band():
