@@ -3,11 +3,13 @@
 Exit codes: 0 on success, 1 on usage or configuration problems, 2 on
 scientific failure. A usage error writes no file. Every other run writes
 the command's report, which has a top-level ``pass``, false on every
-exit 2. A failed check writes the full report and names the check as
-``first_failure`` (``_CHECKS``; ``verify`` names the identity). A failure
-that stops the run writes ``first_failure``, ``error`` and the rows
-computed before it (``iterate``'s ``steps``), and prints
-``FAIL <first_failure>: <error>``. It is one of ``diophantine``
+exit 2. A failed report names its failure as ``first_failure`` and prints
+the one stderr line ``FAIL <first_failure>``; a passing report has no
+``first_failure``. A finished run is decided by its command's checks in
+``_CHECKS`` (``verify`` checks each identity under its own name), and the
+first that fails is named. A failure that stops the run writes ``error``
+and the rows computed before it (``iterate``'s ``steps``), and its line is
+``FAIL <first_failure>: <error>``. Its name is one of ``diophantine``
 (resonant rotation number), ``hypothesis``, ``divergence`` (of a Lie
 series), ``resonance`` (a zero divisor), ``contraction`` (of the
 iteration) and ``overflow`` (finite values whose product is not finite).
@@ -364,8 +366,6 @@ def cmd_simulate(config, derived, out):
             rep["section_rows"] = len(traj.section)
         rows.append(rep)
 
-    aborted = [i for i, rep in enumerate(rows) if rep["aborted"]]
-    out_of_band = [i for i, rep in enumerate(rows) if not rep["in_band"]]
     for i, rep in enumerate(rows):
         if rep.get("rows", 0) == 0:
             print(f"traj {i}: empty (T = 0)")
@@ -374,13 +374,7 @@ def cmd_simulate(config, derived, out):
                   f"rho drift {rep.get('rho_drift_max', 0.0):.3e}, "
                   f"in band {rep['in_band']}"
                   + (", aborted" if rep["aborted"] else ""))
-    if aborted:
-        print("trajectory aborted (non-finite state or chart domain exit): "
-              f"traj {', '.join(map(str, aborted))}", file=sys.stderr)
-    if out_of_band:
-        print("conservation failure: "
-              f"traj {', '.join(map(str, out_of_band))}", file=sys.stderr)
-    return {"trajectories": rows}, not aborted and not out_of_band
+    return {"trajectories": rows}
 
 
 # -- normalize ----------------------------------------------------------------
@@ -402,8 +396,6 @@ def cmd_normalize(config, derived, out):
     _, n_half, _ = v_star_norm(0.5 * eps)
     ratio = n_full / n_half if n_half > 0 else float("inf")
     slope = math.log(ratio) / math.log(2.0) if n_half > 0 else float("inf")
-    # the band of acceptance criterion 3
-    quadratic_ok = abs(slope - 2.0) <= 0.1
 
     _write_json(_output(out, "v_star.json"),
                 {"config": config, "derived": derived,
@@ -416,14 +408,14 @@ def cmd_normalize(config, derived, out):
         "quadratic_probe": {
             "eps": eps, "eps_half": 0.5 * eps,
             "norm": n_full, "norm_half": n_half,
-            "ratio": ratio, "slope": slope, "pass": quadratic_ok,
+            "ratio": ratio, "slope": slope,
+            # the band of acceptance criterion 3
+            "pass": abs(slope - 2.0) <= 0.1,
         },
     }
     print(f"|V| = {n_v:.6e}, |V_star| = {n_full:.6e}")
     print(f"quadratic probe: ratio {ratio:.4f}, slope {slope:.4f}")
-    if not quadratic_ok:
-        print("quadratic smallness failure", file=sys.stderr)
-    return doc, quadratic_ok
+    return doc
 
 
 # -- iterate ------------------------------------------------------------------
@@ -442,7 +434,7 @@ def cmd_iterate(config, derived, out):
         shown = "-" if ratio is None else f"{ratio:.3f}"
         print(f"step {row['i']}: |V| = {row['measured_norm']:.6e}, "
               f"ratio = {shown}")
-    return {"steps": rows}, True
+    return {"steps": rows}
 
 
 # -- bounds -------------------------------------------------------------------
@@ -528,10 +520,7 @@ def cmd_bounds(config, derived, out):
           f"({trials} triples)")
     print(f"schedule at r = {r_wide:g}: valid = {sched['valid']}, "
           f"eps0_max = {thr:.6e}")
-    passed = worst >= 0.0 and sched["valid"]
-    if not passed:
-        print("bound certification failure", file=sys.stderr)
-    return doc, passed
+    return doc
 
 
 # -- verify -------------------------------------------------------------------
@@ -546,30 +535,22 @@ def cmd_verify(config, derived, out):
                                    n_trials=config["trials"], seed=seed,
                                    dio=dio)
     rows = []
-    first_failure = None
     for entry in suite:
         name = entry["identity"]
         limit = tol if name in _LOOSE_IDENTITIES else _STRICT_TOL
-        # a residual that is not finite is inf here, and fails
-        passed = entry["max_residual"] <= limit
         rows.append({"identity": name,
                      "max_residual": _reported(entry["max_residual"]),
                      "tol": limit, "trials": entry["trials"],
-                     "pass": passed})
-        if not passed and first_failure is None:
-            first_failure = name
+                     # a residual that is not finite is inf here, and fails
+                     "pass": entry["max_residual"] <= limit})
 
     worst_margin, count = _margin_sweep(params, trunc, dio, 5, seed)
     margins_ok = worst_margin >= 0.0
-    if first_failure is None and not margins_ok:
-        first_failure = "bound_margins"
-
     doc = {
         "gamma_hat": dio.gamma,
         "identities": rows,
         "margins": {"trials": 5, "checked": count,
                     "min_margin": _reported(worst_margin), "pass": margins_ok},
-        "first_failure": first_failure,
     }
     for entry, row in zip(suite, rows):
         status = "PASS" if row["pass"] else "FAIL"
@@ -577,9 +558,7 @@ def cmd_verify(config, derived, out):
               f"(tol {row['tol']:g}) {status}")
     print(f"bound margins: min {worst_margin:.6e} "
           f"{'PASS' if margins_ok else 'FAIL'}")
-    if first_failure is not None:
-        print(f"FAIL {first_failure}", file=sys.stderr)
-    return doc, first_failure is None
+    return doc
 
 
 # -- wiring -------------------------------------------------------------------
@@ -587,7 +566,7 @@ def cmd_verify(config, derived, out):
 
 class _Command(NamedTuple):
     help: str
-    # (config, derived, out) -> (report document, passed)
+    # (config, derived, out) -> report document, whose checks are _CHECKS
     run: Callable
     # the report's file name, formatted with the config
     report: str
@@ -695,44 +674,56 @@ _FAILURES = {
 }
 
 
-# the checks of a finished run, by command: its report names as
-# first_failure the first whose test of the report fails (verify names its
-# failed identity or bound_margins itself)
+def _trajectory_checks(doc):
+    rows = doc["trajectories"]
+    return [("aborted", not any(r["aborted"] for r in rows)),
+            ("conservation", all(r["in_band"] for r in rows))]
+
+
+# the checks of a finished run, by command: each maps the report document to
+# its ordered (name, passed) pairs, and the first that fails is the report's
+# first_failure
 _CHECKS = {
-    "simulate": (
-        ("aborted", lambda d: not any(r["aborted"] for r in d["trajectories"])),
-        ("conservation", lambda d: all(r["in_band"] for r in d["trajectories"]))),
-    "normalize": (("quadratic_probe", lambda d: d["quadratic_probe"]["pass"]),),
-    "bounds": (("bound_margins", lambda d: d["margins"]["all_nonnegative"]),
-               ("schedule", lambda d: d["schedule"]["valid"])),
+    "simulate": _trajectory_checks,
+    "section": _trajectory_checks,
+    "normalize": lambda d: [("quadratic_probe", d["quadratic_probe"]["pass"])],
+    "iterate": lambda d: [],
+    "bounds": lambda d: [("bound_margins", d["margins"]["all_nonnegative"]),
+                         ("schedule", d["schedule"]["valid"])],
+    "verify": lambda d: [*((r["identity"], r["pass"]) for r in d["identities"]),
+                         ("bound_margins", d["margins"]["pass"])],
 }
-_CHECKS["section"] = _CHECKS["simulate"]
 
 
 def _run(command, config, derived, out):
     """Run ``command`` and write its report; returns the exit code.
 
     The report holds ``config``, ``derived``, ``pass`` and the document the
-    command returns, with the failed check as ``first_failure``. A
-    scientific failure that stops the run gives instead ``first_failure``,
-    ``error`` and the rows computed before it.
+    command returns; a scientific failure that stops the run gives instead
+    ``error`` and the rows computed before it. A failed report names its
+    failure, the first failed check of ``_CHECKS`` or the stopping failure
+    of ``_FAILURES``, as ``first_failure``, and stderr gets the one line
+    ``FAIL <first_failure>`` (``: <error>`` for a stopped run).
     """
     try:
-        doc, passed = command.run(config, derived, out)
+        doc = command.run(config, derived, out)
     except tuple(_FAILURES) as exc:
-        name = _FAILURES[type(exc)]
-        doc, passed = {"first_failure": name, "error": str(exc)}, False
+        failures, why = [_FAILURES[type(exc)]], f": {exc}"
+        doc = {"error": str(exc)}
         if isinstance(exc, nf.IterationError):
             doc["steps"] = nf.iteration_ledger(exc.states)
-        print(f"FAIL {name}: {exc}", file=sys.stderr)
-    if not passed and "first_failure" not in doc:
-        doc["first_failure"] = next(
-            name for name, ok in _CHECKS[derived["command"]] if not ok(doc))
+    else:
+        failures = [name for name, ok in _CHECKS[derived["command"]](doc)
+                    if not ok]
+        why = ""
+    if failures:
+        doc["first_failure"] = failures[0]
+        print(f"FAIL {failures[0]}{why}", file=sys.stderr)
     path = _output(out, command.report.format(**config))
-    _write_json(path, {"config": config, "derived": derived, "pass": passed,
-                       **doc})
+    _write_json(path, {"config": config, "derived": derived,
+                       "pass": not failures, **doc})
     print(f"report: {path}")
-    return 0 if passed else 2
+    return 2 if failures else 0
 
 
 def main(argv=None) -> int:

@@ -302,19 +302,6 @@ def certify_bounds(w: FourierTaylorSeries, z: FourierTaylorSeries,
 # -- exponential of the derivation -------------------------------------------
 
 
-def _minus_scaled(g: FourierTaylorSeries, h: FourierTaylorSeries,
-                  c: float) -> FourierTaylorSeries:
-    """g - scale(h, c), built once when the boxes agree.
-
-    The subtraction is written as g + (h * c) * -1, the operations of the
-    general path in their order, so the bits are the same.
-    """
-    if g.trunc != h.trunc:
-        return g - fts.scale(h, c)
-    return FourierTaylorSeries(g.coeffs + (h.coeffs * c) * -1.0, g.trunc, g.rho,
-                               hermitian=True)
-
-
 def _lie_series(gamma: ops.Derivation, g: FourierTaylorSeries,
                 h: FourierTaylorSeries, out: FourierTaylorSeries, tol: float):
     """Add ``sum_{k>=1} Gamma^k g / k! - Gamma^k h / (k+1)!`` to out.
@@ -326,9 +313,6 @@ def _lie_series(gamma: ops.Derivation, g: FourierTaylorSeries,
     warns and returns the partial sum. Returns ``(sum, terms_used, dropped)``,
     dropped summing the weight each term's brackets dropped times its factors.
     A term whose weight is not finite raises ``NonFiniteError``.
-
-    With h, a term builds eight series: for each of g and h the two of
-    Gamma and one for the 1/k, then the term and the running sum.
     """
     scale_ = max(fts.majorant_norm(g, 0.0), 1.0)
     prev = math.inf
@@ -341,7 +325,7 @@ def _lie_series(gamma: ops.Derivation, g: FourierTaylorSeries,
         if h is not None:
             h, lost_h = gamma(h)
             h = fts.scale(h, 1.0 / k)  # Gamma^k h / k!
-            term = _minus_scaled(g, h, 1.0 / (k + 1))
+            term = g - fts.scale(h, 1.0 / (k + 1))
             lost += lost_h * (1.0 / k) * (1.0 / (k + 1))
         out = out + term
         dropped += lost
@@ -433,8 +417,7 @@ def _curvature_update(q: FourierTaylorSeries,
 
 def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
                    params: AlgebraParams, tol: float = 1e-12,
-                   dio: DiophantineParams = None,
-                   constants: BoundConstants = None) -> LieTransformResult:
+                   dio: DiophantineParams = None) -> LieTransformResult:
     """Run one normal-form step on the perturbation v.
 
     Splits v into its resonant part (banked into the curvature) and the
@@ -457,10 +440,6 @@ def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
         Relative majorant tolerance for stopping the Lie series.
     dio : DiophantineParams, optional
         Divisor floor certificate for the small-divisor solves.
-    constants : BoundConstants, optional
-        When given, the input norm at ``constants.r`` is checked against
-        the smallness budget ``constants.eps_mu(constants.delta)`` and a
-        RuntimeWarning is emitted if it exceeds the budget.
 
     Returns
     -------
@@ -476,14 +455,6 @@ def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
     >>> fts.majorant_norm(out.v_star, 0.0)
     0.0
     """
-    if constants is not None:
-        budget = constants.eps_mu(constants.delta)
-        nv = fts.majorant_norm(v, constants.r)
-        if nv > budget:
-            warnings.warn(
-                f"input norm {nv:.3g} exceeds the smallness budget "
-                f"{budget:.3g}; the quantitative contraction is not certified",
-                RuntimeWarning)
     gamma = ops.Derivation(v, q, params, dio)
     rv = gamma.resonant
     out, terms, tail = _lie_series(gamma, v, gamma.solvable,
@@ -693,13 +664,13 @@ def kam_iterate(v0: FourierTaylorSeries, q0: FourierTaylorSeries,
     states = []
     v, qs = v0, q0
     r_i = r
+    measured = eps0
     prev_norm = None
     ratio = None
     tail = 0.0
     extra = {}
     for i in range(steps + 1):
         row = sched["steps"][i]
-        measured = fts.majorant_norm(v, r_i)
         if prev_norm is not None and measured > prev_norm:
             raise IterationError(
                 f"step {i} increased the measured norm: {measured:.3g} > "
@@ -726,11 +697,12 @@ def kam_iterate(v0: FourierTaylorSeries, q0: FourierTaylorSeries,
         prev_norm = measured
         v, qs, tail = res.v_star, res.q_star, res.tail_norm
         r_i = r_i - mu_used
-        next_norm = fts.majorant_norm(v, r_i)
-        if measured > 0.0:
-            ratio = next_norm / measured ** 2
+        # V_{i+1} at r_{i+1}: the next state's norm and this step's ratio
+        measured = fts.majorant_norm(v, r_i)
+        if prev_norm > 0.0:
+            ratio = measured / prev_norm ** 2
         else:
-            ratio = 0.0 if next_norm == 0.0 else None
+            ratio = 0.0 if measured == 0.0 else None
     return states
 
 

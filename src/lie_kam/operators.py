@@ -361,21 +361,9 @@ class Derivation:
         self.shift = af / params.rho
 
     def __call__(self, g: FourierTaylorSeries):
-        """(Gamma_f g, weight its bracket dropped), Gamma_f g = {G, g} - (a_f / rho) d_x g.
-
-        When the bracket stays on g's box, the call builds two series: the
-        bracket and the result.
-        """
+        """(Gamma_f g, weight its bracket dropped), Gamma_f g = {G, g} - (a_f / rho) d_x g."""
         bracket, dropped = fts.poisson_bracket(self.generator, g)
-        if bracket.trunc != g.trunc:
-            return bracket + fts.scale(fts.partial_x(g), -self.shift), dropped
-        # bracket + (d_x g) * -shift in one array, by the operations of the
-        # line above in their order, so the bits are the same
-        c = np.zeros_like(g.coeffs)
-        c[:, :, :-1] = g.coeffs[:, :, 1:] * np.arange(1, g.trunc.n_x + 1)
-        c *= -self.shift
-        c += bracket.coeffs
-        return FourierTaylorSeries(c, g.trunc, bracket.rho, hermitian=True), dropped
+        return bracket + fts.scale(fts.partial_x(g), -self.shift), dropped
 
 
 def projection_correction(f: FourierTaylorSeries, q: FourierTaylorSeries,

@@ -221,11 +221,10 @@ def test_simulate_domain_exit_aborts_members(tmp_path, capsys):
     # at eps = 1 every pert1 member leaves |x| <= x_half before T = 20
     args = ["--preset", "pert1", "--eps", "1.0", "--T", "20", "--n", "3"]
     assert run(["simulate", *args, "--out", str(tmp_path / "sim")]) == 2
-    err = capsys.readouterr().err
-    assert "trajectory aborted" in err
-    assert "conservation failure" not in err
+    assert capsys.readouterr().err.splitlines() == ["FAIL aborted"]
     rep = read_json(tmp_path / "sim" / "pert1_report.json")
     assert rep["pass"] is False
+    assert rep["first_failure"] == "aborted"
     assert len(rep["trajectories"]) == 3
     for i, row in enumerate(rep["trajectories"]):
         assert row["aborted"] is True
@@ -531,7 +530,7 @@ def test_verify_passes_with_one_trial(tmp_path, capsys):
     assert rc == 0
     rep = read_json(tmp_path / "verify_report.json")
     assert rep["pass"] is True
-    assert rep["first_failure"] is None
+    assert "first_failure" not in rep
     assert len(rep["identities"]) == 8
     for row in rep["identities"]:
         assert row["trials"] == 1
@@ -558,7 +557,7 @@ def test_non_finite_residual_fails_its_row(tmp_path, monkeypatch, capsys):
     for row in rep["identities"]:
         assert row["pass"] is False and row["max_residual"] is None, row
     assert rep["margins"]["pass"] is True
-    assert "FAIL resonant_idempotent" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == ["FAIL resonant_idempotent"]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -627,7 +626,7 @@ STOPPED = {
 
 
 @pytest.mark.parametrize("case", STOPPED)
-def test_stopped_run_writes_a_report_that_replays(tmp_path, case):
+def test_stopped_run_writes_a_report_that_replays(tmp_path, capsys, case):
     # exit 2 with the report so far, whose config gives the same report
     # (an overflow runs here under pytest's error::RuntimeWarning filter)
     argv, name, failure = STOPPED[case]
@@ -637,6 +636,9 @@ def test_stopped_run_writes_a_report_that_replays(tmp_path, case):
     assert rep["pass"] is False
     assert rep["first_failure"] == failure
     assert rep["error"]
+    # one stderr line, naming the failure and its error
+    assert capsys.readouterr().err.splitlines() == [
+        f"FAIL {failure}: {rep['error']}"]
     if failure == "contraction":
         assert [row["i"] for row in rep["steps"]] == [0, 1]
     cfg = tmp_path / "cfg.json"
@@ -667,7 +669,7 @@ FAILED_CHECKS = {
 
 
 @pytest.mark.parametrize("case", FAILED_CHECKS)
-def test_failed_check_is_named(tmp_path, monkeypatch, case):
+def test_failed_check_is_named(tmp_path, monkeypatch, capsys, case):
     argv, name, failure, report = FAILED_CHECKS[case]
     if report is not None:
         monkeypatch.setattr(rb, "conservation_report", report)
@@ -675,14 +677,30 @@ def test_failed_check_is_named(tmp_path, monkeypatch, case):
     rep = read_json(tmp_path / name)
     assert rep["pass"] is False
     assert rep["first_failure"] == failure
-    assert failure in dict(cli._CHECKS[argv[0]])
+    # the first check of the command's table that the report fails
+    assert [n for n, ok in cli._CHECKS[argv[0]](rep) if not ok][0] == failure
+    assert capsys.readouterr().err.splitlines() == [f"FAIL {failure}"]
 
 
-def test_every_report_has_a_top_level_pass(tmp_path):
-    assert run(["normalize", "--eps", "1e-3", "--out", str(tmp_path)]) == 0
-    assert run(["bounds", "--trials", "1", "--out", str(tmp_path)]) == 0
-    for name in ("normalize_report.json", "bounds_report.json"):
-        assert read_json(tmp_path / name)["pass"] is True, name
+def test_every_report_has_a_top_level_pass(tmp_path, capsys):
+    # a passing report of each command has "pass": true and no first_failure
+    runs = {
+        "pert1_report.json": ["simulate", "--preset", "pert1", "--eps", "1e-2",
+                              "--T", "0.1"],
+        "fig2_report.json": ["section", "--preset", "fig2", "--eps", "1",
+                             "--T", "7", "--h", "0.01"],
+        "normalize_report.json": ["normalize", "--eps", "1e-3"],
+        "iterate_ledger.json": ["iterate", "--steps", "1"],
+        "bounds_report.json": ["bounds", "--trials", "1"],
+        "verify_report.json": ["verify", "--trials", "1"],
+    }
+    assert sorted(argv[0] for argv in runs.values()) == sorted(COMMANDS)
+    for name, argv in runs.items():
+        assert run([*argv, "--out", str(tmp_path)]) == 0, argv
+        rep = read_json(tmp_path / name)
+        assert rep["pass"] is True, name
+        assert "first_failure" not in rep, name
+    assert "FAIL" not in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

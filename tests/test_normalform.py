@@ -202,40 +202,16 @@ def test_lie_series_term_cap(monkeypatch):
     g1, _ = gamma(g)
     g2 = fts.scale(gamma(g1)[0], 0.5)
     assert oracle.max_coeff_diff(out, g + g1 + g2) == 0.0
+    v = pr.reduced_drive_series(1e-3)
     with pytest.warns(RuntimeWarning, match="truncated at 2 terms"):
-        res = nf.compute_v_star(pr.reduced_drive_series(1e-3), Q_SERIES,
-                                PARAMS, dio=DIO)
+        res = nf.compute_v_star(v, Q_SERIES, PARAMS, dio=DIO)
     assert res.series_terms_used == 2
-
-
-def test_lie_term_builds_and_bits(monkeypatch):
-    # one term with h builds eight series: for each of g and h the two of
-    # Gamma and one for the 1/k, then the term and the running sum; four
-    # without h
-    v = small_series(np.random.default_rng(29), scale=1e-2)
+    # V_* is the two-term sum of Gamma^k V / k! - Gamma^k (N V) / (k+1)!
     gamma = ops.Derivation(v, Q_SERIES, PARAMS, DIO)
-    assert gamma.generator.trunc == v.trunc == gamma.solvable.trunc
-    out = fts.zeros(TR, PARAMS.rho)
-    builds = []
-    init = fts.FourierTaylorSeries.__init__
-
-    def counting_init(self, *args, **kwargs):
-        builds.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(fts.FourierTaylorSeries, "__init__", counting_init)
-    # a tolerance every term meets stops the sum after one term
-    got, terms, _ = nf._lie_series(gamma, v, gamma.solvable, out, 1e300)
-    assert terms == 1 and len(builds) <= 8
-    builds.clear()
-    nf._lie_series(gamma, v, None, out, 1e300)
-    assert len(builds) <= 4
-    monkeypatch.undo()
-    # the same bits as the series-by-series sum it replaces
-    g1 = fts.scale(gamma(v)[0], 1.0)
-    h1 = fts.scale(gamma(gamma.solvable)[0], 1.0)
-    want = out + (g1 - fts.scale(h1, 0.5))
-    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    v1, n1 = gamma(v)[0], gamma(gamma.solvable)[0]
+    v2, n2 = fts.scale(gamma(v1)[0], 0.5), fts.scale(gamma(n1)[0], 0.5)
+    want = (v1 - fts.scale(n1, 0.5)) + (v2 - fts.scale(n2, 1.0 / 3))
+    assert res.v_star.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 class _Blowup:
@@ -356,13 +332,6 @@ def test_v_star_builds_one_derivation(monkeypatch):
         nf.compute_v_star(pr.reduced_drive_series(eps), Q_SERIES, PARAMS,
                           dio=DIO)
         assert len(calls) == 1, (eps, len(calls))
-
-
-def test_v_star_budget_warning():
-    bc = nf.compute_bound_constants(PARAMS, DIO, r=0.5, d=0.1, delta=0.1)
-    v = pr.reduced_drive_series(1e-3)  # far above eps_mu at desk scale
-    with pytest.warns(RuntimeWarning):
-        nf.compute_v_star(v, Q_SERIES, PARAMS, dio=DIO, constants=bc)
 
 
 def test_conjugacy_residual_probes():

@@ -290,29 +290,6 @@ def test_operations_own_their_output():
             assert not np.shares_memory(a, b)
 
 
-def test_derivation_call_builds_two_series(monkeypatch):
-    rng = random.Random(67)
-    f, g = as_series(rand_f(rng)), as_series(rand_f(rng))
-    gamma = ops.Derivation(f, Q_SERIES, PARAMS)
-    assert gamma.generator.trunc == g.trunc
-    builds = []
-    init = fts.FourierTaylorSeries.__init__
-
-    def counting_init(self, *args, **kwargs):
-        builds.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(fts.FourierTaylorSeries, "__init__", counting_init)
-    got, dropped = gamma(g)
-    assert len(builds) <= 2
-    monkeypatch.undo()
-    # the same bits as the bracket, derivative, scale and add it replaces
-    bracket, want_dropped = fts.poisson_bracket(gamma.generator, g)
-    want = bracket + fts.scale(fts.partial_x(g), -gamma.shift)
-    assert got.coeffs.tobytes() == want.coeffs.tobytes()
-    assert dropped == want_dropped
-
-
 # -- resonance handling --------------------------------------------------------
 
 
