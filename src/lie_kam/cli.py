@@ -32,6 +32,7 @@ batch.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -244,12 +245,35 @@ def _output(out, name):
     return os.path.join(out, name)
 
 
+# a coefficient row of ``fts.to_json_dict`` (Python ints and floats) as
+# json.dump(sort_keys=True, indent=2) writes it in doc["series"]["coeffs"]:
+# json writes a finite float with float.__repr__ and an int with
+# int.__repr__, as {!r} does
+_ROW = ("      {{\n        \"im\": {im!r},\n        \"l\": {l!r},\n"
+        "        \"m\": {m!r},\n        \"n\": {n!r},\n"
+        "        \"re\": {re!r}\n      }}")
+
+
 def _write_json(path, doc):
+    """Write to ``path`` the bytes of json.dump(doc, sort_keys=True,
+    indent=2) and a newline; numpy scalars are written as the Python
+    numbers they hold.
+
+    The coefficient rows of a ``series`` are formatted here, not by json's
+    pure-Python encoder (which ``indent`` selects): they are nearly all of
+    ``v_star.json``. Series values are finite, so no row needs json's NaN.
+    """
+    rows = doc["series"]["coeffs"] if "series" in doc else []
+    if rows:
+        doc = {**doc, "series": {**doc["series"], "coeffs": []}}
+    text = json.dumps(doc, sort_keys=True, indent=2,
+                      default=lambda o: o.item())
+    if rows:
+        rows_text = ",\n".join(map(_ROW.format_map, rows))
+        text = text.replace('\n    "coeffs": []',
+                            f'\n    "coeffs": [\n{rows_text}\n    ]', 1)
     with open(path, "w", encoding="utf-8") as fh:
-        # numpy scalars are written as the Python numbers they hold
-        json.dump(doc, fh, sort_keys=True, indent=2,
-                  default=lambda o: o.item())
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # -- simulate / section -------------------------------------------------------
@@ -640,6 +664,9 @@ _COMMANDS = {
 }
 
 
+# built on the first main() call and kept for the process: parse_args
+# leaves the parser as it was, also on a usage error
+@functools.cache
 def _build_parser():
     parser = _Parser(prog="lie-kam",
                      description="Normal-form engine and rigid-body "

@@ -39,7 +39,6 @@ __all__ = [
     "certify_bounds",
     "lie_exp_apply",
     "compute_v_star",
-    "conjugacy_residual",
     "eps0_threshold",
     "schedule_sequences",
     "kam_iterate",
@@ -462,28 +461,6 @@ def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
     q_star = _curvature_update(q, rv)
     return LieTransformResult(v_star=out, rv=rv, q_star=q_star,
                               series_terms_used=terms, tail_norm=tail)
-
-
-def conjugacy_residual(v: FourierTaylorSeries, q: FourierTaylorSeries,
-                       params: AlgebraParams, g: FourierTaylorSeries,
-                       tol: float = 1e-12,
-                       dio: DiophantineParams = None) -> float:
-    """Majorant weight of the conjugacy defect on one probe g.
-
-    Measures ``exp(Gamma_V)((H + {V, .}) exp(-Gamma_V) g) - (H g +
-    {R V + V_*, g})`` at radius 0, normalized by the probe weight. Exact
-    arithmetic would give zero for supports that stay far enough inside
-    the index box.
-    """
-    res = compute_v_star(v, q, params, tol, dio)
-    inner = lie_exp_apply(fts.scale(v, -1.0), g, q, params, dio, tol)
-    mid = ops.hamiltonian_apply(inner, q, params) \
-        + fts.poisson_bracket(v, inner)[0]
-    lhs = lie_exp_apply(v, mid, q, params, dio, tol)
-    rhs = ops.hamiltonian_apply(g, q, params) \
-        + fts.poisson_bracket(res.rv + res.v_star, g)[0]
-    ng = max(fts.majorant_norm(g, 0.0), 1e-300)
-    return fts.majorant_norm(lhs - rhs, 0.0) / ng
 
 
 # -- convergence schedule ------------------------------------------------------

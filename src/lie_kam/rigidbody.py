@@ -35,7 +35,6 @@ __all__ = [
     "to_reduced",
     "from_reduced",
     "make_reduced_field",
-    "params_from_inertia",
     "conservation_report",
     "energy_series",
     "sample_sphere",
@@ -353,14 +352,6 @@ def from_reduced(x_big, theta, rho: float):
     s = rho * np.sqrt(1.0 - x_big * x_big)
     return np.stack([s * np.cos(theta), s * np.sin(theta), rho * x_big],
                     axis=-1)
-
-
-def params_from_inertia(inertia: InertiaSpec, rho: float,
-                        x0: float) -> AlgebraParams:
-    """Reduced-system parameters for a symmetric top; rejects i1 != i2."""
-    if not inertia.is_symmetric:
-        raise ValueError("the reduced chart needs a symmetric top (I1 = I2)")
-    return AlgebraParams(rho=rho, i_perp=inertia.i1, i_3=inertia.i3, x0=x0)
 
 
 def make_reduced_field(params: AlgebraParams, v_series: FourierTaylorSeries):

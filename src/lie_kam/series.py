@@ -699,23 +699,24 @@ def to_json_dict(a: FourierTaylorSeries) -> dict:
     """Half-lattice JSON form of a series.
 
     Stores nonzero coefficients with l > 0 or (l = 0, m >= 0); the reality
-    condition supplies the rest on load. A series is exactly hermitian, so
-    a dump followed by a load gives back the same coefficients, and a load
-    followed by a dump reproduces the document byte for byte, up to the
-    sign of zero parts ("-0.0" loads as 0.0).
+    condition supplies the rest on load. The rows come from one scan of the
+    l >= 0 slab in array (C) order, which is (l, m, n) order. A series is
+    exactly hermitian, so a dump followed by a load gives back the same
+    coefficients, and a load followed by a dump reproduces the document
+    byte for byte, up to the sign of zero parts ("-0.0" loads as 0.0).
     """
     t = a.trunc
-    coeffs = []
-    li, mi, ni = np.nonzero(a.coeffs)
-    for ia, ib, ic in zip(li, mi, ni):
-        l, m, n = int(ia - t.l_t), int(ib - t.l_theta), int(ic)
-        if l < 0 or (l == 0 and m < 0):
-            continue
-        v = a.coeffs[ia, ib, ic]
-        re = float(v.real)
-        im = 0.0 if (l == 0 and m == 0) else float(v.imag)
-        coeffs.append({"l": l, "m": m, "n": n, "re": re, "im": im})
-    coeffs.sort(key=lambda e: (e["l"], e["m"], e["n"]))
+    slab = a.coeffs[t.l_t:]
+    keep = slab != 0
+    keep[0, :t.l_theta] = False
+    li, mi, ni = np.nonzero(keep)
+    vals = slab[li, mi, ni]
+    # the (0, 0) coefficients are real: their stored imaginary part is 0.0
+    im = np.where((li == 0) & (mi == t.l_theta), 0.0, vals.imag)
+    coeffs = [{"l": l, "m": m, "n": n, "re": re, "im": i}
+              for l, m, n, re, i in zip(li.tolist(), (mi - t.l_theta).tolist(),
+                                        ni.tolist(), vals.real.tolist(),
+                                        im.tolist())]
     return {
         "rho": a.rho,
         "trunc": {"N_x": t.n_x, "L_theta": t.l_theta, "L_t": t.l_t},

@@ -7,8 +7,9 @@ real algebra bug. Deliberately no imports from lie_kam in the math itself.
 
 Test-only checks of package series also live here: the sampled sup norm
 on the complex strip, the coefficient difference of two series and the
-hermitian defect of a coefficient box, and the small-divisor check one
-mode at a time.
+hermitian defect of a coefficient box, the small-divisor check one
+mode at a time, the conjugacy residual of one normal-form step on a
+probe, and the reduced-chart parameters of a symmetric top.
 """
 import math
 import warnings
@@ -256,3 +257,36 @@ def max_coeff_diff(a, b):
 def hermitian_defect(coeffs):
     """Max |c_{l,m,n} - conj(c_{-l,-m,n})| over a dense (l, m, n) box."""
     return float(np.max(np.abs(coeffs - np.conj(coeffs[::-1, ::-1, :]))))
+
+
+# package-side checks the commands do not run; lazy imports as above
+
+
+def conjugacy_residual(v, q, params, g, tol=1e-12, dio=None):
+    """Majorant weight of the conjugacy defect on one probe g.
+
+    Measures ``exp(Gamma_V)((H + {V, .}) exp(-Gamma_V) g) - (H g +
+    {R V + V_*, g})`` at radius 0, normalized by the probe weight. Exact
+    arithmetic would give zero for supports that stay far enough inside
+    the index box.
+    """
+    from lie_kam import normalform as nf
+    from lie_kam import operators as ops
+    from lie_kam import series as fts
+    res = nf.compute_v_star(v, q, params, tol, dio)
+    inner = nf.lie_exp_apply(fts.scale(v, -1.0), g, q, params, dio, tol)
+    mid = ops.hamiltonian_apply(inner, q, params) \
+        + fts.poisson_bracket(v, inner)[0]
+    lhs = nf.lie_exp_apply(v, mid, q, params, dio, tol)
+    rhs = ops.hamiltonian_apply(g, q, params) \
+        + fts.poisson_bracket(res.rv + res.v_star, g)[0]
+    ng = max(fts.majorant_norm(g, 0.0), 1e-300)
+    return fts.majorant_norm(lhs - rhs, 0.0) / ng
+
+
+def params_from_inertia(inertia, rho, x0):
+    """Reduced-system parameters for a symmetric top; rejects i1 != i2."""
+    from lie_kam.operators import AlgebraParams
+    if not inertia.is_symmetric:
+        raise ValueError("the reduced chart needs a symmetric top (I1 = I2)")
+    return AlgebraParams(rho=rho, i_perp=inertia.i1, i_3=inertia.i3, x0=x0)

@@ -500,6 +500,83 @@ def test_normal_form_commands_deterministic_bytes(tmp_path):
         assert blobs[0] == blobs[1], argv[0]
 
 
+def _json_dump_bytes(doc, path):
+    # what _write_json promises: json's own output and a newline
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2, default=lambda o: o.item())
+        fh.write("\n")
+    return path.read_bytes()
+
+
+def _edge_series():
+    # signed zeros, the smallest subnormal, huge and tiny magnitudes and
+    # values that need 17 significant digits
+    terms = [(0, 0, 0, 1e300), (0, 0, 1, -0.0 + 5e-324), (0, 1, 0, -0.0 + 1e-300j),
+             (0, 2, 3, 0.1 + 0.2), (1, -3, 2, complex(1 / 3, -0.0)),
+             (2, 0, 0, complex(-1e300, 2.0 ** -1074)),
+             (3, 4, 5, complex(-5e-324, 0.30000000000000004)),
+             (1, 1, 1, complex(9007199254740993.0, -1e-300))]
+    return fts.from_real_terms(terms, pr.DEFAULT_TRUNC, 2.0)
+
+
+def _writer_cases():
+    trunc = pr.DEFAULT_TRUNC
+    rng = np.random.default_rng(23)
+    series = [fts.random_real_series(trunc, 2.0, rng, n_terms=n)
+              for n in (1, 30, 200)]
+    series += [fts.zeros(trunc, 2.0), _edge_series()]
+    config = {"preset": "pert1", "eps": 3e-3, "algebra": {"rho": 2.0},
+              "truncation": {"n_x": 6}}
+    derived = {"command": "normalize", "gamma": np.float64(0.1) + 0.2,
+               "count": np.int64(7)}
+    for s in series:
+        yield {"config": config, "derived": derived,
+               "series": fts.to_json_dict(s)}
+    yield {"config": config, "derived": derived, "pass": True,
+           "rows": [{"re": 1e-300, "im": -0.0}], "none": None}
+
+
+def test_write_json_is_json_dump_byte_for_byte(tmp_path):
+    docs = list(_writer_cases())
+    assert docs[3]["series"]["coeffs"] == []
+    assert len(docs[4]["series"]["coeffs"]) == 8
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"fast{i}.json"
+        cli._write_json(path, doc)
+        assert path.read_bytes() == _json_dump_bytes(
+            doc, tmp_path / f"json{i}.json"), i
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficient_never_reaches_the_writer(bad):
+    # the rows are written with float.__repr__, which spells NaN "nan"
+    # where json writes "NaN": the constructor must keep such values out
+    trunc = pr.DEFAULT_TRUNC
+    coeffs = np.zeros(trunc.shape, dtype=np.complex128)
+    coeffs[trunc.l_t, trunc.l_theta, 0] = bad
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            fts.from_real_terms([(1, 0, 0, complex(1.0, bad))], trunc, 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            fts.FourierTaylorSeries(coeffs, trunc, 2.0)
+
+
+def test_parser_is_built_once(tmp_path, capsys):
+    cli._build_parser.cache_clear()
+    alone = tmp_path / "alone"
+    argv = ["normalize", "--eps", "1e-3", "--out"]
+    assert run(argv + [str(alone)]) == 0
+    assert cli._build_parser() is cli._build_parser()
+    # a usage error leaves the shared parser as it was
+    assert run(["normalize", "--bogus", "--out", str(tmp_path / "bad")]) == 1
+    assert "--bogus" in capsys.readouterr().err
+    after = tmp_path / "after"
+    assert run(argv + [str(after)]) == 0
+    for name in ("v_star.json", "normalize_report.json"):
+        assert (after / name).read_bytes() == (alone / name).read_bytes()
+    assert not (tmp_path / "bad").exists()
+
+
 # -- bounds / verify ----------------------------------------------------------
 
 

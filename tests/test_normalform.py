@@ -343,7 +343,7 @@ def test_conjugacy_residual_probes():
     for _ in range(5):
         g = fts.random_real_series(TR, PARAMS.rho, rng, n_terms=5,
                                    l_t_max=1, l_theta_max=1, n_x_max=1)
-        resid = nf.conjugacy_residual(v, Q_SERIES, PARAMS, g, tol=tol,
+        resid = oracle.conjugacy_residual(v, Q_SERIES, PARAMS, g, tol=tol,
                                       dio=DIO)
         assert resid <= 5.0 * tol
 

@@ -458,6 +458,28 @@ def test_json_roundtrip_bit_exact():
         assert oracle.max_coeff_diff(a, back) == 0.0
 
 
+def test_json_rows_are_the_half_lattice_in_index_order():
+    # the rows are every nonzero coefficient with l > 0 or (l = 0, m >= 0),
+    # sorted by (l, m, n), with the real (0, 0) rows' im written as 0.0
+    rng = np.random.default_rng(5)
+    for n_terms in (1, 40, 300):
+        s = fts.random_real_series(TR, RHO, rng, n_terms=n_terms)
+        want = [{"l": l, "m": m, "n": n, "re": c.real,
+                 "im": 0.0 if l == m == 0 else c.imag}
+                for (l, m, n), c in sorted(oracle.dict_from_series(s).items())
+                if l > 0 or (l == 0 and m >= 0)]
+        got = fts.to_json_dict(s)["coeffs"]
+        assert got == want
+        assert all(type(e[k]) is int for e in got for k in "lmn")
+        assert all(type(e[k]) is float for e in got for k in ("re", "im"))
+    # a center coefficient stored with imaginary part -0.0 is written 0.0
+    c = np.zeros(TR.shape, dtype=np.complex128)
+    c[TR.l_t, TR.l_theta, 2] = complex(4.0, -0.0)
+    (row,) = fts.to_json_dict(FourierTaylorSeries(c, TR, RHO))["coeffs"]
+    assert (row["l"], row["m"], row["n"], row["re"]) == (0, 0, 2, 4.0)
+    assert math.copysign(1.0, row["im"]) == 1.0
+
+
 def test_json_rejects_non_real():
     # an imaginary l = m = 0 entry is rejected where the document enters
     doc = fts.to_json_dict(fts.from_real_terms([(0, 0, 1, 4.0)], TR, RHO))
