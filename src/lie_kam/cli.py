@@ -465,7 +465,7 @@ def cmd_iterate(config, derived, out):
 
 
 def _random_triple(rng, trunc, params, scale_q=0.005):
-    win = ops._suite_window(trunc)
+    win = ops.identity_window(trunc)
     w = fts.random_real_series(trunc, params.rho, rng, n_terms=25,
                                l_t_max=win["l_t"], l_theta_max=win["l_theta"],
                                n_x_max=win["n_x"])

@@ -305,28 +305,38 @@ def _lie_series(gamma: ops.Derivation, g: FourierTaylorSeries,
                 h: FourierTaylorSeries, out: FourierTaylorSeries, tol: float):
     """Add ``sum_{k>=1} Gamma^k g / k! - Gamma^k h / (k+1)!`` to out.
 
-    h may be None (no second series). Terms are added until the majorant
-    weight of the k-th term falls below ``tol`` times the weight of g
-    (absolute when g has weight 0). Five consecutive non-decreasing term
-    weights raise :class:`DivergenceError`; reaching ``_MAX_TERMS`` terms
-    warns and returns the partial sum. Returns ``(sum, terms_used, dropped)``,
-    dropped summing the weight each term's brackets dropped times its factors.
-    A term whose weight is not finite raises ``NonFiniteError``.
+    h may be None (no second series), and out lies on g's box. Terms are
+    added until the majorant weight of the k-th term falls below ``tol``
+    times the weight of g (absolute when g has weight 0). Five consecutive
+    non-decreasing term weights raise :class:`DivergenceError`; reaching
+    ``_MAX_TERMS`` terms warns and returns the partial sum. Returns
+    ``(sum, terms_used, dropped)``, dropped summing the weight each term's
+    brackets dropped times its factors. A term whose weight is not finite
+    raises ``NonFiniteError``.
+
+    Each application of gamma carries its 1/k into its one output array.
+    Every term lies on the same box, that of G, g and h merged, which
+    holds out's, so after the first term the running sum is one array
+    that each term is added into, in the order the series sum would add
+    it, and it becomes a series once, when the sum is returned.
     """
     scale_ = max(fts.majorant_norm(g, 0.0), 1.0)
     prev = math.inf
     rises = 0
     dropped = 0.0
+    total = None
     for k in range(1, _MAX_TERMS + 1):
-        g, lost = gamma(g)
-        g = fts.scale(g, 1.0 / k)  # Gamma^k g / k!
+        g, lost = gamma(g, 1.0 / k)  # Gamma^k g / k!
         term, lost = g, lost * (1.0 / k)
         if h is not None:
-            h, lost_h = gamma(h)
-            h = fts.scale(h, 1.0 / k)  # Gamma^k h / k!
+            h, lost_h = gamma(h, 1.0 / k)  # Gamma^k h / k!
             term = g - fts.scale(h, 1.0 / (k + 1))
             lost += lost_h * (1.0 / k) * (1.0 / (k + 1))
-        out = out + term
+        if total is None:
+            out = out + term
+            total = np.array(out.coeffs)
+        else:
+            total += term.coeffs
         dropped += lost
         tn = fts.majorant_norm(term, 0.0)
         if not math.isfinite(tn):
@@ -334,7 +344,7 @@ def _lie_series(gamma: ops.Derivation, g: FourierTaylorSeries,
                 f"Lie series overflowed: term {k} has a weight that is not "
                 "finite")
         if tn <= tol * scale_:
-            return out, k, dropped
+            break
         if tn >= prev:
             rises += 1
             if rises >= 5:
@@ -344,9 +354,10 @@ def _lie_series(gamma: ops.Derivation, g: FourierTaylorSeries,
         else:
             rises = 0
         prev = tn
-    warnings.warn(f"Lie series truncated at {_MAX_TERMS} terms with last "
-                  f"term weight {prev:.3g}", RuntimeWarning)
-    return out, _MAX_TERMS, dropped
+    else:
+        warnings.warn(f"Lie series truncated at {_MAX_TERMS} terms with last "
+                      f"term weight {prev:.3g}", RuntimeWarning)
+    return FourierTaylorSeries(total, out.trunc, out.rho, hermitian=True), k, dropped
 
 
 def lie_exp_apply(f: FourierTaylorSeries, g: FourierTaylorSeries,

@@ -52,6 +52,7 @@ __all__ = [
     "estimate_diophantine",
     "probe_basket",
     "generic_curvature",
+    "identity_window",
     "run_identity_suite",
 ]
 
@@ -152,28 +153,52 @@ def _p0(f: FourierTaylorSeries) -> FourierTaylorSeries:
 # -- small divisors ----------------------------------------------------------
 
 
-def _divisor_grid(trunc: TruncationSpec, omega: float):
-    ls = np.arange(-trunc.l_t, trunc.l_t + 1, dtype=np.float64)
-    ms = np.arange(-trunc.l_theta, trunc.l_theta + 1, dtype=np.float64)
-    return ls[:, None] + omega * ms[None, :]
+@functools.lru_cache
+def _divisor_table(trunc: TruncationSpec, omega: float,
+                   dio: DiophantineParams = None):
+    """(divisor, solve, floor, low) on the (l, m) grid of trunc's box.
 
-
-def _check_divisors(ls, ms, omega: float, dio: DiophantineParams):
-    """Raise or warn for the modes (ls[i], ms[i]) actually divided by.
-
-    All modes are tested in one expression; only the ones that fail are
-    visited, in order, to raise ``ResonanceError`` below ``_MIN_DIVISOR``
-    or warn below the Diophantine floor.
+    divisor is l + omega m; solve is divisor with 1.0 wherever it is an
+    exact resonance (below ``_MIN_DIVISOR``), for the modes no solve
+    divides by; floor is dio's floor gamma / (|l| + |m|)^tau (inf at the
+    center; None without dio); low marks the modes ``_check_divisors``
+    visits. The table is a pure function of its arguments, cached and
+    frozen, so the solves of a run tabulate each box once.
     """
-    ls, ms = np.asarray(ls, dtype=np.int64), np.asarray(ms, dtype=np.int64)
-    div = np.abs(omega * ms + ls)
+    ls = np.arange(-trunc.l_t, trunc.l_t + 1, dtype=np.float64)[:, None]
+    ms = np.arange(-trunc.l_theta, trunc.l_theta + 1, dtype=np.float64)[None, :]
+    divisor = ls + omega * ms
+    div = np.abs(divisor)
     low = div < _MIN_DIVISOR
+    solve = np.where(low, 1.0, divisor)
+    floor = None
     if dio is not None:
+        with np.errstate(divide="ignore"):
+            floor = dio.floor(ls, ms)
         # the array power may differ from the scalar floor in the last bit:
         # take a hair more here, and decide each mode by the scalar floor
-        low |= div < dio.floor(ls, ms) * (1.0 + 1e-12)
-    for i in np.flatnonzero(low):
-        l, m, d = int(ls[i]), int(ms[i]), float(div[i])
+        low |= div < floor * (1.0 + 1e-12)
+    table = (divisor, solve, floor, low)
+    for arr in table:
+        if arr is not None:
+            arr.flags.writeable = False
+    return table
+
+
+def _check_divisors(trunc: TruncationSpec, li, mi, omega: float,
+                    dio: DiophantineParams):
+    """Raise or warn for the modes at (li[i], mi[i]) of trunc's (l, m) grid
+    actually divided by.
+
+    All modes are tested in one lookup of the divisor table; only the ones
+    that fail are visited, in order, to raise ``ResonanceError`` below
+    ``_MIN_DIVISOR`` or warn below the Diophantine floor.
+    """
+    divisor, _, _, low = _divisor_table(trunc, omega, dio)
+    for i in np.flatnonzero(low[li, mi]):
+        a, b = li[i], mi[i]
+        l, m = int(a) - trunc.l_t, int(b) - trunc.l_theta
+        d = float(abs(divisor[a, b]))
         if d < _MIN_DIVISOR:
             raise ResonanceError(
                 f"divisor |omega*{m} + {l}| = {d:.3e} below {_MIN_DIVISOR:.1e}")
@@ -190,19 +215,20 @@ def small_divisor_solve(f: FourierTaylorSeries, params: AlgebraParams,
 
     Modes of degree >= 2 and the time-angle average are dropped; the result u
     satisfies (omega*d_theta + d_t) u = fluctuating part of degree <= 1 of f.
-    Divisors are only formed at modes f actually populates. The result
-    stays exactly hermitian: the divisor is odd, d(-l, -m) = -d(l, m).
+    Only the modes f actually populates are checked against the divisor
+    floors; the divisors themselves come from the cached table of f's box
+    (see ``_divisor_table``). The result stays exactly hermitian: the
+    divisor is odd, d(-l, -m) = -d(l, m).
     """
     t = f.trunc
     top = min(1, t.n_x)
     src = np.array(f.coeffs[:, :, : top + 1])
     src[t.l_t, t.l_theta, :] = 0.0
     li, mi = np.nonzero(src.any(axis=2))
-    _check_divisors(li - t.l_t, mi - t.l_theta, params.omega, dio)
-    d = _divisor_grid(t, params.omega)
-    d = np.where(np.abs(d) < _MIN_DIVISOR, 1.0, d)  # masked entries have src == 0
+    _check_divisors(t, li, mi, params.omega, dio)
+    solve = _divisor_table(t, params.omega, dio)[1]  # masked entries have src == 0
     c = np.zeros(t.shape, dtype=np.complex128)
-    c[:, :, : top + 1] = -1j * src / d[:, :, None]
+    c[:, :, : top + 1] = -1j * src / solve[:, :, None]
     return FourierTaylorSeries(c, t, f.rho, hermitian=True)
 
 
@@ -275,27 +301,47 @@ def translation_coefficient(f: FourierTaylorSeries, q: FourierTaylorSeries,
     Solves the degree-1 average obstruction: the returned scalar a satisfies
     average(deg-1 of (f - a/rho * Q x - ...)) = 0 once the fluctuating
     degree-0 part has been absorbed by the small-divisor solver.
+
+    The divisor sum runs over the fluctuating degree-0 modes (l, m) of f
+    whose partner Q(-l, -m) is nonzero, all at once on arrays; each term
+    is formed with the rounding of complex scalar arithmetic, and the terms
+    are added one after another in (l, m) order, so the result does not
+    depend on how the sum is vectorized.
     """
     _require_degree0(q)
     q00 = q.coeff(0, 0, 0)
     if q00 == 0:
         raise ValueError("curvature series must have a nonzero average")
-    t = f.trunc
+    t, tq = f.trunc, q.trunc
     f0 = f.coeffs[:, :, 0]
-    li, mi = np.nonzero(f0)
+    # Q(-l, -m) on f's (l, m) grid: Q mirrored, zero outside its box and at
+    # the center, which the sum leaves out
+    lt, lm = min(t.l_t, tq.l_t), min(t.l_theta, tq.l_theta)
+    qg = np.zeros(f0.shape, dtype=np.complex128)
+    qg[t.l_t - lt:t.l_t + lt + 1, t.l_theta - lm:t.l_theta + lm + 1] = \
+        q.coeffs[::-1, ::-1, 0][tq.l_t - lt:tq.l_t + lt + 1,
+                                tq.l_theta - lm:tq.l_theta + lm + 1]
+    qg[t.l_t, t.l_theta] = 0.0
+    li, mi = np.nonzero((f0 != 0) & (qg != 0))
+    _check_divisors(t, li, mi, params.omega, dio)
     acc = 0.0 + 0.0j
-    ls, ms = [], []
-    for a, b in zip(li, mi):
-        l, m = int(a - t.l_t), int(b - t.l_theta)
-        if l == 0 and m == 0:
-            continue
-        qc = q.coeff(-l, -m, 0)
-        if qc == 0:
-            continue
-        ls.append(l)
-        ms.append(m)
-        acc += m * qc * f0[a, b] / (params.omega * m + l)
-    _check_divisors(ls, ms, params.omega, dio)
+    if li.size:
+        # m * Q * f0 / d as the scalars int * complex * complex / float
+        # round it: each product on its parts, and the division by the real
+        # d as complex division by (d + 0j) does, through the reciprocal
+        m = (mi - t.l_theta).astype(np.float64)
+        qc, fv = qg[li, mi], f0[li, mi]
+        ar, ai = m * qc.real - 0.0 * qc.imag, m * qc.imag + 0.0 * qc.real
+        nr = ar * fv.real - ai * fv.imag
+        ni = ar * fv.imag + ai * fv.real
+        d = _divisor_table(t, params.omega, dio)[0][li, mi]
+        rat = 0.0 / d
+        scl = 1.0 / (d + 0.0 * rat)
+        terms = np.empty(li.size + 1, dtype=np.complex128)
+        terms[0] = acc
+        terms.real[1:] = (nr + ni * rat) * scl
+        terms.imag[1:] = (ni - nr * rat) * scl
+        acc = np.add.accumulate(terms)[-1]  # one term after another
     out = (params.rho * f.coeff(0, 0, 1) - acc) / q00
     return _strip_imag(out, "translation coefficient")
 
@@ -319,6 +365,9 @@ class Derivation:
     curvature correction K that turns the basic projections into R f and
     N f. By bilinearity of the bracket, ``gamma(g)`` is then one bracket
     with the stored generator ``G = G_s f - x W_f`` plus an x-derivative.
+    G's side of that bracket (its positions and channel values) is
+    derived at the first application and kept with G, so a Lie series
+    applying Gamma_f to every term derives it once per step.
 
     Attributes
     ----------
@@ -360,10 +409,29 @@ class Derivation:
         self.generator = small_divisor_solve(f, params, dio) - xw
         self.shift = af / params.rho
 
-    def __call__(self, g: FourierTaylorSeries):
-        """(Gamma_f g, weight its bracket dropped), Gamma_f g = {G, g} - (a_f / rho) d_x g."""
+    def __call__(self, g: FourierTaylorSeries, factor=None):
+        """(Gamma_f g, weight its bracket dropped), Gamma_f g = {G, g} - (a_f / rho) d_x g.
+
+        With a real ``factor``, the series is factor * Gamma_f g and the
+        weight is still the bracket's own. The translation term is written
+        into one array on the bracket's box, the bracket added to it and
+        the factor applied in place: the same roundings as
+        ``scale(bracket + scale(partial_x(g), -shift), factor)``, with one
+        series built instead of four. The bracket's first factor is the
+        generator every call shares, whose side of the kernel call is
+        derived once (see ``series.poisson_bracket``).
+        """
         bracket, dropped = fts.poisson_bracket(self.generator, g)
-        return bracket + fts.scale(fts.partial_x(g), -self.shift), dropped
+        t, tg = bracket.trunc, g.trunc
+        out = np.zeros(t.shape, dtype=np.complex128)
+        dx = out[t.l_t - tg.l_t:t.l_t + tg.l_t + 1,
+                 t.l_theta - tg.l_theta:t.l_theta + tg.l_theta + 1, :tg.n_x + 1]
+        np.multiply(g.coeffs[:, :, 1:], np.arange(1, tg.n_x + 1), out=dx[:, :, :-1])
+        dx *= -self.shift
+        out += bracket.coeffs
+        if factor is not None:
+            out *= factor
+        return FourierTaylorSeries(out, t, bracket.rho, hermitian=True), dropped
 
 
 def projection_correction(f: FourierTaylorSeries, q: FourierTaylorSeries,
@@ -418,9 +486,14 @@ def _l1(s: FourierTaylorSeries) -> float:
     return float(np.sum(np.abs(s.coeffs)))
 
 
-def _suite_window(trunc: TruncationSpec):
-    # the identity basket grows harmonic support by at most 3 and degree by
-    # at most 3, so random inputs must stay that far inside the box
+def identity_window(trunc: TruncationSpec) -> dict:
+    """Sub-window {l_t, l_theta, n_x} of trunc that random identity inputs
+    stay in.
+
+    The identity basket grows harmonic support by at most 3 and degree by
+    at most 3, so random inputs stay that far inside the box and no
+    identity can fail by truncation alone.
+    """
     return {
         "l_t": max(trunc.l_t - 3, 0),
         "l_theta": max(trunc.l_theta - 3, 0),
@@ -444,11 +517,13 @@ def run_identity_suite(params: AlgebraParams, trunc: TruncationSpec = None,
     if trunc is None:
         trunc = TruncationSpec(n_x=6, l_theta=8, l_t=8)
     q = generic_curvature(params)
-    win = _suite_window(trunc)
+    win = identity_window(trunc)
     if min(win.values()) < 1:
         raise ValueError(f"truncation box {trunc} too small for the identity suite")
     rng = np.random.default_rng(seed)
-    probes = probe_basket(trunc, params.rho)
+    # the probes and q are fixed, so each probe's H g is formed once
+    probes = [(g, max(_l1(g), 1e-300), hamiltonian_apply(g, q, params))
+              for g in probe_basket(trunc, params.rho)]
     names = [
         "resonant_idempotent",
         "solvable_after_resonant",
@@ -494,11 +569,10 @@ def run_identity_suite(params: AlgebraParams, trunc: TruncationSpec = None,
         record("translation_kills_basic_resonant",
                abs(translation_coefficient(rsf, q, params, dio)) / nf)
 
-        for g in probes:
-            ng = max(_l1(g), 1e-300)
+        for g, ng, hg in probes:
             record("derivation_after_resonant", _l1(gamma_rf(g)[0]) / (nf * ng))
             lhs = hamiltonian_apply(gamma_f(g)[0], q, params)
-            rhs = gamma_f(hamiltonian_apply(g, q, params))[0]
+            rhs = gamma_f(hg)[0]
             commutator = lhs - rhs
             want = fts.poisson_bracket(solv, g)[0]
             record("homological", _l1(commutator - want) / (nf * ng))

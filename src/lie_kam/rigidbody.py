@@ -85,10 +85,6 @@ class InertiaSpec:
                     f"modulation amplitude {amp} on axis {i + 1} drives the "
                     f"inverse moment {inv[i]} non-positive")
 
-    @property
-    def is_symmetric(self) -> bool:
-        return self.i1 == self.i2
-
     def static_inverse(self):
         """Inverse moments (1/I1, 1/I2, 1/I3) without modulation."""
         return np.array([1.0 / self.i1, 1.0 / self.i2, 1.0 / self.i3])

@@ -177,7 +177,7 @@ class FourierTaylorSeries:
         which the series takes over (frozen, not copied) without checking.
     """
 
-    __slots__ = ("coeffs", "trunc", "rho")
+    __slots__ = ("coeffs", "trunc", "rho", "_bracket_form")
 
     def __init__(self, coeffs, trunc: TruncationSpec, rho: float,
                  hermitian: bool = False):
@@ -203,6 +203,7 @@ class FourierTaylorSeries:
         self.coeffs = coeffs
         self.trunc = trunc
         self.rho = float(rho)
+        self._bracket_form = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -239,16 +240,18 @@ class FourierTaylorSeries:
 
 
 def _hermitian_defect(coeffs) -> float:
-    return float(np.max(np.abs(coeffs - np.conj(coeffs[::-1, ::-1, :]))))
+    # an infinite coefficient gives inf - inf = NaN here, which the caller
+    # reports as a ValueError: no warning, also where warnings are errors
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.abs(coeffs - np.conj(coeffs[::-1, ::-1, :]))))
 
 
 def _check_finite(coeffs):
-    """coeffs, once every entry is checked to be finite; a product kernel's
-    output that is not raises NonFiniteError."""
+    """Raise NonFiniteError unless every entry of a product kernel's output
+    is finite."""
     if not np.isfinite(coeffs).all():
         raise NonFiniteError("series product overflowed: coefficients "
                              "must be finite")
-    return coeffs
 
 
 def _hermitian_part(coeffs):
@@ -573,7 +576,8 @@ def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries):
             la, ma - ta.l_theta, na, src[None, la, ma, na],
             lb - tb.l_t, mb - tb.l_theta, nb, b.coeffs[None, lb, mb, nb],
             trunc.l_t, trunc.l_theta, trunc.n_x, xpow)
-        out = _check_finite(out + np.conj(out[::-1, ::-1, :]))
+        out += np.conj(out[::-1, ::-1, :])
+        _check_finite(out)
     return FourierTaylorSeries(out, trunc, a.rho, hermitian=True), 2.0 * tail
 
 
@@ -596,6 +600,34 @@ def partial_t(a: FourierTaylorSeries) -> FourierTaylorSeries:
     return FourierTaylorSeries(c, a.trunc, a.rho, hermitian=True)
 
 
+def _bracket_form(a: FourierTaylorSeries):
+    """(la, ma, na, channels): a as the first factor of a bracket.
+
+    The positions of the upper half of a (see :func:`_upper_half`) whose
+    cells carry a channel (n = m = 0 carries none), with l counted from 0,
+    m centered, and the channel values (n, i m) * c. A series is immutable,
+    so the form is computed at its first bracket and kept with it, frozen;
+    a derivation that brackets its one generator with every Lie term
+    derives it once.
+    """
+    form = a._bracket_form
+    if form is None:
+        t = a.trunc
+        src = _upper_half(a)
+        src[:, t.l_theta, 0] = 0.0
+        la, ma, na = np.nonzero(src)
+        va = src[la, ma, na]
+        ma = ma - t.l_theta
+        # a channel value that overflows makes the bracket's output not
+        # finite, which the bracket raises as NonFiniteError
+        with np.errstate(over="ignore", invalid="ignore"):
+            form = (la, ma, na, np.array((na, 1j * ma)) * va)
+        for arr in form:
+            arr.flags.writeable = False
+        a._bracket_form = form
+    return form
+
+
 def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries):
     """Reduced bracket {a, b} = (d_x a d_theta b - d_theta a d_x b) / rho,
     and the weight it dropped: ``(bracket, dropped)``.
@@ -610,35 +642,42 @@ def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries):
     is mirrored once. A factor without x or theta dependence gives the
     zero series on the merged box, without calling the kernel.
 
+    The first factor's side of the call (its positions and channel
+    values) is derived once per series and kept with it (see
+    :func:`_bracket_form`), so bracketing one generator with many series,
+    as a derivation's Lie series does, forms it once; only b's side is
+    derived per call.
+
     ``dropped`` is the majorant weight at r = 0 that the two derivative
     products d_x a d_theta b and d_theta a d_x b drop outside the box,
     added and divided by rho. A bracket that overflows raises NonFiniteError.
     """
     _check_rho(a, b)
     trunc = a.trunc.merge(b.trunc)
-    ta, tb = a.trunc, b.trunc
+    tb = b.trunc
     # positions where n = m = 0 carry no channel: drop them
-    src = _upper_half(a)
-    src[:, ta.l_theta, 0] = 0.0
-    other = np.array(b.coeffs)
-    other[:, tb.l_theta, 0] = 0.0
-    la, ma, na = np.nonzero(src)
+    la, ma, na, va = _bracket_form(a)
+    other = b.coeffs != 0
+    other[:, tb.l_theta, 0] = False
     lb, mb, nb = np.nonzero(other)
     if not (la.size and lb.size):
         return zeros(trunc, a.rho), 0.0
-    va, vb = src[la, ma, na], other[lb, mb, nb]
-    ma, mb = ma - ta.l_theta, mb - tb.l_theta
+    vb = b.coeffs[lb, mb, nb]
+    mb = mb - tb.l_theta
     xpow = DEFAULT_DOMAIN.x_half ** np.arange(trunc.n_x + 1, dtype=np.float64)
     c = 1.0 / a.rho
     with np.errstate(over="ignore", invalid="ignore"):
         out, tail = convolve_nonzeros(
-            la, ma, na, np.array((na, 1j * ma)) * va,
+            la, ma, na, va,
             lb - tb.l_t, mb, nb, np.array((1j * mb, -nb)) * vb,
             trunc.l_t, trunc.l_theta, trunc.n_x + 1, xpow)
-        out = out[:, :, 1:]
-        out = _check_finite((out + np.conj(out[::-1, ::-1, :])) * c)
+        # the mirror sum, scaled, in one fresh array
+        res = np.conj(out[::-1, ::-1, 1:])
+        res += out[:, :, 1:]
+        res *= c
+        _check_finite(res)
     # each weight carries one x_half too many, as its degree does
-    return (FourierTaylorSeries(out, trunc, a.rho, hermitian=True),
+    return (FourierTaylorSeries(res, trunc, a.rho, hermitian=True),
             2.0 * tail / DEFAULT_DOMAIN.x_half * c)
 
 

@@ -7,9 +7,10 @@ real algebra bug. Deliberately no imports from lie_kam in the math itself.
 
 Test-only checks of package series also live here: the sampled sup norm
 on the complex strip, the coefficient difference of two series and the
-hermitian defect of a coefficient box, the small-divisor check one
-mode at a time, the conjugacy residual of one normal-form step on a
-probe, and the reduced-chart parameters of a symmetric top.
+hermitian defect of a coefficient box, the small-divisor check and the
+translation coefficient's divisor sum one mode at a time, the conjugacy
+residual of one normal-form step on a probe, and the reduced-chart
+parameters of a symmetric top.
 """
 import math
 import warnings
@@ -284,9 +285,40 @@ def conjugacy_residual(v, q, params, g, tol=1e-12, dio=None):
     return fts.majorant_norm(lhs - rhs, 0.0) / ng
 
 
+def translation_coefficient_per_mode(f, q, omega, rho):
+    """(a_f, modes divided by) of a package series f against the degree-0
+    curvature q, as one scalar loop over the nonzero degree-0 modes of f.
+
+    Each term m * q(-l, -m) * f(l, m) / (omega m + l) is formed and added
+    with Python and numpy scalar arithmetic, in (l, m) order; the mode
+    list is what the divisor check must see. No divisor is checked here.
+    """
+    q00 = q.coeff(0, 0, 0)
+    t = f.trunc
+    f0 = f.coeffs[:, :, 0]
+    acc = 0.0 + 0.0j
+    modes = []
+    for a, b in zip(*np.nonzero(f0)):
+        l, m = int(a - t.l_t), int(b - t.l_theta)
+        if l == 0 and m == 0:
+            continue
+        qc = q.coeff(-l, -m, 0)
+        if qc == 0:
+            continue
+        modes.append((l, m))
+        acc += m * qc * f0[a, b] / (omega * m + l)
+    out = (rho * f.coeff(0, 0, 1) - acc) / q00
+    return out.real, modes
+
+
+def is_symmetric(inertia):
+    """Whether a top's two transverse moments agree (I1 = I2)."""
+    return inertia.i1 == inertia.i2
+
+
 def params_from_inertia(inertia, rho, x0):
     """Reduced-system parameters for a symmetric top; rejects i1 != i2."""
     from lie_kam.operators import AlgebraParams
-    if not inertia.is_symmetric:
+    if not is_symmetric(inertia):
         raise ValueError("the reduced chart needs a symmetric top (I1 = I2)")
     return AlgebraParams(rho=rho, i_perp=inertia.i1, i_3=inertia.i3, x0=x0)

@@ -92,7 +92,7 @@ def test_criterion_3_quadratic_smallness():
 def test_criterion_4_bound_margins():
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
-    win = ops._suite_window(TR)
+    win = ops.identity_window(TR)
     worst = math.inf
     for _ in range(200):
         w = fts.random_real_series(TR, PARAMS.rho, rng, n_terms=25,

@@ -555,7 +555,7 @@ def test_write_json_is_json_dump_byte_for_byte(tmp_path):
     # rows are written with float.__repr__, which spells NaN "nan" where
     # json writes "NaN": no series holds a value that is not finite (see
     # also test_series.py's non-finite tests)
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="finite"):
         fts.from_real_terms([(1, 0, 0, complex(1.0, math.nan))],
                             pr.DEFAULT_TRUNC, 2.0)
 

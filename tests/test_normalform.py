@@ -20,7 +20,7 @@ DIO = pr.default_diophantine(PARAMS)
 
 
 def small_series(rng, n_terms=15, scale=1.0):
-    win = ops._suite_window(TR)
+    win = ops.identity_window(TR)
     f = fts.random_real_series(TR, PARAMS.rho, rng, n_terms=n_terms,
                                l_t_max=win["l_t"], l_theta_max=win["l_theta"],
                                n_x_max=win["n_x"])
@@ -215,11 +215,12 @@ def test_lie_series_term_cap(monkeypatch):
 
 
 class _Blowup:
-    """A stand-in derivation that multiplies by 1e200 at each application."""
+    """A stand-in derivation that multiplies by 1e200 at each application
+    (and by the factor the Lie series passes)."""
 
-    def __call__(self, g):
-        return fts.FourierTaylorSeries(g.coeffs * 1e200, g.trunc, g.rho,
-                                       hermitian=True), 0.0
+    def __call__(self, g, factor=1.0):
+        return fts.FourierTaylorSeries(g.coeffs * 1e200 * factor, g.trunc,
+                                       g.rho, hermitian=True), 0.0
 
 
 def test_lie_series_term_that_overflows_raises():

@@ -130,6 +130,109 @@ def test_translation_coefficient_matches_oracle():
         assert abs(ref - got) < 1e-13 * max(1.0, abs(ref))
 
 
+def _bits(z):
+    return np.asarray(z, dtype=np.complex128).tobytes()
+
+
+def _dense_series(rng, trunc):
+    c = rng.uniform(-1, 1, trunc.shape) + 1j * rng.uniform(-1, 1, trunc.shape)
+    return fts.FourierTaylorSeries(0.5 * (c + np.conj(c[::-1, ::-1, :])), trunc,
+                                   PARAMS.rho)
+
+
+def test_translation_coefficient_matches_per_mode_loop_bit_for_bit():
+    rng = np.random.default_rng(5)
+    q_small = ops.generic_curvature(PARAMS)  # a box smaller than f's
+    q_wide = fts.from_real_terms(
+        [(0, 0, 0, PARAMS.curvature0), (0, 2, 0, 0.02 - 0.01j),
+         (3, -1, 0, 0.015j), (9, 9, 0, 0.01)],  # (9, 9) lies outside f's box
+        TruncationSpec(0, 9, 9), PARAMS.rho)
+    # a real curvature with zeros among its harmonics
+    q_real = fts.from_real_terms([(0, 0, 0, -0.6), (1, 0, 0, 0.05),
+                                  (0, 2, 0, 0.0)], TruncationSpec(0, 2, 2),
+                                 PARAMS.rho)
+    # a dense curvature, as an iterated step's Q_* is: a long sum
+    q_dense = fts.add(fts.constant(-0.6, TruncationSpec(0, 8, 8), PARAMS.rho),
+                      fts.scale(_dense_series(rng, TruncationSpec(0, 8, 8)), 0.01))
+    checked = 0
+    for trial in range(30):
+        p = AlgebraParams(x0=float(rng.uniform(-0.9, 0.9)))
+        f = (_dense_series(rng, TR) if trial % 3 == 0 else
+             fts.random_real_series(TR, p.rho, rng, n_terms=12))
+        for q in (q_small, q_wide, q_real, q_dense):
+            want, modes = oracle.translation_coefficient_per_mode(
+                f, q, p.omega, p.rho)
+            got = ops.translation_coefficient(f, q, p)
+            assert _bits(got) == _bits(want)
+            # the divisor check sees exactly the modes the loop divides by
+            dio = DiophantineParams(gamma=2.0, tau=1.0)
+            want_events = _divisor_events(lambda: oracle.check_divisors(
+                modes, p.omega, dio, ops._MIN_DIVISOR, ResonanceError,
+                ops.SmallDivisorWarning))
+            got_events = _divisor_events(
+                lambda: ops.translation_coefficient(f, q, p, dio))
+            assert got_events[:2] == want_events[:2]
+            checked += len(modes)
+    assert checked > 2000
+    # no mode meets a nonzero Q: only the averaged x term is left
+    x = fts.from_real_terms([(0, 0, 1, 1.0), (2, 2, 0, 0.3)], TR, PARAMS.rho)
+    want, modes = oracle.translation_coefficient_per_mode(x, q_small, PARAMS.omega,
+                                                          PARAMS.rho)
+    assert modes == []
+    assert _bits(ops.translation_coefficient(x, q_small, PARAMS)) == _bits(want)
+
+
+def test_divisor_table_keeps_each_dio_apart():
+    box = TruncationSpec(0, 4, 4)
+    loose = DiophantineParams(gamma=0.01, tau=1.0)
+    tight = DiophantineParams(gamma=100.0, tau=1.0)
+    tables = [ops._divisor_table(box, PARAMS.omega, dio)
+              for dio in (loose, tight, None)]
+    assert ops._divisor_table(box, PARAMS.omega, loose) is tables[0]
+    for dio, (divisor, solve, floor, low) in zip((loose, tight), tables):
+        for l in range(-4, 5):
+            for m in range(-4, 5):
+                if (l, m) != (0, 0):
+                    assert floor[l + 4, m + 4] == pytest.approx(dio.floor(l, m),
+                                                                rel=1e-14)
+        for arr in (divisor, solve, floor, low):
+            assert not arr.flags.writeable
+    assert tables[2][2] is None
+    # the demanding floor flags every mode, the loose one a few
+    assert tables[1][3].all() and tables[0][3].sum() < tables[1][3].sum()
+    assert tables[2][3].sum() == 1  # without dio only the center is flagged
+
+
+def test_derivation_matches_bracket_and_translation_bit_for_bit():
+    rng = np.random.default_rng(17)
+    f = fts.random_real_series(TR, PARAMS.rho, rng, n_terms=30, l_t_max=5,
+                               l_theta_max=5, n_x_max=3)
+    gamma = ops.Derivation(f, Q_SERIES, PARAMS,
+                           DiophantineParams(gamma=0.05, tau=1.0))
+    boxes = [TR, TruncationSpec(8, 10, 10), TruncationSpec(2, 3, 3),
+             TruncationSpec(9, 2, 11), TruncationSpec(0, 8, 8)]
+    for box in boxes:
+        for g in (_dense_series(rng, box),
+                  fts.random_real_series(box, PARAMS.rho, rng, n_terms=4),
+                  fts.zeros(box, PARAMS.rho)):
+            # the bracket of a fresh copy of the generator, which derives
+            # the generator's side of the kernel call anew
+            fresh = fts.FourierTaylorSeries(np.array(gamma.generator.coeffs),
+                                            gamma.generator.trunc, PARAMS.rho,
+                                            hermitian=True)
+            bracket, dropped = fts.poisson_bracket(fresh, g)
+            want = bracket + fts.scale(fts.partial_x(g), -gamma.shift)
+            got, got_dropped = gamma(g)
+            assert got.trunc == want.trunc
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert got_dropped == dropped
+            for k in (1, 3, 7):
+                scaled, scaled_dropped = gamma(g, 1.0 / k)
+                assert scaled.coeffs.tobytes() == \
+                    fts.scale(want, 1.0 / k).coeffs.tobytes()
+                assert scaled_dropped == dropped
+
+
 def test_translation_frozen_example():
     # f = x against constant curvature: a = rho / q00
     q0 = fts.from_real_terms([(0, 0, 0, PARAMS.curvature0)],

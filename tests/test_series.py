@@ -108,12 +108,11 @@ def test_raw_entry_stores_real_series_exactly_hermitian():
 def test_given_reality_still_rejects_non_finite():
     # hermitian=True takes an operation's own array unchecked; finiteness
     # is checked where values enter or overflow (the tests below)
-    with np.errstate(invalid="ignore"):
-        for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
-            c = np.zeros(TR.shape, dtype=np.complex128)
-            c[TR.l_t, TR.l_theta, 0] = bad
-            with pytest.raises(ValueError, match="finite"):
-                FourierTaylorSeries(c, TR, RHO, hermitian=False)
+    for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
+        c = np.zeros(TR.shape, dtype=np.complex128)
+        c[TR.l_t, TR.l_theta, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FourierTaylorSeries(c, TR, RHO, hermitian=False)
 
 
 def test_given_reality_takes_the_array_and_freezes_it():
@@ -132,16 +131,27 @@ def test_given_reality_takes_the_array_and_freezes_it():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
                                  complex(0.0, math.nan), complex(math.inf, 1.0)])
 def test_non_finite_terms_rejected_where_they_enter(bad):
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(ValueError, match="finite"):
-            fts.from_terms([(1, 2, 0, bad), (-1, -2, 0, np.conj(bad))], TR, RHO)
-        with pytest.raises(ValueError, match="finite"):
-            fts.from_real_terms([(1, 2, 0, bad)], TR, RHO)
-        doc = fts.to_json_dict(fts.from_real_terms([(1, 2, 0, 1.0)], TR, RHO))
-        doc["coeffs"][0]["re"] = complex(bad).real
-        doc["coeffs"][0]["im"] = complex(bad).imag
-        with pytest.raises(ValueError, match="finite"):
-            fts.from_json_dict(doc)
+    # numpy's invalid-value warning is an error here (pyproject), so the
+    # ValueError must come without one
+    with pytest.raises(ValueError, match="finite"):
+        fts.from_terms([(1, 2, 0, bad), (-1, -2, 0, np.conj(bad))], TR, RHO)
+    with pytest.raises(ValueError, match="finite"):
+        fts.from_real_terms([(1, 2, 0, bad)], TR, RHO)
+    doc = fts.to_json_dict(fts.from_real_terms([(1, 2, 0, 1.0)], TR, RHO))
+    doc["coeffs"][0]["re"] = complex(bad).real
+    doc["coeffs"][0]["im"] = complex(bad).imag
+    with pytest.raises(ValueError, match="finite"):
+        fts.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+def test_json_text_with_non_finite_value_rejected(value):
+    # json.loads reads these non-standard literals as floats
+    text = json.dumps(fts.to_json_dict(
+        fts.from_real_terms([(1, 2, 0, 1.0 + 0.5j)], TR, RHO)))
+    doc = json.loads(text.replace('"re": 1.0', f'"re": {value}'))
+    with pytest.raises(ValueError, match="finite"):
+        fts.from_json_dict(doc)
 
 
 def test_products_that_overflow_raise():
@@ -253,15 +263,14 @@ def _exactly_real(s):
 
 
 def test_non_finite_coefficients_rejected():
-    with np.errstate(invalid="ignore"):
-        for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
-            c = np.zeros(TR.shape, dtype=np.complex128)
-            c[1, 2, 3] = bad
-            with pytest.raises(ValueError, match="finite"):
-                FourierTaylorSeries(c, TR, RHO)
-        for bad in (math.inf, -math.inf, math.nan, np.float64(math.inf)):
-            with pytest.raises(ValueError, match="finite"):
-                fts.scale(fts.constant(1.0, TR, RHO), bad)
+    for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
+        c = np.zeros(TR.shape, dtype=np.complex128)
+        c[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FourierTaylorSeries(c, TR, RHO)
+    for bad in (math.inf, -math.inf, math.nan, np.float64(math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            fts.scale(fts.constant(1.0, TR, RHO), bad)
 
 
 def test_partials_match_oracle():
@@ -284,6 +293,29 @@ def test_poisson_bracket_matches_oracle():
         got, _ = fts.poisson_bracket(a, b)
         assert oracle.diff_norm(ref, got) < 1e-13
         assert oracle.hermitian_defect(got.coeffs) == 0.0
+
+
+def test_bracket_form_is_kept_frozen_and_reused():
+    pyrng = __import__("random").Random(43)
+    da, db = rand_pair(pyrng)
+    a = oracle.series_from_dict(da, TR, RHO)
+    b = oracle.series_from_dict(db, TR, RHO)
+    first, first_dropped = fts.poisson_bracket(a, b)
+    form = fts._bracket_form(a)
+    assert fts._bracket_form(a) is form  # kept with a, not derived again
+    for arr in form:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    # the kept form gives the bracket a fresh copy of a gives, bit for bit
+    again, again_dropped = fts.poisson_bracket(a, b)
+    fresh = FourierTaylorSeries(np.array(a.coeffs), TR, RHO, hermitian=True)
+    for got, dropped in ((again, again_dropped),
+                         fts.poisson_bracket(fresh, b)):
+        assert got.coeffs.tobytes() == first.coeffs.tobytes()
+        assert dropped == first_dropped
+    # the form is a's alone: b, the second factor, keeps none
+    assert b._bracket_form is None
 
 
 def test_bracket_frozen_example():
