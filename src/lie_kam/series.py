@@ -162,6 +162,8 @@ class FourierTaylorSeries:
 
     A series holds no truncation record: :func:`multiply` and
     :func:`poisson_bracket` return the weight they dropped beside their result.
+    Once it has been the first factor of a bracket, it keeps that factor's
+    side of the kernel call, frozen (see :func:`_bracket_form`).
 
     Parameters
     ----------
