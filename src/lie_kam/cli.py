@@ -283,17 +283,19 @@ def _resolve_simulation(config, derived):
     """Complete ``config`` from the preset and check the inputs against it."""
     preset = config["preset"]
     cfg = pr.PRESETS[preset]
-    if cfg["requires_eps"] and "eps" not in config:
+    # a preset takes eps exactly when it has an amplitude scale
+    driven = "inverse_amplitude_per_eps" in cfg
+    if driven and "eps" not in config:
         raise UsageError(f"preset {preset!r} requires --eps")
-    if not cfg["requires_eps"] and "eps" in config:
+    if not driven and "eps" in config:
         raise UsageError(f"preset {preset!r} takes no --eps")
-    config.setdefault("h", float(cfg["h"]))
     config.setdefault("T", float(cfg["T"]))
     if cfg["kind"] == "cartesian":
         # checked, but a Cartesian preset reads neither block
         del config["algebra"], config["truncation"]
     sections_only = derived["command"] == "section"
-    period = 2.0 * math.pi / cfg.get("drive_frequency", 1.0)
+    # the period of the drive cos t
+    period = 2.0 * math.pi
     if (sections_only or config["section"]) and config["T"] < period:
         raise UsageError(
             f"sections need --T of at least one period ({period:.6g})")
@@ -608,7 +610,7 @@ _SIMULATION = {
     "preset": (_one_of(pr.PRESETS), _REQUIRED,
                f"preset: {', '.join(sorted(pr.PRESETS))}"),
     "n": (_COUNT, 1, "ensemble size"),
-    "h": (_POSITIVE, None, "step size (default: the preset's)"),
+    "h": (_POSITIVE, 0.001, "step size"),
     "T": (_NONNEGATIVE, None, "integration span (default: the preset's)"),
     "eps": (_REAL, None, "drive amplitude (fig2 and pert1 only)"),
     "stride": (_COUNT, 1, "sampling stride"),

@@ -405,26 +405,6 @@ class LieTransformResult:
     tail_norm: float
 
 
-def _curvature_update(q: FourierTaylorSeries,
-                      rv: FourierTaylorSeries) -> FourierTaylorSeries:
-    """Q* = Q + second x-derivative of the banked resonant part.
-
-    The resonant range is spanned by degree <= 2 terms; the update reads
-    the degree-2 slice of rv (coefficient of x^2, so the second derivative
-    contributes a factor 2) into the degree-0 curvature box.
-    """
-    trm = q.trunc.merge(rv.trunc)
-    c = np.zeros(trm.shape, dtype=np.complex128)
-    lt, lth = trm.l_t - q.trunc.l_t, trm.l_theta - q.trunc.l_theta
-    c[lt:lt + 2 * q.trunc.l_t + 1, lth:lth + 2 * q.trunc.l_theta + 1, 0] = \
-        q.coeffs[:, :, 0]
-    if rv.trunc.n_x >= 2:
-        lt, lth = trm.l_t - rv.trunc.l_t, trm.l_theta - rv.trunc.l_theta
-        c[lt:lt + 2 * rv.trunc.l_t + 1, lth:lth + 2 * rv.trunc.l_theta + 1, 0] += \
-            2.0 * rv.coeffs[:, :, 2]
-    return FourierTaylorSeries(c, trm, q.rho, hermitian=True)
-
-
 def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
                    params: AlgebraParams, tol: float = 1e-12,
                    dio: DiophantineParams = None) -> LieTransformResult:
@@ -469,7 +449,7 @@ def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
     rv = gamma.resonant
     out, terms, tail = _lie_series(gamma, v, gamma.solvable,
                                    fts.zeros(v.trunc, v.rho), tol)
-    q_star = _curvature_update(q, rv)
+    q_star = ops._curvature_update(q, rv)
     return LieTransformResult(v_star=out, rv=rv, q_star=q_star,
                               series_terms_used=terms, tail_norm=tail)
 

@@ -274,6 +274,20 @@ def half_curvature_x2(q: FourierTaylorSeries) -> FourierTaylorSeries:
     return FourierTaylorSeries(c, nt, q.rho, hermitian=True)
 
 
+def _curvature_update(q: FourierTaylorSeries,
+                      rv: FourierTaylorSeries) -> FourierTaylorSeries:
+    """Q* = Q + (d_x^2 rv)(x = 0), the curvature once the resonant part rv
+    is banked: the inverse of :func:`half_curvature_x2` on rv's degree-2
+    slice, whose coefficient c of x^2 adds 2 c to Q. The sum lies on the
+    merged box of q and rv. :func:`lie_kam.normalform.compute_v_star`
+    gives it as ``q_star``.
+    """
+    c = np.zeros(rv.trunc.shape, dtype=np.complex128)
+    if rv.trunc.n_x >= 2:
+        c[:, :, 0] = 2.0 * rv.coeffs[:, :, 2]
+    return fts.add(q, FourierTaylorSeries(c, rv.trunc, rv.rho, hermitian=True))
+
+
 def _lift_degree(f: FourierTaylorSeries) -> FourierTaylorSeries:
     """Multiply by x, growing the box when the top slice is occupied."""
     t = f.trunc
@@ -501,7 +515,7 @@ def identity_window(trunc: TruncationSpec) -> dict:
     }
 
 
-def run_identity_suite(params: AlgebraParams, trunc: TruncationSpec = None,
+def run_identity_suite(params: AlgebraParams, trunc: TruncationSpec,
                        n_trials: int = 50, seed: int = 0,
                        dio: DiophantineParams = None):
     """Measure every exact operator identity on random real series.
@@ -514,8 +528,6 @@ def run_identity_suite(params: AlgebraParams, trunc: TruncationSpec = None,
     bracket in any identity can be clipped. A residual that is not finite
     makes its identity's max_residual inf.
     """
-    if trunc is None:
-        trunc = TruncationSpec(n_x=6, l_theta=8, l_t=8)
     q = generic_curvature(params)
     win = identity_window(trunc)
     if min(win.values()) < 1:

@@ -2,9 +2,11 @@
 
 fig1 is the free asymmetric top ensemble, fig2 the throbbing top with the
 second inverse moment breathing as 0.1 eps cos t around 1/2, and pert1 the
-symmetric-top drive eps (rho^2/2) cos(nu t) (1 - (x0 + x)^2) sin^2(theta)
-used by the normal-form diagnostics. The drive amplitude eps is always an
-explicit argument; fig2 documents 0.1 eps as the effective inverse-moment
+symmetric-top drive eps (rho^2/2) cos t (1 - (x0 + x)^2) sin^2(theta)
+used by the normal-form diagnostics. Every drive is cos t on the second
+inverse moment, so its period is 2 pi. The drive amplitude eps is always
+an explicit argument, and a preset takes one exactly when it has an
+amplitude scale; fig2 documents 0.1 eps as the effective inverse-moment
 amplitude (0.2 eps on the moment itself).
 """
 
@@ -34,35 +36,20 @@ PRESETS = {
         "kind": "cartesian",
         "inertia": (1.0, 2.0, 3.0),
         "rho": 2.0,
-        "h": 0.001,
         "T": 100.0,
-        "requires_eps": False,
-        "modulated_axis": None,
-        "description": "free asymmetric top, random sphere ensemble",
     },
     "fig2": {
         "kind": "cartesian",
         "inertia": (1.0, 2.0, 3.0),
         "rho": 2.0,
-        "h": 0.001,
         "T": 100.0,
-        "requires_eps": True,
-        "modulated_axis": 2,
         "inverse_amplitude_per_eps": 0.1,
-        "drive_frequency": 1.0,
-        "description": "throbbing top, I2 = 2 / (1 + 0.2 eps cos t)",
     },
     "pert1": {
         "kind": "reduced",
         "inertia": (2.0, 2.0, 3.0),
-        "rho": 2.0,
-        "h": 0.001,
         "T": 10.0,
-        "requires_eps": True,
-        "modulated_axis": 2,
         "inverse_amplitude_per_eps": 1.0,
-        "drive_frequency": 1.0,
-        "description": "symmetric top with the quadratic M2 drive",
     },
 }
 
@@ -89,28 +76,26 @@ def default_diophantine(params: AlgebraParams, tau: float = 1.0,
     return DiophantineParams(gamma=gamma_hat, tau=tau, q=q, k_scan=k_scan)
 
 
-def reduced_drive_series(eps: float, nu: int = 1, x0: float = None,
+def reduced_drive_series(eps: float, x0: float = None,
                          trunc: TruncationSpec = None,
                          rho: float = 2.0) -> fts.FourierTaylorSeries:
-    """Reduced drive eps (rho^2/2) cos(nu t) (1 - (x0 + x)^2) sin^2(theta).
+    """Reduced drive eps (rho^2/2) cos t (1 - (x0 + x)^2) sin^2(theta).
 
     This is the chart form of the quadratic M2 modulation: with
-    M2 = rho sqrt(1 - X^2) sin(theta) and A22(t) = eps cos(nu t), the
+    M2 = rho sqrt(1 - X^2) sin(theta) and A22(t) = eps cos t, the
     perturbation (1/2) A22(t) M2^2 becomes the polynomial-trigonometric
     series returned here (exact in the box: degree 2 in x, harmonics
-    |m| <= 2, |l| <= nu).
+    |m| <= 2, |l| <= 1).
 
     Parameters
     ----------
     eps : float
         Drive amplitude.
-    nu : int
-        Drive frequency (integer harmonics keep the series periodic).
     x0 : float, optional
         Chart center; defaults to the golden equilibrium of
         AlgebraParams.
     trunc : TruncationSpec, optional
-        Index box, DEFAULT_TRUNC when omitted.
+        Index box, DEFAULT_TRUNC when omitted; it must hold l = 1.
     rho : float
         Casimir radius.
 
@@ -122,18 +107,17 @@ def reduced_drive_series(eps: float, nu: int = 1, x0: float = None,
     """
     trunc = DEFAULT_TRUNC if trunc is None else trunc
     x0 = AlgebraParams().x0 if x0 is None else float(x0)
-    nu = int(nu)
-    if nu < 1 or nu > trunc.l_t:
-        raise ValueError("nu must be a positive harmonic inside the box")
+    if trunc.l_t < 1:
+        raise ValueError("the drive harmonic l = 1 lies outside the box")
     # P(x) = 1 - (x0 + x)^2, exactly degree 2
     poly = {0: 1.0 - x0 * x0, 1: -2.0 * x0, 2: -1.0}
     base = eps * rho * rho
     terms = {}
     for n, pn in poly.items():
-        # cos(nu t) sin^2(theta) = cos(nu t)/2 - cos(nu t)(e^{2i theta}+e^{-2i theta})/4
-        terms[(nu, 0, n)] = base * pn / 8.0
-        terms[(nu, 2, n)] = -base * pn / 16.0
-        terms[(nu, -2, n)] = -base * pn / 16.0
+        # cos(t) sin^2(theta) = cos(t)/2 - cos(t)(e^{2i theta}+e^{-2i theta})/4
+        terms[(1, 0, n)] = base * pn / 8.0
+        terms[(1, 2, n)] = -base * pn / 16.0
+        terms[(1, -2, n)] = -base * pn / 16.0
     return fts.from_real_terms(terms, trunc, rho)
 
 
@@ -141,30 +125,27 @@ def preset_drive_series(name: str, eps: float, params: AlgebraParams,
                         trunc: TruncationSpec) -> fts.FourierTaylorSeries:
     """Reduced drive of a reduced-chart preset at amplitude eps.
 
-    Applies the preset's amplitude scale and integer drive frequency to
-    :func:`reduced_drive_series`, centered at ``params.x0``.
+    Applies the preset's amplitude scale to :func:`reduced_drive_series`,
+    centered at ``params.x0``.
     """
-    cfg = PRESETS[name]
-    return reduced_drive_series(cfg["inverse_amplitude_per_eps"] * eps,
-                                nu=int(round(cfg["drive_frequency"])),
+    return reduced_drive_series(PRESETS[name]["inverse_amplitude_per_eps"] * eps,
                                 x0=params.x0, trunc=trunc, rho=params.rho)
 
 
 def preset_inertia(name: str, eps: float = None) -> InertiaSpec:
     """InertiaSpec for a named preset, applying the drive amplitude.
 
-    fig2 and pert1 require eps; fig1 ignores it.
+    A preset with an amplitude scale (fig2, pert1) requires eps and drives
+    its second inverse moment by scale * eps * cos t; fig1 ignores eps.
     """
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}")
     cfg = PRESETS[name]
     i1, i2, i3 = cfg["inertia"]
-    if not cfg["requires_eps"]:
+    if "inverse_amplitude_per_eps" not in cfg:
         return InertiaSpec(i1, i2, i3)
     if eps is None:
         raise ValueError(f"preset {name!r} requires eps")
     amp = cfg["inverse_amplitude_per_eps"] * eps
-    freq = cfg["drive_frequency"]
-    mod = [(0.0, 0.0, 0.0)] * 3
-    mod[cfg["modulated_axis"] - 1] = (amp, freq, 0.0)
-    return InertiaSpec(i1, i2, i3, modulation=tuple(mod))
+    return InertiaSpec(i1, i2, i3, modulation=(
+        (0.0, 0.0, 0.0), (amp, 1.0, 0.0), (0.0, 0.0, 0.0)))

@@ -8,12 +8,9 @@ cross-validate each other. The same RK4 run gives the states at the
 stroboscopic section times; chart transforms, conservation diagnostics
 and CSV emission live here too.
 
-The reduced field compiles both derivatives of a real drive series into one
-table of real harmonics on the upper half lattice (l > 0, or l = 0 and
-m > 0, plus (0, 0)); the mirror half of a real series is the complex
-conjugate and only doubles each term's real part. RK4 batches are
-bit-identical member by member to their solo runs; the compiled sums agree
-with the dense series evaluation up to rounding.
+The reduced field sums both derivatives of a real drive series through one
+:func:`lie_kam.series.compile_evaluator` table. RK4 batches are
+bit-identical member by member to their solo runs.
 """
 
 import io
@@ -188,15 +185,15 @@ def _rk4_step(fieldfn, t, y, h):
     return y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def rk4_integrate(y0, fieldfn, h, t_final, t0=0.0, stride=1,
+def rk4_integrate(y0, fieldfn, h, t_final, stride=1,
                   period=None) -> Trajectory:
     """Classical fixed-step RK4 for dy/dt = fieldfn(t, y).
 
-    Integrates ``round(t_final / h)`` whole steps of size h and samples
-    every ``stride`` steps (the final state is always included).
+    Integrates ``round(t_final / h)`` whole steps of size h from t = 0 and
+    samples every ``stride`` steps (the final state is always included).
 
     With a ``period``, the run also records as ``section`` the state at
-    each k * period in [t0, t0 + n h]: the grid state within 1e-12 of a
+    each k * period in [0, n h]: the grid state within 1e-12 of a
     grid time, else one RK4 step of length k * period - t_i from the grid
     state at the grid time t_i before it, apart from the grid trajectory.
     Sections therefore do not depend on ``stride``.
@@ -222,9 +219,7 @@ def rk4_integrate(y0, fieldfn, h, t_final, t0=0.0, stride=1,
     h : float
         Step size, positive.
     t_final : float
-        Integration span measured from t0; 0 yields the bare initial sample.
-    t0 : float
-        Initial time.
+        Integration span; 0 yields the bare initial sample.
     stride : int
         Sampling stride in steps.
     period : float or None
@@ -249,25 +244,25 @@ def rk4_integrate(y0, fieldfn, h, t_final, t0=0.0, stride=1,
     if y.ndim == 0:
         raise ValueError("y0 needs a state axis")
     n = int(round(t_final / h))
-    t_end = t0 + n * h
+    t_end = n * h
     sec_t = []
     if period is not None:
-        k = math.ceil((t0 - _GRID_TOL) / period)
+        k = 0
         while k * period <= t_end + _GRID_TOL:
             sec_t.append(k * period)
             k += 1
     sec_y = []
     pending = iter(sec_t)
     due = next(pending, math.inf)  # the next section time
-    ts = [t0]
+    ts = [0.0]
     ys = [y]
     live = np.ones(y.shape[:-1], dtype=bool)
     all_live = True
     rows = np.zeros(y.shape[:-1], dtype=np.int64)
     last_good = np.full(y.shape[:-1], t_end)
     for i in range(n):
-        t = t0 + i * h
-        t_next = t0 + (i + 1) * h
+        t = i * h
+        t_next = (i + 1) * h
         state = y if all_live else y[live]
         while due < t_next - _GRID_TOL:
             if due <= t + _GRID_TOL:
@@ -363,20 +358,9 @@ def make_reduced_field(params: AlgebraParams, v_series: FourierTaylorSeries):
     and |x| beyond the domain radius gives NaN velocities, so an
     integrated member that leaves the chart domain aborts.
 
-    Both derivatives are compiled into one real table over the union of
-    their (l, m) harmonics. A real series pairs c_{l,m,n} with its mirror
-    conj(c_{l,m,n}) at (-l, -m), and the pair sums to
-    2 (Re c cos(phase) - Im c sin(phase)) x^n, so the upper half lattice
-    (l > 0, or l = 0 and m > 0, weight 2; (0, 0) weight 1) holds the whole
-    series. The table stores the weighted Re c and -Im c per (harmonic,
-    degree, output); a call forms one phase array, its cosine and sine,
-    the powers of x by repeated multiplication and one sequential sum
-    (``np.add.accumulate``) over the table rows for each output.
-
-    Every operation is elementwise over the members or a fixed-order sum
-    along a table axis, so a member of a batch (..., 2) gets the bits of
-    its solo call on (2,). The sums agree with the dense evaluation
-    (``series.evaluate``) up to rounding, not bit for bit.
+    Both derivatives are summed by one
+    :func:`lie_kam.series.compile_evaluator` table, so a member of a batch
+    (..., 2) gets the bits of its solo call on (2,).
 
     Examples
     --------
@@ -388,40 +372,14 @@ def make_reduced_field(params: AlgebraParams, v_series: FourierTaylorSeries):
     """
     rho, delta, x0 = params.rho, params.delta, params.x0
     rho_delta = rho * delta
-    parts = (fts.partial_theta(v_series), fts.partial_x(v_series))
-    tr = v_series.trunc
-    nonzero = (parts[0].coeffs != 0) | (parts[1].coeffs != 0)  # (l, m, n)
-    used = nonzero.any(axis=2)
-    used[:tr.l_t] = False  # l < 0: the mirror half
-    used[tr.l_t, :tr.l_theta] = False  # l = 0, m < 0
-    # a zero series keeps the (0, 0) row, so the domain check still applies
-    used[tr.l_t, tr.l_theta] |= not used.any()
-    li, mi = np.nonzero(used)
-    degrees = np.nonzero(nonzero.any(axis=(0, 1)))[0]
-    n_deg = int(degrees[-1]) + 1 if len(degrees) else 1
-    center = (li == tr.l_t) & (mi == tr.l_theta)
-    weight = np.where(center, 1.0, 2.0)[:, None, None]
-    half = np.stack([part.coeffs[li, mi, :n_deg] for part in parts],
-                    axis=-1)  # (harmonic, degree, out)
-    # rows (cos | sin, harmonic, degree), one contiguous row per output
-    table = np.concatenate([weight * half.real, -weight * half.imag])
-    table = np.ascontiguousarray(table.reshape(-1, 2).T)
-    wave_l = (li - tr.l_t).astype(np.float64)
-    wave_m = (mi - tr.l_theta).astype(np.float64)
+    sums = fts.compile_evaluator(
+        (fts.partial_theta(v_series), fts.partial_x(v_series)))
     scale = np.array([-1.0 / rho, 1.0 / rho])
     x_cap = DEFAULT_DOMAIN.x_cap
 
     def fieldfn(t, y):
         x = y[..., 0]
-        phase = y[..., 1:] * wave_m + t * wave_l
-        trig = np.concatenate((np.cos(phase), np.sin(phase)), axis=-1)
-        powers = np.empty(x.shape + (n_deg,))
-        powers[..., 0] = 1.0
-        powers[..., 1:] = x[..., None]
-        powers = np.multiply.accumulate(powers, axis=-1)
-        terms = (trig[..., :, None] * powers[..., None, :]).reshape(
-            x.shape + (1, -1)) * table
-        out = np.add.accumulate(terms, axis=-1)[..., -1] * scale
+        out = sums(x, y[..., 1:], t) * scale
         out[..., 1] += rho_delta * (x0 + x)
         # one check for the common in-domain batch; a NaN member fails it
         # too, so it cannot hide another's exit

@@ -13,7 +13,10 @@ JSON); data within rounding of real is stored as its exactly hermitian
 part, and anything else raises ``RealityError``, as does ``scale`` by a
 non-real scalar. Operations keep the exact symmetry by construction (sums,
 real scalings, derivatives and products), so no operation asks again
-whether a series is real.
+whether a series is real. It also makes the upper half lattice (l > 0, or
+l = 0 and m >= 0) hold a whole series: products, brackets, JSON and the
+compiled evaluator (``compile_evaluator``, behind ``evaluate``) read only
+that half.
 
 Finiteness is checked where values enter or can overflow: raw
 coefficients and JSON as they enter, the scalar of ``scale``, and the
@@ -62,6 +65,7 @@ __all__ = [
     "partial_theta",
     "partial_t",
     "poisson_bracket",
+    "compile_evaluator",
     "evaluate",
     "majorant_norm",
     "to_json_dict",
@@ -192,15 +196,7 @@ class FourierTaylorSeries:
         if not rho > 0:
             raise ValueError("rho must be positive")
         if not hermitian:
-            defect = _hermitian_defect(coeffs)
-            # the defect is NaN or inf exactly when some coefficient is
-            if not math.isfinite(defect):
-                raise ValueError("series coefficients must be finite")
-            if defect > _REALITY_TOL * max(1.0, float(np.max(np.abs(coeffs)))):
-                raise RealityError(
-                    f"series coefficients are not real: hermitian defect {defect:.3g}")
-            if defect > 0.0:
-                coeffs = _hermitian_part(coeffs)
+            coeffs = _checked_hermitian(coeffs)
         coeffs.flags.writeable = False
         self.coeffs = coeffs
         self.trunc = trunc
@@ -241,11 +237,34 @@ class FourierTaylorSeries:
     __rmul__ = __mul__
 
 
-def _hermitian_defect(coeffs) -> float:
-    # an infinite coefficient gives inf - inf = NaN here, which the caller
-    # reports as a ValueError: no warning, also where warnings are errors
-    with np.errstate(invalid="ignore"):
-        return float(np.max(np.abs(coeffs - np.conj(coeffs[::-1, ::-1, :]))))
+def _checked_hermitian(coeffs):
+    """Raw coefficients as a real series stores them.
+
+    A coefficient that is not finite raises ValueError, and a hermitian
+    defect max |c - conj(mirror c)| above ``_REALITY_TOL`` max(1, max |c|)
+    raises RealityError. Below it, c is kept when the defect is 0 and is
+    else replaced by its hermitian part 0.5 c + 0.5 conj(mirror c), which
+    is exactly hermitian as addition commutes. max |c| and the hermitian
+    part are formed from halved coefficients, which no finite input can
+    overflow; the defect is not halved, so that an asymmetry in the last
+    subnormal bit still reads nonzero, and a defect that overflows is inf
+    and fails. No step warns, also where warnings are errors.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = 0.5 * coeffs
+        defect = float(np.max(np.abs(coeffs - np.conj(coeffs[::-1, ::-1, :]))))
+        # |c / 2| is below the largest float for finite c, so the size is
+        # inf or NaN exactly when some coefficient is
+        size = float(np.max(np.abs(half)))
+    if not math.isfinite(size):
+        raise ValueError("series coefficients must be finite")
+    # the test with both sides halved
+    if not 0.5 * defect <= _REALITY_TOL * max(0.5, size):
+        raise RealityError(
+            f"series coefficients are not real: hermitian defect {defect:.3g}")
+    if defect > 0.0:
+        return half + np.conj(half[::-1, ::-1, :])
+    return coeffs
 
 
 def _check_finite(coeffs):
@@ -254,11 +273,6 @@ def _check_finite(coeffs):
     if not np.isfinite(coeffs).all():
         raise NonFiniteError("series product overflowed: coefficients "
                              "must be finite")
-
-
-def _hermitian_part(coeffs):
-    """(c + conj(mirror c)) / 2: exactly hermitian, as addition commutes."""
-    return 0.5 * (coeffs + np.conj(coeffs[::-1, ::-1, :]))
 
 
 # -- construction ----------------------------------------------------------
@@ -539,13 +553,21 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow):
     return out, float(tail)
 
 
-def _upper_half(a: FourierTaylorSeries):
-    """Coefficients of a at l >= 0, zero at l = 0, m < 0 and halved at
-    l = m = 0: the upper half A+ of a, with a = A+ + conj(mirror A+)."""
+def _half_lattice(a: FourierTaylorSeries):
+    """Coefficients of a on the upper half lattice, as a fresh array: the
+    l >= 0 slab with its l = 0, m < 0 cells cleared, so l > 0, or l = 0
+    and m >= 0. The reality condition supplies the cleared half."""
     t = a.trunc
     src = np.array(a.coeffs[t.l_t:])
     src[0, :t.l_theta] = 0.0
-    src[0, t.l_theta] *= 0.5
+    return src
+
+
+def _upper_half(a: FourierTaylorSeries):
+    """The half lattice of a (see :func:`_half_lattice`) halved at
+    l = m = 0: the upper half A+ of a, with a = A+ + conj(mirror A+)."""
+    src = _half_lattice(a)
+    src[0, a.trunc.l_theta] *= 0.5
     return src
 
 
@@ -686,35 +708,82 @@ def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries):
 # -- evaluation and norms ---------------------------------------------------
 
 
-def evaluate(a: FourierTaylorSeries, x, theta, t):
-    """Evaluate the series at real points.
+def compile_evaluator(parts):
+    """Compile real series on one box into one function that sums them.
 
-    |x| must stay within the domain half-width. The series is real, so the
-    value is real up to the rounding of the complex sum; that imaginary
-    rounding residue is discarded.
+    Returns ``sums(x, theta, t)``, the values of the series in ``parts``
+    at real points, with shape ``x.shape + (len(parts),)``. x is an array;
+    theta and t carry a trailing unit axis, the one the harmonics run
+    along, and broadcast with ``x[..., None]`` (t may be a scalar). No
+    domain check is made: the caller decides which |x| it accepts.
+
+    A real series pairs c_{l,m,n} with its mirror conj(c_{l,m,n}) at
+    (-l, -m), and the pair sums to 2 (Re c cos(phase) - Im c sin(phase))
+    x^n, so the upper half lattice (l > 0, or l = 0 and m > 0, weight 2;
+    (0, 0) weight 1) holds the whole series. The table is built once, over
+    the harmonics where some part is nonzero and the degrees up to the
+    highest nonzero one: the wave numbers, and the weighted Re c and -Im c
+    per (harmonic, degree, part). A call forms one phase array, its cosine
+    and sine, the powers of x by repeated multiplication and one
+    sequential sum (``np.add.accumulate``) over the table row of each
+    part. Every operation is elementwise over the points or a fixed-order
+    sum along a table axis, so each point of a batch gets the bits of its
+    solo call.
+
+    Examples
+    --------
+    >>> tr = TruncationSpec(n_x=1, l_theta=1, l_t=0)
+    >>> f = from_real_terms([(0, 0, 0, 1.0), (0, 1, 1, 0.5)], tr, 2.0)
+    >>> sums = compile_evaluator([f, partial_x(f)])
+    >>> sums(np.array([0.2]), np.array([[0.0]]), 0.0)
+    array([[1.2, 1. ]])
+    """
+    trunc = parts[0].trunc
+    halves = [_half_lattice(p) for p in parts]
+    nonzero = np.any([h != 0 for h in halves], axis=0)  # (l, m, n), l >= 0
+    used = nonzero.any(axis=2)
+    # a zero table keeps the (0, 0) row, so every sum has a term
+    used[0, trunc.l_theta] |= not used.any()
+    li, mi = np.nonzero(used)
+    degrees = np.nonzero(nonzero.any(axis=(0, 1)))[0]
+    n_deg = int(degrees[-1]) + 1 if len(degrees) else 1
+    center = (li == 0) & (mi == trunc.l_theta)
+    weight = np.where(center, 1.0, 2.0)[:, None, None]
+    half = np.stack([h[li, mi, :n_deg] for h in halves],
+                    axis=-1)  # (harmonic, degree, part)
+    # rows (cos | sin, harmonic, degree), one contiguous row per part
+    table = np.concatenate([weight * half.real, -weight * half.imag])
+    table = np.ascontiguousarray(table.reshape(-1, len(parts)).T)
+    wave_l = li.astype(np.float64)
+    wave_m = (mi - trunc.l_theta).astype(np.float64)
+
+    def sums(x, theta, t):
+        phase = theta * wave_m + t * wave_l
+        trig = np.concatenate((np.cos(phase), np.sin(phase)), axis=-1)
+        powers = np.empty(x.shape + (n_deg,))
+        powers[..., 0] = 1.0
+        powers[..., 1:] = x[..., None]
+        powers = np.multiply.accumulate(powers, axis=-1)
+        terms = (trig[..., :, None] * powers[..., None, :]).reshape(
+            x.shape + (1, -1)) * table
+        return np.add.accumulate(terms, axis=-1)[..., -1]
+    return sums
+
+
+def evaluate(a: FourierTaylorSeries, x, theta, t):
+    """Evaluate the series at real points through :func:`compile_evaluator`.
+
+    x, theta and t broadcast together, and scalar points give a scalar.
+    |x| must stay within the domain half-width (else ValueError).
     """
     x = np.asarray(x, dtype=np.float64)
     if np.any(np.abs(x) > DEFAULT_DOMAIN.x_cap):
         raise ValueError(
             f"evaluation outside domain radius |x| <= {DEFAULT_DOMAIN.x_half}")
-    theta = np.asarray(theta)
-    t = np.asarray(t)
-    shape = np.broadcast_shapes(x.shape, theta.shape, t.shape)
-    xb = np.broadcast_to(x, shape).ravel()
-    thb = np.broadcast_to(theta, shape).ravel()
-    tb = np.broadcast_to(t, shape).ravel()
-    tr = a.trunc
-    ls = np.arange(-tr.l_t, tr.l_t + 1)
-    ms = np.arange(-tr.l_theta, tr.l_theta + 1)
-    ns = np.arange(tr.n_x + 1)
-    et = np.exp(1j * tb[:, None] * ls[None, :])
-    em = np.exp(1j * thb[:, None] * ms[None, :])
-    xn = xb[:, None] ** ns[None, :]
-    # contract l in one matmul, then sum over (m, n) point by point
-    c = a.coeffs
-    g = (et @ c.reshape(c.shape[0], -1)).reshape(-1, c.shape[1], c.shape[2])
-    val = np.real(np.einsum("smn,sm,sn->s", g, em, xn))
-    return val.reshape(shape) if shape else val[()]
+    x, theta, t = np.broadcast_arrays(x, np.asarray(theta, dtype=np.float64),
+                                      np.asarray(t, dtype=np.float64))
+    val = compile_evaluator([a])(x, theta[..., None], t[..., None])[..., 0]
+    return val if val.shape else val[()]
 
 
 def majorant_norm(a: FourierTaylorSeries, r: float) -> float:
@@ -741,16 +810,15 @@ def to_json_dict(a: FourierTaylorSeries) -> dict:
 
     Stores nonzero coefficients with l > 0 or (l = 0, m >= 0); the reality
     condition supplies the rest on load. The rows come from one scan of the
-    l >= 0 slab in array (C) order, which is (l, m, n) order. A series is
-    exactly hermitian, so a dump followed by a load gives back the same
-    coefficients, and a load followed by a dump reproduces the document
-    byte for byte, up to the sign of zero parts ("-0.0" loads as 0.0).
+    half lattice (:func:`_half_lattice`) in array (C) order, which is
+    (l, m, n) order. A series is exactly hermitian, so a dump followed by
+    a load gives back the same coefficients, and a load followed by a dump
+    reproduces the document byte for byte, up to the sign of zero parts
+    ("-0.0" loads as 0.0).
     """
     t = a.trunc
-    slab = a.coeffs[t.l_t:]
-    keep = slab != 0
-    keep[0, :t.l_theta] = False
-    li, mi, ni = np.nonzero(keep)
+    slab = _half_lattice(a)
+    li, mi, ni = np.nonzero(slab)
     vals = slab[li, mi, ni]
     # the (0, 0) coefficients are real: their stored imaginary part is 0.0
     im = np.where((li == 0) & (mi == t.l_theta), 0.0, vals.imag)

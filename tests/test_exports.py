@@ -26,3 +26,19 @@ def test_all_lists_every_public_definition(name):
     module = importlib.import_module(f"lie_kam.{name}")
     assert len(module.__all__) == len(set(module.__all__))
     assert set(module.__all__) == public_definitions(module)
+
+
+# the algebra layer: the only modules that index a series' coefficient box
+BOX_MODULES = {"series", "operators"}
+
+
+@pytest.mark.parametrize("name", [m for m in ENGINE_MODULES
+                                  if m not in BOX_MODULES])
+def test_only_the_algebra_layer_subscripts_coefficient_boxes(name):
+    module = importlib.import_module(f"lie_kam.{name}")
+    lines = [node.lineno
+             for node in ast.walk(ast.parse(inspect.getsource(module)))
+             if isinstance(node, ast.Subscript)
+             and isinstance(node.value, ast.Attribute)
+             and node.value.attr == "coeffs"]
+    assert lines == []

@@ -487,7 +487,8 @@ def _l1(s):
 
 
 def test_identity_suite_residuals_are_noise():
-    reports = ops.run_identity_suite(PARAMS, n_trials=10, seed=42)
+    reports = ops.run_identity_suite(PARAMS, TruncationSpec(6, 8, 8),
+                                     n_trials=10, seed=42)
     names = {r["identity"] for r in reports}
     assert "homological" in names and "resonant_idempotent" in names
     for r in reports:

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,26 @@ def test_raw_entry_stores_real_series_exactly_hermitian():
     assert oracle.hermitian_defect(f.coeffs) == 0.0
     assert f.coeff(0, 0, 1) == 2.0
     assert f.coeff(1, 1, 0) == np.conj(f.coeff(-1, -1, 0))
+
+
+@pytest.mark.parametrize("action", ["ignore", "error"])
+def test_finite_box_near_the_largest_float_does_not_overflow(action):
+    # a box within rounding of real is stored as its finite hermitian part,
+    # and a non-real one raises RealityError, whether or not overflow
+    # warnings are errors
+    near = np.zeros(TR.shape, dtype=np.complex128)
+    near[TR.l_t + 1, TR.l_theta, 0] = 1e308
+    near[TR.l_t - 1, TR.l_theta, 0] = 1e308 * (1 + 1e-13)
+    far = np.zeros(TR.shape, dtype=np.complex128)
+    far[TR.l_t + 1, TR.l_theta, 0] = 1e308
+    far[TR.l_t - 1, TR.l_theta, 0] = -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        f = FourierTaylorSeries(near, TR, RHO)
+        with pytest.raises(RealityError):
+            FourierTaylorSeries(far, TR, RHO)
+    assert f.coeff(1, 0, 0) == 0.5 * 1e308 + 0.5 * (1e308 * (1 + 1e-13))
+    assert _exactly_real(f)
 
 
 def test_given_reality_still_rejects_non_finite():
@@ -392,6 +413,22 @@ def test_evaluate_rejects_outside_domain():
         fts.evaluate(f, 0.3, 0.0, 0.0)
     x_half = DEFAULT_DOMAIN.x_half
     assert fts.evaluate(f, [-x_half, x_half], 0.0, 0.0).tolist() == [1.0, 1.0]
+
+
+def test_evaluate_batch_matches_solo_calls_bit_for_bit():
+    # every point of a (rows, members) batch gets the bits of its solo call
+    f = fts.random_real_series(DEFAULT_TRUNC, RHO, np.random.default_rng(4),
+                               n_terms=60)
+    rng = np.random.default_rng(5)
+    x_half = DEFAULT_DOMAIN.x_half
+    x = rng.uniform(-x_half, x_half, size=(3, 4))
+    th = rng.uniform(0.0, 2 * np.pi, size=(3, 4))
+    t = rng.uniform(0.0, 10.0, size=(3, 4))
+    got = fts.evaluate(f, x, th, t)
+    for i, j in np.ndindex(got.shape):
+        solo = fts.evaluate(f, x[i, j], th[i, j], t[i, j])
+        assert isinstance(solo, np.float64)
+        assert solo == got[i, j]
 
 
 def test_evaluate_broadcasts():
