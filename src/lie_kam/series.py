@@ -396,21 +396,21 @@ def scale(a: FourierTaylorSeries, c) -> FourierTaylorSeries:
 
 
 def _blocks(la, ma, na, va, lb, mb, nb, vb):
-    """Dense blocks of two coefficient lists, each over its l range, its m
-    range and degrees 0..max n, with the channel axis second, and the wave
-    numbers (l, m) of its first row and column: (block a, l, m, block b,
-    l, m)."""
+    """Dense blocks of two coefficient lists, each over its l range, its
+    degrees 0..max n and its m range, with axes (l, channel, n, m), and the
+    wave numbers (l, m) of its first row and column: (block a, l, m,
+    block b, l, m)."""
     # the bounds of all six index lists, in one min and one max
     rows = np.concatenate((la, ma, lb, mb, na, nb))
     ends = np.cumsum((0, la.size, la.size, lb.size, lb.size, na.size))
     lo = np.minimum.reduceat(rows, ends).tolist()
     hi = np.maximum.reduceat(rows, ends).tolist()
-    a = np.zeros((hi[0] - lo[0] + 1, va.shape[0], hi[1] - lo[1] + 1, hi[4] + 1),
+    a = np.zeros((hi[0] - lo[0] + 1, va.shape[0], hi[4] + 1, hi[1] - lo[1] + 1),
                  dtype=va.dtype)
-    a[la - lo[0], :, ma - lo[1], na] = va.T
-    b = np.zeros((hi[2] - lo[2] + 1, vb.shape[0], hi[3] - lo[3] + 1, hi[5] + 1),
+    a[la - lo[0], :, na, ma - lo[1]] = va.T
+    b = np.zeros((hi[2] - lo[2] + 1, vb.shape[0], hi[5] + 1, hi[3] - lo[3] + 1),
                  dtype=vb.dtype)
-    b[lb - lo[2], :, mb - lo[3], nb] = vb.T
+    b[lb - lo[2], :, nb, mb - lo[3]] = vb.T
     return a, lo[0], lo[1], b, lo[2], lo[3]
 
 
@@ -423,32 +423,33 @@ def _window(first, half, size):
 
 def _convolve_window(a, b, lo, hi):
     """Entries lo <= index < hi of the full convolution of blocks a and b,
-    summed over their channels.
+    summed over their channels, as an array over (l, m, n).
 
-    Blocks have axes (l, channel, m, n). Entry (i, j, k) of the full
-    convolution, of shape a.shape + b.shape - 1 over (l, m, n), is the sum
-    of a[i1, c, j1, k1] * b[i - i1, c, j - j1, k - k1].
+    Blocks have axes (l, channel, n, m); lo and hi index (l, m, n). Entry
+    (i, j, k) of the full convolution, of shape a.shape + b.shape - 1 over
+    (l, m, n), is the sum of a[i1, c, k1, j1] * b[i - i1, c, k - k1, j - j1].
     """
     if a.shape[2] * a.shape[3] < b.shape[2] * b.shape[3]:
-        a, b = b, a  # the larger (m, n) block forms the view
-    ja, nc, ka, pa = a.shape
-    jb, _, kb, pb = b.shape
+        a, b = b, a  # the larger (n, m) block forms the view
+    ja, nc, pa, ka = a.shape
+    jb, _, pb, kb = b.shape
     nm, nn = hi[1] - lo[1], hi[2] - lo[2]
-    # pad[:, c, j, k] = a[:, c, j + sm, k + sn], zero outside a, and
-    # view[:, j, k, c, j2, k2] = pad[:, c, j + j2, k + k2] meets
-    # b[:, c, kb-1-j2, pb-1-k2] at window entry (j, k)
+    # pad[:, c, k, j] = a[:, c, k + sn, j + sm], zero outside a, and
+    # view[:, k, j, c, k2, j2] = pad[:, c, k + k2, j + j2] meets
+    # b[:, c, pb-1-k2, kb-1-j2] at window entry (j, k); m is the contiguous
+    # axis, so the copy that reshapes the view moves runs of kb entries
     sm, sn = lo[1] - kb + 1, lo[2] - pb + 1
-    pad = np.zeros((ja, nc, nm + kb - 1, nn + pb - 1), dtype=a.dtype)
-    pad[:, :, max(-sm, 0):ka - sm, max(-sn, 0):pa - sn] = \
-        a[:, :, max(sm, 0):hi[1], max(sn, 0):hi[2]]
+    pad = np.zeros((ja, nc, nn + pb - 1, nm + kb - 1), dtype=a.dtype)
+    pad[:, :, max(-sn, 0):pa - sn, max(-sm, 0):ka - sm] = \
+        a[:, :, max(sn, 0):hi[2], max(sm, 0):hi[1]]
     s = pad.strides
-    view = np.ndarray((ja, nm, nn, nc, kb, pb), a.dtype, pad, 0,
+    view = np.ndarray((ja, nn, nm, nc, pb, kb), a.dtype, pad, 0,
                       (s[0], s[2], s[3], s[1], s[2], s[3]))
     # p[jb-1 + i, i2] = row i of a times row i2 of b, summed over the
     # channels, which lands on l index i + i2. Batched over the rows of a,
     # each BLAS call stays small enough to run on one thread; one large
     # call was threaded and slower on a 2-core host
-    q, depth = nm * nn, nc * kb * pb
+    q, depth = nn * nm, nc * pb * kb
     p = np.zeros((ja + 2 * jb - 2, jb, q), dtype=a.dtype)
     np.matmul(b[:, :, ::-1, ::-1].reshape(jb, depth),
               view.reshape(ja, q, depth).transpose(0, 2, 1), out=p[jb - 1:ja + jb - 1])
@@ -457,10 +458,11 @@ def _convolve_window(a, b, lo, hi):
     s = p.strides
     skew = np.ndarray((jb, hi[0] - lo[0], q), a.dtype, p, (jb - 1 + lo[0]) * s[0],
                       (s[1] - s[0], s[0], s[2]))
-    return skew.sum(axis=0).reshape(hi[0] - lo[0], nm, nn)
+    return skew.sum(axis=0).reshape(hi[0] - lo[0], nn, nm).transpose(0, 2, 1)
 
 
-def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow):
+def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow,
+                      n_lo=0):
     """Truncated product of two coefficient lists, summed over channels, by
     dense block convolution.
 
@@ -471,15 +473,17 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow):
     :func:`poisson_bracket`).
 
     Each list is scattered into its bounding block, spanning its l range,
-    its m range and degrees 0..max n. Of the full product of the two
-    blocks, only the window that the output box keeps is computed. The
-    block with more (m, n) entries (the first on a tie) is zero-padded
-    and read through a strided view that lines up, for each window entry,
-    the entries the other block meets there. Contracting the view with
-    the other block, flipped, over the channels and the (m, n) face is
-    one matmul batched over the view's l rows, and the l shifts are added
-    through a skewed view. The result depends only on the inputs (and the
-    BLAS build), so runs repeat bit for bit.
+    degrees 0..max n and its m range, with m the contiguous axis. Of the
+    full product of the two blocks, only the window that the output box
+    keeps is computed, from degree n_lo up: the caller passes n_lo > 0
+    when every product below it vanishes, and those degrees of ``out``
+    stay zero. The block with more (n, m) entries (the first on a tie) is
+    zero-padded and read through a strided view that lines up, for each
+    window entry, the entries the other block meets there. Contracting the
+    view with the other block, flipped, over the channels and the (n, m)
+    face is one matmul batched over the view's l rows, and the l shifts
+    are added through a skewed view. The result depends only on the
+    inputs (and the BLAS build), so runs repeat bit for bit.
 
     When some product can leave the output box (the l, m or n range of
     the products reaches past it), the tail is summed from the weights
@@ -494,7 +498,8 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow):
     Every term is nonnegative and nothing is subtracted, so the tail is
     exact up to rounding relative to itself, as when each pair was
     weighed alone; when no product can leave the box the tail is exactly
-    0.0.
+    0.0. Degrees below n_lo lie inside the box, so n_lo does not change
+    the tail.
 
     Parameters
     ----------
@@ -510,6 +515,9 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow):
     xpow : float64 array
         xpow[n] weights a coefficient of degree n in the reported tail;
         only xpow[:max(na) + 1] and xpow[:max(nb) + 1] are read.
+    n_lo : int
+        Lowest degree computed; every channel product below it must
+        vanish.
 
     Returns
     -------
@@ -524,17 +532,17 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow):
     a, la0, ma0, b, lb0, mb0 = _blocks(la, ma, na, va, lb, mb, nb, vb)
     # entry (i, j, k) of the full product has wave numbers (l0 + i, m0 + j)
     l0, m0 = la0 + lb0, ma0 + mb0
-    ext = tuple(a.shape[i] + b.shape[i] - 1 for i in (0, 2, 3))  # (l, m, n)
+    ext = tuple(a.shape[i] + b.shape[i] - 1 for i in (0, 3, 2))  # (l, m, n)
     (lo_l, hi_l), (lo_m, hi_m) = _window(l0, l_t, ext[0]), _window(m0, l_theta, ext[1])
-    lo, hi = (lo_l, lo_m, 0), (hi_l, hi_m, min(n_x + 1, ext[2]))
+    lo, hi = (lo_l, lo_m, n_lo), (hi_l, hi_m, min(n_x + 1, ext[2]))
     if hi_l > lo_l and hi_m > lo_m:
         out[l_t + l0 + lo_l:l_t + l0 + hi_l,
-            l_theta + m0 + lo_m:l_theta + m0 + hi_m, :hi[2]] = _convolve_window(a, b, lo, hi)
-    if lo == (0, 0, 0) and hi == ext:
+            l_theta + m0 + lo_m:l_theta + m0 + hi_m, lo[2]:hi[2]] = _convolve_window(a, b, lo, hi)
+    if (lo_l, lo_m) == (0, 0) and hi == ext:
         return out, 0.0
-    wa, wb = np.abs(a) * xpow[:a.shape[3]], np.abs(b) * xpow[:b.shape[3]]
+    wa, wb = np.abs(a) * xpow[:a.shape[2], None], np.abs(b) * xpow[:b.shape[2], None]
     # (l, m) outside the window, every degree: the degree sums convolve
-    w = _convolve_window(wa.sum(axis=3, keepdims=True), wb.sum(axis=3, keepdims=True),
+    w = _convolve_window(wa.sum(axis=2, keepdims=True), wb.sum(axis=2, keepdims=True),
                          (0, 0, 0), (ext[0], ext[1], 1))
     w[lo_l:hi_l, lo_m:hi_m] = 0.0
     tail = w.sum()
@@ -542,13 +550,13 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow):
         # (l, m) in the window, degree >= hi[2]: degree n1 of a is a channel,
         # met by b's weight summed over its degrees >= hi[2] - n1 (suffix
         # index pb is the empty sum)
-        ja, nc, ka, pa = a.shape
-        jb, _, kb, pb = b.shape
-        suffix = np.zeros((jb, nc, kb, pb + 1))
-        suffix[..., :pb] = wb[..., ::-1].cumsum(axis=3)[..., ::-1]
-        sb = suffix[..., np.clip(hi[2] - np.arange(pa), 0, pb)]
-        tail += _convolve_window(wa.transpose(0, 1, 3, 2).reshape(ja, nc * pa, ka, 1),
-                                 sb.transpose(0, 1, 3, 2).reshape(jb, nc * pa, kb, 1),
+        ja, nc, pa, ka = a.shape
+        jb, _, pb, kb = b.shape
+        suffix = np.zeros((jb, nc, pb + 1, kb))
+        suffix[:, :, :pb] = wb[:, :, ::-1].cumsum(axis=2)[:, :, ::-1]
+        sb = suffix[:, :, np.clip(hi[2] - np.arange(pa), 0, pb)]
+        tail += _convolve_window(wa.reshape(ja, nc * pa, 1, ka),
+                                 sb.reshape(jb, nc * pa, 1, kb),
                                  (lo_l, lo_m, 0), (hi_l, hi_m, 1)).sum()
     return out, float(tail)
 
@@ -660,8 +668,9 @@ def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries):
     A = (d_x a, d_theta a) and B = (d_theta b, -d_x b). Each channel sits
     on its factor's own positions, with d_x taken as n c_n at degree n
     rather than at n - 1, so every channel product lands one degree high:
-    the kernel runs on the merged box with degrees 0..n_x + 1, and its
-    degree-0 slice, where every channel product vanishes, is dropped.
+    the kernel runs on the merged box with degrees 0..n_x + 1 and computes
+    degrees 1..n_x + 1 only, since every channel product vanishes at
+    degree 0; they are the bracket's degrees 0..n_x.
     As in :func:`multiply`, only the upper half of a enters and the result
     is mirrored once. A factor without x or theta dependence gives the
     zero series on the merged box, without calling the kernel.
@@ -694,7 +703,7 @@ def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries):
         out, tail = convolve_nonzeros(
             la, ma, na, va,
             lb - tb.l_t, mb, nb, np.array((1j * mb, -nb)) * vb,
-            trunc.l_t, trunc.l_theta, trunc.n_x + 1, xpow)
+            trunc.l_t, trunc.l_theta, trunc.n_x + 1, xpow, 1)
         # the mirror sum, scaled, in one fresh array
         res = np.conj(out[::-1, ::-1, 1:])
         res += out[:, :, 1:]

@@ -987,3 +987,48 @@ def test_bracket_is_one_kernel_call(monkeypatch):
         assert not out.coeffs.any()
         assert dropped == 0.0
     assert calls == []
+
+
+def test_bracket_values_window_starts_at_degree_one(monkeypatch):
+    # every channel product of a bracket vanishes at degree 0, so its
+    # values contraction starts at degree 1; a product's starts at 0
+    calls = []
+    convolve = fts._convolve_window
+
+    def recorded(a, b, lo, hi):
+        if a.dtype == np.complex128:
+            calls.append(lo[2])
+        return convolve(a, b, lo, hi)
+
+    monkeypatch.setattr(fts, "_convolve_window", recorded)
+    ta, tb = TruncationSpec(n_x=2, l_theta=4, l_t=1), TruncationSpec(n_x=4, l_theta=1, l_t=3)
+    rng = np.random.default_rng(17)
+    f = fts.random_real_series(ta, RHO, rng)
+    g = fts.random_real_series(tb, RHO, rng)
+    h = fts.random_real_series(DEFAULT_TRUNC, RHO, rng)
+    for a, b in ((f, g), (g, f), (f, f), (h, g), (h, h)):
+        fts.poisson_bracket(a, b)
+    assert len(calls) == 5 and set(calls) == {1}
+    calls.clear()
+    fts.multiply(f, g)
+    assert calls == [0]
+
+
+def test_kernel_lower_degree_bound_keeps_higher_degrees_and_tail():
+    # bracket-shaped channels, (n c, i m c) against (i m c, -n c): the
+    # degree-0 products vanish, so starting the window at degree 1 leaves
+    # the other degrees (to rounding) and the tail (exactly) as they were
+    pyrng = __import__("random").Random(73)
+    for da, ta, db, tb, axes in _bracket_cases(pyrng):
+        t = ta.merge(tb)
+        la, ma, na, va = _coeff_lists(da)
+        lb, mb, nb, vb = _coeff_lists(db)
+        va, vb = np.array((na, 1j * ma)) * va[0], np.array((1j * mb, -nb)) * vb[0]
+        xpow = DEFAULT_DOMAIN.x_half ** np.arange(t.n_x + 2, dtype=np.float64)
+        args = (la, ma, na, va, lb, mb, nb, vb, t.l_t, t.l_theta, t.n_x + 1, xpow)
+        full, tail_full = fts.convolve_nonzeros(*args, 0)
+        trimmed, tail_trimmed = fts.convolve_nonzeros(*args, 1)
+        assert not full[:, :, 0].any() and not trimmed[:, :, 0].any()
+        assert np.abs(trimmed - full).max() <= 1e-13 * np.abs(full).max()
+        assert tail_trimmed == tail_full
+        assert (tail_full > 0.0) == bool(axes)
