@@ -446,9 +446,10 @@ def _convolve_window(a, b, lo, hi):
     view = np.ndarray((ja, nn, nm, nc, pb, kb), a.dtype, pad, 0,
                       (s[0], s[2], s[3], s[1], s[2], s[3]))
     # p[jb-1 + i, i2] = row i of a times row i2 of b, summed over the
-    # channels, which lands on l index i + i2. Batched over the rows of a,
-    # each BLAS call stays small enough to run on one thread; one large
-    # call was threaded and slower on a 2-core host
+    # channels, which lands on l index i + i2. Batching over the rows of a
+    # keeps the calls of a default-box request below OpenBLAS's threading
+    # threshold (one large call was threaded and slower on a 2-core host);
+    # larger boxes make larger calls, which may cross it
     q, depth = nn * nm, nc * pb * kb
     p = np.zeros((ja + 2 * jb - 2, jb, q), dtype=a.dtype)
     np.matmul(b[:, :, ::-1, ::-1].reshape(jb, depth),
@@ -477,7 +478,7 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow,
     full product of the two blocks, only the window that the output box
     keeps is computed, from degree n_lo up: the caller passes n_lo > 0
     when every product below it vanishes, and those degrees of ``out``
-    stay zero. The block with more (n, m) entries (the first on a tie) is
+    stay zero; so does all of ``out`` when no product reaches n_lo. The block with more (n, m) entries (the first on a tie) is
     zero-padded and read through a strided view that lines up, for each
     window entry, the entries the other block meets there. Contracting the
     view with the other block, flipped, over the channels and the (n, m)
@@ -535,7 +536,7 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow,
     ext = tuple(a.shape[i] + b.shape[i] - 1 for i in (0, 3, 2))  # (l, m, n)
     (lo_l, hi_l), (lo_m, hi_m) = _window(l0, l_t, ext[0]), _window(m0, l_theta, ext[1])
     lo, hi = (lo_l, lo_m, n_lo), (hi_l, hi_m, min(n_x + 1, ext[2]))
-    if hi_l > lo_l and hi_m > lo_m:
+    if hi_l > lo_l and hi_m > lo_m and hi[2] > n_lo:
         out[l_t + l0 + lo_l:l_t + l0 + hi_l,
             l_theta + m0 + lo_m:l_theta + m0 + hi_m, lo[2]:hi[2]] = _convolve_window(a, b, lo, hi)
     if (lo_l, lo_m) == (0, 0) and hi == ext:

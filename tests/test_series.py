@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import _oracle as oracle
+from lie_kam import operators as ops
 from lie_kam import series as fts
 from lie_kam.presets import DEFAULT_TRUNC
 from lie_kam.series import (
@@ -1032,3 +1033,44 @@ def test_kernel_lower_degree_bound_keeps_higher_degrees_and_tail():
         assert np.abs(trimmed - full).max() <= 1e-13 * np.abs(full).max()
         assert tail_trimmed == tail_full
         assert (tail_full > 0.0) == bool(axes)
+
+
+def test_bracket_of_degree_zero_series_skips_the_values_window(monkeypatch):
+    # no product of two x-independent series reaches degree 1, so the
+    # bracket asks for no values window at all: it is the zero series,
+    # and its tail is 0.0 also where the harmonics leave the box
+    calls = []
+    convolve = fts._convolve_window
+
+    def recorded(a, b, lo, hi):
+        calls.append((a.dtype, lo, hi))
+        return convolve(a, b, lo, hi)
+
+    monkeypatch.setattr(fts, "_convolve_window", recorded)
+    pyrng = __import__("random").Random(79)
+    t = TruncationSpec(n_x=0, l_theta=2, l_t=2)
+    flat = [oracle.series_from_dict(oracle.rand_real_series(pyrng, lmax=2, mmax=2, nmax=0,
+                                                            density=0.8), t, RHO)
+            for _ in range(2)]
+    params = ops.AlgebraParams()
+    cases = [(ops.generic_curvature(params),) * 2,
+             (ops.generic_curvature(params, DEFAULT_TRUNC),) * 2,
+             (flat[0], flat[1]), (flat[1], flat[0]), (flat[0], flat[0])]
+    for a, b in cases:
+        out, dropped = fts.poisson_bracket(a, b)
+        assert out.trunc == a.trunc.merge(b.trunc)
+        assert not out.coeffs.any()
+        assert dropped == 0.0
+    assert calls and all(dtype == np.float64 for dtype, _, _ in calls)
+    # the kernel itself: lower bound 1 leaves out and tail as bound 0 has them
+    calls.clear()
+    la, ma, na, va = _coeff_lists(oracle.rand_real_series(pyrng, lmax=2, mmax=2, nmax=0))
+    lb, mb, nb, vb = _coeff_lists(oracle.rand_real_series(pyrng, lmax=2, mmax=2, nmax=0))
+    va, vb = np.array((na, 1j * ma)) * va[0], np.array((1j * mb, -nb)) * vb[0]
+    xpow = DEFAULT_DOMAIN.x_half ** np.arange(2, dtype=np.float64)
+    args = (la, ma, na, va, lb, mb, nb, vb, 1, 1, 1, xpow)
+    full, tail_full = fts.convolve_nonzeros(*args, 0)
+    trimmed, tail_trimmed = fts.convolve_nonzeros(*args, 1)
+    assert not full.any() and not trimmed.any()
+    assert tail_trimmed == tail_full
+    assert [lo[2] for dtype, lo, _ in calls if dtype == np.complex128] == [0]
