@@ -8,7 +8,8 @@ cross-validate each other. The same RK4 run gives the states at the
 stroboscopic section times; chart transforms, conservation diagnostics
 and CSV emission live here too.
 
-The reduced field sums both derivatives of a real drive series through one
+The reduced field is the compiled vector field of H0 + V: its two
+components, drift included, are real series evaluated through one
 :func:`lie_kam.series.compile_evaluator` table. RK4 batches are
 bit-identical member by member to their solo runs.
 """
@@ -356,11 +357,15 @@ def make_reduced_field(params: AlgebraParams, v_series: FourierTaylorSeries):
         dtheta/dt = rho Delta (x0 + x) + (1/rho) dV/dx,
 
     and |x| beyond the domain radius gives NaN velocities, so an
-    integrated member that leaves the chart domain aborts.
+    integrated member that leaves the chart domain aborts. V lives on the
+    sphere of ``params.rho`` (else ValueError).
 
-    Both derivatives are summed by one
-    :func:`lie_kam.series.compile_evaluator` table, so a member of a batch
-    (..., 2) gets the bits of its solo call on (2,).
+    Both components are built once as real series on V's box merged with
+    degree 1: the scaled derivatives, with the drift omega + rho Delta x
+    (omega = rho Delta x0) added to dtheta/dt as its (0, 0, 0) and
+    (0, 0, 1) coefficients. One :func:`lie_kam.series.compile_evaluator`
+    table sums both, so a call is one table sum plus the domain check, and
+    a member of a batch (..., 2) gets the bits of its solo call on (2,).
 
     Examples
     --------
@@ -370,17 +375,18 @@ def make_reduced_field(params: AlgebraParams, v_series: FourierTaylorSeries):
     >>> (bool(xd == 0.0), bool(abs(td - p.omega) < 1e-15))
     (True, True)
     """
-    rho, delta, x0 = params.rho, params.delta, params.x0
-    rho_delta = rho * delta
+    rho = params.rho
+    v = v_series + fts.zeros(fts.TruncationSpec(1, 0, 0), rho)
+    drift = fts.from_terms([(0, 0, 0, params.omega),
+                            (0, 0, 1, rho * params.delta)], v.trunc, rho)
     sums = fts.compile_evaluator(
-        (fts.partial_theta(v_series), fts.partial_x(v_series)))
-    scale = np.array([-1.0 / rho, 1.0 / rho])
+        (fts.scale(fts.partial_theta(v), -1.0 / rho),
+         fts.scale(fts.partial_x(v), 1.0 / rho) + drift))
     x_cap = DEFAULT_DOMAIN.x_cap
 
     def fieldfn(t, y):
         x = y[..., 0]
-        out = sums(x, y[..., 1:], t) * scale
-        out[..., 1] += rho_delta * (x0 + x)
+        out = sums(x, y[..., 1:], t)
         # one check for the common in-domain batch; a NaN member fails it
         # too, so it cannot hide another's exit
         size = np.abs(x)

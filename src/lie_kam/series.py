@@ -733,12 +733,17 @@ def compile_evaluator(parts):
     (0, 0) weight 1) holds the whole series. The table is built once, over
     the harmonics where some part is nonzero and the degrees up to the
     highest nonzero one: the wave numbers, and the weighted Re c and -Im c
-    per (harmonic, degree, part). A call forms one phase array, its cosine
-    and sine, the powers of x by repeated multiplication and one
-    sequential sum (``np.add.accumulate``) over the table row of each
-    part. Every operation is elementwise over the points or a fixed-order
-    sum along a table axis, so each point of a batch gets the bits of its
-    solo call.
+    with axes (part, cos | sin x harmonic, degree). A call forms one phase
+    array, its cosine and sine, the powers of x by repeated multiplication
+    and one ``np.einsum`` that contracts them with the table, without a
+    (points, parts, terms) temporary. For each point and part it adds the
+    terms (trig x^n) c to one running sum from zero in table order: the
+    cosine rows, then the sine rows, harmonic-major and degree-minor.
+    einsum picks its own loop order, and numpy 2.4 sums a lone part of a
+    one-harmonic table at one or two points row by row, so a lone part is
+    compiled with a zero second part; ``tests/test_series.py`` pins the
+    order bit for bit. Every other operation is elementwise over the
+    points, so each point of a batch gets the bits of its solo call.
 
     Examples
     --------
@@ -758,12 +763,12 @@ def compile_evaluator(parts):
     degrees = np.nonzero(nonzero.any(axis=(0, 1)))[0]
     n_deg = int(degrees[-1]) + 1 if len(degrees) else 1
     center = (li == 0) & (mi == trunc.l_theta)
-    weight = np.where(center, 1.0, 2.0)[:, None, None]
-    half = np.stack([h[li, mi, :n_deg] for h in halves],
-                    axis=-1)  # (harmonic, degree, part)
-    # rows (cos | sin, harmonic, degree), one contiguous row per part
-    table = np.concatenate([weight * half.real, -weight * half.imag])
-    table = np.ascontiguousarray(table.reshape(-1, len(parts)).T)
+    weight = np.where(center, 1.0, 2.0)[:, None]
+    # a lone part gets a zero second one (see above)
+    half = np.stack([h[li, mi, :n_deg] for h in halves]
+                    + [np.zeros((len(li), n_deg))] * (len(parts) == 1))
+    # axes (part, cos | sin x harmonic, degree)
+    table = np.concatenate([weight * half.real, -weight * half.imag], axis=1)
     wave_l = li.astype(np.float64)
     wave_m = (mi - trunc.l_theta).astype(np.float64)
 
@@ -774,9 +779,8 @@ def compile_evaluator(parts):
         powers[..., 0] = 1.0
         powers[..., 1:] = x[..., None]
         powers = np.multiply.accumulate(powers, axis=-1)
-        terms = (trig[..., :, None] * powers[..., None, :]).reshape(
-            x.shape + (1, -1)) * table
-        return np.add.accumulate(terms, axis=-1)[..., -1]
+        return np.einsum("...h,...d,phd->...p", trig, powers,
+                         table)[..., :len(parts)]
     return sums
 
 

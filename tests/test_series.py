@@ -441,6 +441,71 @@ def test_evaluate_broadcasts():
     assert np.allclose(got, 0.1 * np.cos(th))
 
 
+def _table_order_sum(part, x, th, t):
+    """A real series at points x, th (trailing unit axis) and scalar t,
+    summed term by term in the compiled table's order: cos rows, then sin
+    rows; upper-half harmonics in (l, m) order, degrees ascending within
+    each; each term (trig * x^n) * c, added to one running sum from +0.
+
+    A zero coefficient is skipped: the running sum starts at +0 and only
+    adds, so it is never -0, and adding a zero term leaves its bits."""
+    tr = part.trunc
+    powers = [np.ones_like(x)]
+    for _ in range(tr.n_x):
+        powers.append(powers[-1] * x)
+    acc = np.zeros_like(x)
+    for trig, sign, take in ((np.cos, 1.0, np.real), (np.sin, -1.0, np.imag)):
+        for l in range(tr.l_t + 1):
+            for m in range(-tr.l_theta if l else 0, tr.l_theta + 1):
+                wave = trig(th * float(m) + t * float(l))[..., 0]
+                weight = 1.0 if l == m == 0 else 2.0
+                for n in range(tr.n_x + 1):
+                    c = sign * weight * take(part.coeff(l, m, n))
+                    if c != 0.0:
+                        acc = acc + (wave * powers[n]) * c
+    return acc
+
+
+def test_compiled_evaluator_sums_in_table_order():
+    # einsum picks its own loop order; this pins the one the evaluator
+    # needs, bit for bit. It covers one-harmonic series, for which numpy
+    # 2.4's einsum sums a lone part at one or two points row by row, and
+    # x-only ones
+    rng = np.random.default_rng(27)
+    x_half = DEFAULT_DOMAIN.x_half
+    cases = []
+    for k in range(24):
+        tr = TruncationSpec(int(rng.integers(0, 9)), int(rng.integers(0, 9)),
+                            int(rng.integers(0, 7)))
+        # the whole box, x-only, or at most a few low harmonics
+        lt, lm = [(tr.l_t, tr.l_theta), (0, 0),
+                  (min(1, tr.l_t), min(2, tr.l_theta))][k % 3]
+        cases.append([fts.random_real_series(
+            tr, RHO, rng, n_terms=int(rng.integers(1, 40)),
+            l_t_max=lt, l_theta_max=lm) for _ in range(1 + k // 8)])
+    # one harmonic with terms at every degree in both its rows
+    for l, m in ((0, 1), (1, -2), (2, 3), (0, 5)):
+        cases.append([fts.from_real_terms(
+            [(l, m, n, complex(*rng.uniform(-1, 1, size=2)))
+             for n in range(TR.n_x + 1)], TR, RHO)])
+    for parts in cases:
+        sums = fts.compile_evaluator(parts)
+        # small calls many times: an order that groups the sum moves the
+        # bits of only some values
+        for size in [1] * 40 + [2] * 40 + [4, 2000]:
+            x = rng.uniform(-x_half, x_half, size=size)
+            th = rng.uniform(0.0, 2.0 * math.pi, size=(size, 1))
+            t = float(rng.uniform(0.0, 20.0))
+            got = sums(x, th, t)
+            assert got.shape == (size, len(parts))
+            for j, part in enumerate(parts):
+                assert np.array_equal(got[:, j],
+                                      _table_order_sum(part, x, th, t))
+        # batch == solo at the large size
+        for i in range(0, size, 7):
+            assert np.array_equal(sums(x[i], th[i], t), got[i])
+
+
 # -- norms -------------------------------------------------------------------
 
 
