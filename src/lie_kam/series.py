@@ -740,9 +740,9 @@ def compile_evaluator(parts):
     terms (trig x^n) c to one running sum from zero in table order: the
     cosine rows, then the sine rows, harmonic-major and degree-minor.
     einsum picks its own loop order, and numpy 2.4 sums a lone part of a
-    one-harmonic table at one or two points row by row, so a lone part is
-    compiled with a zero second part; ``tests/test_series.py`` pins the
-    order bit for bit. Every other operation is elementwise over the
+    one-harmonic table at one or two points row by row (each row's
+    degrees first), so a lone part is compiled with a zero second part;
+    ``tests/test_series.py`` pins the order bit for bit. Every other operation is elementwise over the
     points, so each point of a batch gets the bits of its solo call.
 
     Examples

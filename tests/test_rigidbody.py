@@ -366,6 +366,12 @@ def test_reduced_field_zero_series_is_unperturbed_in_domain():
     assert np.all(np.isnan(fieldfn(0.3, np.array([0.3, 0.4]))))
 
 
+def test_reduced_field_rejects_series_on_another_sphere():
+    # V and the drift are added as series, so V must share params.rho
+    with pytest.raises(ValueError, match="rho mismatch"):
+        rb.make_reduced_field(AlgebraParams(rho=3.0), FLAT)
+
+
 def test_reduced_field_rejects_non_real_series():
     # a non-real drive never reaches the compiler: it is rejected where it
     # enters, as a series
