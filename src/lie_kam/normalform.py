@@ -305,14 +305,18 @@ def _lie_series(gamma: ops.Derivation, g: FourierTaylorSeries,
                 h: FourierTaylorSeries, out: FourierTaylorSeries, tol: float):
     """Add ``sum_{k>=1} Gamma^k g / k! - Gamma^k h / (k+1)!`` to out.
 
-    h may be None (no second series), and out lies on g's box. Terms are
-    added until the majorant weight of the k-th term falls below ``tol``
-    times the weight of g (absolute when g has weight 0). Five consecutive
+    h may be None (no second series), and out lies on g's box. The two
+    sums are summed as one chain u_1 = Gamma g, u_2 = Gamma (u_1 - h),
+    u_k = Gamma u_{k-1}, whose terms u_k / k! have the same sum, so each
+    term costs one application of gamma. Terms are added until the
+    majorant weight of the k-th term falls below ``tol`` times the weight
+    of g (absolute when g has weight 0); h first enters the second term,
+    so with h the stop test starts at k = 2. Five consecutive
     non-decreasing term weights raise :class:`DivergenceError`; reaching
     ``_MAX_TERMS`` terms warns and returns the partial sum. Returns
     ``(sum, terms_used, dropped)``, dropped summing the weight each term's
-    brackets dropped times its factors. A term whose weight is not finite
-    raises ``NonFiniteError``.
+    bracket dropped times its factor 1/k. A term whose weight is not
+    finite raises ``NonFiniteError``.
 
     Each application of gamma carries its 1/k into its one output array.
     Every term lies on the same box, that of G, g and h merged, which
@@ -326,24 +330,21 @@ def _lie_series(gamma: ops.Derivation, g: FourierTaylorSeries,
     dropped = 0.0
     total = None
     for k in range(1, _MAX_TERMS + 1):
-        g, lost = gamma(g, 1.0 / k)  # Gamma^k g / k!
-        term, lost = g, lost * (1.0 / k)
-        if h is not None:
-            h, lost_h = gamma(h, 1.0 / k)  # Gamma^k h / k!
-            term = g - fts.scale(h, 1.0 / (k + 1))
-            lost += lost_h * (1.0 / k) * (1.0 / (k + 1))
+        if k == 2 and h is not None:
+            g = g - h
+        g, lost = gamma(g, 1.0 / k)  # the k-th term, u_k / k!
         if total is None:
-            out = out + term
+            out = out + g
             total = np.array(out.coeffs)
         else:
-            total += term.coeffs
-        dropped += lost
-        tn = fts.majorant_norm(term, 0.0)
+            total += g.coeffs
+        dropped += lost * (1.0 / k)
+        tn = fts.majorant_norm(g, 0.0)
         if not math.isfinite(tn):
             raise fts.NonFiniteError(
                 f"Lie series overflowed: term {k} has a weight that is not "
                 "finite")
-        if tn <= tol * scale_:
+        if tn <= tol * scale_ and (k > 1 or h is None):
             break
         if tn >= prev:
             rises += 1
@@ -395,7 +396,8 @@ class LieTransformResult:
         Lie-series terms summed before the tolerance was met.
     tail_norm : float
         Majorant weight at r = 0 that the Lie-series brackets dropped outside
-        the box, times each term's factors; a record, not an error bound.
+        the box, one bracket per term times its factor 1/k; a record of
+        the brackets formed, not an error bound.
     """
 
     v_star: FourierTaylorSeries
@@ -417,7 +419,14 @@ def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
 
     so that ``exp(Gamma_V) (H + {V, .}) exp(-Gamma_V) = H' + {V_*, .}``
     with H' the generator carrying curvature ``q_star`` and drift
-    ``R V``. The Lie series stops at 40 terms with a RuntimeWarning.
+    ``R V``. The two sums are summed as one chain with the same sum,
+
+        u_1 = Gamma_V V,  u_2 = Gamma_V (u_1 - N V),
+        u_k = Gamma_V u_{k-1} (k >= 3),  V_* = sum_{k>=1} u_k / k!,
+
+    so each Lie term applies Gamma_V once, and at least two terms are
+    summed, since N V enters at the second. The Lie series stops at 40
+    terms with a RuntimeWarning.
 
     Parameters
     ----------

@@ -463,10 +463,10 @@ def test_reported_tails_frozen(tmp_path):
     assert run(["normalize", "--preset", "pert1", "--eps", "1e-2",
                 "--out", str(tmp_path)]) == 0
     rep = read_json(tmp_path / "normalize_report.json")
-    assert rep["tail_norm"] == pytest.approx(2.36962248311673e-10, rel=1e-12, abs=0.0)
+    assert rep["tail_norm"] == pytest.approx(2.3307967323582247e-10, rel=1e-12, abs=0.0)
     assert run(["iterate", "--steps", "3", "--out", str(tmp_path)]) == 0
     rows = read_json(tmp_path / "iterate_ledger.json")["steps"]
-    frozen = [0.0, 4.661671377626285e-14, 4.2628575744431104e-12, 1.4036277692729683e-22]
+    frozen = [0.0, 4.65103312690382e-14, 4.262841798256932e-12, 1.4036277686531899e-22]
     assert [row["tail_norm"] for row in rows] == pytest.approx(frozen, rel=1e-12, abs=0.0)
 
 

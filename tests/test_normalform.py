@@ -206,12 +206,60 @@ def test_lie_series_term_cap(monkeypatch):
     with pytest.warns(RuntimeWarning, match="truncated at 2 terms"):
         res = nf.compute_v_star(v, Q_SERIES, PARAMS, dio=DIO)
     assert res.series_terms_used == 2
-    # V_* is the two-term sum of Gamma^k V / k! - Gamma^k (N V) / (k+1)!
+    # V_* is the two-term sum of the one chain u_1 = Gamma V,
+    # u_2 = Gamma (u_1 - N V), divided by k!
     gamma = ops.Derivation(v, Q_SERIES, PARAMS, DIO)
-    v1, n1 = gamma(v)[0], gamma(gamma.solvable)[0]
-    v2, n2 = fts.scale(gamma(v1)[0], 0.5), fts.scale(gamma(n1)[0], 0.5)
-    want = (v1 - fts.scale(n1, 0.5)) + (v2 - fts.scale(n2, 1.0 / 3))
+    v1 = gamma(v)[0]
+    v2 = fts.scale(gamma(v1 - gamma.solvable)[0], 0.5)
+    want = v1 + v2
     assert res.v_star.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_v_star_one_chain_matches_the_two_sums():
+    # the one chain sums Gamma^k V / k! - Gamma^k (N V) / (k+1)!, the two
+    # sums of the docstring, here summed separately to the same depth
+    v = pr.reduced_drive_series(1e-2)
+    res = nf.compute_v_star(v, Q_SERIES, PARAMS, tol=1e-15, dio=DIO)
+    gamma = ops.Derivation(v, Q_SERIES, PARAMS, DIO)
+    g, h = v, gamma.solvable
+    want = fts.zeros(v.trunc, v.rho)
+    for k in range(1, res.series_terms_used + 1):
+        g = fts.scale(gamma(g)[0], 1.0 / k)  # Gamma^k V / k!
+        h = fts.scale(gamma(h)[0], 1.0 / k)  # Gamma^k (N V) / k!
+        want = want + g - fts.scale(h, 1.0 / (k + 1))
+    assert fts.majorant_norm(res.v_star - want, 0.0) <= 1e-13
+
+
+def test_v_star_forms_one_bracket_per_lie_term(monkeypatch):
+    calls = []
+    apply = ops.Derivation.__call__
+
+    def counting_apply(self, *args, **kwargs):
+        calls.append(1)
+        return apply(self, *args, **kwargs)
+
+    monkeypatch.setattr(ops.Derivation, "__call__", counting_apply)
+    for eps in (1e-5, 1e-2):
+        calls.clear()
+        res = nf.compute_v_star(pr.reduced_drive_series(eps), Q_SERIES,
+                                PARAMS, dio=DIO)
+        assert len(calls) == res.series_terms_used, (eps, len(calls))
+    # N V enters at the second term, so even a huge tol sums two terms:
+    # V_* = Gamma V + Gamma (Gamma V - N V) / 2
+    v = pr.reduced_drive_series(1e-2)
+    res = nf.compute_v_star(v, Q_SERIES, PARAMS, tol=1e300, dio=DIO)
+    assert res.series_terms_used == 2
+    monkeypatch.setattr(ops.Derivation, "__call__", apply)
+    gamma = ops.Derivation(v, Q_SERIES, PARAMS, DIO)
+    v1 = gamma(v)[0]
+    want = v1 + fts.scale(gamma(v1 - gamma.solvable)[0], 0.5)
+    assert res.v_star.coeffs.tobytes() == want.coeffs.tobytes()
+    # its first-order part -Gamma (N V) / 2 is kept
+    first = fts.scale(gamma(gamma.solvable)[0], -0.5)
+    rest = v1 + fts.scale(gamma(v1)[0], 0.5)
+    assert fts.majorant_norm(first, 0.0) > 0.0
+    assert fts.majorant_norm(res.v_star - rest - first, 0.0) \
+        <= 1e-14 * fts.majorant_norm(first, 0.0)
 
 
 class _Blowup:
