@@ -309,8 +309,8 @@ def _lie_series(gamma: ops.Derivation, g: FourierTaylorSeries,
     sums are summed as one chain u_1 = Gamma g, u_2 = Gamma (u_1 - h),
     u_k = Gamma u_{k-1}, whose terms u_k / k! have the same sum, so each
     term costs one application of gamma. Terms are added until the
-    majorant weight of the k-th term falls below ``tol`` times the weight
-    of g (absolute when g has weight 0); h first enters the second term,
+    majorant weight of the k-th term falls below ``tol`` times the larger
+    of 1 and the weight of g; h first enters the second term,
     so with h the stop test starts at k = 2. Five consecutive
     non-decreasing term weights raise :class:`DivergenceError`; reaching
     ``_MAX_TERMS`` terms warns and returns the partial sum. Returns
@@ -368,7 +368,7 @@ def lie_exp_apply(f: FourierTaylorSeries, g: FourierTaylorSeries,
     """Apply ``exp(Gamma_f)`` to g by summing the Lie series.
 
     Terms are added until the majorant weight of the next term falls
-    below ``tol`` times the weight of g (absolute when g has weight 0).
+    below ``tol`` times the larger of 1 and the weight of g.
     Five consecutive non-decreasing term weights raise
     :class:`DivergenceError`; reaching the 40-term cap warns and returns
     the partial sum.
@@ -436,7 +436,8 @@ def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
         Current curvature coefficient (degree-0 box).
     params : AlgebraParams
     tol : float
-        Relative majorant tolerance for stopping the Lie series.
+        Majorant tolerance for stopping the Lie series, relative to the
+        larger of 1 and the weight of v.
     dio : DiophantineParams, optional
         Divisor floor certificate for the small-divisor solves.
 
