@@ -430,7 +430,6 @@ def cmd_normalize(config, derived, out):
         "v_norm": n_v,
         "v_star_norm": n_full,
         "series_terms_used": result.series_terms_used,
-        "tail_norm": result.tail_norm,
         "quadratic_probe": {
             "eps": eps, "eps_half": 0.5 * eps,
             "norm": n_full, "norm_half": n_half,

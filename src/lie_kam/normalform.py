@@ -270,7 +270,7 @@ def certify_bounds(w: FourierTaylorSeries, z: FourierTaylorSeries,
     nw = fts.majorant_norm(w, r)
     nz = fts.majorant_norm(z, r - delta)
     gamma = ops.Derivation(w, q, params, dio)
-    measured_g = fts.majorant_norm(gamma(z)[0], r - d - delta)
+    measured_g = fts.majorant_norm(gamma(z), r - d - delta)
     bound_g = bc.lam() * nw * nz
 
     measured_n = fts.majorant_norm(gamma.solvable, r - delta)
@@ -314,9 +314,8 @@ def _lie_series(gamma: ops.Derivation, g: FourierTaylorSeries,
     so with h the stop test starts at k = 2. Five consecutive
     non-decreasing term weights raise :class:`DivergenceError`; reaching
     ``_MAX_TERMS`` terms warns and returns the partial sum. Returns
-    ``(sum, terms_used, dropped)``, dropped summing the weight each term's
-    bracket dropped times its factor 1/k. A term whose weight is not
-    finite raises ``NonFiniteError``.
+    ``(sum, terms_used)``. A term whose weight is not finite raises
+    ``NonFiniteError``.
 
     Each application of gamma carries its 1/k into its one output array.
     Every term lies on the same box, that of G, g and h merged, which
@@ -327,18 +326,16 @@ def _lie_series(gamma: ops.Derivation, g: FourierTaylorSeries,
     scale_ = max(fts.majorant_norm(g, 0.0), 1.0)
     prev = math.inf
     rises = 0
-    dropped = 0.0
     total = None
     for k in range(1, _MAX_TERMS + 1):
         if k == 2 and h is not None:
             g = g - h
-        g, lost = gamma(g, 1.0 / k)  # the k-th term, u_k / k!
+        g = gamma(g, 1.0 / k)  # the k-th term, u_k / k!
         if total is None:
             out = out + g
             total = np.array(out.coeffs)
         else:
             total += g.coeffs
-        dropped += lost * (1.0 / k)
         tn = fts.majorant_norm(g, 0.0)
         if not math.isfinite(tn):
             raise fts.NonFiniteError(
@@ -358,7 +355,7 @@ def _lie_series(gamma: ops.Derivation, g: FourierTaylorSeries,
     else:
         warnings.warn(f"Lie series truncated at {_MAX_TERMS} terms with last "
                       f"term weight {prev:.3g}", RuntimeWarning)
-    return FourierTaylorSeries(total, out.trunc, out.rho, hermitian=True), k, dropped
+    return FourierTaylorSeries(total, out.trunc, out.rho, hermitian=True), k
 
 
 def lie_exp_apply(f: FourierTaylorSeries, g: FourierTaylorSeries,
@@ -367,9 +364,9 @@ def lie_exp_apply(f: FourierTaylorSeries, g: FourierTaylorSeries,
                   tol: float = 1e-12) -> FourierTaylorSeries:
     """Apply ``exp(Gamma_f)`` to g by summing the Lie series.
 
-    Terms are added until the majorant weight of the next term falls
-    below ``tol`` times the larger of 1 and the weight of g.
-    Five consecutive non-decreasing term weights raise
+    Terms are added until the majorant weight of the k-th term falls
+    below ``tol`` times the larger of 1 and the weight of g; that term is
+    the last one added. Five consecutive non-decreasing term weights raise
     :class:`DivergenceError`; reaching the 40-term cap warns and returns
     the partial sum.
     """
@@ -394,17 +391,12 @@ class LieTransformResult:
         Updated curvature coefficient after absorbing rv.
     series_terms_used : int
         Lie-series terms summed before the tolerance was met.
-    tail_norm : float
-        Majorant weight at r = 0 that the Lie-series brackets dropped outside
-        the box, one bracket per term times its factor 1/k; a record of
-        the brackets formed, not an error bound.
     """
 
     v_star: FourierTaylorSeries
     rv: FourierTaylorSeries
     q_star: FourierTaylorSeries
     series_terms_used: int
-    tail_norm: float
 
 
 def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
@@ -457,11 +449,11 @@ def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
     """
     gamma = ops.Derivation(v, q, params, dio)
     rv = gamma.resonant
-    out, terms, tail = _lie_series(gamma, v, gamma.solvable,
-                                   fts.zeros(v.trunc, v.rho), tol)
+    out, terms = _lie_series(gamma, v, gamma.solvable,
+                             fts.zeros(v.trunc, v.rho), tol)
     q_star = ops._curvature_update(q, rv)
     return LieTransformResult(v_star=out, rv=rv, q_star=q_star,
-                              series_terms_used=terms, tail_norm=tail)
+                              series_terms_used=terms)
 
 
 # -- convergence schedule ------------------------------------------------------
@@ -581,8 +573,7 @@ class IterationState:
     budget); ``mu_schedule`` is the uncapped schedule value the side
     conditions refer to. ``conditions`` carries the schedule booleans
     for this step plus ``q_star`` (updated curvature average above its
-    certified floor) for states produced by a step, and ``tail_norm`` the
-    tail of the step that produced this state (0.0 for state 0).
+    certified floor) for states produced by a step.
     """
 
     i: int
@@ -595,7 +586,6 @@ class IterationState:
     q_i: float
     measured_v_norm: float
     contraction_ratio: float
-    tail_norm: float
     conditions: dict
 
 
@@ -645,7 +635,6 @@ def kam_iterate(v0: FourierTaylorSeries, q0: FourierTaylorSeries,
     measured = eps0
     prev_norm = None
     ratio = None
-    tail = 0.0
     extra = {}
     for i in range(steps + 1):
         row = sched["steps"][i]
@@ -661,7 +650,7 @@ def kam_iterate(v0: FourierTaylorSeries, q0: FourierTaylorSeries,
             i=i, v=v, curvature=qs, r_i=r_i, eps_i=row["eps"],
             mu_i=mu_used, mu_schedule=mu_sched, q_i=row["q"],
             measured_v_norm=measured, contraction_ratio=ratio,
-            tail_norm=tail, conditions=conds))
+            conditions=conds))
         if i == steps:
             break
         res = compute_v_star(v, qs, params, tol, dio)
@@ -673,7 +662,7 @@ def kam_iterate(v0: FourierTaylorSeries, q0: FourierTaylorSeries,
             floor = -math.inf
         extra = {"q_star": abs(res.q_star.coeff(0, 0, 0)) >= floor}
         prev_norm = measured
-        v, qs, tail = res.v_star, res.q_star, res.tail_norm
+        v, qs = res.v_star, res.q_star
         r_i = r_i - mu_used
         # V_{i+1} at r_{i+1}: the next state's norm and this step's ratio
         measured = fts.majorant_norm(v, r_i)
@@ -697,7 +686,6 @@ def iteration_ledger(states: list) -> list:
             "q_i": st.q_i,
             "measured_norm": st.measured_v_norm,
             "contraction_ratio": st.contraction_ratio,
-            "tail_norm": st.tail_norm,
             "conditions": dict(st.conditions),
         })
     return out

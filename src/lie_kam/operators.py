@@ -364,7 +364,7 @@ def hamiltonian_apply(g: FourierTaylorSeries, q: FourierTaylorSeries,
                       params: AlgebraParams) -> FourierTaylorSeries:
     """Generator H g = omega d_theta g + d_t g + {Q x^2 / 2, g}."""
     lin = fts.scale(fts.partial_theta(g), params.omega) + fts.partial_t(g)
-    return lin + fts.poisson_bracket(half_curvature_x2(q), g)[0]
+    return lin + fts.poisson_bracket(half_curvature_x2(q), g)
 
 
 class Derivation:
@@ -412,7 +412,7 @@ class Derivation:
         u = _p0(fts.partial_x(f))
         w = small_divisor_solve(u + fts.scale(inner, -1.0 / params.rho),
                                 params, dio)
-        k = const + fts.poisson_bracket(half_curvature_x2(q), _lift_degree(w))[0]
+        k = const + fts.poisson_bracket(half_curvature_x2(q), _lift_degree(w))
         r_s, n_s = _split(f)
         self.correction = k
         self.resonant = r_s - k
@@ -424,18 +424,17 @@ class Derivation:
         self.shift = af / params.rho
 
     def __call__(self, g: FourierTaylorSeries, factor=None):
-        """(Gamma_f g, weight its bracket dropped), Gamma_f g = {G, g} - (a_f / rho) d_x g.
+        """Gamma_f g = {G, g} - (a_f / rho) d_x g, or factor * Gamma_f g.
 
-        With a real ``factor``, the series is factor * Gamma_f g and the
-        weight is still the bracket's own. The translation term is written
-        into one array on the bracket's box, the bracket added to it and
-        the factor applied in place: the same roundings as
+        ``factor`` is real. The translation term is written into one array
+        on the bracket's box, the bracket added to it and the factor
+        applied in place: the same roundings as
         ``scale(bracket + scale(partial_x(g), -shift), factor)``, with one
         series built instead of four. The bracket's first factor is the
         generator every call shares, whose side of the kernel call is
         derived once (see ``series.poisson_bracket``).
         """
-        bracket, dropped = fts.poisson_bracket(self.generator, g)
+        bracket = fts.poisson_bracket(self.generator, g)
         t, tg = bracket.trunc, g.trunc
         out = np.zeros(t.shape, dtype=np.complex128)
         dx = out[t.l_t - tg.l_t:t.l_t + tg.l_t + 1,
@@ -445,7 +444,7 @@ class Derivation:
         out += bracket.coeffs
         if factor is not None:
             out *= factor
-        return FourierTaylorSeries(out, t, bracket.rho, hermitian=True), dropped
+        return FourierTaylorSeries(out, t, bracket.rho, hermitian=True)
 
 
 def projection_correction(f: FourierTaylorSeries, q: FourierTaylorSeries,
@@ -463,7 +462,7 @@ def homological_derivation(f: FourierTaylorSeries, g: FourierTaylorSeries,
     Builds a :class:`Derivation`; callers applying Gamma_f to several
     series build it themselves and reuse it.
     """
-    return Derivation(f, q, params, dio)(g)[0]
+    return Derivation(f, q, params, dio)(g)
 
 
 # -- verification -------------------------------------------------------------
@@ -582,11 +581,11 @@ def run_identity_suite(params: AlgebraParams, trunc: TruncationSpec,
                abs(translation_coefficient(rsf, q, params, dio)) / nf)
 
         for g, ng, hg in probes:
-            record("derivation_after_resonant", _l1(gamma_rf(g)[0]) / (nf * ng))
-            lhs = hamiltonian_apply(gamma_f(g)[0], q, params)
-            rhs = gamma_f(hg)[0]
+            record("derivation_after_resonant", _l1(gamma_rf(g)) / (nf * ng))
+            lhs = hamiltonian_apply(gamma_f(g), q, params)
+            rhs = gamma_f(hg)
             commutator = lhs - rhs
-            want = fts.poisson_bracket(solv, g)[0]
+            want = fts.poisson_bracket(solv, g)
             record("homological", _l1(commutator - want) / (nf * ng))
 
     return [

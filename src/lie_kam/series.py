@@ -164,10 +164,10 @@ class FourierTaylorSeries:
     rho : float
         Casimir radius of the momentum sphere the reduced coordinates live on.
 
-    A series holds no truncation record: :func:`multiply` and
-    :func:`poisson_bracket` return the weight they dropped beside their result.
-    Once it has been the first factor of a bracket, it keeps that factor's
-    side of the kernel call, frozen (see :func:`_bracket_form`).
+    Products and brackets keep the part of their result that lies in the
+    merged box and drop the rest. Once a series has been the first factor
+    of a bracket, it keeps that factor's side of the kernel call, frozen
+    (see :func:`_bracket_form`).
 
     Parameters
     ----------
@@ -231,7 +231,7 @@ class FourierTaylorSeries:
 
     def __mul__(self, other):
         if isinstance(other, FourierTaylorSeries):
-            return multiply(self, other)[0]
+            return multiply(self, other)
         return scale(self, other)
 
     __rmul__ = __mul__
@@ -462,8 +462,7 @@ def _convolve_window(a, b, lo, hi):
     return skew.sum(axis=0).reshape(hi[0] - lo[0], nn, nm).transpose(0, 2, 1)
 
 
-def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow,
-                      n_lo=0):
+def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, n_lo=0):
     """Truncated product of two coefficient lists, summed over channels, by
     dense block convolution.
 
@@ -478,29 +477,15 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow,
     full product of the two blocks, only the window that the output box
     keeps is computed, from degree n_lo up: the caller passes n_lo > 0
     when every product below it vanishes, and those degrees of ``out``
-    stay zero; so does all of ``out`` when no product reaches n_lo. The block with more (n, m) entries (the first on a tie) is
-    zero-padded and read through a strided view that lines up, for each
-    window entry, the entries the other block meets there. Contracting the
-    view with the other block, flipped, over the channels and the (n, m)
-    face is one matmul batched over the view's l rows, and the l shifts
-    are added through a skewed view. The result depends only on the
-    inputs (and the BLAS build), so runs repeat bit for bit.
-
-    When some product can leave the output box (the l, m or n range of
-    the products reaches past it), the tail is summed from the weights
-    abs(v) * xpow[n] over two disjoint parts of the rest of the extended
-    box, each one convolution of depth 1 in degree. Products whose (l, m)
-    falls outside the window, at any degree, come from the weights summed
-    over degree, convolved over the whole extended (l, m) range with the
-    window left out. Products whose (l, m) falls inside the window but
-    whose degree reaches past the box come from each degree n1 of the
-    first list, taken as a channel, against the second list's weight
-    summed over its degrees n2 >= n_x + 1 - n1, over the window only.
-    Every term is nonnegative and nothing is subtracted, so the tail is
-    exact up to rounding relative to itself, as when each pair was
-    weighed alone; when no product can leave the box the tail is exactly
-    0.0. Degrees below n_lo lie inside the box, so n_lo does not change
-    the tail.
+    stay zero; so does all of ``out`` when no product reaches n_lo.
+    Products outside the box are not formed. The block with more (n, m)
+    entries (the first on a tie) is zero-padded and read through a
+    strided view that lines up, for each window entry, the entries the
+    other block meets there. Contracting the view with the other block,
+    flipped, over the channels and the (n, m) face is one matmul batched
+    over the view's l rows, and the l shifts are added through a skewed
+    view. The result depends only on the inputs (and the BLAS build), so
+    runs repeat bit for bit.
 
     Parameters
     ----------
@@ -513,9 +498,6 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow,
         Same for the second factor, with as many channels.
     l_t, l_theta, n_x : int
         Half-widths of the output box; degrees run 0..n_x.
-    xpow : float64 array
-        xpow[n] weights a coefficient of degree n in the reported tail;
-        only xpow[:max(na) + 1] and xpow[:max(nb) + 1] are read.
     n_lo : int
         Lowest degree computed; every channel product below it must
         vanish.
@@ -523,13 +505,10 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow,
     Returns
     -------
     out : complex128 array, shape (2*l_t+1, 2*l_theta+1, n_x+1)
-    tail : float
-        Sum over channels c of (abs(va[c]) * xpow[na]) * (abs(vb[c]) *
-        xpow[nb]) over the pairs whose product falls outside the output box.
     """
     out = np.zeros((2 * l_t + 1, 2 * l_theta + 1, n_x + 1), dtype=np.complex128)
     if not (la.size and lb.size):
-        return out, 0.0
+        return out
     a, la0, ma0, b, lb0, mb0 = _blocks(la, ma, na, va, lb, mb, nb, vb)
     # entry (i, j, k) of the full product has wave numbers (l0 + i, m0 + j)
     l0, m0 = la0 + lb0, ma0 + mb0
@@ -539,27 +518,7 @@ def convolve_nonzeros(la, ma, na, va, lb, mb, nb, vb, l_t, l_theta, n_x, xpow,
     if hi_l > lo_l and hi_m > lo_m and hi[2] > n_lo:
         out[l_t + l0 + lo_l:l_t + l0 + hi_l,
             l_theta + m0 + lo_m:l_theta + m0 + hi_m, lo[2]:hi[2]] = _convolve_window(a, b, lo, hi)
-    if (lo_l, lo_m) == (0, 0) and hi == ext:
-        return out, 0.0
-    wa, wb = np.abs(a) * xpow[:a.shape[2], None], np.abs(b) * xpow[:b.shape[2], None]
-    # (l, m) outside the window, every degree: the degree sums convolve
-    w = _convolve_window(wa.sum(axis=2, keepdims=True), wb.sum(axis=2, keepdims=True),
-                         (0, 0, 0), (ext[0], ext[1], 1))
-    w[lo_l:hi_l, lo_m:hi_m] = 0.0
-    tail = w.sum()
-    if hi[2] < ext[2] and hi_l > lo_l and hi_m > lo_m:
-        # (l, m) in the window, degree >= hi[2]: degree n1 of a is a channel,
-        # met by b's weight summed over its degrees >= hi[2] - n1 (suffix
-        # index pb is the empty sum)
-        ja, nc, pa, ka = a.shape
-        jb, _, pb, kb = b.shape
-        suffix = np.zeros((jb, nc, pb + 1, kb))
-        suffix[:, :, :pb] = wb[:, :, ::-1].cumsum(axis=2)[:, :, ::-1]
-        sb = suffix[:, :, np.clip(hi[2] - np.arange(pa), 0, pb)]
-        tail += _convolve_window(wa.reshape(ja, nc * pa, 1, ka),
-                                 sb.reshape(jb, nc * pa, 1, kb),
-                                 (lo_l, lo_m, 0), (hi_l, hi_m, 1)).sum()
-    return out, float(tail)
+    return out
 
 
 def _half_lattice(a: FourierTaylorSeries):
@@ -580,38 +539,32 @@ def _upper_half(a: FourierTaylorSeries):
     return src
 
 
-def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries):
-    """Truncated product on the merged box, and the weight it dropped.
-
-    Returns ``(product, dropped)``: dropped is the majorant weight at r = 0
-    (so abs(value) * x_half^degree) of the products outside the box.
-    ``a * b`` is the product alone.
+def multiply(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTaylorSeries:
+    """Truncated product on the merged box, also written ``a * b``.
 
     Only half the pairs are formed. The upper half A+ of a (l > 0, or
     l = 0 and m > 0, plus half of each l = m = 0 cell) gives P = A+ * b;
     since a = A+ + conj(mirror A+) and b is hermitian, a * b = P +
-    conj(mirror P), which is exactly hermitian, and the dropped weight is
-    twice P's. A factor that is identically zero gives the zero series
-    on the merged box, without calling the kernel. A product that
-    overflows raises NonFiniteError.
+    conj(mirror P), which is exactly hermitian. A factor that is
+    identically zero gives the zero series on the merged box, without
+    calling the kernel. A product that overflows raises NonFiniteError.
     """
     _check_rho(a, b)
     trunc = a.trunc.merge(b.trunc)
     if not (a.coeffs.any() and b.coeffs.any()):
-        return zeros(trunc, a.rho), 0.0
+        return zeros(trunc, a.rho)
     ta, tb = a.trunc, b.trunc
     src = _upper_half(a)
     la, ma, na = np.nonzero(src)
     lb, mb, nb = np.nonzero(b.coeffs)
-    xpow = DEFAULT_DOMAIN.x_half ** np.arange(trunc.n_x + 1, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        out, tail = convolve_nonzeros(
+        out = convolve_nonzeros(
             la, ma - ta.l_theta, na, src[None, la, ma, na],
             lb - tb.l_t, mb - tb.l_theta, nb, b.coeffs[None, lb, mb, nb],
-            trunc.l_t, trunc.l_theta, trunc.n_x, xpow)
+            trunc.l_t, trunc.l_theta, trunc.n_x)
         out += np.conj(out[::-1, ::-1, :])
         _check_finite(out)
-    return FourierTaylorSeries(out, trunc, a.rho, hermitian=True), 2.0 * tail
+    return FourierTaylorSeries(out, trunc, a.rho, hermitian=True)
 
 
 def partial_x(a: FourierTaylorSeries) -> FourierTaylorSeries:
@@ -661,9 +614,9 @@ def _bracket_form(a: FourierTaylorSeries):
     return form
 
 
-def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries):
+def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries) -> FourierTaylorSeries:
     """Reduced bracket {a, b} = (d_x a d_theta b - d_theta a d_x b) / rho,
-    and the weight it dropped: ``(bracket, dropped)``.
+    truncated to the merged box.
 
     One kernel call over two channels: {a, b} = sum_c A_c * B_c / rho with
     A = (d_x a, d_theta a) and B = (d_theta b, -d_x b). Each channel sits
@@ -680,11 +633,7 @@ def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries):
     values) is derived once per series and kept with it (see
     :func:`_bracket_form`), so bracketing one generator with many series,
     as a derivation's Lie series does, forms it once; only b's side is
-    derived per call.
-
-    ``dropped`` is the majorant weight at r = 0 that the two derivative
-    products d_x a d_theta b and d_theta a d_x b drop outside the box,
-    added and divided by rho. A bracket that overflows raises NonFiniteError.
+    derived per call. A bracket that overflows raises NonFiniteError.
     """
     _check_rho(a, b)
     trunc = a.trunc.merge(b.trunc)
@@ -695,24 +644,21 @@ def poisson_bracket(a: FourierTaylorSeries, b: FourierTaylorSeries):
     other[:, tb.l_theta, 0] = False
     lb, mb, nb = np.nonzero(other)
     if not (la.size and lb.size):
-        return zeros(trunc, a.rho), 0.0
+        return zeros(trunc, a.rho)
     vb = b.coeffs[lb, mb, nb]
     mb = mb - tb.l_theta
-    xpow = DEFAULT_DOMAIN.x_half ** np.arange(trunc.n_x + 1, dtype=np.float64)
     c = 1.0 / a.rho
     with np.errstate(over="ignore", invalid="ignore"):
-        out, tail = convolve_nonzeros(
+        out = convolve_nonzeros(
             la, ma, na, va,
             lb - tb.l_t, mb, nb, np.array((1j * mb, -nb)) * vb,
-            trunc.l_t, trunc.l_theta, trunc.n_x + 1, xpow, 1)
+            trunc.l_t, trunc.l_theta, trunc.n_x + 1, 1)
         # the mirror sum, scaled, in one fresh array
         res = np.conj(out[::-1, ::-1, 1:])
         res += out[:, :, 1:]
         res *= c
         _check_finite(res)
-    # each weight carries one x_half too many, as its degree does
-    return (FourierTaylorSeries(res, trunc, a.rho, hermitian=True),
-            2.0 * tail / DEFAULT_DOMAIN.x_half * c)
+    return FourierTaylorSeries(res, trunc, a.rho, hermitian=True)
 
 
 # -- evaluation and norms ---------------------------------------------------
@@ -742,8 +688,9 @@ def compile_evaluator(parts):
     einsum picks its own loop order, and numpy 2.4 sums a lone part of a
     one-harmonic table at one or two points row by row (each row's
     degrees first), so a lone part is compiled with a zero second part;
-    ``tests/test_series.py`` pins the order bit for bit. Every other operation is elementwise over the
-    points, so each point of a batch gets the bits of its solo call.
+    ``tests/test_series.py`` pins the order bit for bit. Every other
+    operation is elementwise over the points, so each point of a batch
+    gets the bits of its solo call.
 
     Examples
     --------

@@ -277,10 +277,10 @@ def conjugacy_residual(v, q, params, g, tol=1e-12, dio=None):
     res = nf.compute_v_star(v, q, params, tol, dio)
     inner = nf.lie_exp_apply(fts.scale(v, -1.0), g, q, params, dio, tol)
     mid = ops.hamiltonian_apply(inner, q, params) \
-        + fts.poisson_bracket(v, inner)[0]
+        + fts.poisson_bracket(v, inner)
     lhs = nf.lie_exp_apply(v, mid, q, params, dio, tol)
     rhs = ops.hamiltonian_apply(g, q, params) \
-        + fts.poisson_bracket(res.rv + res.v_star, g)[0]
+        + fts.poisson_bracket(res.rv + res.v_star, g)
     ng = max(fts.majorant_norm(g, 0.0), 1e-300)
     return fts.majorant_norm(lhs - rhs, 0.0) / ng
 

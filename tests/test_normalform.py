@@ -199,8 +199,8 @@ def test_lie_series_term_cap(monkeypatch):
     with pytest.warns(RuntimeWarning, match="truncated at 2 terms"):
         out = nf.lie_exp_apply(f, g, Q_SERIES, PARAMS, DIO)
     gamma = ops.Derivation(f, Q_SERIES, PARAMS, DIO)
-    g1, _ = gamma(g)
-    g2 = fts.scale(gamma(g1)[0], 0.5)
+    g1 = gamma(g)
+    g2 = fts.scale(gamma(g1), 0.5)
     assert oracle.max_coeff_diff(out, g + g1 + g2) == 0.0
     v = pr.reduced_drive_series(1e-3)
     with pytest.warns(RuntimeWarning, match="truncated at 2 terms"):
@@ -209,8 +209,8 @@ def test_lie_series_term_cap(monkeypatch):
     # V_* is the two-term sum of the one chain u_1 = Gamma V,
     # u_2 = Gamma (u_1 - N V), divided by k!
     gamma = ops.Derivation(v, Q_SERIES, PARAMS, DIO)
-    v1 = gamma(v)[0]
-    v2 = fts.scale(gamma(v1 - gamma.solvable)[0], 0.5)
+    v1 = gamma(v)
+    v2 = fts.scale(gamma(v1 - gamma.solvable), 0.5)
     want = v1 + v2
     assert res.v_star.coeffs.tobytes() == want.coeffs.tobytes()
 
@@ -224,8 +224,8 @@ def test_v_star_one_chain_matches_the_two_sums():
     g, h = v, gamma.solvable
     want = fts.zeros(v.trunc, v.rho)
     for k in range(1, res.series_terms_used + 1):
-        g = fts.scale(gamma(g)[0], 1.0 / k)  # Gamma^k V / k!
-        h = fts.scale(gamma(h)[0], 1.0 / k)  # Gamma^k (N V) / k!
+        g = fts.scale(gamma(g), 1.0 / k)  # Gamma^k V / k!
+        h = fts.scale(gamma(h), 1.0 / k)  # Gamma^k (N V) / k!
         want = want + g - fts.scale(h, 1.0 / (k + 1))
     assert fts.majorant_norm(res.v_star - want, 0.0) <= 1e-13
 
@@ -237,12 +237,12 @@ def test_v_star_forms_one_bracket_per_lie_term(monkeypatch):
     res = nf.compute_v_star(v, Q_SERIES, PARAMS, tol=1e300, dio=DIO)
     assert res.series_terms_used == 2
     gamma = ops.Derivation(v, Q_SERIES, PARAMS, DIO)
-    v1 = gamma(v)[0]
-    want = v1 + fts.scale(gamma(v1 - gamma.solvable)[0], 0.5)
+    v1 = gamma(v)
+    want = v1 + fts.scale(gamma(v1 - gamma.solvable), 0.5)
     assert res.v_star.coeffs.tobytes() == want.coeffs.tobytes()
     # its first-order part -Gamma (N V) / 2 is kept
-    first = fts.scale(gamma(gamma.solvable)[0], -0.5)
-    rest = v1 + fts.scale(gamma(v1)[0], 0.5)
+    first = fts.scale(gamma(gamma.solvable), -0.5)
+    rest = v1 + fts.scale(gamma(v1), 0.5)
     assert fts.majorant_norm(first, 0.0) > 0.0
     assert fts.majorant_norm(res.v_star - rest - first, 0.0) \
         <= 1e-14 * fts.majorant_norm(first, 0.0)
@@ -268,7 +268,7 @@ class _Blowup:
 
     def __call__(self, g, factor=1.0):
         return fts.FourierTaylorSeries(g.coeffs * 1e200 * factor, g.trunc,
-                                       g.rho, hermitian=True), 0.0
+                                       g.rho, hermitian=True)
 
 
 def test_lie_series_term_that_overflows_raises():
@@ -324,14 +324,6 @@ def test_v_star_quadratic_slope_pert1():
                                          bc.r) ** 2
     print(f"quadratic fit: slope {slope:.4f}, prefactor kappa {kappa:.4f}")
     assert abs(slope - 2.0) <= 0.1
-
-
-def test_v_star_reports_clipped_tail():
-    # at box (2, 2, 2) the brackets of the drive leave the box
-    box = TruncationSpec(n_x=2, l_theta=2, l_t=2)
-    v = pr.reduced_drive_series(1e-3, trunc=box)
-    res = nf.compute_v_star(v, ops.generic_curvature(PARAMS, box), PARAMS)
-    assert res.tail_norm > 0.0
 
 
 def test_v_star_step_outputs_are_exactly_real():
@@ -408,7 +400,7 @@ def test_normal_form_preserves_degree_ge2():
         c[:, :, :2] = 0.0
         f = fts.FourierTaylorSeries(c, s.trunc, s.rho)
         h = ops.hamiltonian_apply(f, Q_SERIES, PARAMS) \
-            + fts.poisson_bracket(rv, f)[0]
+            + fts.poisson_bracket(rv, f)
         nh = fts.majorant_norm(h, 0.0)
         assert fts.majorant_norm(
             ops.Derivation(h, Q_SERIES, PARAMS, DIO).solvable, 0.0) \
@@ -547,19 +539,5 @@ def test_iteration_ledger_json():
     assert len(back) == 3
     for row in back:
         for key in ("i", "r_i", "eps_i", "mu_i", "q_i", "measured_norm",
-                    "contraction_ratio", "tail_norm", "conditions"):
+                    "contraction_ratio", "conditions"):
             assert key in row
-
-
-def test_iterate_states_carry_their_step_tails():
-    # state i reports what the step that produced it dropped; state 0 was
-    # produced by no step
-    states = nf.kam_iterate(pr.reduced_drive_series(1e-3), Q_SERIES, PARAMS,
-                            DIO, r=0.5, steps=2)
-    assert states[0].tail_norm == 0.0
-    for prev, st in zip(states, states[1:]):
-        res = nf.compute_v_star(prev.v, prev.curvature, PARAMS, dio=DIO)
-        assert st.tail_norm == res.tail_norm
-    assert states[1].tail_norm > 0.0
-    assert [row["tail_norm"] for row in nf.iteration_ledger(states)] == \
-        [st.tail_norm for st in states]

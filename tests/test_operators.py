@@ -220,17 +220,13 @@ def test_derivation_matches_bracket_and_translation_bit_for_bit():
             fresh = fts.FourierTaylorSeries(np.array(gamma.generator.coeffs),
                                             gamma.generator.trunc, PARAMS.rho,
                                             hermitian=True)
-            bracket, dropped = fts.poisson_bracket(fresh, g)
-            want = bracket + fts.scale(fts.partial_x(g), -gamma.shift)
-            got, got_dropped = gamma(g)
+            want = fts.poisson_bracket(fresh, g) + fts.scale(fts.partial_x(g), -gamma.shift)
+            got = gamma(g)
             assert got.trunc == want.trunc
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
-            assert got_dropped == dropped
             for k in (1, 3, 7):
-                scaled, scaled_dropped = gamma(g, 1.0 / k)
-                assert scaled.coeffs.tobytes() == \
+                assert gamma(g, 1.0 / k).coeffs.tobytes() == \
                     fts.scale(want, 1.0 / k).coeffs.tobytes()
-                assert scaled_dropped == dropped
 
 
 def test_translation_frozen_example():
@@ -304,7 +300,7 @@ def test_derivation_built_once_matches_oracle():
                 oracle.gamma_apply(d, oracle.dict_from_series(g), Q_DICT,
                                    PARAMS.rho, PARAMS.omega),
                 TR.l_t, TR.l_theta, TR.n_x)
-            assert oracle.diff_norm(ref, gamma(g)[0]) < 1e-13
+            assert oracle.diff_norm(ref, gamma(g)) < 1e-13
 
 
 def _exactly_real(s):
@@ -332,7 +328,7 @@ def test_operators_keep_reality_exactly():
                 ops.hamiltonian_apply(f, Q_SERIES, PARAMS)]
         gamma = ops.Derivation(f, q, PARAMS)
         outs.append(gamma.generator)
-        outs += [gamma(g)[0] for g in probes]
+        outs += [gamma(g) for g in probes]
         for out in outs:
             assert _exactly_real(out)
         assert isinstance(ops.translation_coefficient(f, Q_SERIES, PARAMS), float)
@@ -370,18 +366,18 @@ def test_operations_own_their_output():
         "add zero": fts.add(f, zero),
         "scale": fts.scale(f, -0.5),
         "scale by one": fts.scale(f, 1.0),
-        "multiply": fts.multiply(f, g)[0],
-        "multiply by zero": fts.multiply(f, zero)[0],
-        "poisson_bracket": fts.poisson_bracket(f, g)[0],
-        "poisson_bracket with zero": fts.poisson_bracket(zero, g)[0],
+        "multiply": fts.multiply(f, g),
+        "multiply by zero": fts.multiply(f, zero),
+        "poisson_bracket": fts.poisson_bracket(f, g),
+        "poisson_bracket with zero": fts.poisson_bracket(zero, g),
         "partial_x": fts.partial_x(f),
         "partial_theta": fts.partial_theta(f),
         "partial_t": fts.partial_t(f),
         "_split resonant": ops._split(f)[0],
         "_split solvable": ops._split(f)[1],
         "small_divisor_solve": ops.small_divisor_solve(f, PARAMS),
-        "Derivation": gamma(g)[0],
-        "Derivation on a smaller box": gamma(small)[0],
+        "Derivation": gamma(g),
+        "Derivation on a smaller box": gamma(small),
     }
     for name, r in results.items():
         assert not r.coeffs.flags.writeable, name
@@ -503,10 +499,10 @@ def test_identity_suite_residuals_are_noise():
     gamma_rr = ops.Derivation(ops.Derivation(resonant, Q_SERIES, PARAMS).resonant,
                               Q_SERIES, PARAMS)
     for g in ops.probe_basket(TR, PARAMS.rho):
-        lhs = ops.hamiltonian_apply(gamma_c(g)[0], Q_SERIES, PARAMS)
-        rhs = gamma_c(ops.hamiltonian_apply(g, Q_SERIES, PARAMS))[0]
-        assert _l1(lhs - rhs - fts.poisson_bracket(gamma_c.solvable, g)[0]) == 0.0
-        assert _l1(gamma_rr(g)[0]) / (_l1(resonant) * _l1(g)) < 1e-12
+        lhs = ops.hamiltonian_apply(gamma_c(g), Q_SERIES, PARAMS)
+        rhs = gamma_c(ops.hamiltonian_apply(g, Q_SERIES, PARAMS))
+        assert _l1(lhs - rhs - fts.poisson_bracket(gamma_c.solvable, g)) == 0.0
+        assert _l1(gamma_rr(g)) / (_l1(resonant) * _l1(g)) < 1e-12
 
 
 def test_identity_suite_rejects_tiny_box():

@@ -1,4 +1,3 @@
-import cmath
 import json
 import math
 import warnings
@@ -186,8 +185,8 @@ def test_products_that_overflow_raise():
             fts.poisson_bracket(big, big)
     # the same factors at 1e100 stay finite
     small = fts.scale(big, 1e-100)
-    assert np.isfinite(fts.multiply(small, small)[0].coeffs).all()
-    assert np.isfinite(fts.poisson_bracket(small, small)[0].coeffs).all()
+    assert np.isfinite(fts.multiply(small, small).coeffs).all()
+    assert np.isfinite(fts.poisson_bracket(small, small).coeffs).all()
 
 
 def test_coeffs_are_frozen():
@@ -219,39 +218,21 @@ def test_multiply_matches_oracle_in_window():
         da, db = rand_pair(pyrng)
         a = oracle.series_from_dict(da, TR, RHO)
         b = oracle.series_from_dict(db, TR, RHO)
-        got, dropped = fts.multiply(a, b)
+        got = fts.multiply(a, b)
         ref = oracle.smul(da, db)
         # supports stay inside the box, so the product is exact
-        assert dropped == 0.0
         assert oracle.diff_norm(ref, got) < 1e-13
 
 
-def test_multiply_tail_accounts_for_dropped_weight():
+def test_multiply_clips_to_the_box():
     t = TruncationSpec(n_x=2, l_theta=2, l_t=1)
     da = {(1, 2, 2): 0.5 + 0.0j, (-1, -2, 2): 0.5 - 0.0j}
-    db = dict(da)
     a = oracle.series_from_dict(da, t, RHO)
-    ref = oracle.smul(da, db)
-    dropped = {k: v for k, v in ref.items()
-               if not (abs(k[0]) <= 1 and abs(k[1]) <= 2 and k[2] <= 2)}
-    expect_tail = sum(abs(v) * DEFAULT_DOMAIN.x_half ** n
-                      for (_, _, n), v in dropped.items())
-    got, dropped = fts.multiply(a, a)
-    kept = oracle.restrict(ref, 1, 2, 2)
+    got = fts.multiply(a, a)
+    kept = oracle.restrict(oracle.smul(da, da), 1, 2, 2)
     assert oracle.diff_norm(kept, got) < 1e-14
-    assert dropped == pytest.approx(expect_tail, rel=1e-12, abs=0.0)
-    # the operator form is the product alone
+    # the operator form is the same product
     assert oracle.max_coeff_diff(a * a, got) == 0.0
-
-
-def test_bracket_drops_what_its_two_products_drop():
-    t = TruncationSpec(n_x=2, l_theta=2, l_t=1)
-    a = fts.from_real_terms([(1, 2, 2, 0.5)], t, RHO)
-    b = fts.from_real_terms([(1, 2, 1, 0.5)], t, RHO)
-    _, p = fts.multiply(fts.partial_x(a), fts.partial_theta(b))
-    _, q = fts.multiply(fts.partial_theta(a), fts.partial_x(b))
-    assert p + q > 0.0
-    assert fts.poisson_bracket(a, b)[1] == pytest.approx((p + q) / RHO, rel=1e-15)
 
 
 def test_scale_keeps_reality_for_numpy_real_scalars():
@@ -312,7 +293,7 @@ def test_poisson_bracket_matches_oracle():
         a = oracle.series_from_dict(da, TR, RHO)
         b = oracle.series_from_dict(db, TR, RHO)
         ref = oracle.bracket(da, db, RHO)
-        got, _ = fts.poisson_bracket(a, b)
+        got = fts.poisson_bracket(a, b)
         assert oracle.diff_norm(ref, got) < 1e-13
         assert oracle.hermitian_defect(got.coeffs) == 0.0
 
@@ -322,7 +303,7 @@ def test_bracket_form_is_kept_frozen_and_reused():
     da, db = rand_pair(pyrng)
     a = oracle.series_from_dict(da, TR, RHO)
     b = oracle.series_from_dict(db, TR, RHO)
-    first, first_dropped = fts.poisson_bracket(a, b)
+    first = fts.poisson_bracket(a, b)
     form = fts._bracket_form(a)
     assert fts._bracket_form(a) is form  # kept with a, not derived again
     for arr in form:
@@ -330,12 +311,9 @@ def test_bracket_form_is_kept_frozen_and_reused():
         with pytest.raises(ValueError):
             arr[...] = 0
     # the kept form gives the bracket a fresh copy of a gives, bit for bit
-    again, again_dropped = fts.poisson_bracket(a, b)
     fresh = FourierTaylorSeries(np.array(a.coeffs), TR, RHO, hermitian=True)
-    for got, dropped in ((again, again_dropped),
-                         fts.poisson_bracket(fresh, b)):
+    for got in (fts.poisson_bracket(a, b), fts.poisson_bracket(fresh, b)):
         assert got.coeffs.tobytes() == first.coeffs.tobytes()
-        assert dropped == first_dropped
     # the form is a's alone: b, the second factor, keeps none
     assert b._bracket_form is None
 
@@ -344,7 +322,7 @@ def test_bracket_frozen_example():
     # {x^2, e^{i theta}} = (2 i / rho) x e^{i theta}
     x2 = fts.from_real_terms([(0, 0, 2, 1.0)], TR, RHO)
     cos_th = fts.from_real_terms([(0, 1, 0, 0.5)], TR, RHO)
-    got, _ = fts.poisson_bracket(x2, cos_th)
+    got = fts.poisson_bracket(x2, cos_th)
     assert got.coeff(0, 1, 1) == pytest.approx(2j * 0.5 / RHO)
     assert got.coeff(0, -1, 1) == pytest.approx(-2j * 0.5 / RHO)
 
@@ -354,7 +332,7 @@ def test_bracket_antisymmetry_and_rho_mismatch():
     da, db = rand_pair(pyrng)
     a = oracle.series_from_dict(da, TR, RHO)
     b = oracle.series_from_dict(db, TR, RHO)
-    anti = fts.poisson_bracket(a, b)[0] + fts.poisson_bracket(b, a)[0]
+    anti = fts.poisson_bracket(a, b) + fts.poisson_bracket(b, a)
     assert fts.majorant_norm(anti, 0.0) < 1e-13
     b_other = oracle.series_from_dict(db, TR, 3.0)
     with pytest.raises(ValueError):
@@ -367,7 +345,7 @@ def test_reality_preserved_through_op_chain():
         da, db = rand_pair(pyrng)
         a = oracle.series_from_dict(da, TR, RHO)
         b = oracle.series_from_dict(db, TR, RHO)
-        out, _ = fts.poisson_bracket(a * b, a + 0.5 * b)
+        out = fts.poisson_bracket(a * b, a + 0.5 * b)
         assert _exactly_real(out)
     # each operation on real series is exactly hermitian by construction,
     # also for operands on different boxes, one-sided supports and clipping
@@ -386,10 +364,12 @@ def test_reality_preserved_through_op_chain():
         outs = [a + b, a - b, -a, fts.scale(a, float(rng.uniform(-2, 2))),
                 a * b, b * a, a * a,
                 fts.partial_x(a), fts.partial_theta(a), fts.partial_t(a),
-                fts.poisson_bracket(a, b)[0], fts.poisson_bracket(b, a)[0]]
+                fts.poisson_bracket(a, b), fts.poisson_bracket(b, a)]
         for out in outs:
             assert _exactly_real(out)
-    assert any(fts.multiply(a, b)[1] > 0.0 for a, b in pairs)
+    # some pair's product leaves the merged box
+    assert any(_clipped_axes(_pair_products(oracle.dict_from_series(a), oracle.dict_from_series(b)),
+                             a.trunc.merge(b.trunc)) for a, b in pairs)
 
 
 # -- evaluation --------------------------------------------------------------
@@ -571,7 +551,7 @@ def test_cauchy_margins_nonnegative():
             "partial_x": (fts.majorant_norm(fts.partial_x(w), r - d), nw / d),
             "partial_theta": (fts.majorant_norm(fts.partial_theta(w), r - d),
                               nw / (math.e * d)),
-            "bracket": (fts.majorant_norm(fts.poisson_bracket(w, z)[0], r - d - delta),
+            "bracket": (fts.majorant_norm(fts.poisson_bracket(w, z), r - d - delta),
                         2.0 / (RHO * math.e * d * (d + delta)) * nw
                         * fts.majorant_norm(z, r - delta)),
         }
@@ -802,12 +782,6 @@ def _pair_products(da, db):
             for (l1, m1, n1), v1 in da.items() for (l2, m2, n2), v2 in db.items()]
 
 
-def _dropped_weight(products, t):
-    """Majorant weight at r = 0 of the (l, m, n, value) products outside box t."""
-    return sum(abs(v) * DEFAULT_DOMAIN.x_half ** n for l, m, n, v in products
-               if any(_outside(t, l, m, n)))
-
-
 def _coeff_lists(d):
     """(l, m, n, values) arrays of a coefficient dict, as the kernel takes
     them: the values as one channel."""
@@ -817,14 +791,10 @@ def _coeff_lists(d):
 
 
 def _kernel(da, db, t):
-    """The kernel on two coefficient dicts, output box t; (product dict, tail)."""
-    degree = max(n for _, _, n in (*da, *db))
-    xpow = DEFAULT_DOMAIN.x_half ** np.arange(max(t.n_x, degree) + 1, dtype=np.float64)
-    out, tail = fts.convolve_nonzeros(*_coeff_lists(da), *_coeff_lists(db),
-                                      t.l_t, t.l_theta, t.n_x, xpow)
-    got = {(int(a) - t.l_t, int(b) - t.l_theta, int(c)): complex(out[a, b, c])
-           for a, b, c in zip(*np.nonzero(out))}
-    return got, tail
+    """The kernel on two coefficient dicts, output box t, as a product dict."""
+    out = fts.convolve_nonzeros(*_coeff_lists(da), *_coeff_lists(db), t.l_t, t.l_theta, t.n_x)
+    return {(int(a) - t.l_t, int(b) - t.l_theta, int(c)): complex(out[a, b, c])
+            for a, b, c in zip(*np.nonzero(out))}
 
 
 def test_product_kernel_matches_oracle_across_blocks():
@@ -846,8 +816,8 @@ def test_product_kernel_matches_oracle_across_blocks():
         raised += min(n for _, _, n in da) > 0 and min(n for _, _, n in db) > 0
         kept = oracle.restrict(oracle.smul(da, db), t.l_t, t.l_theta, t.n_x)
         if real:
-            prod, tail = fts.multiply(oracle.series_from_dict(da, ta, RHO),
-                                      oracle.series_from_dict(db, tb, RHO))
+            prod = fts.multiply(oracle.series_from_dict(da, ta, RHO),
+                                oracle.series_from_dict(db, tb, RHO))
             assert prod.trunc == t
             # real factors give an exactly hermitian product
             assert oracle.hermitian_defect(prod.coeffs) == 0.0
@@ -855,14 +825,10 @@ def test_product_kernel_matches_oracle_across_blocks():
             real_cases += 1
             centred += any(da.get((0, 0, n), 0) != 0 for n in range(ta.n_x + 1))
         else:
-            got, tail = _kernel(da, db, t)
+            got = _kernel(da, db, t)
             keys = set(kept) | set(got)
             assert max((abs(kept.get(k, 0.0) - got.get(k, 0.0)) for k in keys),
                        default=0.0) < 1e-13
-        if not axes:
-            assert tail == 0.0
-            continue
-        assert tail == pytest.approx(_dropped_weight(products, t), rel=1e-12, abs=0.0)
     # both routes ran, and the half-lattice split met populated centre cells
     assert 0 < real_cases < len(cases)
     assert centred >= 2
@@ -874,54 +840,24 @@ def test_product_kernel_matches_oracle_across_blocks():
     assert raised >= 1
 
 
-def _graded(rng, lmax, mmax, nmax):
-    """Complex coefficients of modulus 10**-min(20, 6 (|l| + |m| + n)): the
-    farther out, the smaller, down to 1e-20."""
-    return {(l, m, n): cmath.rect(10.0 ** -min(20, 6 * (abs(l) + abs(m) + n)),
-                                  rng.uniform(0, 2 * math.pi))
-            for l in range(-lmax, lmax + 1) for m in range(-mmax, mmax + 1)
-            for n in range(nmax + 1)}
-
-
-def test_kernel_tail_has_no_cancellation():
-    # the dropped weight is far below the rounding of the total weight, so
-    # a tail formed as total minus kept would be noise
-    pyrng = __import__("random").Random(41)
-    t2 = TruncationSpec(n_x=2, l_theta=2, l_t=2)
-    cases = [((1, 1, 2), {"n"}), ((2, 2, 1), {"l", "m"}), ((2, 2, 2), {"l", "m", "n"})]
-    smallest = 1.0
-    for (lmax, mmax, nmax), axes in cases:
-        da, db = _graded(pyrng, lmax, mmax, nmax), _graded(pyrng, lmax, mmax, nmax)
-        products = _pair_products(da, db)
-        assert _clipped_axes(products, t2) == axes
-        dropped = _dropped_weight(products, t2)
-        total = sum(abs(v) * DEFAULT_DOMAIN.x_half ** n for _, _, n, v in products)
-        smallest = min(smallest, dropped / total)
-        _, tail = _kernel(da, db, t2)
-        assert tail == pytest.approx(dropped, rel=1e-12, abs=0.0)
-    assert smallest <= 1e-15
-
-
 def test_kernel_weight_convolutions_span_one_degree(monkeypatch):
-    # the tail convolves degree sums and suffix sums, never the weights
-    # over the extended degree range
+    # a product or bracket whose products leave the box contracts its
+    # complex values once, and convolves no float weights
     calls = []
     convolve = fts._convolve_window
 
     def recorded(a, b, lo, hi):
-        calls.append((a.dtype, hi[2] - lo[2]))
+        calls.append(a.dtype)
         return convolve(a, b, lo, hi)
 
     monkeypatch.setattr(fts, "_convolve_window", recorded)
     t = DEFAULT_TRUNC
     rng = np.random.default_rng(13)
     f, g = fts.random_real_series(t, RHO, rng), fts.random_real_series(t, RHO, rng)
-    for _, dropped in (fts.poisson_bracket(f, g), fts.multiply(f, g)):
-        assert dropped > 0.0
-    weights = [depth for dtype, depth in calls if dtype == np.float64]
-    assert weights and set(weights) == {1}
-    # per call one values contraction and both tail slabs
-    assert len(calls) == 6 and len(weights) == 4
+    assert _clipped_axes(_pair_products(oracle.dict_from_series(f), oracle.dict_from_series(g)), t)
+    fts.poisson_bracket(f, g)
+    fts.multiply(f, g)
+    assert calls == [np.complex128] * 2
 
 
 def test_multiply_by_zero_skips_the_kernel(monkeypatch):
@@ -936,10 +872,9 @@ def test_multiply_by_zero_skips_the_kernel(monkeypatch):
     ta, tb = TruncationSpec(n_x=2, l_theta=4, l_t=1), TruncationSpec(n_x=4, l_theta=1, l_t=3)
     f = fts.random_real_series(ta, RHO, np.random.default_rng(5))
     z = fts.zeros(tb, RHO)
-    for prod, dropped in (fts.multiply(f, z), fts.multiply(z, f)):
+    for prod in (fts.multiply(f, z), fts.multiply(z, f)):
         assert prod.trunc == ta.merge(tb)
         assert not prod.coeffs.any()
-        assert dropped == 0.0
     assert calls == []
     # the counter does see a product of nonzero factors
     fts.multiply(f, f)
@@ -1008,17 +943,12 @@ def test_bracket_matches_oracle_with_clipping():
         t = ta.merge(tb)
         products = _bracket_products(da, db)
         assert _clipped_axes(products, t) == axes
-        got, tail = fts.poisson_bracket(oracle.series_from_dict(da, ta, RHO),
-                                        oracle.series_from_dict(db, tb, RHO))
+        got = fts.poisson_bracket(oracle.series_from_dict(da, ta, RHO),
+                                  oracle.series_from_dict(db, tb, RHO))
         assert got.trunc == t
         assert oracle.hermitian_defect(got.coeffs) == 0.0
         kept = oracle.restrict(oracle.bracket(da, db, RHO), t.l_t, t.l_theta, t.n_x)
         assert oracle.diff_norm(kept, got) < 1e-13
-        if not axes:
-            assert tail == 0.0
-            continue
-        assert tail > 0.0
-        assert tail == pytest.approx(_dropped_weight(products, t) / RHO, rel=1e-12, abs=0.0)
     # each axis clipped alone and all three together, and none
     assert {frozenset(c[4]) for c in cases} >= {frozenset(ax) for ax in ("", "l", "m", "n", "lmn")}
 
@@ -1048,10 +978,9 @@ def test_bracket_is_one_kernel_call(monkeypatch):
     # a factor of t alone gives exact zeros, without a kernel call
     cos_t = fts.from_real_terms([(1, 0, 0, 0.5)], tb, RHO)
     calls.clear()
-    for out, dropped in (fts.poisson_bracket(f, cos_t), fts.poisson_bracket(cos_t, f)):
+    for out in (fts.poisson_bracket(f, cos_t), fts.poisson_bracket(cos_t, f)):
         assert out.trunc == ta.merge(tb)
         assert not out.coeffs.any()
-        assert dropped == 0.0
     assert calls == []
 
 
@@ -1083,27 +1012,24 @@ def test_bracket_values_window_starts_at_degree_one(monkeypatch):
 def test_kernel_lower_degree_bound_keeps_higher_degrees_and_tail():
     # bracket-shaped channels, (n c, i m c) against (i m c, -n c): the
     # degree-0 products vanish, so starting the window at degree 1 leaves
-    # the other degrees (to rounding) and the tail (exactly) as they were
+    # the other degrees as they were, to rounding
     pyrng = __import__("random").Random(73)
-    for da, ta, db, tb, axes in _bracket_cases(pyrng):
+    for da, ta, db, tb, _ in _bracket_cases(pyrng):
         t = ta.merge(tb)
         la, ma, na, va = _coeff_lists(da)
         lb, mb, nb, vb = _coeff_lists(db)
         va, vb = np.array((na, 1j * ma)) * va[0], np.array((1j * mb, -nb)) * vb[0]
-        xpow = DEFAULT_DOMAIN.x_half ** np.arange(t.n_x + 2, dtype=np.float64)
-        args = (la, ma, na, va, lb, mb, nb, vb, t.l_t, t.l_theta, t.n_x + 1, xpow)
-        full, tail_full = fts.convolve_nonzeros(*args, 0)
-        trimmed, tail_trimmed = fts.convolve_nonzeros(*args, 1)
+        args = (la, ma, na, va, lb, mb, nb, vb, t.l_t, t.l_theta, t.n_x + 1)
+        full = fts.convolve_nonzeros(*args, 0)
+        trimmed = fts.convolve_nonzeros(*args, 1)
         assert not full[:, :, 0].any() and not trimmed[:, :, 0].any()
         assert np.abs(trimmed - full).max() <= 1e-13 * np.abs(full).max()
-        assert tail_trimmed == tail_full
-        assert (tail_full > 0.0) == bool(axes)
 
 
 def test_bracket_of_degree_zero_series_skips_the_values_window(monkeypatch):
     # no product of two x-independent series reaches degree 1, so the
-    # bracket asks for no values window at all: it is the zero series,
-    # and its tail is 0.0 also where the harmonics leave the box
+    # bracket asks for no window at all: it is the zero series, also
+    # where the harmonics leave the box
     calls = []
     convolve = fts._convolve_window
 
@@ -1122,20 +1048,17 @@ def test_bracket_of_degree_zero_series_skips_the_values_window(monkeypatch):
              (ops.generic_curvature(params, DEFAULT_TRUNC),) * 2,
              (flat[0], flat[1]), (flat[1], flat[0]), (flat[0], flat[0])]
     for a, b in cases:
-        out, dropped = fts.poisson_bracket(a, b)
+        out = fts.poisson_bracket(a, b)
         assert out.trunc == a.trunc.merge(b.trunc)
         assert not out.coeffs.any()
-        assert dropped == 0.0
-    assert calls and all(dtype == np.float64 for dtype, _, _ in calls)
-    # the kernel itself: lower bound 1 leaves out and tail as bound 0 has them
+    assert calls == []
+    # the kernel itself: lower bound 1 leaves out as bound 0 has it
     calls.clear()
     la, ma, na, va = _coeff_lists(oracle.rand_real_series(pyrng, lmax=2, mmax=2, nmax=0))
     lb, mb, nb, vb = _coeff_lists(oracle.rand_real_series(pyrng, lmax=2, mmax=2, nmax=0))
     va, vb = np.array((na, 1j * ma)) * va[0], np.array((1j * mb, -nb)) * vb[0]
-    xpow = DEFAULT_DOMAIN.x_half ** np.arange(2, dtype=np.float64)
-    args = (la, ma, na, va, lb, mb, nb, vb, 1, 1, 1, xpow)
-    full, tail_full = fts.convolve_nonzeros(*args, 0)
-    trimmed, tail_trimmed = fts.convolve_nonzeros(*args, 1)
+    args = (la, ma, na, va, lb, mb, nb, vb, 1, 1, 1)
+    full = fts.convolve_nonzeros(*args, 0)
+    trimmed = fts.convolve_nonzeros(*args, 1)
     assert not full.any() and not trimmed.any()
-    assert tail_trimmed == tail_full
-    assert [lo[2] for dtype, lo, _ in calls if dtype == np.complex128] == [0]
+    assert [lo[2] for _, lo, _ in calls] == [0]
