@@ -294,8 +294,7 @@ def _resolve_simulation(config, derived):
         # checked, but a Cartesian preset reads neither block
         del config["algebra"], config["truncation"]
     sections_only = derived["command"] == "section"
-    # the period of the drive cos t
-    period = 2.0 * math.pi
+    period = rb.DRIVE_PERIOD
     if (sections_only or config["section"]) and config["T"] < period:
         raise UsageError(
             f"sections need --T of at least one period ({period:.6g})")
@@ -381,13 +380,12 @@ def cmd_simulate(config, derived, out):
         rep.update(rows=len(traj), aborted=traj.aborted)
         if write_traj:
             name = f"{preset}_traj{i:03d}.csv"
-            rb.write_trajectory_csv(_output(out, name), traj, kind,
-                                    config=config)
+            rb.write_trajectory_csv(_output(out, name), traj, kind, config)
             rep["file"] = name
         if sections:
             sec_name = f"{preset}_section{i:03d}.csv"
             rb.write_trajectory_csv(_output(out, sec_name), traj.section,
-                                    "reduced", config=config)
+                                    "reduced", config)
             rep["section_file"] = sec_name
             rep["section_rows"] = len(traj.section)
         rows.append(rep)

@@ -79,12 +79,12 @@ class BoundConstants:
     ----------
     c1, c2, c3, c4 : float
         Term-by-term constants of the derivation bound; ``c`` combines
-        them so that ``||Gamma_w z|| <= lam(d, delta) ||w|| ||z||`` with
+        them so that ``||Gamma_w z|| <= lam() ||w|| ||z||`` with
         the norms taken at radii ``r``, ``r - delta`` and ``r - d - delta``.
     c : float
         Combined derivation constant.
     c_tilde : float
-        Projection constant: ``||N w||, ||R w|| <= xi(delta) ||w||_r`` at
+        Projection constant: ``||N w||, ||R w|| <= xi() ||w||_r`` at
         radius ``r - delta``.
     q, tau, gamma, rho : float
         Hypothesis floor for the curvature average, Diophantine exponent
@@ -111,21 +111,19 @@ class BoundConstants:
     delta: float
     x_half: float
 
-    def lam(self, d: float = None, delta: float = None) -> float:
-        """Derivation bound factor C / (q^3 d (d + delta)^(2 tau + 2))."""
-        d = self.d if d is None else d
-        delta = self.delta if delta is None else delta
-        if d <= 0 or delta <= 0:
-            raise ValueError("losses must be positive")
-        s = d + delta
-        return self.c / (self.q ** 3 * d * s ** (2.0 * self.tau + 2.0))
+    def lam(self) -> float:
+        """Derivation bound factor C / (q^3 d (d + delta)^(2 tau + 2)).
 
-    def xi(self, delta: float = None) -> float:
+        C and C~ are built at the constants' own losses, so both factors
+        are read there and nowhere else.
+        """
+        s = self.d + self.delta
+        return self.c / (self.q ** 3 * self.d * s ** (2.0 * self.tau + 2.0))
+
+    def xi(self) -> float:
         """Projection bound factor C~ / (q^3 delta^(2 tau + 3))."""
-        delta = self.delta if delta is None else delta
-        if delta <= 0:
-            raise ValueError("loss must be positive")
-        return self.c_tilde / (self.q ** 3 * delta ** (2.0 * self.tau + 3.0))
+        return self.c_tilde / (self.q ** 3
+                               * self.delta ** (2.0 * self.tau + 3.0))
 
     def eps_mu(self, mu: float) -> float:
         """Smallness budget q^3 mu^(2 tau + 3) / (2 C) for a step of loss mu."""

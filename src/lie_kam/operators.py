@@ -88,8 +88,9 @@ class AlgebraParams:
     omega: float = field(init=False)
 
     def __post_init__(self):
-        if self.rho <= 0 or self.i_perp <= 0 or self.i_3 <= 0:
-            raise ValueError("rho and moments of inertia must be positive")
+        if not all(0 < v < math.inf for v in (self.rho, self.i_perp, self.i_3)):
+            raise ValueError(
+                "rho and moments of inertia must be finite and positive")
         if not -1.0 < self.x0 < 1.0:
             raise ValueError("x0 must lie strictly inside (-1, 1)")
         delta = 1.0 / self.i_3 - 1.0 / self.i_perp
@@ -112,11 +113,11 @@ class DiophantineParams:
     k_scan: int = 50
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.tau <= 0:
-            raise ValueError("gamma and tau must be positive")
+        if not all(0 < v < math.inf for v in (self.gamma, self.tau)):
+            raise ValueError("gamma and tau must be finite and positive")
         if not 0.0 < self.q < 1.0:
             raise ValueError("q must lie in (0, 1)")
-        if self.k_scan < 1:
+        if not self.k_scan >= 1:
             raise ValueError("k_scan must be at least 1")
 
     def floor(self, l: int, m: int) -> float:

@@ -4,13 +4,11 @@ fig1 is the free asymmetric top ensemble, fig2 the throbbing top with the
 second inverse moment breathing as 0.1 eps cos t around 1/2, and pert1 the
 symmetric-top drive eps (rho^2/2) cos t (1 - (x0 + x)^2) sin^2(theta)
 used by the normal-form diagnostics. Every drive is cos t on the second
-inverse moment, so its period is 2 pi. The drive amplitude eps is always
-an explicit argument, and a preset takes one exactly when it has an
-amplitude scale; fig2 documents 0.1 eps as the effective inverse-moment
-amplitude (0.2 eps on the moment itself).
+inverse moment, of period ``rigidbody.DRIVE_PERIOD`` = 2 pi. The drive
+amplitude eps is always an explicit argument, and a preset takes one
+exactly when it has an amplitude scale; fig2 documents 0.1 eps as the
+effective inverse-moment amplitude (0.2 eps on the moment itself).
 """
-
-import math
 
 from . import series as fts
 from . import operators as ops
@@ -146,6 +144,5 @@ def preset_inertia(name: str, eps: float = None) -> InertiaSpec:
         return InertiaSpec(i1, i2, i3)
     if eps is None:
         raise ValueError(f"preset {name!r} requires eps")
-    amp = cfg["inverse_amplitude_per_eps"] * eps
-    return InertiaSpec(i1, i2, i3, modulation=(
-        (0.0, 0.0, 0.0), (amp, 1.0, 0.0), (0.0, 0.0, 0.0)))
+    return InertiaSpec(i1, i2, i3,
+                       drive=cfg["inverse_amplitude_per_eps"] * eps)

@@ -14,7 +14,6 @@ components, drift included, are real series evaluated through one
 bit-identical member by member to their solo runs.
 """
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from .series import DEFAULT_DOMAIN, FourierTaylorSeries
 from .operators import AlgebraParams
 
 __all__ = [
+    "DRIVE_PERIOD",
     "InertiaSpec",
     "Trajectory",
     "throbbing_field",
@@ -34,7 +34,6 @@ __all__ = [
     "from_reduced",
     "make_reduced_field",
     "conservation_report",
-    "energy_series",
     "sample_sphere",
     "write_trajectory_csv",
     "read_trajectory_csv",
@@ -42,49 +41,42 @@ __all__ = [
 
 _POLE_TOL = 1e-12
 
+# the period of the drive cos t
+DRIVE_PERIOD = 2.0 * math.pi
+
 
 @dataclass(frozen=True)
 class InertiaSpec:
-    """Moments of inertia with an optional periodic diagonal modulation.
+    """Moments of inertia, with the drive of the throbbing top.
 
-    The modulated inverse inertia is ``1/I_i + A_ii(t)`` with
-    ``A_ii(t) = amp_i cos(freq_i t + phase_i)``; ``modulation`` is a
-    3-tuple of (amp, freq, phase) triples, or None for the static top.
-    The check |amp_i| < 1/I_i keeps every modulated inverse moment, also
-    in floating point, at least 1/I_i - |amp_i| > 0.
+    The driven second inverse moment is ``1/I2 + drive cos t``, of period
+    :data:`DRIVE_PERIOD`; ``drive`` 0 is the static top. The check
+    |drive| < 1/I2 keeps the driven inverse moment, also in floating
+    point, at least 1/I2 - |drive| > 0.
 
     Attributes
     ----------
     i1, i2, i3 : float
-        Principal moments of inertia, strictly positive.
-    modulation : tuple or None
-        Per-axis (amplitude, frequency, phase) of the inverse-moment
-        modulation.
+        Principal moments of inertia, finite and strictly positive.
+    drive : float
+        Amplitude of the drive on the second inverse moment.
     """
 
     i1: float
     i2: float
     i3: float
-    modulation: tuple = None
+    drive: float = 0.0
 
     def __post_init__(self):
-        if min(self.i1, self.i2, self.i3) <= 0:
-            raise ValueError("moments of inertia must be positive")
-        if self.modulation is None:
-            return
-        mod = tuple(tuple(float(v) for v in row) for row in self.modulation)
-        if len(mod) != 3 or any(len(row) != 3 for row in mod):
-            raise ValueError("modulation must be three (amp, freq, phase) triples")
-        object.__setattr__(self, "modulation", mod)
-        inv = self.static_inverse()
-        for i, (amp, _, _) in enumerate(mod):
-            if abs(amp) >= inv[i]:
-                raise ValueError(
-                    f"modulation amplitude {amp} on axis {i + 1} drives the "
-                    f"inverse moment {inv[i]} non-positive")
+        if not all(0 < i < math.inf for i in (self.i1, self.i2, self.i3)):
+            raise ValueError("moments of inertia must be finite and positive")
+        if not abs(self.drive) < 1.0 / self.i2:
+            raise ValueError(
+                f"drive amplitude {self.drive} makes the second inverse "
+                f"moment {1.0 / self.i2} non-positive")
 
     def static_inverse(self):
-        """Inverse moments (1/I1, 1/I2, 1/I3) without modulation."""
+        """Inverse moments (1/I1, 1/I2, 1/I3) without the drive."""
         return np.array([1.0 / self.i1, 1.0 / self.i2, 1.0 / self.i3])
 
 
@@ -100,8 +92,8 @@ def _cross(a, b):
 def throbbing_field(m, t, inertia: InertiaSpec):
     """Top field ((L + A(t)) M) x M of the momentum-sphere bracket.
 
-    L holds the static inverse moments and A(t) their periodic modulation;
-    an inertia without modulation gives the free top, (LM) x M. The field
+    L holds the static inverse moments and A(t) = diag(0, drive cos t, 0)
+    the drive; an undriven inertia gives the free top, (LM) x M. The field
     is orthogonal to M, so the Casimir |M| is conserved by the exact flow;
     the energy is conserved for the free top and breathes inside the
     rigid-body band for the driven one. The orientation is fixed by the
@@ -112,7 +104,7 @@ def throbbing_field(m, t, inertia: InertiaSpec):
     m : array_like, shape (..., 3)
         Angular momentum vector(s).
     t : float
-        Time, read only by the modulation.
+        Time, read only by the drive.
     inertia : InertiaSpec
 
     Returns
@@ -126,10 +118,7 @@ def throbbing_field(m, t, inertia: InertiaSpec):
     """
     m = np.asarray(m, dtype=np.float64)
     inv = inertia.static_inverse()
-    if inertia.modulation is not None:
-        for i, (amp, freq, phase) in enumerate(inertia.modulation):
-            if amp != 0.0:
-                inv[i] += amp * math.cos(freq * t + phase)
+    inv[1] += inertia.drive * math.cos(t)
     return _cross(m * inv, m)
 
 
@@ -399,14 +388,6 @@ def make_reduced_field(params: AlgebraParams, v_series: FourierTaylorSeries):
 # -- diagnostics --------------------------------------------------------------
 
 
-def energy_series(traj: Trajectory, inertia: InertiaSpec):
-    """Kinetic energy (static inverse moments) along a Cartesian trajectory."""
-    if traj.y.ndim != 2 or traj.y.shape[1] != 3:
-        raise ValueError("energy needs a Cartesian trajectory")
-    inv = inertia.static_inverse()
-    return 0.5 * np.sum(traj.y * traj.y * inv, axis=-1)
-
-
 def conservation_report(traj: Trajectory, inertia: InertiaSpec) -> dict:
     """Casimir drift and rigid-body energy band occupancy.
 
@@ -415,9 +396,11 @@ def conservation_report(traj: Trajectory, inertia: InertiaSpec) -> dict:
     the exact sphere, so in_band failing beyond the 1e-9 slack flags an
     integrator problem, not physics.
     """
+    if traj.y.ndim != 2 or traj.y.shape[1] != 3:
+        raise ValueError("the report needs a Cartesian trajectory")
     rho_t = np.sqrt(np.sum(traj.y * traj.y, axis=-1))
     rho0 = float(rho_t[0])
-    energy = energy_series(traj, inertia)
+    energy = 0.5 * np.sum(traj.y * traj.y * inertia.static_inverse(), axis=-1)
     lo = rho0 ** 2 / (2.0 * max(inertia.i1, inertia.i2, inertia.i3))
     hi = rho0 ** 2 / (2.0 * min(inertia.i1, inertia.i2, inertia.i3))
     e_min, e_max = float(np.min(energy)), float(np.max(energy))
@@ -452,9 +435,8 @@ def sample_sphere(n: int, rho: float, rng) -> np.ndarray:
 # -- CSV emission -------------------------------------------------------------
 
 
-def write_trajectory_csv(path, traj: Trajectory, kind: str,
-                         config: dict = None):
-    """Write `t,M1,M2,M3` or `t,X,theta` rows with a config comment line.
+def write_trajectory_csv(path, traj: Trajectory, kind: str, config: dict):
+    """Write `t,M1,M2,M3` or `t,X,theta` rows after a config comment line.
 
     kind is "cartesian" or "reduced"; the resolved run configuration is
     embedded as a leading `# config: {...}` JSON comment for provenance.
@@ -469,31 +451,20 @@ def write_trajectory_csv(path, traj: Trajectory, kind: str,
         raise ValueError("kind must be 'cartesian' or 'reduced'")
     if len(traj) and traj.y.shape[1] != width:
         raise ValueError(f"{kind} rows need {width} state columns")
-    buf = io.StringIO()
-    if config is not None:
-        # numpy scalars in the configuration are written as Python numbers
-        buf.write("# config: " + json.dumps(config, sort_keys=True,
-                                            default=lambda o: o.item()) + "\n")
-    buf.write(header + "\n")
+    # numpy scalars in the configuration are written as Python numbers
+    line = json.dumps(config, sort_keys=True, default=lambda o: o.item())
     # every value as %.17g, all rows formatted by one call
     values = np.column_stack([traj.t, traj.y]).ravel().tolist()
     row = ",".join(["%.17g"] * (1 + width)) + "\n"
-    buf.write(row * len(traj) % tuple(values))
-    text = buf.getvalue()
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# config: {line}\n{header}\n"
+                 + row * len(traj) % tuple(values))
 
 
 def read_trajectory_csv(path):
     """Inverse of write_trajectory_csv: (Trajectory, config_dict_or_None)."""
-    if hasattr(path, "read"):
-        lines = path.read().splitlines()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     config = None
     idx = 0
     if lines and lines[0].startswith("# config:"):

@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import subprocess
@@ -172,10 +171,9 @@ def test_simulate_deterministic_bytes(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def _solo_csv(traj, kind, config):
-    buf = io.StringIO()
-    rb.write_trajectory_csv(buf, traj, kind, config=config)
-    return buf.getvalue().encode()
+def _solo_csv(path, traj, kind, config):
+    rb.write_trajectory_csv(path, traj, kind, config)
+    return path.read_bytes()
 
 
 def test_simulate_batch_members_match_solo_runs(tmp_path):
@@ -198,7 +196,8 @@ def test_simulate_batch_members_match_solo_runs(tmp_path):
             path = out / f"{preset}_traj{i:03d}.csv"
             config = rb.read_trajectory_csv(str(path))[1]
             solo = rb.rk4_integrate(inits[i], fieldfn, h, t_final)
-            assert path.read_bytes() == _solo_csv(solo, "cartesian", config)
+            assert path.read_bytes() == _solo_csv(
+                tmp_path / "solo.csv", solo, "cartesian", config)
 
     out = tmp_path / "pert1"
     assert run(["simulate", "--preset", "pert1", "--eps", "1e-2", "--n",
@@ -214,7 +213,8 @@ def test_simulate_batch_members_match_solo_runs(tmp_path):
         config = rb.read_trajectory_csv(str(path))[1]
         solo = rb.rk4_integrate(inits[i], fieldfn, h, t_final)
         solo.y[:, 0] += p.x0
-        assert path.read_bytes() == _solo_csv(solo, "reduced", config)
+        assert path.read_bytes() == _solo_csv(
+            tmp_path / "solo.csv", solo, "reduced", config)
 
 
 def test_simulate_domain_exit_aborts_members(tmp_path, capsys):

@@ -71,10 +71,12 @@ def test_constants_monotone_in_gamma_and_losses():
         dio = DiophantineParams(gamma=g, tau=1.0)
         cs.append(nf.compute_bound_constants(PARAMS, dio, 0.5, 0.1, 0.1).c)
     assert all(a > b for a, b in zip(cs, cs[1:]))
-    bc = nf.compute_bound_constants(PARAMS, DIO, 0.5, 0.1, 0.1)
-    lams = [bc.lam(d=s / 2, delta=s / 2) for s in (0.2, 0.1, 0.05, 0.025)]
+    # each factor is read at the losses its constants were built at
+    lams = [nf.compute_bound_constants(PARAMS, DIO, 0.5, s / 2, s / 2).lam()
+            for s in (0.2, 0.1, 0.05, 0.025)]
     assert all(a < b for a, b in zip(lams, lams[1:]))
-    xis = [bc.xi(delta=x) for x in (0.2, 0.1, 0.05)]
+    xis = [nf.compute_bound_constants(PARAMS, DIO, 0.5, 0.1, x).xi()
+           for x in (0.2, 0.1, 0.05)]
     assert all(a < b for a, b in zip(xis, xis[1:]))
 
 

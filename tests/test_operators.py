@@ -68,6 +68,26 @@ def test_diophantine_params_validation():
         DiophantineParams(gamma=0.1, tau=1.0, q=1.5)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"rho": math.nan}, {"rho": math.inf}, {"i_perp": math.nan},
+    {"i_3": math.inf}, {"x0": math.nan},
+])
+def test_params_reject_non_finite(kwargs):
+    with pytest.raises(ValueError):
+        AlgebraParams(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"gamma": math.nan, "tau": 1.0}, {"gamma": math.inf, "tau": 1.0},
+    {"gamma": 0.1, "tau": math.nan}, {"gamma": 0.1, "tau": math.inf},
+    {"gamma": 0.1, "tau": 1.0, "q": math.nan},
+    {"gamma": 0.1, "tau": 1.0, "k_scan": math.nan},
+])
+def test_diophantine_params_reject_non_finite(kwargs):
+    with pytest.raises(ValueError):
+        DiophantineParams(**kwargs)
+
+
 # -- projections --------------------------------------------------------------
 
 

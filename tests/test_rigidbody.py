@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -63,12 +62,34 @@ def test_throbbing_field_reduces_to_static():
     # cos(t) vanishes at t = pi/2, leaving the static moments
     off = rb.throbbing_field(m, math.pi / 2.0, inertia)
     assert np.max(np.abs(off - rb.throbbing_field(m, 0.0, ASYM))) <= 1e-15
-    # zero amplitude matches the unmodulated top at every t
-    zero = rb.InertiaSpec(1.0, 2.0, 3.0,
-                          modulation=((0.0, 0.0, 0.0),) * 3)
+    # zero amplitude matches the undriven top at every t
+    zero = rb.InertiaSpec(1.0, 2.0, 3.0, drive=0.0)
     for t in (0.0, 0.7, 4.2):
         assert np.all(rb.throbbing_field(m, t, zero)
                       == rb.throbbing_field(m, t, ASYM))
+
+
+def test_driven_field_and_section_bits():
+    # the fig2 drive 0.1 eps cos t on 1/I2, pinned bit for bit off the
+    # zeros of cos t, and the first section state of a driven run
+    inertia = pr.preset_inertia("fig2", eps=0.7)
+    m = np.array([0.3, 1.1, -0.7])
+    pinned = {
+        0.7: ["-0x1.5b416571ab2f0p-3", "0x1.1eb851eb851ecp-3",
+              "0x1.2dbc79d3ac655p-3"],
+        4.2: ["-0x1.a16a9249670a4p-4", "0x1.1eb851eb851ecp-3",
+              "0x1.691d183dcd64fp-3"],
+    }
+    for t, bits in pinned.items():
+        out = rb.throbbing_field(m, t, inertia)
+        assert [float(v).hex() for v in out] == bits
+    y0 = rb.sample_sphere(1, RHO, 3)[0]
+    sec = rb.rk4_integrate(y0, static_field(inertia), 0.01, 7.0,
+                           period=2.0 * math.pi).section
+    assert sec.t[1] == 2.0 * math.pi
+    assert [float(v).hex() for v in sec.y[1]] == [
+        "0x1.907029da730c1p+0", "-0x1.ce824a44076a5p-3",
+        "0x1.39c4d27605c02p+0"]
 
 
 def test_inertia_validation():
@@ -76,19 +97,29 @@ def test_inertia_validation():
         rb.InertiaSpec(1.0, -2.0, 3.0)
     with pytest.raises(ValueError):
         rb.InertiaSpec(1.0, 0.0, 3.0)
-    # |amp| >= 1/I_2 makes an inverse moment vanish somewhere
-    with pytest.raises(ValueError):
-        rb.InertiaSpec(1.0, 2.0, 3.0,
-                       modulation=((0.0, 0.0, 0.0), (0.5, 1.0, 0.0),
-                                   (0.0, 0.0, 0.0)))
-    ok = rb.InertiaSpec(1.0, 2.0, 3.0,
-                        modulation=((0.0, 0.0, 0.0), (0.49, 1.0, 0.0),
-                                    (0.0, 0.0, 0.0)))
+    # |drive| >= 1/I_2 makes the inverse moment vanish somewhere
+    for drive in (0.5, -0.5):
+        with pytest.raises(ValueError):
+            rb.InertiaSpec(1.0, 2.0, 3.0, drive=drive)
+    ok = rb.InertiaSpec(1.0, 2.0, 3.0, drive=0.49)
     # M = (0, 1, 1) gives the field (inv_2(t) - inv_3, 0, 0), read at t = 0
     field = rb.throbbing_field(np.array([0.0, 1.0, 1.0]), 0.0, ok)
     assert abs(field[0] - (0.5 + 0.49 - 1.0 / 3.0)) <= 1e-15
     assert not oracle.is_symmetric(ok)
     assert oracle.is_symmetric(rb.InertiaSpec(2.0, 2.0, 3.0))
+
+
+@pytest.mark.parametrize("args", [
+    (math.nan, 2.0, 3.0),
+    (1.0, math.nan, 3.0),
+    (1.0, 2.0, math.inf),
+    (1.0, 2.0, 3.0, math.nan),
+    (1.0, 2.0, 3.0, math.inf),
+    (1.0, math.inf, 3.0, 0.1),
+])
+def test_inertia_rejects_non_finite(args):
+    with pytest.raises(ValueError):
+        rb.InertiaSpec(*args)
 
 
 # -- integrator ---------------------------------------------------------------
@@ -566,60 +597,68 @@ def test_sample_sphere_norms_and_determinism():
 # -- CSV ----------------------------------------------------------------------
 
 
-def test_csv_round_trip_cartesian():
+def test_csv_round_trip_cartesian(tmp_path):
     y0 = rb.sample_sphere(1, RHO, 4)[0]
     traj = rb.rk4_integrate(y0, static_field(ASYM), 0.01, 1.0)
     cfg = {"preset": "fig1", "seed": 4, "h": 0.01, "T": 1.0}
-    buf = io.StringIO()
-    rb.write_trajectory_csv(buf, traj, "cartesian", config=cfg)
-    text = buf.getvalue()
-    assert text.splitlines()[0].startswith("# config:")
-    assert text.splitlines()[1] == "t,M1,M2,M3"
-    back, cfg_back = rb.read_trajectory_csv(io.StringIO(text))
+    path = tmp_path / "traj.csv"
+    rb.write_trajectory_csv(path, traj, "cartesian", cfg)
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# config:")
+    assert lines[1] == "t,M1,M2,M3"
+    back, cfg_back = rb.read_trajectory_csv(path)
     assert cfg_back == cfg
     assert np.all(back.t == traj.t)
     assert np.all(back.y == traj.y)
 
 
-def test_csv_round_trip_reduced_without_config():
+def test_csv_round_trip_reduced(tmp_path):
     fieldfn = rb.make_reduced_field(AlgebraParams(), FLAT)
     traj = rb.rk4_integrate(np.array([0.02, 0.3]), fieldfn, 0.1, 2.0)
-    buf = io.StringIO()
-    rb.write_trajectory_csv(buf, traj, "reduced")
-    back, cfg = rb.read_trajectory_csv(io.StringIO(buf.getvalue()))
-    assert cfg is None
-    assert buf.getvalue().splitlines()[0] == "t,X,theta"
+    path = tmp_path / "traj.csv"
+    rb.write_trajectory_csv(path, traj, "reduced", {"T": 2.0})
+    back, cfg = rb.read_trajectory_csv(path)
+    assert cfg == {"T": 2.0}
+    assert path.read_text().splitlines()[1] == "t,X,theta"
     assert np.all(back.y == traj.y)
+    # the reader also takes a file without the config line
+    path.write_text("t,X,theta\n0,0.25,1\n0.5,-0.125,2\n")
+    back, cfg = rb.read_trajectory_csv(path)
+    assert cfg is None
+    assert back.t.tolist() == [0.0, 0.5]
+    assert back.y.tolist() == [[0.25, 1.0], [-0.125, 2.0]]
 
 
-def test_csv_empty_trajectory_keeps_header():
+def test_csv_empty_trajectory_keeps_header(tmp_path):
     traj = rb.Trajectory(t=np.empty(0), y=np.empty((0, 3)))
-    buf = io.StringIO()
-    rb.write_trajectory_csv(buf, traj, "cartesian", config={"T": 0.0})
-    lines = buf.getvalue().splitlines()
+    path = tmp_path / "traj.csv"
+    rb.write_trajectory_csv(path, traj, "cartesian", {"T": 0.0})
+    lines = path.read_text().splitlines()
     assert lines[1] == "t,M1,M2,M3"
     assert len(lines) == 2
-    back, cfg = rb.read_trajectory_csv(io.StringIO(buf.getvalue()))
+    back, cfg = rb.read_trajectory_csv(path)
     assert len(back) == 0
     assert cfg == {"T": 0.0}
 
 
-def test_csv_kind_validation():
+def test_csv_kind_validation(tmp_path):
     traj = rb.Trajectory(t=np.zeros(1), y=np.zeros((1, 3)))
+    path = tmp_path / "traj.csv"
     with pytest.raises(ValueError):
-        rb.write_trajectory_csv(io.StringIO(), traj, "spherical")
+        rb.write_trajectory_csv(path, traj, "spherical", {})
     with pytest.raises(ValueError):
-        rb.write_trajectory_csv(io.StringIO(), traj, "reduced")
+        rb.write_trajectory_csv(path, traj, "reduced", {})
+    assert not path.exists()
 
 
-def test_csv_golden_bytes():
+def test_csv_golden_bytes(tmp_path):
     # the literal bytes of %.17g: signed zero, subnormal-range and 2**53
     # values, the shortest round-trip digits, nan and both infinities
     reduced = rb.Trajectory(t=np.array([-0.0, 0.1]),
                             y=np.array([[1e-300, 2.0 ** 53], [np.nan, np.inf]]))
-    buf = io.StringIO()
-    rb.write_trajectory_csv(buf, reduced, "reduced", config={"T": 0.1})
-    assert buf.getvalue() == (
+    path = tmp_path / "traj.csv"
+    rb.write_trajectory_csv(path, reduced, "reduced", {"T": 0.1})
+    assert path.read_text() == (
         '# config: {"T": 0.1}\n'
         "t,X,theta\n"
         "-0,1e-300,9007199254740992\n"
@@ -627,8 +666,9 @@ def test_csv_golden_bytes():
     cartesian = rb.Trajectory(
         t=np.array([0.0, 1.0]),
         y=np.array([[-0.0, 0.1, -np.inf], [2.0 ** 53 + 2, 1e-300, np.nan]]))
-    buf = io.StringIO()
-    rb.write_trajectory_csv(buf, cartesian, "cartesian")
-    assert buf.getvalue() == ("t,M1,M2,M3\n"
-                              "0,-0,0.10000000000000001,-inf\n"
-                              "1,9007199254740994,1e-300,nan\n")
+    rb.write_trajectory_csv(path, cartesian, "cartesian",
+                            {"seed": np.int64(3)})
+    assert path.read_text() == ('# config: {"seed": 3}\n'
+                                "t,M1,M2,M3\n"
+                                "0,-0,0.10000000000000001,-inf\n"
+                                "1,9007199254740994,1e-300,nan\n")

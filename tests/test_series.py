@@ -840,7 +840,7 @@ def test_product_kernel_matches_oracle_across_blocks():
     assert raised >= 1
 
 
-def test_kernel_weight_convolutions_span_one_degree(monkeypatch):
+def test_kernel_contracts_one_complex_window_per_product(monkeypatch):
     # a product or bracket whose products leave the box contracts its
     # complex values once, and convolves no float weights
     calls = []
@@ -1009,7 +1009,7 @@ def test_bracket_values_window_starts_at_degree_one(monkeypatch):
     assert calls == [0]
 
 
-def test_kernel_lower_degree_bound_keeps_higher_degrees_and_tail():
+def test_kernel_lower_degree_bound_keeps_higher_degrees():
     # bracket-shaped channels, (n c, i m c) against (i m c, -n c): the
     # degree-0 products vanish, so starting the window at degree 1 leaves
     # the other degrees as they were, to rounding
