@@ -333,7 +333,11 @@ def _simulate_cartesian(config, cfg, derived, period):
 
 def _simulate_reduced(config, derived, period):
     params, trunc = _chart(config)
-    inertia = rb.InertiaSpec(params.i_perp, params.i_perp, params.i_3)
+    # the preset's drive on the algebra block's top: |drive| < 1 / i_perp
+    drive = pr.PRESETS[config["preset"]]["inverse_amplitude_per_eps"] \
+        * config["eps"]
+    inertia = rb.InertiaSpec(params.i_perp, params.i_perp, params.i_3,
+                             drive=drive)
     derived.update(inertia=[params.i_perp, params.i_perp, params.i_3],
                    rho=params.rho)
     v = pr.preset_drive_series(config["preset"], config["eps"], params, trunc)

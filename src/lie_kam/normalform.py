@@ -566,31 +566,23 @@ def schedule_sequences(eps0: float, q0: float, tau: float, c: float,
 class IterationState:
     """Snapshot of the iteration after i normal-form steps.
 
-    ``mu_i`` is the radius loss actually consumed producing the next
-    state (capped at r_i / 6 so measured norms stay inside the domain
-    budget); ``mu_schedule`` is the uncapped schedule value the side
-    conditions refer to. ``conditions`` carries the schedule booleans
-    for this step plus ``q_star`` (updated curvature average above its
-    certified floor) for states produced by a step.
+    ``mu_i`` = r_i / 6 is the radius the step from state i loses, so the
+    next state is measured at r_{i+1} = r_i - mu_i.
     """
 
     i: int
     v: FourierTaylorSeries
     curvature: FourierTaylorSeries
     r_i: float
-    eps_i: float
     mu_i: float
-    mu_schedule: float
-    q_i: float
     measured_v_norm: float
     contraction_ratio: float
-    conditions: dict
 
 
 def kam_iterate(v0: FourierTaylorSeries, q0: FourierTaylorSeries,
                 params: AlgebraParams, dio: DiophantineParams, r: float,
                 steps: int = 3, tol: float = 1e-12) -> list:
-    """Run several normal-form steps with schedule bookkeeping.
+    """Run several normal-form steps, measuring each state.
 
     Parameters
     ----------
@@ -601,7 +593,7 @@ def kam_iterate(v0: FourierTaylorSeries, q0: FourierTaylorSeries,
     params, dio : AlgebraParams, DiophantineParams
     r : float
         Starting analyticity radius (must not exceed the default domain's
-        ``r_max``); the bound constants use the losses d = delta = r / 6.
+        ``r_max``); each step loses mu_i = r_i / 6 of it.
     steps : int
         Number of normal-form steps; returns steps + 1 states.
     tol : float
@@ -612,7 +604,9 @@ def kam_iterate(v0: FourierTaylorSeries, q0: FourierTaylorSeries,
     list of IterationState
         States 0..steps. State i holds V_i measured at radius r_i; the
         contraction ratio on state i + 1 is
-        ``||V_{i+1}||_{r_{i+1}} / ||V_i||_{r_i}^2``.
+        ``||V_{i+1}||_{r_{i+1}} / ||V_i||_{r_i}^2``. Where that square is
+        0 (V_i is 0, or its square underflows) the ratio is 0 if V_{i+1}
+        measures 0 and None otherwise.
 
     Raises
     ------
@@ -622,50 +616,33 @@ def kam_iterate(v0: FourierTaylorSeries, q0: FourierTaylorSeries,
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    bc = compute_bound_constants(params, dio, r, r / 6.0, r / 6.0)
-    eps0 = fts.majorant_norm(v0, r)
-    sched = schedule_sequences(max(eps0, 0.0), dio.q, dio.tau, bc.c,
-                               bc.c_tilde, r, max_steps=steps + 1)
+    measured = fts.majorant_norm(v0, r)
 
     states = []
     v, qs = v0, q0
     r_i = r
-    measured = eps0
     prev_norm = None
     ratio = None
-    extra = {}
     for i in range(steps + 1):
-        row = sched["steps"][i]
         if prev_norm is not None and measured > prev_norm:
             raise IterationError(
                 f"step {i} increased the measured norm: {measured:.3g} > "
                 f"{prev_norm:.3g}", states)
-        conds = dict(row["conditions"])
-        conds.update(extra)
-        mu_sched = row["mu"]
-        mu_used = min(mu_sched, r_i / 6.0)
+        mu_i = r_i / 6.0
         states.append(IterationState(
-            i=i, v=v, curvature=qs, r_i=r_i, eps_i=row["eps"],
-            mu_i=mu_used, mu_schedule=mu_sched, q_i=row["q"],
-            measured_v_norm=measured, contraction_ratio=ratio,
-            conditions=conds))
+            i=i, v=v, curvature=qs, r_i=r_i, mu_i=mu_i,
+            measured_v_norm=measured, contraction_ratio=ratio))
         if i == steps:
             break
         res = compute_v_star(v, qs, params, tol, dio)
-        # certified floor for the updated average; guard mu = 0
-        if mu_sched > 0.0:
-            floor = row["q"] - measured * bc.c_tilde \
-                / (row["q"] ** 3 * mu_sched ** (2.0 * dio.tau + 5.0))
-        else:
-            floor = -math.inf
-        extra = {"q_star": abs(res.q_star.coeff(0, 0, 0)) >= floor}
         prev_norm = measured
         v, qs = res.v_star, res.q_star
-        r_i = r_i - mu_used
+        r_i = r_i - mu_i
         # V_{i+1} at r_{i+1}: the next state's norm and this step's ratio
         measured = fts.majorant_norm(v, r_i)
-        if prev_norm > 0.0:
-            ratio = measured / prev_norm ** 2
+        square = prev_norm ** 2
+        if square > 0.0:
+            ratio = measured / square
         else:
             ratio = 0.0 if measured == 0.0 else None
     return states
@@ -673,17 +650,6 @@ def kam_iterate(v0: FourierTaylorSeries, q0: FourierTaylorSeries,
 
 def iteration_ledger(states: list) -> list:
     """JSON-ready per-step summary of an iteration run."""
-    out = []
-    for st in states:
-        out.append({
-            "i": st.i,
-            "r_i": st.r_i,
-            "eps_i": st.eps_i,
-            "mu_i": st.mu_i,
-            "mu_schedule": st.mu_schedule,
-            "q_i": st.q_i,
-            "measured_norm": st.measured_v_norm,
-            "contraction_ratio": st.contraction_ratio,
-            "conditions": dict(st.conditions),
-        })
-    return out
+    return [{"i": st.i, "r_i": st.r_i, "mu_i": st.mu_i,
+             "measured_norm": st.measured_v_norm,
+             "contraction_ratio": st.contraction_ratio} for st in states]

@@ -405,7 +405,9 @@ class Derivation:
     def __init__(self, f: FourierTaylorSeries, q: FourierTaylorSeries,
                  params: AlgebraParams, dio: DiophantineParams = None):
         af = translation_coefficient(f, q, params, dio)
-        v0 = small_divisor_solve(_p0(f), params, dio)
+        # the solve divides mode by mode: its degree-0 slice solves P0 f
+        gs = small_divisor_solve(f, params, dio)
+        v0 = _p0(gs)
         inner = fts.scale(q, af) + q * fts.partial_theta(v0)
 
         const = fts.from_terms([(0, 0, 0, params.rho * params.omega * af)],
@@ -421,7 +423,7 @@ class Derivation:
 
         xw = _lift_degree(small_divisor_solve(
             fts.scale(inner, 1.0 / params.rho), params, dio))
-        self.generator = small_divisor_solve(f, params, dio) - xw
+        self.generator = gs - xw
         self.shift = af / params.rho
 
     def __call__(self, g: FourierTaylorSeries, factor=None):

@@ -134,6 +134,23 @@ def test_simulate_usage_errors(tmp_path):
     assert run([]) == 1
 
 
+def test_reduced_chart_drive_limit(tmp_path):
+    # pert1 drives 1/I2 = 1/i_perp by eps cos t: at eps 0.6 > 1/2 the
+    # inverse moment goes negative, and neither command writes a file
+    for command in ("simulate", "section"):
+        out = tmp_path / command
+        assert run([command, "--preset", "pert1", "--eps", "0.6", "--T", "7",
+                    "--out", str(out)]) == 1
+        assert not out.exists()
+    # the limit is the algebra block's: i_perp 4 allows eps < 1/4
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"algebra": {"i_perp": 4.0}}))
+    assert run(["simulate", "--config", str(cfg), "--preset", "pert1",
+                "--eps", "0.3", "--T", "1", "--out", str(tmp_path)]) == 1
+    # normalize is formal algebra on the series: no limit there
+    assert run(["normalize", "--eps", "0.6", "--out", str(tmp_path)]) == 2
+
+
 def test_negative_exponent_is_a_flag_value(tmp_path):
     # argparse alone reads `-1e-3` after `--eps` as an unknown option
     for name, eps in (("apart", ["--eps", "-1e-3"]),
@@ -218,8 +235,8 @@ def test_simulate_batch_members_match_solo_runs(tmp_path):
 
 
 def test_simulate_domain_exit_aborts_members(tmp_path, capsys):
-    # at eps = 1 every pert1 member leaves |x| <= x_half before T = 20
-    args = ["--preset", "pert1", "--eps", "1.0", "--T", "20", "--n", "3"]
+    # at eps = 0.4 every pert1 member leaves |x| <= x_half before T = 20
+    args = ["--preset", "pert1", "--eps", "0.4", "--T", "20", "--n", "3"]
     assert run(["simulate", *args, "--out", str(tmp_path / "sim")]) == 2
     assert capsys.readouterr().err.splitlines() == ["FAIL aborted"]
     rep = read_json(tmp_path / "sim" / "pert1_report.json")
@@ -451,6 +468,44 @@ def test_iterate_ledger(tmp_path):
     assert doc["config"]["steps"] == 3
 
 
+@pytest.mark.parametrize("eps, steps", [("1e-3", 6), ("1e-2", 10),
+                                        ("0.2", 10)])
+def test_iterate_radius_recurrence(tmp_path, eps, steps):
+    # each step loses mu_i = r_i / 6 of the radius, bit for bit
+    argv = ["iterate", "--eps", eps, "--steps", str(steps)]
+    assert run([*argv, "--out", str(tmp_path)]) == 0
+    rows = read_json(tmp_path / "iterate_ledger.json")["steps"]
+    assert [row["i"] for row in rows] == list(range(steps + 1))
+    assert rows[0]["r_i"] == 0.5
+    for row, after in zip(rows, rows[1:]):
+        assert row["mu_i"] == row["r_i"] / 6.0
+        assert after["r_i"] == row["r_i"] - row["mu_i"]
+    assert rows[-1]["mu_i"] == rows[-1]["r_i"] / 6.0
+
+
+def test_iterate_underflowing_square(tmp_path):
+    # at eps 1e-3, |V_6|^2 underflows to 0 and V_7 measures 0: the ratio
+    # of step 7 reads 0, as for V_6 = 0
+    assert run(["iterate", "--steps", "7", "--out", str(tmp_path)]) == 0
+    rows = read_json(tmp_path / "iterate_ledger.json")["steps"]
+    assert len(rows) == 8
+    assert rows[6]["measured_norm"] > 0.0
+    assert rows[6]["measured_norm"] ** 2 == 0.0
+    assert rows[7]["measured_norm"] == 0.0
+    assert rows[7]["contraction_ratio"] == 0.0
+    for row, after in zip(rows[:6], rows[1:7]):
+        ratio = after["measured_norm"] / row["measured_norm"] ** 2
+        assert after["contraction_ratio"] == ratio
+
+
+def test_iterate_radius_above_budget_is_usage(tmp_path, capsys):
+    # the first norm the iteration takes rejects r above r_max
+    rc = run(["iterate", "--r", "9", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "exceeds the analyticity budget" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_iterate_contraction_failure_writes_ledger(tmp_path, capsys):
     # at eps 0.3 step 2 grows the norm: exit 2 with the ledger so far
     rc = run(["iterate", "--eps", "0.3", "--steps", "3", "--out", str(tmp_path)])
@@ -472,8 +527,7 @@ def test_normal_form_report_keys(tmp_path):
                            "series_terms_used", "v_norm", "v_star_norm"]
     assert sorted(rep["quadratic_probe"]) == ["eps", "eps_half", "norm", "norm_half",
                                               "pass", "ratio", "slope"]
-    row_keys = ["conditions", "contraction_ratio", "eps_i", "i", "measured_norm",
-                "mu_i", "mu_schedule", "q_i", "r_i"]
+    row_keys = ["contraction_ratio", "i", "measured_norm", "mu_i", "r_i"]
     for argv, rc in ((["--steps", "1"], 0), (["--eps", "0.3", "--steps", "3"], 2)):
         out = tmp_path / f"iterate{rc}"
         assert run(["iterate", *argv, "--out", str(out)]) == rc
@@ -727,7 +781,7 @@ def _out_of_band(traj, inertia, report=rb.conservation_report):
 # finished runs that fail a check: argv, report, first_failure, and a
 # stand-in for the conservation report
 FAILED_CHECKS = {
-    "simulate-aborted": (["simulate", "--preset", "pert1", "--eps", "1.0",
+    "simulate-aborted": (["simulate", "--preset", "pert1", "--eps", "0.4",
                           "--T", "20", "--n", "3"],
                          "pert1_report.json", "aborted", None),
     "section-conservation": (["section", "--preset", "fig2", "--eps", "1",

@@ -504,7 +504,6 @@ def test_iterate_desk_scale_contraction():
     for st in states[1:]:
         assert st.contraction_ratio is not None
         assert st.contraction_ratio <= 10.0
-        assert st.conditions["q_star"]
     # radius bookkeeping: r_i = r - sum of consumed losses, positive
     assert states[-1].r_i > 0
     spent = sum(st.mu_i for st in states[:-1])
@@ -540,6 +539,5 @@ def test_iteration_ledger_json():
     back = json.loads(text)
     assert len(back) == 3
     for row in back:
-        for key in ("i", "r_i", "eps_i", "mu_i", "q_i", "measured_norm",
-                    "contraction_ratio", "conditions"):
-            assert key in row
+        assert sorted(row) == ["contraction_ratio", "i", "measured_norm",
+                               "mu_i", "r_i"]
