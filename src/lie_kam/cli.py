@@ -12,7 +12,8 @@ and the rows computed before it (``iterate``'s ``steps``), and its line is
 ``FAIL <first_failure>: <error>``. Its name is one of ``diophantine``
 (resonant rotation number), ``hypothesis``, ``divergence`` (of a Lie
 series), ``resonance`` (a zero divisor), ``contraction`` (of the
-iteration) and ``overflow`` (finite values whose product is not finite).
+iteration) and ``overflow`` (finite values whose product or power is not
+finite).
 
 Each subcommand declares its inputs once, in ``_COMMANDS``: key, check,
 default and help. An input comes from its flag, else from the JSON config
@@ -245,6 +246,11 @@ def _output(out, name):
     return os.path.join(out, name)
 
 
+def _reported(x):
+    """x as a report writes it: a value that is not finite is null."""
+    return x if math.isfinite(x) else None
+
+
 # a coefficient row of ``fts.to_json_dict`` (Python ints and floats) as
 # json.dump(sort_keys=True, indent=2) writes it in doc["series"]["coeffs"]:
 # json writes a finite float with float.__repr__ and an int with
@@ -435,7 +441,7 @@ def cmd_normalize(config, derived, out):
         "quadratic_probe": {
             "eps": eps, "eps_half": 0.5 * eps,
             "norm": n_full, "norm_half": n_half,
-            "ratio": ratio, "slope": slope,
+            "ratio": _reported(ratio), "slope": _reported(slope),
             # the band of acceptance criterion 3
             "pass": abs(slope - 2.0) <= 0.1,
         },
@@ -495,11 +501,6 @@ def _margin_sweep(params, trunc, dio, trials, seed):
             worst = min(worst, margin if math.isfinite(margin) else -math.inf)
             count += 1
     return worst, count
-
-
-def _reported(x):
-    """x as a report writes it: a value that is not finite is null."""
-    return x if math.isfinite(x) else None
 
 
 def cmd_bounds(config, derived, out):
@@ -701,6 +702,7 @@ _FAILURES = {
     ops.ResonanceError: "resonance",
     nf.IterationError: "contraction",
     fts.NonFiniteError: "overflow",
+    OverflowError: "overflow",
 }
 
 

@@ -10,11 +10,12 @@ that splitting and the derivation that realizes the removal:
   averaged degree-0 modes and everything of degree >= 2) and its
   complement (the fluctuating degree-0 and all degree-1 modes).
 - ``small_divisor_solve``: inverts the drift ``omega d_theta + d_t`` on
-  fluctuating modes of degree <= 1, the only place small divisors appear.
-- ``translation_coefficient``: the coefficient a_f of the x-translation,
-  the one divisor sum outside ``small_divisor_solve``.
+  fluctuating modes of degree <= 1. Every division by a small divisor
+  happens here, and only here is a divisor checked.
 - ``Derivation``: everything one generator f needs, from one homological
-  solve. It holds the curvature correction K, the full projections
+  solve. The coefficient a_f of the x-translation is read off the
+  product Q d_theta P0 G_s f that its inner drive already forms. It
+  holds the curvature correction K, the full projections
   R f = R_s f - K and N f = N_s f + K, and the derivation Gamma_f with
   H(Gamma_f g) - Gamma_f(H g) = {N f, g} for the generator
   ``H = omega d_theta + d_t + {Q x^2 / 2, .}``, applied as one bracket.
@@ -43,7 +44,6 @@ __all__ = [
     "ResonanceError",
     "SmallDivisorWarning",
     "small_divisor_solve",
-    "translation_coefficient",
     "projection_correction",
     "half_curvature_x2",
     "hamiltonian_apply",
@@ -302,63 +302,25 @@ def _lift_degree(f: FourierTaylorSeries) -> FourierTaylorSeries:
     return FourierTaylorSeries(c, t, f.rho, hermitian=True)
 
 
-def _strip_imag(z: complex, what: str) -> float:
-    if abs(z.imag) > 1e-10 * max(1.0, abs(z)):
-        raise fts.RealityError(f"{what} should be real, got {z!r}")
-    return z.real
+def _translation(f: FourierTaylorSeries, q: FourierTaylorSeries,
+                 gs: FourierTaylorSeries, params: AlgebraParams):
+    """(a_f, Q d_theta P0 G_s f) for f and its solve gs = G_s f.
 
-
-def translation_coefficient(f: FourierTaylorSeries, q: FourierTaylorSeries,
-                            params: AlgebraParams,
-                            dio: DiophantineParams = None) -> float:
-    """Coefficient of the x-translation that kills the averaged linear term.
-
-    Solves the degree-1 average obstruction: the returned scalar a satisfies
-    average(deg-1 of (f - a/rho * Q x - ...)) = 0 once the fluctuating
-    degree-0 part has been absorbed by the small-divisor solver.
-
-    The divisor sum runs over the fluctuating degree-0 modes (l, m) of f
-    whose partner Q(-l, -m) is nonzero, all at once on arrays; each term
-    is formed with the rounding of complex scalar arithmetic, and the terms
-    are added one after another in (l, m) order, so the result does not
-    depend on how the sum is vectorized.
+    a_f = (rho f_001 - (Q d_theta P0 G_s f)_000) / Q_00 is the coefficient
+    of the x-translation that kills the averaged linear term: the product's
+    average is the divisor sum over f's fluctuating degree-0 modes, each
+    divided once, in the solve.
     """
     _require_degree0(q)
     q00 = q.coeff(0, 0, 0)
     if q00 == 0:
         raise ValueError("curvature series must have a nonzero average")
-    t, tq = f.trunc, q.trunc
-    f0 = f.coeffs[:, :, 0]
-    # Q(-l, -m) on f's (l, m) grid: Q mirrored, zero outside its box and at
-    # the center, which the sum leaves out
-    lt, lm = min(t.l_t, tq.l_t), min(t.l_theta, tq.l_theta)
-    qg = np.zeros(f0.shape, dtype=np.complex128)
-    qg[t.l_t - lt:t.l_t + lt + 1, t.l_theta - lm:t.l_theta + lm + 1] = \
-        q.coeffs[::-1, ::-1, 0][tq.l_t - lt:tq.l_t + lt + 1,
-                                tq.l_theta - lm:tq.l_theta + lm + 1]
-    qg[t.l_t, t.l_theta] = 0.0
-    li, mi = np.nonzero((f0 != 0) & (qg != 0))
-    _check_divisors(t, li, mi, params.omega, dio)
-    acc = 0.0 + 0.0j
-    if li.size:
-        # m * Q * f0 / d as the scalars int * complex * complex / float
-        # round it: each product on its parts, and the division by the real
-        # d as complex division by (d + 0j) does, through the reciprocal
-        m = (mi - t.l_theta).astype(np.float64)
-        qc, fv = qg[li, mi], f0[li, mi]
-        ar, ai = m * qc.real - 0.0 * qc.imag, m * qc.imag + 0.0 * qc.real
-        nr = ar * fv.real - ai * fv.imag
-        ni = ar * fv.imag + ai * fv.real
-        d = _divisor_table(t, params.omega, dio)[0][li, mi]
-        rat = 0.0 / d
-        scl = 1.0 / (d + 0.0 * rat)
-        terms = np.empty(li.size + 1, dtype=np.complex128)
-        terms[0] = acc
-        terms.real[1:] = (nr + ni * rat) * scl
-        terms.imag[1:] = (ni - nr * rat) * scl
-        acc = np.add.accumulate(terms)[-1]  # one term after another
-    out = (params.rho * f.coeff(0, 0, 1) - acc) / q00
-    return _strip_imag(out, "translation coefficient")
+    qv = q * fts.partial_theta(_p0(gs))
+    af = (params.rho * f.coeff(0, 0, 1) - qv.coeff(0, 0, 0)) / q00
+    if abs(af.imag) > 1e-10 * max(1.0, abs(af)):
+        raise fts.RealityError(
+            f"translation coefficient should be real, got {af!r}")
+    return af.real, qv
 
 
 def hamiltonian_apply(g: FourierTaylorSeries, q: FourierTaylorSeries,
@@ -375,11 +337,13 @@ class Derivation:
     the curvature drive; it satisfies the operator identity
     H(Gamma_f g) - Gamma_f(H g) = {N f, g}.
 
-    Construction forms every small divisor once: G_s f, a_f, the inner drive
-    Q (a_f + d_theta G_s P0 f), and from that drive both x W_f and the
-    curvature correction K that turns the basic projections into R f and
-    N f. By bilinearity of the bracket, ``gamma(g)`` is then one bracket
-    with the stored generator ``G = G_s f - x W_f`` plus an x-derivative.
+    Construction meets every divisor in ``small_divisor_solve``: G_s f,
+    then the inner drive Q (a_f + d_theta P0 G_s f), whose product
+    Q d_theta P0 G_s f has a_f's divisor sum as its average, and from that
+    drive both x W_f and the curvature correction K that turns the basic
+    projections into R f and N f. By bilinearity of the bracket,
+    ``gamma(g)`` is then one bracket with the stored generator
+    ``G = G_s f - x W_f`` plus an x-derivative.
     G's side of that bracket (its positions and channel values) is
     derived at the first application and kept with G, so a Lie series
     applying Gamma_f to every term derives it once per step.
@@ -404,11 +368,10 @@ class Derivation:
 
     def __init__(self, f: FourierTaylorSeries, q: FourierTaylorSeries,
                  params: AlgebraParams, dio: DiophantineParams = None):
-        af = translation_coefficient(f, q, params, dio)
         # the solve divides mode by mode: its degree-0 slice solves P0 f
         gs = small_divisor_solve(f, params, dio)
-        v0 = _p0(gs)
-        inner = fts.scale(q, af) + q * fts.partial_theta(v0)
+        af, qv = _translation(f, q, gs, params)
+        inner = fts.scale(q, af) + qv
 
         const = fts.from_terms([(0, 0, 0, params.rho * params.omega * af)],
                                f.trunc, f.rho)
@@ -578,10 +541,10 @@ def run_identity_suite(params: AlgebraParams, trunc: TruncationSpec,
         record("drift_inverse_on_low_degree",
                float(np.sum(np.abs(drift.coeffs - target))) / nf)
 
-        record("basic_solver_kills_basic_resonant",
-               _l1(small_divisor_solve(rsf, params, dio)) / nf)
+        grsf = small_divisor_solve(rsf, params, dio)
+        record("basic_solver_kills_basic_resonant", _l1(grsf) / nf)
         record("translation_kills_basic_resonant",
-               abs(translation_coefficient(rsf, q, params, dio)) / nf)
+               abs(_translation(rsf, q, grsf, params)[0]) / nf)
 
         for g, ng, hg in probes:
             record("derivation_after_resonant", _l1(gamma_rf(g)) / (nf * ng))

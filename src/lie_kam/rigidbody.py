@@ -72,8 +72,9 @@ class InertiaSpec:
             raise ValueError("moments of inertia must be finite and positive")
         if not abs(self.drive) < 1.0 / self.i2:
             raise ValueError(
-                f"drive amplitude {self.drive} makes the second inverse "
-                f"moment {1.0 / self.i2} non-positive")
+                f"drive amplitude {self.drive} makes the driven second "
+                f"inverse moment 1/I2 - |drive| = "
+                f"{1.0 / self.i2 - abs(self.drive):.6g} non-positive")
 
     def static_inverse(self):
         """Inverse moments (1/I1, 1/I2, 1/I3) without the drive."""

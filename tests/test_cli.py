@@ -151,6 +151,15 @@ def test_reduced_chart_drive_limit(tmp_path):
     assert run(["normalize", "--eps", "0.6", "--out", str(tmp_path)]) == 2
 
 
+def test_drive_limit_names_the_driven_moment(tmp_path, capsys):
+    # the value that goes non-positive is 1/I2 - |drive|, not 1/I2 = 0.5
+    assert run(["simulate", "--preset", "pert1", "--eps", "0.6",
+                "--out", str(tmp_path / "drive")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: drive amplitude 0.6 makes the driven second inverse moment "
+        "1/I2 - |drive| = -0.1 non-positive"]
+
+
 def test_negative_exponent_is_a_flag_value(tmp_path):
     # argparse alone reads `-1e-3` after `--eps` as an unknown option
     for name, eps in (("apart", ["--eps", "-1e-3"]),
@@ -443,6 +452,19 @@ def test_normalize_snapshot_and_probe(tmp_path):
     probe = rep["quadratic_probe"]
     assert probe["pass"] is True
     assert 1.9 <= probe["slope"] <= 2.1
+
+
+def test_normalize_underflowing_probe_is_null(tmp_path, capsys):
+    # at eps 1e-200 both probe norms underflow to 0: the ratio 0/0 and its
+    # slope are written as null, and the probe fails
+    assert run(["normalize", "--eps", "1e-200", "--out", str(tmp_path)]) == 2
+    path = tmp_path / "normalize_report.json"
+    _no_non_finite_token(path)
+    probe = read_json(path)["quadratic_probe"]
+    assert probe["norm"] == probe["norm_half"] == 0.0
+    assert probe["ratio"] is None and probe["slope"] is None
+    assert probe["pass"] is False
+    assert capsys.readouterr().err.splitlines() == ["FAIL quadratic_probe"]
 
 
 def test_normalize_probe_outside_band_fails(tmp_path):
@@ -749,6 +771,16 @@ STOPPED = {
                             "iterate_ledger.json", "contraction"),
     "normalize-overflow": (["normalize", "--eps", "1e150"],
                            "normalize_report.json", "overflow"),
+    # a large tau overflows the bound constants' powers, and from 182 the
+    # scan's scaled divisors
+    "bounds-tau-overflow": (["bounds", "--trials", "1", "--tau", "72"],
+                            "bounds_report.json", "overflow"),
+    "verify-tau-overflow": (["verify", "--trials", "1", "--tau", "72"],
+                            "verify_report.json", "overflow"),
+    "normalize-tau-overflow": (["normalize", "--eps", "1e-3", "--tau", "182"],
+                               "normalize_report.json", "overflow"),
+    "iterate-tau-overflow": (["iterate", "--steps", "1", "--tau", "182"],
+                             "iterate_ledger.json", "overflow"),
 }
 
 

@@ -360,21 +360,21 @@ def test_v_star_solves_do_not_grow_with_lie_terms(monkeypatch):
 
 
 def test_v_star_builds_one_derivation(monkeypatch):
-    # R V, N V and Gamma_V come from one homological solve, so the a_V
-    # divisor sum is formed once per step
+    # R V, N V and Gamma_V come from one homological derivation, whose
+    # three solves are every division by a small divisor of the step
     calls = []
-    coefficient = ops.translation_coefficient
+    solve = ops.small_divisor_solve
 
-    def counting_coefficient(*args, **kwargs):
+    def counting_solve(*args, **kwargs):
         calls.append(1)
-        return coefficient(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(ops, "translation_coefficient", counting_coefficient)
+    monkeypatch.setattr(ops, "small_divisor_solve", counting_solve)
     for eps in (1e-5, 1e-2):
         calls.clear()
         nf.compute_v_star(pr.reduced_drive_series(eps), Q_SERIES, PARAMS,
                           dio=DIO)
-        assert len(calls) == 1, (eps, len(calls))
+        assert len(calls) == 3, (eps, len(calls))
 
 
 def test_conjugacy_residual_probes():

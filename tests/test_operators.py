@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 import warnings
@@ -141,12 +142,17 @@ def test_small_divisor_frozen_example():
     assert got.coeff(1, 1, 0) == pytest.approx(-1.2j)
 
 
+def _translation(f, q, params):
+    """a_f, as the derivation of f applies it: shift * rho."""
+    return ops.Derivation(f, q, params).shift * params.rho
+
+
 def test_translation_coefficient_matches_oracle():
     rng = random.Random(7)
     for _ in range(15):
         d = rand_f(rng)
         ref = oracle.a_op(d, Q_DICT, PARAMS.rho, PARAMS.omega)
-        got = ops.translation_coefficient(as_series(d), Q_SERIES, PARAMS)
+        got = _translation(as_series(d), Q_SERIES, PARAMS)
         assert abs(ref - got) < 1e-13 * max(1.0, abs(ref))
 
 
@@ -160,7 +166,7 @@ def _dense_series(rng, trunc):
                                    PARAMS.rho)
 
 
-def test_translation_coefficient_matches_per_mode_loop_bit_for_bit():
+def test_translation_coefficient_matches_per_mode_loop():
     rng = np.random.default_rng(5)
     q_small = ops.generic_curvature(PARAMS)  # a box smaller than f's
     q_wide = fts.from_real_terms(
@@ -182,16 +188,8 @@ def test_translation_coefficient_matches_per_mode_loop_bit_for_bit():
         for q in (q_small, q_wide, q_real, q_dense):
             want, modes = oracle.translation_coefficient_per_mode(
                 f, q, p.omega, p.rho)
-            got = ops.translation_coefficient(f, q, p)
-            assert _bits(got) == _bits(want)
-            # the divisor check sees exactly the modes the loop divides by
-            dio = DiophantineParams(gamma=2.0, tau=1.0)
-            want_events = _divisor_events(lambda: oracle.check_divisors(
-                modes, p.omega, dio, ops._MIN_DIVISOR, ResonanceError,
-                ops.SmallDivisorWarning))
-            got_events = _divisor_events(
-                lambda: ops.translation_coefficient(f, q, p, dio))
-            assert got_events[:2] == want_events[:2]
+            got = _translation(f, q, p)
+            assert abs(got - want) <= 1e-13 * abs(want)
             checked += len(modes)
     assert checked > 2000
     # no mode meets a nonzero Q: only the averaged x term is left
@@ -199,7 +197,7 @@ def test_translation_coefficient_matches_per_mode_loop_bit_for_bit():
     want, modes = oracle.translation_coefficient_per_mode(x, q_small, PARAMS.omega,
                                                           PARAMS.rho)
     assert modes == []
-    assert _bits(ops.translation_coefficient(x, q_small, PARAMS)) == _bits(want)
+    assert _bits(_translation(x, q_small, PARAMS)) == _bits(want)
 
 
 def test_divisor_table_keeps_each_dio_apart():
@@ -254,7 +252,7 @@ def test_translation_frozen_example():
     q0 = fts.from_real_terms([(0, 0, 0, PARAMS.curvature0)],
                              TruncationSpec(0, 1, 1), PARAMS.rho)
     x = fts.from_real_terms([(0, 0, 1, 1.0)], TR, PARAMS.rho)
-    got = ops.translation_coefficient(x, q0, PARAMS)
+    got = _translation(x, q0, PARAMS)
     assert got == pytest.approx(PARAMS.rho / PARAMS.curvature0)
     g = ops.homological_derivation(x, x, q0, PARAMS)
     assert g.coeff(0, 0, 0) == pytest.approx(-1.0 / PARAMS.curvature0)
@@ -351,7 +349,7 @@ def test_operators_keep_reality_exactly():
         outs += [gamma(g) for g in probes]
         for out in outs:
             assert _exactly_real(out)
-        assert isinstance(ops.translation_coefficient(f, Q_SERIES, PARAMS), float)
+        assert isinstance(ops.Derivation(f, Q_SERIES, PARAMS).shift, float)
     assert ops._lift_degree(inputs[4]).trunc.n_x == full.n_x + 1
 
 
@@ -360,14 +358,13 @@ def test_curvature_lift_requires_degree0():
     with pytest.raises(ValueError):
         ops.half_curvature_x2(bad)
     with pytest.raises(ValueError):
-        ops.translation_coefficient(
-            fts.constant(1.0, TR, PARAMS.rho), bad, PARAMS)
+        ops.Derivation(fts.constant(1.0, TR, PARAMS.rho), bad, PARAMS)
 
 
 def test_translation_requires_nonzero_average():
     q = fts.from_real_terms([(0, 1, 0, 0.1)], TruncationSpec(0, 1, 1), PARAMS.rho)
     with pytest.raises(ValueError):
-        ops.translation_coefficient(fts.constant(1.0, TR, PARAMS.rho), q, PARAMS)
+        ops.Derivation(fts.constant(1.0, TR, PARAMS.rho), q, PARAMS)
 
 
 def test_operations_own_their_output():
@@ -473,13 +470,18 @@ def test_divisor_check_matches_per_mode_oracle():
     assert raised >= 5 and warned >= 20
 
 
-def test_translation_divisor_warning_names_the_caller():
+def test_derivation_warns_a_mode_once_per_solve():
+    # a_f's divisor sum is read off the inner drive, so the derivation's
+    # three solves are the only divisions: at most 3 warnings per mode
     dio = DiophantineParams(gamma=10.0, tau=1.0)
-    f = fts.from_real_terms([(1, 1, 0, 1.0)], TR, PARAMS.rho)
-    err, messages, files = _divisor_events(
-        lambda: ops.translation_coefficient(f, Q_SERIES, PARAMS, dio))
-    assert err is None and len(messages) == 2  # (1, 1) and its mirror
-    assert files == {__file__}
+    f = fts.from_real_terms({(1, 1, 0): 1.0, (1, 0, 0): 0.5, (0, 3, 1): 0.2},
+                            TR, PARAMS.rho)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ops.Derivation(f, Q_SERIES, PARAMS, dio)
+    assert all(issubclass(w.category, ops.SmallDivisorWarning) for w in caught)
+    counts = collections.Counter(str(w.message) for w in caught)
+    assert counts and max(counts.values()) <= 3, counts
 
 
 def test_estimate_diophantine_resonant_case():
