@@ -12,8 +12,8 @@ and the rows computed before it (``iterate``'s ``steps``), and its line is
 ``FAIL <first_failure>: <error>``. Its name is one of ``diophantine``
 (resonant rotation number), ``hypothesis``, ``divergence`` (of a Lie
 series), ``resonance`` (a zero divisor), ``contraction`` (of the
-iteration) and ``overflow`` (finite values whose product or power is not
-finite).
+iteration) and ``overflow`` (finite values whose product, power or bound
+is not finite).
 
 Each subcommand declares its inputs once, in ``_COMMANDS``: key, check,
 default and help. An input comes from its flag, else from the JSON config
@@ -34,8 +34,10 @@ batch.
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -252,12 +254,13 @@ def _reported(x):
 
 
 # a coefficient row of ``fts.to_json_dict`` (Python ints and floats) as
-# json.dump(sort_keys=True, indent=2) writes it in doc["series"]["coeffs"]:
-# json writes a finite float with float.__repr__ and an int with
-# int.__repr__, as {!r} does
-_ROW = ("      {{\n        \"im\": {im!r},\n        \"l\": {l!r},\n"
-        "        \"m\": {m!r},\n        \"n\": {n!r},\n"
-        "        \"re\": {re!r}\n      }}")
+# json.dump(sort_keys=True, indent=2) writes it in doc["series"]["coeffs"],
+# with its values in sorted key order (_ROW_VALUES): json writes a finite
+# float with float.__repr__ and an int with int.__repr__, as %r does
+_ROW = ("      {\n        \"im\": %r,\n        \"l\": %r,\n"
+        "        \"m\": %r,\n        \"n\": %r,\n"
+        "        \"re\": %r\n      }")
+_ROW_VALUES = operator.itemgetter("im", "l", "m", "n", "re")
 
 
 def _write_json(path, doc):
@@ -267,7 +270,9 @@ def _write_json(path, doc):
 
     The coefficient rows of a ``series`` are formatted here, not by json's
     pure-Python encoder (which ``indent`` selects): they are nearly all of
-    ``v_star.json``. Series values are finite, so no row needs json's NaN.
+    ``v_star.json``. All rows are written by one ``%`` over the row
+    template repeated once per row, with every row's values in one tuple.
+    Series values are finite, so no row needs json's NaN.
     """
     rows = doc["series"]["coeffs"] if "series" in doc else []
     if rows:
@@ -275,7 +280,8 @@ def _write_json(path, doc):
     text = json.dumps(doc, sort_keys=True, indent=2,
                       default=lambda o: o.item())
     if rows:
-        rows_text = ",\n".join(map(_ROW.format_map, rows))
+        rows_text = ",\n".join([_ROW] * len(rows)) % tuple(
+            itertools.chain.from_iterable(map(_ROW_VALUES, rows)))
         text = text.replace('\n    "coeffs": []',
                             f'\n    "coeffs": [\n{rows_text}\n    ]', 1)
     with open(path, "w", encoding="utf-8") as fh:
@@ -420,14 +426,16 @@ def cmd_normalize(config, derived, out):
     dio = _diophantine(params, config, derived)
     q_series = ops.generic_curvature(params, trunc)
 
-    def v_star_norm(e):
-        v = pr.preset_drive_series(preset, e, params, trunc)
-        res = nf.compute_v_star(v, q_series, params, tol=tol, dio=dio)
-        # measured on the shrunk strip r - 3 mu of the desk scales
-        return res, fts.majorant_norm(res.v_star, 0.2), fts.majorant_norm(v, 0.2)
-
-    result, n_full, n_v = v_star_norm(eps)
-    _, n_half, _ = v_star_norm(0.5 * eps)
+    v = pr.preset_drive_series(preset, eps, params, trunc)
+    result = nf.compute_v_star(v, q_series, params, tol=tol, dio=dio)
+    # the probe at eps / 2: the drive and Gamma_V are linear in eps, and
+    # halving a normal float is exact, so both are the step's, halved
+    half = nf.compute_v_star(fts.scale(v, 0.5), q_series, params, tol=tol,
+                             dio=dio, derivation=result.derivation.scaled(0.5))
+    # measured on the shrunk strip r - 3 mu of the desk scales
+    n_v = fts.majorant_norm(v, 0.2)
+    n_full = fts.majorant_norm(result.v_star, 0.2)
+    n_half = fts.majorant_norm(half.v_star, 0.2)
     ratio = n_full / n_half if n_half > 0 else float("inf")
     slope = math.log(ratio) / math.log(2.0) if n_half > 0 else float("inf")
 

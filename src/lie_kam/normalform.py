@@ -52,6 +52,13 @@ _Q_FLOOR_DROP = 2.0 ** (-math.pi ** 2 / 3.0)
 _MAX_TERMS = 40
 
 
+def _finite(what: str, x: float) -> float:
+    """x where it is finite, else OverflowError naming ``what``."""
+    if not math.isfinite(x):
+        raise OverflowError(f"{what} is not finite: {x!r}")
+    return x
+
+
 class DivergenceError(ArithmeticError):
     """Exponential Lie series failed to contract."""
 
@@ -115,15 +122,17 @@ class BoundConstants:
         """Derivation bound factor C / (q^3 d (d + delta)^(2 tau + 2)).
 
         C and C~ are built at the constants' own losses, so both factors
-        are read there and nowhere else.
+        are read there and nowhere else. A factor that is not finite (a
+        large tau) raises OverflowError.
         """
         s = self.d + self.delta
-        return self.c / (self.q ** 3 * self.d * s ** (2.0 * self.tau + 2.0))
+        return _finite("bound factor lam", self.c / (
+            self.q ** 3 * self.d * s ** (2.0 * self.tau + 2.0)))
 
     def xi(self) -> float:
         """Projection bound factor C~ / (q^3 delta^(2 tau + 3))."""
-        return self.c_tilde / (self.q ** 3
-                               * self.delta ** (2.0 * self.tau + 3.0))
+        return _finite("bound factor xi", self.c_tilde / (
+            self.q ** 3 * self.delta ** (2.0 * self.tau + 3.0)))
 
     def eps_mu(self, mu: float) -> float:
         """Smallness budget q^3 mu^(2 tau + 3) / (2 C) for a step of loss mu."""
@@ -269,11 +278,11 @@ def certify_bounds(w: FourierTaylorSeries, z: FourierTaylorSeries,
     nz = fts.majorant_norm(z, r - delta)
     gamma = ops.Derivation(w, q, params, dio)
     measured_g = fts.majorant_norm(gamma(z), r - d - delta)
-    bound_g = bc.lam() * nw * nz
+    bound_g = _finite("derivation bound", bc.lam() * nw * nz)
 
     measured_n = fts.majorant_norm(gamma.solvable, r - delta)
     measured_r = fts.majorant_norm(gamma.resonant, r - delta)
-    bound_p = bc.xi() * nw
+    bound_p = _finite("projection bound", bc.xi() * nw)
 
     def row(measured, bound):
         return {"measured": measured, "bound": bound,
@@ -389,17 +398,21 @@ class LieTransformResult:
         Updated curvature coefficient after absorbing rv.
     series_terms_used : int
         Lie-series terms summed before the tolerance was met.
+    derivation : Derivation
+        Gamma_V, whose projections and generator the step used.
     """
 
     v_star: FourierTaylorSeries
     rv: FourierTaylorSeries
     q_star: FourierTaylorSeries
     series_terms_used: int
+    derivation: ops.Derivation
 
 
 def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
                    params: AlgebraParams, tol: float = 1e-12,
-                   dio: DiophantineParams = None) -> LieTransformResult:
+                   dio: DiophantineParams = None, *,
+                   derivation: ops.Derivation = None) -> LieTransformResult:
     """Run one normal-form step on the perturbation v.
 
     Splits v into its resonant part (banked into the curvature) and the
@@ -430,6 +443,10 @@ def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
         larger of 1 and the weight of v.
     dio : DiophantineParams, optional
         Divisor floor certificate for the small-divisor solves.
+    derivation : Derivation, optional
+        Gamma_v, for a caller that already holds it (for instance
+        ``Derivation.scaled`` of a step at a multiple of v); built from
+        v, q, params and dio when omitted.
 
     Returns
     -------
@@ -445,13 +462,15 @@ def compute_v_star(v: FourierTaylorSeries, q: FourierTaylorSeries,
     >>> fts.majorant_norm(out.v_star, 0.0)
     0.0
     """
-    gamma = ops.Derivation(v, q, params, dio)
+    gamma = derivation
+    if gamma is None:
+        gamma = ops.Derivation(v, q, params, dio)
     rv = gamma.resonant
     out, terms = _lie_series(gamma, v, gamma.solvable,
                              fts.zeros(v.trunc, v.rho), tol)
     q_star = ops._curvature_update(q, rv)
     return LieTransformResult(v_star=out, rv=rv, q_star=q_star,
-                              series_terms_used=terms)
+                              series_terms_used=terms, derivation=gamma)
 
 
 # -- convergence schedule ------------------------------------------------------

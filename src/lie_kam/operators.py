@@ -60,6 +60,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # a divisor below this is an exact resonance for the solver
 _MIN_DIVISOR = 1e-13
+# |omega m + l| within this many ulp of |omega m| is a resonance of the
+# scan: omega = rho (1/i_3 - 1/i_perp) x0 and omega m are a few roundings
+# away from the rational they stand for, each at most half an ulp
+_RESONANCE_ULPS = 8
 
 
 class ResonanceError(ArithmeticError):
@@ -239,9 +243,13 @@ def estimate_diophantine(omega: float, tau: float, k_scan: int = 50):
 
     Returns (gamma_hat, (l, m)) for the minimizing mode, scanning one
     representative of each +/- pair (m > 0, or m = 0 and l > 0). A zero
-    gamma_hat means omega is resonant inside the scanned block. The scan
-    is a pure function of its arguments and is cached, so a sweep that
-    certifies many triples at one rotation number scans once.
+    gamma_hat means omega is resonant inside the scanned block, and
+    (l, m) is the first resonant mode of the scan (the smallest m).
+    omega is a rational up to rounding when |omega m + l| is within
+    ``_RESONANCE_ULPS`` ulp of |omega m| at some mode, which therefore
+    counts as resonant. The scan is a pure function of its arguments and
+    is cached, so a sweep that certifies many triples at one rotation
+    number scans once.
     """
     best = math.inf
     arg = None
@@ -250,7 +258,10 @@ def estimate_diophantine(omega: float, tau: float, k_scan: int = 50):
         for l in range(lo, k_scan - m + 1):
             if m == 0 and l <= 0:
                 continue
-            val = abs(omega * m + l) * (abs(l) + abs(m)) ** tau
+            div = abs(omega * m + l)
+            if div <= _RESONANCE_ULPS * math.ulp(omega * m):
+                div = 0.0
+            val = div * (abs(l) + abs(m)) ** tau
             if val < best:
                 best = val
                 arg = (l, m)
@@ -388,6 +399,24 @@ class Derivation:
             fts.scale(inner, 1.0 / params.rho), params, dio))
         self.generator = gs - xw
         self.shift = af / params.rho
+
+    def scaled(self, s) -> "Derivation":
+        """Gamma_{s f}, with no solve, product or bracket.
+
+        Every attribute is linear in f, so Gamma_{s f} has this one's
+        attributes times the real s. For s a power of two whose products
+        stay normal floats this is exact: the attributes are those of
+        ``Derivation(scale(f, s), ...)`` bit for bit, up to the sign of a
+        zero real or imaginary part (``fts.scale`` multiplies by s as a
+        complex number).
+        """
+        out = object.__new__(Derivation)
+        out.correction = fts.scale(self.correction, s)
+        out.resonant = fts.scale(self.resonant, s)
+        out.solvable = fts.scale(self.solvable, s)
+        out.generator = fts.scale(self.generator, s)
+        out.shift = self.shift * s
+        return out
 
     def __call__(self, g: FourierTaylorSeries, factor=None):
         """Gamma_f g = {G, g} - (a_f / rho) d_x g, or factor * Gamma_f g.

@@ -63,8 +63,9 @@ def default_diophantine(params: AlgebraParams, tau: float = 1.0,
     Raises
     ------
     ValueError
-        If the scan finds an exact resonance; the message names the
-        integer pair (l, m) with omega m + l = 0.
+        If the scan finds a resonance, exact or up to rounding (see
+        :func:`lie_kam.operators.estimate_diophantine`); the message names
+        the first integer pair (l, m) with omega m + l = 0.
     """
     gamma_hat, pair = ops.estimate_diophantine(params.omega, tau, k_scan)
     if gamma_hat <= 0.0:

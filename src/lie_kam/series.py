@@ -40,6 +40,7 @@ certification in :mod:`lie_kam.normalform` meaningful.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -747,6 +748,23 @@ def evaluate(a: FourierTaylorSeries, x, theta, t):
     return val if val.shape else val[()]
 
 
+@functools.lru_cache(maxsize=64)
+def _majorant_weights(trunc: TruncationSpec, r: float):
+    """(R(r)^n over the degrees, exp(r (|l| + |m|)) over the (l, m) grid)
+    of trunc's box: the weights of :func:`majorant_norm` at r.
+
+    A pure function of its arguments, cached and frozen: a run measures
+    few boxes at few radii.
+    """
+    powers = DEFAULT_DOMAIN.radius(r) ** np.arange(trunc.n_x + 1)
+    ls = np.abs(np.arange(-trunc.l_t, trunc.l_t + 1))
+    ms = np.abs(np.arange(-trunc.l_theta, trunc.l_theta + 1))
+    weights = np.exp(r * (ls[:, None] + ms[None, :]))
+    for arr in (powers, weights):
+        arr.flags.writeable = False
+    return powers, weights
+
+
 def majorant_norm(a: FourierTaylorSeries, r: float) -> float:
     """One-sided analytic-norm surrogate at strip width r (see module docs)."""
     if r < 0:
@@ -754,13 +772,8 @@ def majorant_norm(a: FourierTaylorSeries, r: float) -> float:
     if r > DEFAULT_DOMAIN.r_max:
         raise ValueError(
             f"r = {r} exceeds the analyticity budget {DEFAULT_DOMAIN.r_max}")
-    tr = a.trunc
-    radius = DEFAULT_DOMAIN.radius(r)
-    b = np.abs(a.coeffs) @ (radius ** np.arange(tr.n_x + 1))
-    ls = np.abs(np.arange(-tr.l_t, tr.l_t + 1))
-    ms = np.abs(np.arange(-tr.l_theta, tr.l_theta + 1))
-    w = np.exp(r * (ls[:, None] + ms[None, :]))
-    return float(np.sum(b * w))
+    powers, weights = _majorant_weights(a.trunc, r)
+    return float(np.sum((np.abs(a.coeffs) @ powers) * weights))
 
 
 # -- serialization ----------------------------------------------------------

@@ -467,6 +467,34 @@ def test_normalize_underflowing_probe_is_null(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["FAIL quadratic_probe"]
 
 
+def test_normalize_builds_one_derivation(tmp_path, monkeypatch):
+    # the probe at eps / 2 runs on the step's Gamma_V, halved
+    calls = []
+    init = ops.Derivation.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ops.Derivation, "__init__", counting_init)
+    assert run(["normalize", "--eps", "1e-2", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("eps", ["1e-3", "1e-2", "0.1"])
+def test_normalize_probe_matches_a_fresh_derivation(tmp_path, eps):
+    # norm_half is bit for bit the norm of a step at eps / 2 that builds
+    # its own drive and derivation
+    assert run(["normalize", "--eps", eps, "--out", str(tmp_path)]) == 0
+    probe = read_json(tmp_path / "normalize_report.json")["quadratic_probe"]
+    params, trunc = AlgebraParams(), pr.DEFAULT_TRUNC
+    v = pr.preset_drive_series("pert1", 0.5 * float(eps), params, trunc)
+    res = nf.compute_v_star(v, ops.generic_curvature(params, trunc), params,
+                            dio=pr.default_diophantine(params))
+    assert probe["norm_half"] == fts.majorant_norm(res.v_star, 0.2)
+    assert probe["eps_half"] == 0.5 * float(eps)
+
+
 def test_normalize_probe_outside_band_fails(tmp_path):
     # at eps 0.2 the remainder is no longer quadratic: slope about 2.17
     rc = run(["normalize", "--eps", "0.2", "--preset", "pert1",
@@ -664,6 +692,21 @@ def test_bounds_report(tmp_path):
     assert rep["schedule"]["eps0_max"] > 0.0
 
 
+def test_bound_factors_stay_finite_at_tau_50(tmp_path, capsys):
+    # below the overflow the margins are measured as before: verify passes,
+    # and bounds fails only its schedule
+    assert run(["verify", "--trials", "1", "--tau", "50",
+                "--out", str(tmp_path)]) == 0
+    margins = read_json(tmp_path / "verify_report.json")["margins"]
+    assert margins["pass"] is True and margins["min_margin"] > 0.0
+    assert run(["bounds", "--trials", "1", "--tau", "50",
+                "--out", str(tmp_path)]) == 2
+    rep = read_json(tmp_path / "bounds_report.json")
+    assert rep["margins"]["all_nonnegative"] is True
+    assert rep["first_failure"] == "schedule"
+    assert capsys.readouterr().err.splitlines() == ["FAIL schedule"]
+
+
 def test_bounds_scans_the_diophantine_block_once(tmp_path):
     # the scan is cached: the preset's gamma and every triple's hypothesis
     # check share one scan of the same (omega, tau, k_scan)
@@ -757,6 +800,46 @@ def test_verify_rational_rotation_number_fails(tmp_path, capsys, command):
     assert "(1, 5)" in err
 
 
+def _scanned_gamma(omega, tau=1.0, k_scan=50):
+    # the scan's minimum with no rounding threshold
+    return min(abs(omega * m + l) * (abs(l) + abs(m)) ** tau
+               for m in range(k_scan + 1) for l in range(-k_scan, k_scan + 1)
+               if 0 < abs(l) + m <= k_scan and (m > 0 or l > 0))
+
+
+@pytest.mark.parametrize("x0, pair", [(0.72, "(6, 25)"), (0.80, "(4, 15)"),
+                                      (0.6, "(1, 5)")])
+def test_rounded_rational_rotation_number_fails(tmp_path, capsys, x0, pair):
+    # omega = -x0 / 3 is -6/25, -4/15 and -1/5 up to rounding: each is a
+    # resonance of the scan, named by its first pair
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"algebra": {"x0": x0}}))
+    rc = run(["iterate", "--config", str(cfg), "--eps", "1e-3",
+              "--out", str(tmp_path)])
+    assert rc == 2
+    rep = read_json(tmp_path / "iterate_ledger.json")
+    assert rep["first_failure"] == "diophantine"
+    assert "gamma" not in rep["derived"]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("FAIL diophantine")
+    assert err[0].endswith(f"(l, m) = {pair}")
+
+
+@pytest.mark.parametrize("x0", [0.55, 0.618, 0.74, 0.76, None])
+def test_diophantine_rotation_number_keeps_its_gamma(tmp_path, x0):
+    # no scanned mode is within rounding of a resonance: gamma is the scan's
+    # plain minimum (None is pert1's golden x0)
+    algebra = {} if x0 is None else {"x0": x0}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"algebra": algebra}))
+    rc = run(["iterate", "--config", str(cfg), "--eps", "1e-3",
+              "--out", str(tmp_path)])
+    assert rc == 0
+    rep = read_json(tmp_path / "iterate_ledger.json")
+    assert rep["derived"]["gamma"] == _scanned_gamma(
+        AlgebraParams(**algebra).omega)
+
+
 # runs the engine stops: argv, report, first_failure
 STOPPED = {
     "normalize-divergence": (["normalize", "--eps", "2"],
@@ -781,6 +864,13 @@ STOPPED = {
                                "normalize_report.json", "overflow"),
     "iterate-tau-overflow": (["iterate", "--steps", "1", "--tau", "182"],
                              "iterate_ledger.json", "overflow"),
+    # from tau 55 the constants are finite and the bound factor xi is not
+    "bounds-bound-factor-overflow": (["bounds", "--trials", "1",
+                                      "--tau", "60"],
+                                     "bounds_report.json", "overflow"),
+    "verify-bound-factor-overflow": (["verify", "--trials", "1",
+                                      "--tau", "60"],
+                                     "verify_report.json", "overflow"),
 }
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import _oracle as oracle
 from lie_kam import operators as ops
+from lie_kam import presets as pr
 from lie_kam import series as fts
 from lie_kam.operators import AlgebraParams, DiophantineParams, ResonanceError
 from lie_kam.series import TruncationSpec
@@ -245,6 +246,44 @@ def test_derivation_matches_bracket_and_translation_bit_for_bit():
             for k in (1, 3, 7):
                 assert gamma(g, 1.0 / k).coeffs.tobytes() == \
                     fts.scale(want, 1.0 / k).coeffs.tobytes()
+
+
+def _same_bits(a, b):
+    # bit for bit up to the sign of a zero part: scale's complex product
+    # turns the real part -0.0 of a coefficient -0.0 - y i (y < 0) into 0.0,
+    # where a sum or a product only ever reads it as a zero
+    assert a.trunc == b.trunc and a.rho == b.rho
+    assert (a.coeffs + 0.0).tobytes() == (b.coeffs + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("s", [0.5, 0.25, 2.0])
+def test_scaled_derivation_is_a_fresh_one_bit_for_bit(s):
+    # Gamma_f is linear in f, and scaling by a power of two is exact: the
+    # scaled derivation and its first Lie term (scaled by s^2) are those
+    # built from scale(f, s)
+    trunc = pr.DEFAULT_TRUNC
+    q = ops.generic_curvature(PARAMS, trunc)
+    dio = pr.default_diophantine(PARAMS)
+    drives = [pr.preset_drive_series("pert1", eps, PARAMS, trunc)
+              for eps in (1e-3, 2.2e-3, 4.7e-3, 1e-2, 0.1, 1e-100)]
+    cases = [(v, q, dio) for v in drives]
+    rng = np.random.default_rng(41)
+    win = ops.identity_window(TR)
+    for _ in range(5):
+        f = fts.random_real_series(TR, PARAMS.rho, rng, n_terms=25,
+                                   l_t_max=win["l_t"],
+                                   l_theta_max=win["l_theta"],
+                                   n_x_max=win["n_x"])
+        cases.append((f, Q_SERIES, None))
+    for f, q, dio in cases:
+        gamma = ops.Derivation(f, q, PARAMS, dio)
+        fs = fts.scale(f, s)
+        scaled, fresh = gamma.scaled(s), ops.Derivation(fs, q, PARAMS, dio)
+        for name in ("correction", "resonant", "solvable", "generator"):
+            _same_bits(getattr(scaled, name), getattr(fresh, name))
+        assert scaled.shift.hex() == fresh.shift.hex()
+        _same_bits(scaled(fs), fts.scale(gamma(f), s * s))
+        _same_bits(scaled(fs), fresh(fs))
 
 
 def test_translation_frozen_example():
@@ -488,6 +527,16 @@ def test_estimate_diophantine_resonant_case():
     gamma_hat, mode = ops.estimate_diophantine(0.5, tau=1.0, k_scan=50)
     assert gamma_hat == 0.0
     assert mode == (-1, 2)
+
+
+def test_estimate_diophantine_rounded_rational():
+    # omega = -0.72 / 3 is -6/25 up to one ulp of 6: a resonance at (6, 25);
+    # -4/15 resonates at (4, 15) and (8, 30), and the first is named
+    for x0, mode in ((0.72, (6, 25)), (0.80, (4, 15))):
+        omega = AlgebraParams(x0=x0).omega
+        assert omega * mode[1] + mode[0] != 0.0
+        assert ops.estimate_diophantine(omega, tau=1.0, k_scan=50) == \
+            (0.0, mode)
 
 
 def test_estimate_diophantine_default_omega():

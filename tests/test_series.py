@@ -511,6 +511,35 @@ def test_majorant_matches_oracle_and_is_monotone():
         assert vals[0] <= vals[1] <= vals[2]
 
 
+def test_majorant_weights_are_cached_and_frozen():
+    # the weights of a (box, r) are computed once and cannot be written; a
+    # norm read from them is the sum of the weights' formula, bit for bit
+    rng = np.random.default_rng(73)
+    boxes = (TR, DEFAULT_TRUNC, TruncationSpec(0, 3, 1))
+    series = [fts.random_real_series(box, RHO, rng, n_terms=20)
+              for box in boxes]
+    first = {}
+    for _ in range(3):
+        for a in series:
+            for r in (0.0, 0.2, 0.45):
+                got = fts.majorant_norm(a, r)
+                assert first.setdefault((a.trunc, r), got) == got
+                powers, weights = fts._majorant_weights(a.trunc, r)
+                assert fts._majorant_weights(a.trunc, r)[1] is weights
+                for arr in (powers, weights):
+                    assert not arr.flags.writeable
+                    with pytest.raises(ValueError):
+                        arr[(0,) * arr.ndim] = 0.0
+                t = a.trunc
+                ls = np.abs(np.arange(-t.l_t, t.l_t + 1))
+                ms = np.abs(np.arange(-t.l_theta, t.l_theta + 1))
+                want = np.sum(
+                    (np.abs(a.coeffs)
+                     @ (DEFAULT_DOMAIN.radius(r) ** np.arange(t.n_x + 1)))
+                    * np.exp(r * (ls[:, None] + ms[None, :])))
+                assert got == float(want)
+
+
 def test_majorant_rejects_bad_r():
     f = fts.constant(1.0, TR, RHO)
     with pytest.raises(ValueError):
